@@ -16,13 +16,14 @@ from .models import (
     FixtureMissError,
     MaskedModel,
     SynthModelConfig,
-    synth_model,
-    table_model,
+    SyntheticModel,
+    load_table_fixture,
 )
 from .reporting import (
     CompareReport,
     Report,
     RunConfig,
+    _dumps,
     merge_config,
     render_report,
 )
@@ -37,7 +38,7 @@ class LosslessnessError(Exception):
 
 def build_model(config: RunConfig) -> MaskedModel:
     if config.backend == "synthetic":
-        return synth_model(
+        return SyntheticModel(
             SynthModelConfig(
                 seed=config.seed,
                 vocab_size=config.vocab_size,
@@ -45,7 +46,7 @@ def build_model(config: RunConfig) -> MaskedModel:
                 context_window=config.context_window,
             )
         )
-    model = table_model(config.table_path)
+    model = load_table_fixture(config.table_path)
     if model.vocab_size != config.vocab_size:
         raise ValueError(
             f"table fixture has vocab_size {model.vocab_size}, "
@@ -79,9 +80,7 @@ def run_decode(config: RunConfig) -> tuple[Report, DecodeTrace]:
             rounds=(),
         )
         return report, trace
-    result = ssd_decode(
-        model, state, n=config.draft_len, shape=config.strategy, topk=config.topk
-    )
+    result = ssd_decode(model, state, n=config.draft_len, shape=config.strategy)
     report = Report(
         config=config,
         tokens=result.state.tokens,
@@ -102,9 +101,7 @@ def run_compare(config: RunConfig) -> CompareReport:
     model = build_model(config)
     state = start_state(config)
     baseline, _ = stepwise_decode(model, state, topk=0)
-    result = ssd_decode(
-        model, state, n=config.draft_len, shape=config.strategy, topk=config.topk
-    )
+    result = ssd_decode(model, state, n=config.draft_len, shape=config.strategy)
     identical = baseline.tokens == result.state.tokens
     report = CompareReport(
         config=config,
@@ -236,14 +233,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for strategy in strategies:
         if strategy not in ("greedy", "mix_order"):
             raise ValueError(f"sweep strategies must be speculative, got {strategy!r}")
-    lines = [json.dumps({"kind": "sweep", "version": 1}, sort_keys=True)]
-    lines.append(json.dumps({"config": config.to_dict()}, sort_keys=True))
+    lines = [_dumps({"kind": "sweep", "version": 1})]
+    lines.append(_dumps({"config": config.to_dict()}))
     for strategy in strategies:
         for n in draft_lengths:
             combo = merge_config(config, {"strategy": strategy, "draft_len": n})
             report = run_compare(combo)
             lines.append(
-                json.dumps(
+                _dumps(
                     {
                         "sweep": {
                             "strategy": strategy,
@@ -255,8 +252,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                             "speedup": report.speedup,
                             "identical": report.identical,
                         }
-                    },
-                    sort_keys=True,
+                    }
                 )
             )
     _emit("\n".join(lines) + "\n", args.out)

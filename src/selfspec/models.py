@@ -69,13 +69,6 @@ class MaskedModel(ABC):
         """Logits for every position of every sequence in the batch."""
 
 
-def softmax_row(row: np.ndarray) -> np.ndarray:
-    """Stable softmax of a single logit row (max-subtracted, float64)."""
-    shifted = row - row.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def softmax_matrix(mat: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of a (positions, vocab) logit matrix."""
     shifted = mat - mat.max(axis=1, keepdims=True)
@@ -83,32 +76,11 @@ def softmax_matrix(mat: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict_with_confidence(logits_row: np.ndarray) -> tuple[int, float]:
-    """Greedy prediction for one position.
-
-    Returns (argmax token, its softmax probability).  Ties break to the
-    lowest token id so predictions are totally deterministic.
-    """
-    row = np.asarray(logits_row, dtype=np.float64)
-    if row.ndim != 1 or row.size == 0:
-        raise ValueError("expected a non-empty 1-d logits row")
-    if not np.isfinite(row).all():
-        raise ValueError("logits must be finite")
-    tok = int(np.argmax(row))
-    conf = float(softmax_row(row)[tok])
-    return tok, conf
-
-
-def topk_candidates(logits_row: np.ndarray, k: int) -> tuple[tuple[int, float], ...]:
-    """Top-k (token, probability) pairs, highest probability first.
-
-    Ties break to the lowest token id.  Returns fewer than k pairs only
-    when the vocabulary is smaller than k.
-    """
-    row = np.asarray(logits_row, dtype=np.float64)
-    probs = softmax_row(row)
-    order = np.argsort(-probs, kind="stable")[:k]
-    return tuple((int(t), float(probs[t])) for t in order)
+def _read_only(rows: np.ndarray) -> np.ndarray:
+    """A float64 copy of rows that can be handed out without copying again."""
+    arr = np.array(rows, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +184,6 @@ class SyntheticModel(MaskedModel):
         return cfg.sharpness * uniform
 
 
-def synth_model(config: SynthModelConfig) -> SyntheticModel:
-    return SyntheticModel(config)
-
-
 # ---------------------------------------------------------------------------
 # Table backend
 # ---------------------------------------------------------------------------
@@ -226,7 +194,8 @@ class TableModel(MaskedModel):
 
     The fingerprint is the exact token tuple; querying a state the table
     does not list raises FixtureMissError, which indicates a broken test
-    fixture rather than a runtime condition.
+    fixture rather than a runtime condition.  Rows are stored read-only and
+    served without copying.
     """
 
     def __init__(self, table: dict[tuple[int, ...], np.ndarray]):
@@ -235,7 +204,7 @@ class TableModel(MaskedModel):
         self._table: dict[tuple[int, ...], np.ndarray] = {}
         vocab = None
         for tokens, rows in table.items():
-            arr = np.asarray(rows, dtype=np.float64)
+            arr = _read_only(rows)
             if arr.ndim != 2 or arr.shape[0] != len(tokens):
                 raise ValueError(
                     f"fixture rows for {tokens} must be (len(tokens), vocab)"
@@ -259,7 +228,7 @@ class TableModel(MaskedModel):
     def rows_for(self, tokens: tuple[int, ...]) -> np.ndarray:
         if tokens not in self._table:
             raise FixtureMissError(f"no fixture rows for state {tokens}")
-        return self._table[tokens].copy()
+        return self._table[tokens]
 
     def forward(self, batch: list[SequenceState]) -> LogitsBatch:
         if not batch:
@@ -290,10 +259,6 @@ def load_table_fixture(path: str) -> TableModel:
     return TableModel(table)
 
 
-def table_model(path: str) -> TableModel:
-    return load_table_fixture(path)
-
-
 class RecordingModel(MaskedModel):
     """Wraps a model and records every (state -> rows) pair it serves.
 
@@ -301,7 +266,7 @@ class RecordingModel(MaskedModel):
     produces a table fixture that replays that decode exactly.  Repeat
     states are served from the recording rather than recomputed, so the
     wrapper also works as a memo when several decodes share a model;
-    served rows must be treated as read-only.
+    served rows are read-only arrays.
     """
 
     def __init__(self, inner: MaskedModel):
@@ -317,7 +282,7 @@ class RecordingModel(MaskedModel):
         if missing:
             out = self._inner.forward(missing)
             for state, rows in zip(missing, out.rows):
-                self.recorded.setdefault(state.tokens, rows.copy())
+                self.recorded.setdefault(state.tokens, _read_only(rows))
         return LogitsBatch(rows=tuple(self.recorded[s.tokens] for s in batch))
 
     def dump(self, path: str) -> None:

@@ -131,6 +131,7 @@ class CompareReport:
 
 
 def _dumps(obj: dict) -> str:
+    """The one JSON-lines serializer for reports and sweep output."""
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 

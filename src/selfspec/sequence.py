@@ -154,36 +154,3 @@ def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:
         raise IllegalWriteError(f"position {pos} is {region}, not masked")
     tokens = state.tokens[:pos] + (tok,) + state.tokens[pos + 1 :]
     return replace(state, tokens=tokens)
-
-
-def state_to_line(state: SequenceState) -> str:
-    """One-line record for fixtures and golden files."""
-    toks = ",".join(str(t) for t in state.tokens)
-    return (
-        f"prompt_len={state.prompt_len} mask_id={state.mask_id} "
-        f"block_len={state.block_len} tokens={toks}"
-    )
-
-
-def state_from_line(line: str) -> SequenceState:
-    fields = {}
-    for part in line.split():
-        key, _, value = part.partition("=")
-        fields[key] = value
-    missing = {"prompt_len", "mask_id", "block_len", "tokens"} - set(fields)
-    if missing:
-        raise ValueError(f"state line missing fields: {sorted(missing)}")
-    try:
-        tokens = tuple(int(t) for t in fields["tokens"].split(","))
-        prompt_len = int(fields["prompt_len"])
-        mask_id = int(fields["mask_id"])
-        block_len = int(fields["block_len"])
-    except ValueError as exc:
-        raise ValueError(f"malformed state line: {exc}") from exc
-    return SequenceState(
-        tokens=tokens,
-        prompt_len=prompt_len,
-        gen_len=len(tokens) - prompt_len,
-        mask_id=mask_id,
-        block_len=block_len,
-    )

@@ -20,7 +20,7 @@ Tree shapes:
   children of their own.
 * kary: every candidate position expands into its top-k draft tokens,
   sum(k^i, i=0..N) nodes.  Supported for analysis; too large to batch
-  profitably, so the decode loop never builds one.
+  profitably, so the decode loop never builds one and drafts top-1 only.
 """
 
 from __future__ import annotations
@@ -31,14 +31,12 @@ import numpy as np
 
 from .models import MaskedModel, softmax_matrix
 from .sequence import (
-    BlockSchedule,
     SequenceState,
     current_block,
     place_token,
     schedule_for,
 )
 from .stepwise import (
-    Candidates,
     DecodeTrace,
     StepRecord,
     choose_step,
@@ -48,117 +46,88 @@ from .stepwise import (
 TREE_SHAPES = ("greedy", "mix_order", "kary")
 
 
-@dataclass(frozen=True)
-class Draft:
-    """Greedy prediction for one masked position."""
+@dataclass(frozen=True, eq=False)
+class Drafts:
+    """Drafts for the masked positions of one state, as parallel arrays.
 
-    token: int
-    confidence: float
-    candidates: Candidates  # top-k (token, probability), highest first
+    ``positions`` (P,) holds the masked positions, ascending; ``tokens``
+    (P, k) their top-k draft tokens, highest probability first, so column 0
+    is the greedy draft; ``confidences`` (P,) the greedy token's probability.
+    """
 
-
-@dataclass(frozen=True)
-class DraftSet:
-    """Per-position drafts; the domain is the masked positions of the state
-    the drafts were taken from."""
-
-    drafts: dict[int, Draft]
+    positions: np.ndarray
+    tokens: np.ndarray
+    confidences: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.drafts)
+        return len(self.positions)
 
-    def __contains__(self, pos: int) -> bool:
-        return pos in self.drafts
-
-    def __getitem__(self, pos: int) -> Draft:
-        return self.drafts[pos]
-
-    def positions(self) -> tuple[int, ...]:
-        return tuple(sorted(self.drafts))
+    def rows_of(self, positions: np.ndarray) -> np.ndarray:
+        """Row index of each given position; ValueError if one is not drafted."""
+        rows = np.searchsorted(self.positions, positions)
+        found = rows < len(self.positions)
+        found[found] = self.positions[rows[found]] == positions[found]
+        if not found.all():
+            raise ValueError(
+                f"drafts do not cover masked position {positions[~found][0]}"
+            )
+        return rows
 
 
 def drafts_from_logits(
-    state: SequenceState, logits: np.ndarray, topk: int = 5
-) -> DraftSet:
-    """Extract drafts for every masked position of state from a logit matrix.
+    state: SequenceState, logits: np.ndarray, k: int = 1
+) -> Drafts:
+    """Extract top-k drafts for every masked position of state from a logit matrix.
 
     Used both for fresh drafting (logits from a forward on state itself) and
     for the free refresh after a verification round, where the logits come
     from the deepest accepted node and may be slightly stale; staleness only
     costs acceptance rate because every draft is re-verified before use.
+    Column 0 and the confidences do not depend on k: the stable sort puts
+    the first maximum first, exactly as argmax picks it.
     """
-    masked = state.masked_positions()
-    if not masked:
+    positions = np.asarray(state.masked_positions(), dtype=np.int64)
+    if not positions.size:
         raise ValueError("state has no masked positions to draft for")
-    k = max(1, topk)
-    rows = softmax_matrix(np.asarray(logits, dtype=np.float64)[np.asarray(masked)])
-    drafts: dict[int, Draft] = {}
+    rows = softmax_matrix(np.asarray(logits, dtype=np.float64)[positions])
     if k == 1:
-        toks = np.argmax(rows, axis=1)  # first max, lowest-id tie-break
-        confs = rows[np.arange(len(masked)), toks]
-        for pos, tok, conf in zip(masked, toks, confs):
-            cands = ((int(tok), float(conf)),)
-            drafts[pos] = Draft(token=cands[0][0], confidence=cands[0][1],
-                                candidates=cands)
-        return DraftSet(drafts=drafts)
-    order = np.argsort(-rows, axis=1, kind="stable")[:, :k]
-    for i, pos in enumerate(masked):
-        cands = tuple((int(t), float(rows[i, t])) for t in order[i])
-        drafts[pos] = Draft(token=cands[0][0], confidence=cands[0][1],
-                            candidates=cands)
-    return DraftSet(drafts=drafts)
-
-
-def self_draft(model: MaskedModel, state: SequenceState, topk: int = 5) -> DraftSet:
-    """One forward pass; greedy draft for every masked position."""
-    logits = model.forward([state])[0]
-    return drafts_from_logits(state, logits, topk)
-
-
-@dataclass(frozen=True)
-class CandidateList:
-    """Verification order: current-block positions by descending confidence,
-    then (only if the block ran short) next-block positions by the same rule."""
-
-    entries: tuple[tuple[int, int], ...]  # (position, draft token)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, idx: int) -> tuple[int, int]:
-        return self.entries[idx]
-
-    def positions(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
+        tokens = np.argmax(rows, axis=1)[:, None]  # first max, lowest-id tie-break
+    else:
+        tokens = np.argsort(-rows, axis=1, kind="stable")[:, :k]
+    confidences = rows[np.arange(len(positions)), tokens[:, 0]]
+    return Drafts(positions=positions, tokens=tokens, confidences=confidences)
 
 
 def select_candidates(
-    state: SequenceState, drafts: DraftSet, n: int
-) -> CandidateList:
+    state: SequenceState, drafts: Drafts, n: int
+) -> tuple[tuple[int, int], ...]:
     """Choose up to n (position, draft token) pairs for verification.
 
-    May return fewer than n entries when the current and next block together
-    hold fewer masked positions; the decode loop treats that as the signal
-    to fall back to stepwise decoding.
+    Verification order is current-block positions by descending confidence
+    (ties to the lowest position), then, only if the block ran short,
+    next-block positions by the same rule.  May return fewer than n entries
+    when the current and next block together hold fewer masked positions;
+    the decode loop treats that as the signal to fall back to stepwise
+    decoding.
     """
     if n < 1:
         raise ValueError("candidate count must be >= 1")
     schedule = schedule_for(state)
     block_idx = current_block(state, schedule)
     if block_idx is None:
-        return CandidateList(entries=())
+        return ()
 
-    def ranked(block: range) -> list[int]:
-        positions = [p for p in block if state.is_masked(p)]
-        for p in positions:
-            if p not in drafts:
-                raise ValueError(f"drafts do not cover masked position {p}")
-        return sorted(positions, key=lambda p: (-drafts[p].confidence, p))
+    def ranked(block: range) -> list[tuple[int, int]]:
+        positions = np.array([p for p in block if state.is_masked(p)], dtype=np.int64)
+        rows = drafts.rows_of(positions)
+        order = np.lexsort((positions, -drafts.confidences[rows]))
+        tokens = drafts.tokens[rows[order], 0]
+        return list(zip(positions[order].tolist(), tokens.tolist()))
 
     chosen = ranked(schedule[block_idx])[:n]
     if len(chosen) < n and block_idx + 1 < len(schedule):
         chosen += ranked(schedule[block_idx + 1])[: n - len(chosen)]
-    return CandidateList(entries=tuple((p, drafts[p].token) for p in chosen))
+    return tuple(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +163,8 @@ class VerificationTree:
 
 def build_tree(
     base: SequenceState,
-    candidates: CandidateList,
-    drafts: DraftSet,
+    candidates: tuple[tuple[int, int], ...],
+    drafts: Drafts,
     shape: str = "greedy",
     k: int = 2,
 ) -> VerificationTree:
@@ -249,25 +218,27 @@ def build_tree(
 
 
 def _build_kary(
-    base: SequenceState, candidates: CandidateList, drafts: DraftSet, k: int
+    base: SequenceState,
+    candidates: tuple[tuple[int, int], ...],
+    drafts: Drafts,
+    k: int,
 ) -> VerificationTree:
     if k < 1:
         raise ValueError("kary arity must be >= 1")
-    for pos, _ in candidates.entries:
-        if len(drafts[pos].candidates) < k:
-            raise ValueError(
-                f"kary tree needs {k} candidate tokens at position {pos}, "
-                f"drafts record only {len(drafts[pos].candidates)}"
-            )
+    if drafts.tokens.shape[1] < k:
+        raise ValueError(
+            f"kary tree needs {k} candidate tokens per position, "
+            f"drafts record only {drafts.tokens.shape[1]}"
+        )
+    rows = drafts.rows_of(np.array([pos for pos, _ in candidates], dtype=np.int64))
     nodes = [TreeNode(index=0, parent=None, depth=0, state=base, expectation=None)]
     children: dict[int, list[int]] = {}
     frontier = [0]
-    for d in range(len(candidates)):
-        pos, _ = candidates[d]
+    for d, (pos, _) in enumerate(candidates):
         next_frontier = []
         for parent_idx in frontier:
             parent = nodes[parent_idx]
-            for tok, _prob in drafts[pos].candidates[:k]:
+            for tok in drafts.tokens[rows[d], :k].tolist():
                 idx = len(nodes)
                 nodes.append(
                     TreeNode(index=idx, parent=parent_idx, depth=d + 1,
@@ -364,7 +335,6 @@ def ssd_decode(
     state: SequenceState,
     n: int,
     shape: str = "greedy",
-    topk: int = 5,
 ) -> SsdResult:
     """Decode with self-speculation: draft once, then verify rounds.
 
@@ -383,7 +353,7 @@ def ssd_decode(
 
     start = state
     schedule = schedule_for(state)
-    drafts = self_draft(model, state, topk)
+    drafts = drafts_from_logits(state, model.forward([state])[0])
     forwards = 1
     records: list[StepRecord] = []
     rounds: list[RoundStats] = []
@@ -412,7 +382,7 @@ def ssd_decode(
             )
         )
         if current_block(state, schedule) is not None:
-            drafts = drafts_from_logits(state, result.leaf_logits, topk)
+            drafts = drafts_from_logits(state, result.leaf_logits)
 
     trace = DecodeTrace(
         decoder="ssd",

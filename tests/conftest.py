@@ -14,7 +14,6 @@ from selfspec import (
     place_token,
     schedule_for,
     select_candidates,
-    self_draft,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -36,12 +35,12 @@ def all_masked_state(prompt_len=0, gen_len=8, vocab=16, block_len=8):
     )
 
 
-def replay_dual_rounds(model, state, n, topk=2):
+def replay_dual_rounds(model, state, n):
     """Walk the greedy-strategy decode trajectory; at every full verification
     round build both tree shapes on identical (state, drafts) inputs and
     record the pair of accepted counts."""
     schedule = schedule_for(state)
-    drafts = self_draft(model, state, topk)
+    drafts = drafts_from_logits(state, model.forward([state])[0])
     rounds = []
     while current_block(state, schedule) is not None:
         cands = select_candidates(state, drafts, n)
@@ -53,7 +52,7 @@ def replay_dual_rounds(model, state, n, topk=2):
         for pos, tok, _ in g.accepted:
             state = place_token(state, pos, tok)
         if current_block(state, schedule) is not None:
-            drafts = drafts_from_logits(state, g.leaf_logits, topk)
+            drafts = drafts_from_logits(state, g.leaf_logits)
     return rounds
 
 

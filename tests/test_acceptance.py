@@ -13,15 +13,15 @@ import pytest
 from selfspec import (
     RecordingModel,
     SynthModelConfig,
+    SyntheticModel,
     build_tree,
+    drafts_from_logits,
     initial_state,
     kary_tree_size,
+    load_table_fixture,
     select_candidates,
-    self_draft,
     ssd_decode,
     stepwise_decode,
-    synth_model,
-    table_model,
     topk_match_reduction,
     upper_bound,
 )
@@ -66,7 +66,7 @@ def grid():
     for seed in GRID_SEEDS:
         prompt = tuple(range(seed % 17))
         model = RecordingModel(
-            synth_model(
+            SyntheticModel(
                 SynthModelConfig(seed=seed, vocab_size=GRID_VOCAB, context_window=2)
             )
         )
@@ -82,7 +82,7 @@ def grid():
                 )
                 for n in GRID_DRAFT_LENGTHS:
                     for shape in GRID_SHAPES:
-                        res = ssd_decode(model, state, n=n, shape=shape, topk=1)
+                        res = ssd_decode(model, state, n=n, shape=shape)
                         cases.append(
                             {
                                 "seed": seed,
@@ -118,9 +118,9 @@ def test_criterion_1_losslessness_suite(grid):
 def test_criterion_2_tree_size_laws():
     """Exact node counts: greedy 4/5/6 and mix-order 6/8/10 for N=3/4/5;
     k-ary sizes equal the geometric sum for k in {1,2,3}, N in 1..6."""
-    model = synth_model(SynthModelConfig(seed=2, vocab_size=16, context_window=2))
+    model = SyntheticModel(SynthModelConfig(seed=2, vocab_size=16, context_window=2))
     state = initial_state(prompt=(), gen_len=12, mask_id=16, block_len=12)
-    drafts = self_draft(model, state, topk=3)
+    drafts = drafts_from_logits(state, model.forward([state])[0], 3)
 
     for n, greedy_size, mix_size in ((3, 4, 6), (4, 5, 8), (5, 6, 10)):
         cands = select_candidates(state, drafts, n)
@@ -154,7 +154,7 @@ def test_criterion_4_full_acceptance_oracle():
     N+1 tokens and 1 + L/(N+1) forwards.  Tolerance zero."""
     gen_len = 60
     for seed in (31, 32, 33):
-        model = synth_model(
+        model = SyntheticModel(
             SynthModelConfig(seed=seed, vocab_size=32, context_window=0)
         )
         for n in (3, 4, 5):
@@ -163,7 +163,7 @@ def test_criterion_4_full_acceptance_oracle():
                     prompt=(), gen_len=gen_len, mask_id=32, block_len=block_len
                 )
                 sw, _ = stepwise_decode(model, state, topk=0)
-                res = ssd_decode(model, state, n=n, shape="greedy", topk=1)
+                res = ssd_decode(model, state, n=n, shape="greedy")
                 rounds = gen_len // (n + 1)
                 assert res.state.tokens == sw.tokens
                 assert len(res.rounds) == rounds
@@ -181,7 +181,7 @@ def test_criterion_5_analyzer_laws():
     vocab = 24
     recorded = []
     for seed in (41, 42, 43):
-        model = synth_model(
+        model = SyntheticModel(
             SynthModelConfig(seed=seed, vocab_size=vocab, context_window=2)
         )
         for block_len in (6, 60):
@@ -226,11 +226,11 @@ def test_criterion_7_mix_order_gain():
     def run_scenario(model, state, n):
         nonlocal scenario_count
         sw, _ = stepwise_decode(model, state, topk=0)
-        greedy = ssd_decode(model, state, n=n, shape="greedy", topk=2)
-        mix = ssd_decode(model, state, n=n, shape="mix_order", topk=2)
+        greedy = ssd_decode(model, state, n=n, shape="greedy")
+        mix = ssd_decode(model, state, n=n, shape="mix_order")
         assert greedy.state.tokens == sw.tokens
         assert mix.state.tokens == sw.tokens
-        rounds = replay_dual_rounds(model, state, n, topk=2)
+        rounds = replay_dual_rounds(model, state, n)
         assert any(m > g for g, m in rounds), "no out-of-order round found"
         assert all(m >= g for g, m in rounds)
         for r in greedy.rounds:
@@ -245,7 +245,7 @@ def test_criterion_7_mix_order_gain():
 
     for seed, vocab, cw, gen_len, block_len, n in OUT_OF_ORDER_SCENARIOS:
         model = RecordingModel(
-            synth_model(
+            SyntheticModel(
                 SynthModelConfig(
                     seed=seed, vocab_size=vocab, sharpness=3.0, context_window=cw
                 )
@@ -257,7 +257,7 @@ def test_criterion_7_mix_order_gain():
         run_scenario(model, state, n)
 
     for name, mask_id, gen_len, block_len, n in FIXTURE_SCENARIOS:
-        model = table_model(str(FIXTURES / name))
+        model = load_table_fixture(str(FIXTURES / name))
         state = initial_state(
             prompt=(), gen_len=gen_len, mask_id=mask_id, block_len=block_len
         )

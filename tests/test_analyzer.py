@@ -10,12 +10,12 @@ from selfspec import (
     DecodeTrace,
     StepRecord,
     SynthModelConfig,
+    SyntheticModel,
     exact_reduction_at_full_match,
     format_grid,
     kary_tree_size,
     reduction_grid,
     stepwise_decode,
-    synth_model,
     topk_match_reduction,
     trace_windows,
     upper_bound,
@@ -25,7 +25,7 @@ from conftest import all_masked_state
 
 
 def synth_trace(seed=0, gen_len=12, block_len=6, vocab=12, cw=2, topk=5):
-    model = synth_model(
+    model = SyntheticModel(
         SynthModelConfig(seed=seed, vocab_size=vocab, context_window=cw)
     )
     state = all_masked_state(gen_len=gen_len, vocab=vocab, block_len=block_len)

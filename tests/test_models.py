@@ -13,32 +13,38 @@ from selfspec import (
     SynthModelConfig,
     SyntheticModel,
     TableModel,
+    drafts_from_logits,
     dump_table_fixture,
     load_table_fixture,
     place_token,
-    predict_with_confidence,
-    softmax_row,
+    softmax_matrix,
     stepwise_decode,
-    synth_model,
-    topk_candidates,
 )
+from selfspec.stepwise import candidate_snapshot
 
 from conftest import all_masked_state
 
 
-# --- predict_with_confidence -----------------------------------------------
+# --- top-1 prediction rule --------------------------------------------------
+
+
+def predict(row):
+    """(token, confidence) that drafting assigns to a single logit row."""
+    state = all_masked_state(gen_len=1, vocab=len(row), block_len=1)
+    drafts = drafts_from_logits(state, np.array([row], dtype=np.float64))
+    return int(drafts.tokens[0, 0]), float(drafts.confidences[0])
 
 
 def test_predict_two_zero_zero():
     """Frozen closed form: softmax([2,0,0])[0] = e^2 / (e^2 + 2)."""
-    tok, conf = predict_with_confidence(np.array([2.0, 0.0, 0.0]))
+    tok, conf = predict([2.0, 0.0, 0.0])
     assert tok == 0
     assert conf == pytest.approx(math.exp(2) / (math.exp(2) + 2), abs=1e-12)
     assert conf == pytest.approx(0.7869, abs=1e-4)
 
 
 def test_predict_all_equal_ties_to_lowest_id():
-    tok, conf = predict_with_confidence(np.zeros(8))
+    tok, conf = predict(np.zeros(8))
     assert tok == 0
     assert conf == pytest.approx(1.0 / 8.0, abs=1e-12)
 
@@ -46,53 +52,46 @@ def test_predict_all_equal_ties_to_lowest_id():
 def test_predict_saturated_one_hot():
     row = np.zeros(16)
     row[3] = 1000.0
-    tok, conf = predict_with_confidence(row)
+    tok, conf = predict(row)
     assert tok == 3
     assert abs(conf - 1.0) < 1e-12
 
 
-def test_predict_rejects_non_finite():
-    with pytest.raises(ValueError):
-        predict_with_confidence(np.array([1.0, np.nan, 0.0]))
-    with pytest.raises(ValueError):
-        predict_with_confidence(np.array([np.inf, 0.0]))
-
-
-def test_predict_rejects_empty_or_matrix():
-    with pytest.raises(ValueError):
-        predict_with_confidence(np.array([]))
-    with pytest.raises(ValueError):
-        predict_with_confidence(np.zeros((2, 3)))
+# --- softmax ---------------------------------------------------------------
 
 
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=40))
 @settings(max_examples=150)
-def test_softmax_row_sums_to_one(logits):
-    probs = softmax_row(np.array(logits, dtype=np.float64))
-    assert abs(probs.sum() - 1.0) < 1e-9
-    assert (probs > 0).all()
-    tok, conf = predict_with_confidence(np.array(logits))
-    assert 0.0 < conf <= 1.0
-    assert tok == int(np.argmax(logits))
+def test_softmax_matrix_rows_sum_to_one(logits):
+    mat = np.array([logits, logits[::-1]], dtype=np.float64)
+    probs = softmax_matrix(mat)
+    assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
+    assert (probs > 0).all() and (probs <= 1).all()
+
+
+def topk(row, k):
+    """Top-k (token, probability) pairs of a single logit row."""
+    state = all_masked_state(gen_len=1, vocab=len(row), block_len=1)
+    probs = softmax_matrix(np.array([row], dtype=np.float64))
+    return candidate_snapshot(state, probs, k)[0]
 
 
 def test_topk_ordering_and_tie_break():
-    row = np.array([1.0, 1.0, 0.0, 2.0])
-    cands = topk_candidates(row, 3)
+    cands = topk([1.0, 1.0, 0.0, 2.0], 3)
     assert [t for t, _ in cands] == [3, 0, 1]
     probs = [p for _, p in cands]
     assert probs == sorted(probs, reverse=True)
 
 
 def test_topk_truncates_at_vocab():
-    assert len(topk_candidates(np.array([0.5, 0.1]), 10)) == 2
+    assert len(topk([0.5, 0.1], 10)) == 2
 
 
 # --- synthetic model -------------------------------------------------------
 
 
 def synth(seed=0, vocab=16, sharpness=6.0, cw=2) -> SyntheticModel:
-    return synth_model(
+    return SyntheticModel(
         SynthModelConfig(
             seed=seed, vocab_size=vocab, sharpness=sharpness, context_window=cw
         )
@@ -172,7 +171,7 @@ def test_different_seeds_differ_on_32_position_probe():
 def test_sharpness_saturates_confidence():
     model = synth(seed=0, vocab=16, sharpness=10000.0)
     state = all_masked_state(gen_len=8)
-    probs = np.stack([softmax_row(r) for r in model.forward([state])[0]])
+    probs = softmax_matrix(model.forward([state])[0])
     assert (probs.max(axis=1) > 0.999).all()
 
 
@@ -199,6 +198,15 @@ def test_table_returns_rows_verbatim():
     got = model.forward([state])[0]
     assert np.array_equal(got, [[0, 1, 2, 3], [3, 2, 1, 0]])
     assert model.vocab_size == 4
+
+
+def test_served_rows_are_read_only():
+    state, table = tiny_table()
+    recording = RecordingModel(synth(seed=3, vocab=4))
+    for model in (table, recording):
+        row = model.forward([state])[0]
+        with pytest.raises(ValueError):
+            row[0, 0] = 1.0
 
 
 def test_table_misses_on_unknown_state():

@@ -14,8 +14,6 @@ from selfspec import (
     initial_state,
     place_token,
     schedule_for,
-    state_from_line,
-    state_to_line,
 )
 
 from conftest import all_masked_state
@@ -193,31 +191,6 @@ def test_masked_positions_ascending():
     state = all_masked_state(prompt_len=2, gen_len=6)
     state = place_token(state, 4, 3)
     assert state.masked_positions() == (2, 3, 5, 6, 7)
-
-
-# --- serialization ---------------------------------------------------------
-
-
-@given(
-    prompt_len=st.integers(0, 5),
-    gen_len=st.integers(1, 20),
-    fills=st.lists(st.integers(0, 15), max_size=20),
-)
-@settings(max_examples=100)
-def test_state_line_round_trip(prompt_len, gen_len, fills):
-    state = all_masked_state(prompt_len=prompt_len, gen_len=gen_len)
-    open_positions = list(state.masked_positions())
-    for i, tok in enumerate(fills[: len(open_positions)]):
-        state = place_token(state, open_positions[i], tok)
-    line = state_to_line(state)
-    back = state_from_line(line)
-    assert back == state
-    assert state_to_line(back) == line
-
-
-def test_state_line_rejects_garbage():
-    with pytest.raises(ValueError):
-        state_from_line("definitely not a state line")
 
 
 # --- decode-run monotonicity ----------------------------------------------

@@ -7,22 +7,24 @@ from hypothesis import strategies as st
 
 from selfspec import (
     SynthModelConfig,
+    SyntheticModel,
     TableModel,
     initial_state,
     read_trace,
-    softmax_row,
+    softmax_matrix,
     stepwise_decode,
-    synth_model,
     trace_from_lines,
     trace_to_lines,
     write_trace,
 )
 
+from selfspec.stepwise import candidate_snapshot
+
 from conftest import all_masked_state, check_block_order
 
 
 def synth(seed=0, vocab=16, cw=2, sharpness=6.0):
-    return synth_model(
+    return SyntheticModel(
         SynthModelConfig(
             seed=seed, vocab_size=vocab, sharpness=sharpness, context_window=cw
         )
@@ -85,7 +87,7 @@ def test_context_free_output_is_per_position_argmax():
     base_rows = model.forward([state])[0]
     final, trace = stepwise_decode(model, state, topk=0)
     assert final.tokens == tuple(int(t) for t in np.argmax(base_rows, axis=1))
-    probs = np.stack([softmax_row(r) for r in base_rows])
+    probs = softmax_matrix(base_rows)
     conf = probs.max(axis=1)
     for block in (range(0, 4), range(4, 8)):
         picked = [p for p in trace.positions() if p in block]
@@ -134,6 +136,11 @@ def test_snapshot_k_clamped_to_vocab():
     _, trace = stepwise_decode(synth(vocab=4), state, topk=99)
     assert trace.topk == 4
     assert all(len(c) == 4 for r in trace.records for c in r.topk.values())
+    # ties break to the lowest token id, and k beyond the vocabulary truncates
+    probs = softmax_matrix(np.array([[1.0, 1.0, 0.0, 2.0]]))
+    one = all_masked_state(gen_len=1, vocab=4, block_len=1)
+    assert [t for t, _ in candidate_snapshot(one, probs, 3)[0]] == [3, 0, 1]
+    assert [t for t, _ in candidate_snapshot(one, probs, 10)[0]] == [3, 0, 1, 2]
 
 
 def test_chosen_token_heads_its_own_snapshot():
