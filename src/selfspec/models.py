@@ -23,6 +23,7 @@ so that an argmax over a logit row can never propose the mask itself.
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -33,22 +34,6 @@ from .sequence import SequenceState
 
 class FixtureMissError(Exception):
     """A table backend was queried with a state it has no rows for."""
-
-
-@dataclass(frozen=True)
-class LogitsBatch:
-    """Per-sequence logit matrices, in input order.
-
-    ``rows[i]`` has shape (sequence length, vocab_size), dtype float64.
-    """
-
-    rows: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, idx: int) -> np.ndarray:
-        return self.rows[idx]
 
 
 class MaskedModel(ABC):
@@ -65,8 +50,9 @@ class MaskedModel(ABC):
     def vocab_size(self) -> int: ...
 
     @abstractmethod
-    def forward(self, batch: list[SequenceState]) -> LogitsBatch:
-        """Logits for every position of every sequence in the batch."""
+    def forward(self, batch: list[SequenceState]) -> tuple[np.ndarray, ...]:
+        """One (sequence length, vocab_size) float64 logit matrix per state,
+        in input order."""
 
 
 def softmax_matrix(mat: np.ndarray) -> np.ndarray:
@@ -121,8 +107,8 @@ class SynthModelConfig:
     def __post_init__(self) -> None:
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
-        if not (self.sharpness > 0):
-            raise ValueError("sharpness must be positive")
+        if not (math.isfinite(self.sharpness) and self.sharpness > 0):
+            raise ValueError("sharpness must be finite and positive")
         if self.context_window < 0:
             raise ValueError("context_window must be >= 0")
 
@@ -149,10 +135,10 @@ class SyntheticModel(MaskedModel):
     def vocab_size(self) -> int:
         return self._config.vocab_size
 
-    def forward(self, batch: list[SequenceState]) -> LogitsBatch:
+    def forward(self, batch: list[SequenceState]) -> tuple[np.ndarray, ...]:
         if not batch:
             raise ValueError("forward requires a non-empty batch")
-        return LogitsBatch(rows=tuple(self._sequence_logits(s) for s in batch))
+        return tuple(self._sequence_logits(s) for s in batch)
 
     def _sequence_logits(self, state: SequenceState) -> np.ndarray:
         cfg = self._config
@@ -230,10 +216,10 @@ class TableModel(MaskedModel):
             raise FixtureMissError(f"no fixture rows for state {tokens}")
         return self._table[tokens]
 
-    def forward(self, batch: list[SequenceState]) -> LogitsBatch:
+    def forward(self, batch: list[SequenceState]) -> tuple[np.ndarray, ...]:
         if not batch:
             raise ValueError("forward requires a non-empty batch")
-        return LogitsBatch(rows=tuple(self.rows_for(state.tokens) for state in batch))
+        return tuple(self.rows_for(state.tokens) for state in batch)
 
 
 def dump_table_fixture(table: dict[tuple[int, ...], np.ndarray], path: str) -> None:
@@ -255,7 +241,10 @@ def load_table_fixture(path: str) -> TableModel:
             if not line:
                 continue
             rec = json.loads(line)
-            table[tuple(rec["tokens"])] = np.asarray(rec["logits"], dtype=np.float64)
+            try:
+                table[tuple(rec["tokens"])] = np.asarray(rec["logits"], dtype=np.float64)
+            except KeyError as exc:
+                raise ValueError(f"table fixture line lacks field {exc.args[0]!r}") from None
     return TableModel(table)
 
 
@@ -277,13 +266,12 @@ class RecordingModel(MaskedModel):
     def vocab_size(self) -> int:
         return self._inner.vocab_size
 
-    def forward(self, batch: list[SequenceState]) -> LogitsBatch:
+    def forward(self, batch: list[SequenceState]) -> tuple[np.ndarray, ...]:
         missing = [s for s in batch if s.tokens not in self.recorded]
         if missing:
-            out = self._inner.forward(missing)
-            for state, rows in zip(missing, out.rows):
+            for state, rows in zip(missing, self._inner.forward(missing)):
                 self.recorded.setdefault(state.tokens, _read_only(rows))
-        return LogitsBatch(rows=tuple(self.recorded[s.tokens] for s in batch))
+        return tuple(self.recorded[s.tokens] for s in batch)
 
     def dump(self, path: str) -> None:
         dump_table_fixture(self.recorded, path)

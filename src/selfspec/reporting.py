@@ -10,6 +10,7 @@ file diffs stay meaningful.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable
 
@@ -52,8 +53,8 @@ class RunConfig:
             raise ValueError("table backend requires table_path")
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
-        if self.sharpness <= 0:
-            raise ValueError("sharpness must be positive")
+        if not (math.isfinite(self.sharpness) and self.sharpness > 0):
+            raise ValueError("sharpness must be finite and positive")
         if self.context_window < 0:
             raise ValueError("context_window must be >= 0")
         if self.gen_len < 1 or self.block_len < 1 or self.draft_len < 1:
@@ -132,7 +133,7 @@ class CompareReport:
 
 def _dumps(obj: dict) -> str:
     """The one JSON-lines serializer for reports and sweep output."""
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    return json.dumps(obj, sort_keys=True, separators=(", ", ": "), allow_nan=False)
 
 
 def _round_line(r: RoundStats) -> str:

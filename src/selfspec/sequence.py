@@ -64,10 +64,6 @@ class SequenceState:
             if self.tokens[i] == mask
         )
 
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
 
 def initial_state(
     prompt: tuple[int, ...] | list[int],
@@ -87,27 +83,7 @@ def initial_state(
     )
 
 
-@dataclass(frozen=True)
-class BlockSchedule:
-    """Ordered, disjoint, contiguous position ranges covering the generation region."""
-
-    blocks: tuple[range, ...]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __getitem__(self, idx: int) -> range:
-        return self.blocks[idx]
-
-    def block_of(self, pos: int) -> int:
-        """Index of the block containing pos; ValueError if outside all blocks."""
-        for j, blk in enumerate(self.blocks):
-            if pos in blk:
-                return j
-        raise ValueError(f"position {pos} is outside the generation region")
-
-
-def block_partition(prompt_len: int, gen_len: int, block_len: int) -> BlockSchedule:
+def block_partition(prompt_len: int, gen_len: int, block_len: int) -> tuple[range, ...]:
     """Partition the generation region into ceil(gen_len / block_len) blocks.
 
     Block j covers positions [prompt_len + j*block_len, prompt_len +
@@ -116,30 +92,25 @@ def block_partition(prompt_len: int, gen_len: int, block_len: int) -> BlockSched
     """
     if gen_len < 1 or block_len < 1:
         raise ValueError("gen_len and block_len must be >= 1")
-    blocks = []
-    start = 0
-    while start < gen_len:
-        stop = min(start + block_len, gen_len)
-        blocks.append(range(prompt_len + start, prompt_len + stop))
-        start = stop
-    return BlockSchedule(blocks=tuple(blocks))
+    return tuple(
+        range(prompt_len + start, prompt_len + min(start + block_len, gen_len))
+        for start in range(0, gen_len, block_len)
+    )
 
 
-def schedule_for(state: SequenceState) -> BlockSchedule:
+def schedule_for(state: SequenceState) -> tuple[range, ...]:
     return block_partition(state.prompt_len, state.gen_len, state.block_len)
 
 
-def current_block(state: SequenceState, schedule: BlockSchedule) -> int | None:
-    """Lowest-indexed block with a masked position; None once fully decoded.
-
-    Blocks are ordered by position, so this is the block of the lowest
-    masked position.
-    """
-    mask = state.mask_id
-    for i in range(state.prompt_len, len(state.tokens)):
-        if state.tokens[i] == mask:
-            return schedule.block_of(i)
-    return None
+def current_block(state: SequenceState) -> int | None:
+    """Index of the block holding the lowest masked position; None once
+    fully decoded.  Blocks are ordered by position, so this is the lowest
+    block with a masked position."""
+    try:
+        first = state.tokens.index(state.mask_id, state.prompt_len)
+    except ValueError:
+        return None
+    return (first - state.prompt_len) // state.block_len
 
 
 def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:

@@ -113,7 +113,7 @@ def select_candidates(
     if n < 1:
         raise ValueError("candidate count must be >= 1")
     schedule = schedule_for(state)
-    block_idx = current_block(state, schedule)
+    block_idx = current_block(state)
     if block_idx is None:
         return ()
 
@@ -149,7 +149,6 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class VerificationTree:
-    shape: str
     nodes: tuple[TreeNode, ...]
     children: dict[int, tuple[int, ...]]  # node index -> child indices
 
@@ -173,83 +172,53 @@ def build_tree(
     Node counts are exact laws of the shape: N+1 for greedy, 2N for
     mix_order, and sum(k^i for i in 0..N) for kary.  Chain node at depth d
     holds the first d candidate tokens; a mix_order branch under depth d
-    holds candidates 1..d plus candidate d+2's token, skipping d+1.
+    holds candidates 1..d plus candidate d+2's token, skipping d+1.  Node
+    order is batch order: the chain 0..N, then the branches by depth; kary
+    nodes breadth-first, parents in frontier order, tokens in draft order.
     """
-    n = len(candidates)
-    if n < 1:
+    if not candidates:
         raise ValueError("cannot build a verification tree from zero candidates")
     if shape not in TREE_SHAPES:
         raise ValueError(f"unknown tree shape {shape!r}")
 
-    if shape == "kary":
-        return _build_kary(base, candidates, drafts, k)
-
     nodes = [TreeNode(index=0, parent=None, depth=0, state=base, expectation=None)]
     children: dict[int, list[int]] = {}
-    state = base
-    for d in range(1, n + 1):
-        pos, tok = candidates[d - 1]
-        state = place_token(state, pos, tok)
+
+    def grow(parent: int, pos: int, tok: int, is_branch: bool = False) -> int:
+        """Append the node that places tok at pos on top of parent."""
+        idx = len(nodes)
         nodes.append(
-            TreeNode(index=d, parent=d - 1, depth=d, state=state,
-                     expectation=(pos, tok))
+            TreeNode(index=idx, parent=parent, depth=nodes[parent].depth + 1,
+                     state=place_token(nodes[parent].state, pos, tok),
+                     expectation=(pos, tok), is_branch=is_branch)
         )
-        children.setdefault(d - 1, []).append(d)
+        children.setdefault(parent, []).append(idx)
+        return idx
 
-    if shape == "mix_order":
-        # One skip-ahead leaf per chain node that has a grandchild: the
-        # parent at depth d may validate candidate d+2 directly when
-        # stepwise passes over candidate d+1.
-        for d in range(0, n - 1):
-            pos, tok = candidates[d + 1]
-            branch_state = place_token(nodes[d].state, pos, tok)
-            idx = len(nodes)
-            nodes.append(
-                TreeNode(index=idx, parent=d, depth=d + 1, state=branch_state,
-                         expectation=(pos, tok), is_branch=True)
+    if shape == "kary":
+        if k < 1:
+            raise ValueError("kary arity must be >= 1")
+        if drafts.tokens.shape[1] < k:
+            raise ValueError(
+                f"kary tree needs {k} candidate tokens per position, "
+                f"drafts record only {drafts.tokens.shape[1]}"
             )
-            children.setdefault(d, []).append(idx)
+        rows = drafts.rows_of(np.array([pos for pos, _ in candidates], dtype=np.int64))
+        frontier = [0]
+        for (pos, _), row in zip(candidates, rows):
+            tokens = drafts.tokens[row, :k].tolist()
+            frontier = [grow(parent, pos, tok) for parent in frontier for tok in tokens]
+    else:
+        for d, (pos, tok) in enumerate(candidates):
+            grow(d, pos, tok)
+        if shape == "mix_order":
+            # One skip-ahead leaf per chain node that has a grandchild: the
+            # parent at depth d may validate candidate d+2 directly when
+            # stepwise passes over candidate d+1.
+            for d, (pos, tok) in enumerate(candidates[1:]):
+                grow(d, pos, tok, is_branch=True)
 
     return VerificationTree(
-        shape=shape,
-        nodes=tuple(nodes),
-        children={p: tuple(c) for p, c in children.items()},
-    )
-
-
-def _build_kary(
-    base: SequenceState,
-    candidates: tuple[tuple[int, int], ...],
-    drafts: Drafts,
-    k: int,
-) -> VerificationTree:
-    if k < 1:
-        raise ValueError("kary arity must be >= 1")
-    if drafts.tokens.shape[1] < k:
-        raise ValueError(
-            f"kary tree needs {k} candidate tokens per position, "
-            f"drafts record only {drafts.tokens.shape[1]}"
-        )
-    rows = drafts.rows_of(np.array([pos for pos, _ in candidates], dtype=np.int64))
-    nodes = [TreeNode(index=0, parent=None, depth=0, state=base, expectation=None)]
-    children: dict[int, list[int]] = {}
-    frontier = [0]
-    for d, (pos, _) in enumerate(candidates):
-        next_frontier = []
-        for parent_idx in frontier:
-            parent = nodes[parent_idx]
-            for tok in drafts.tokens[rows[d], :k].tolist():
-                idx = len(nodes)
-                nodes.append(
-                    TreeNode(index=idx, parent=parent_idx, depth=d + 1,
-                             state=place_token(parent.state, pos, tok),
-                             expectation=(pos, tok))
-                )
-                children.setdefault(parent_idx, []).append(idx)
-                next_frontier.append(idx)
-        frontier = next_frontier
-    return VerificationTree(
-        shape="kary",
         nodes=tuple(nodes),
         children={p: tuple(c) for p, c in children.items()},
     )
@@ -267,7 +236,6 @@ class VerifyResult:
     accepted: tuple[tuple[int, int, float], ...]  # (position, token, confidence)
     leaf_logits: np.ndarray  # logits of the deepest validated node
     leaf_index: int
-    batch_size: int
 
 
 def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
@@ -284,27 +252,19 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
 
     accepted: list[tuple[int, int, float]] = []
     cur = 0
-    while True:
-        node = tree.nodes[cur]
-        if current_block(node.state, schedule) is None:
-            break  # every position decoded; nothing further to choose
-        probs = softmax_matrix(batch[cur])
-        pos, tok, conf = choose_step(node.state, schedule, probs)
-        matched = None
-        for child_idx in tree.children.get(cur, ()):
-            if tree.nodes[child_idx].expectation == (pos, tok):
-                matched = child_idx
-                break
-        if matched is None:
-            accepted.append((pos, tok, conf))
-            break
+    # Stop once every position is decoded: nothing further to choose.
+    while current_block(tree.nodes[cur].state) is not None:
+        pos, tok, conf = choose_step(
+            tree.nodes[cur].state, schedule, softmax_matrix(batch[cur])
+        )
         accepted.append((pos, tok, conf))
+        children = tree.children.get(cur, ())
+        matched = next((c for c in children if tree.nodes[c].expectation == (pos, tok)), None)
+        if matched is None:
+            break
         cur = matched
     return VerifyResult(
-        accepted=tuple(accepted),
-        leaf_logits=batch[cur],
-        leaf_index=cur,
-        batch_size=len(tree.nodes),
+        accepted=tuple(accepted), leaf_logits=batch[cur], leaf_index=cur
     )
 
 
@@ -359,7 +319,7 @@ def ssd_decode(
     rounds: list[RoundStats] = []
     fallback_steps = 0
 
-    while current_block(state, schedule) is not None:
+    while current_block(state) is not None:
         candidates = select_candidates(state, drafts, n)
         if len(candidates) < n:
             state, tail = decode_remaining(model, state, schedule, topk=0)
@@ -376,12 +336,12 @@ def ssd_decode(
         rounds.append(
             RoundStats(
                 iteration=len(rounds),
-                batch_size=result.batch_size,
+                batch_size=len(tree),
                 accepted=len(result.accepted),
                 cumulative_forwards=forwards,
             )
         )
-        if current_block(state, schedule) is not None:
+        if current_block(state) is not None:
             drafts = drafts_from_logits(state, result.leaf_logits)
 
     trace = DecodeTrace(

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import MaskedModel, softmax_matrix
-from .sequence import (
-    BlockSchedule,
-    SequenceState,
-    current_block,
-    place_token,
-    schedule_for,
-)
+from .sequence import SequenceState, current_block, place_token, schedule_for
 
 Candidates = tuple[tuple[int, float], ...]
 
@@ -67,14 +61,14 @@ class DecodeTrace:
 
 
 def choose_step(
-    state: SequenceState, schedule: BlockSchedule, probs: np.ndarray
+    state: SequenceState, schedule: tuple[range, ...], probs: np.ndarray
 ) -> tuple[int, int, float]:
     """The stepwise choice from a probability matrix: (position, token, confidence).
 
     Restricted to masked positions of the current block; highest max-softmax
     confidence wins, ties to the lowest position, then lowest token id.
     """
-    block_idx = current_block(state, schedule)
+    block_idx = current_block(state)
     if block_idx is None:
         raise ValueError("no masked positions remain")
     block = schedule[block_idx]
@@ -104,12 +98,12 @@ def candidate_snapshot(
 def decode_remaining(
     model: MaskedModel,
     state: SequenceState,
-    schedule: BlockSchedule,
+    schedule: tuple[range, ...],
     topk: int,
 ) -> tuple[SequenceState, list[StepRecord]]:
     """Run stepwise steps (one forward each) until no masks remain."""
     records: list[StepRecord] = []
-    while current_block(state, schedule) is not None:
+    while current_block(state) is not None:
         logits = model.forward([state])[0]
         probs = softmax_matrix(logits)
         snapshot = candidate_snapshot(state, probs, topk) if topk > 0 else None
@@ -201,16 +195,18 @@ def trace_from_lines(lines: list[str]) -> DecodeTrace:
     header = json.loads(stripped[0])
     if header.get("kind") != "trace":
         raise ValueError("first line is not a trace header")
-    records = tuple(_record_from_obj(json.loads(ln)) for ln in stripped[1:])
-    return DecodeTrace(
-        decoder=header["decoder"],
-        prompt_len=int(header["prompt_len"]),
-        gen_len=int(header["gen_len"]),
-        block_len=int(header["block_len"]),
-        mask_id=int(header["mask_id"]),
-        topk=int(header["topk"]),
-        records=records,
-    )
+    try:
+        return DecodeTrace(
+            decoder=header["decoder"],
+            prompt_len=int(header["prompt_len"]),
+            gen_len=int(header["gen_len"]),
+            block_len=int(header["block_len"]),
+            mask_id=int(header["mask_id"]),
+            topk=int(header["topk"]),
+            records=tuple(_record_from_obj(json.loads(ln)) for ln in stripped[1:]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"trace lacks field {exc.args[0]!r}") from None
 
 
 def write_trace(trace: DecodeTrace, path: str) -> None:

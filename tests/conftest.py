@@ -12,7 +12,6 @@ from selfspec import (
     drafts_from_logits,
     initial_state,
     place_token,
-    schedule_for,
     select_candidates,
 )
 
@@ -39,10 +38,9 @@ def replay_dual_rounds(model, state, n):
     """Walk the greedy-strategy decode trajectory; at every full verification
     round build both tree shapes on identical (state, drafts) inputs and
     record the pair of accepted counts."""
-    schedule = schedule_for(state)
     drafts = drafts_from_logits(state, model.forward([state])[0])
     rounds = []
-    while current_block(state, schedule) is not None:
+    while current_block(state) is not None:
         cands = select_candidates(state, drafts, n)
         if len(cands) < n:
             break
@@ -51,7 +49,7 @@ def replay_dual_rounds(model, state, n):
         rounds.append((len(g.accepted), len(m.accepted)))
         for pos, tok, _ in g.accepted:
             state = place_token(state, pos, tok)
-        if current_block(state, schedule) is not None:
+        if current_block(state) is not None:
             drafts = drafts_from_logits(state, g.leaf_logits)
     return rounds
 
@@ -60,10 +58,9 @@ def check_block_order(positions, prompt_len, gen_len, block_len):
     """Assert a sequence of decode positions never enters block j+1 while
     block j still has an undetermined position.  Returns the number of
     steps checked so callers can sanity-check coverage."""
-    schedule = block_partition(prompt_len, gen_len, block_len)
-    remaining = [set(block) for block in schedule.blocks]
+    remaining = [set(block) for block in block_partition(prompt_len, gen_len, block_len)]
     for pos in positions:
-        j = schedule.block_of(pos)
+        j = (pos - prompt_len) // block_len
         for earlier in range(j):
             assert not remaining[earlier], (
                 f"position {pos} in block {j} decoded while block "

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from selfspec import (
-    LogitsBatch,
     MaskedModel,
     RunConfig,
     read_report,
@@ -180,6 +179,9 @@ def test_sweep_rejects_stepwise_strategy(capsys):
         [],
         ["decode", "--backend", "table"],  # table without table_path
         ["decode", "--prompt", "999"],  # token outside vocab
+        ["decode", "--sharpness", "inf"],
+        ["decode", "--sharpness", "nan"],
+        ["sweep", "--sharpness=-inf"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -213,7 +215,7 @@ class _TwoFacedModel(MaskedModel):
             tok = 1 if self._calls == 1 else 2
             mat[:, tok] = 5.0
             rows.append(mat)
-        return LogitsBatch(rows=tuple(rows))
+        return tuple(rows)
 
 
 def test_contract_breaking_model_trips_losslessness_error(monkeypatch):

@@ -126,10 +126,10 @@ def test_forward_batch_matches_singles_and_permutation():
     states = [base, place_token(base, 3, 5), place_token(base, 2, 1)]
     batch = model.forward(states)
     singles = [model.forward([s])[0] for s in states]
-    for got, want in zip(batch.rows, singles):
+    for got, want in zip(batch, singles):
         assert np.array_equal(got, want)
     permuted = model.forward(states[::-1])
-    for got, want in zip(permuted.rows, singles[::-1]):
+    for got, want in zip(permuted, singles[::-1]):
         assert np.array_equal(got, want)
 
 
@@ -180,6 +180,9 @@ def test_config_validation():
         SynthModelConfig(seed=0, vocab_size=1)
     with pytest.raises(ValueError):
         SynthModelConfig(seed=0, vocab_size=8, sharpness=0.0)
+    for sharpness in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            SynthModelConfig(seed=0, vocab_size=8, sharpness=sharpness)
     with pytest.raises(ValueError):
         SynthModelConfig(seed=0, vocab_size=8, context_window=-1)
 
@@ -228,6 +231,9 @@ def test_table_fixture_round_trip_exact(tmp_path):
     assert len(loaded) == len(table)
     for key, rows in table.items():
         assert np.array_equal(loaded.rows_for(key), rows)
+    path.write_text('{"logits": [[0.0, 1.0]]}\n')
+    with pytest.raises(ValueError, match="tokens"):
+        load_table_fixture(str(path))
 
 
 def test_table_rejects_ragged_or_non_finite():

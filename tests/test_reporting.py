@@ -66,6 +66,9 @@ def test_config_validation_catches_bad_fields():
         sample_config(prompt=(99,), vocab_size=24).validate()
     with pytest.raises(ValueError):
         sample_config(backend="table", table_path=None).validate()
+    for sharpness in (0.0, -1.0, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            sample_config(sharpness=sharpness).validate()
     sample_config().validate()
 
 

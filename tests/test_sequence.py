@@ -25,7 +25,7 @@ from conftest import all_masked_state
 def test_partition_p4_l16_b8():
     """Two full blocks straddling a length-4 prompt."""
     sched = block_partition(4, 16, 8)
-    assert [list(b) for b in sched.blocks] == [
+    assert [list(b) for b in sched] == [
         list(range(4, 12)),
         list(range(12, 20)),
     ]
@@ -33,7 +33,7 @@ def test_partition_p4_l16_b8():
 
 def test_partition_truncated_last_block():
     sched = block_partition(0, 10, 8)
-    assert [list(b) for b in sched.blocks] == [
+    assert [list(b) for b in sched] == [
         list(range(0, 8)),
         list(range(8, 10)),
     ]
@@ -41,7 +41,7 @@ def test_partition_truncated_last_block():
 
 def test_partition_single_block_when_b_exceeds_l():
     sched = block_partition(7, 5, 8)
-    assert [list(b) for b in sched.blocks] == [list(range(7, 12))]
+    assert [list(b) for b in sched] == [list(range(7, 12))]
 
 
 @pytest.mark.parametrize("gen_len,block_len", [(0, 8), (8, 0), (0, 0)])
@@ -62,23 +62,12 @@ def test_partition_covers_generation_region(prompt_len, gen_len, block_len):
     sched = block_partition(prompt_len, gen_len, block_len)
     expected_count = -(-gen_len // block_len)
     assert len(sched) == expected_count
-    flat = [p for block in sched.blocks for p in block]
+    flat = [p for block in sched for p in block]
     assert flat == list(range(prompt_len, prompt_len + gen_len))
-    for block in sched.blocks[:-1]:
+    for block in sched[:-1]:
         assert len(block) == block_len
-    assert 1 <= len(sched.blocks[-1]) <= block_len
-    assert sum(len(b) for b in sched.blocks) == gen_len
-
-
-def test_block_of_maps_positions_and_rejects_outsiders():
-    sched = block_partition(4, 16, 8)
-    assert sched.block_of(4) == 0
-    assert sched.block_of(11) == 0
-    assert sched.block_of(12) == 1
-    with pytest.raises(ValueError):
-        sched.block_of(3)
-    with pytest.raises(ValueError):
-        sched.block_of(20)
+    assert 1 <= len(sched[-1]) <= block_len
+    assert sum(len(b) for b in sched) == gen_len
 
 
 # --- current_block ---------------------------------------------------------
@@ -86,21 +75,37 @@ def test_block_of_maps_positions_and_rejects_outsiders():
 
 def test_current_block_all_masked_is_zero():
     state = all_masked_state(gen_len=16, block_len=8)
-    assert current_block(state, schedule_for(state)) == 0
+    assert current_block(state) == 0
 
 
 def test_current_block_advances_after_block_completes():
     state = all_masked_state(gen_len=16, block_len=8)
     for pos in range(8):
         state = place_token(state, pos, 1)
-    assert current_block(state, schedule_for(state)) == 1
+    assert current_block(state) == 1
+
+
+@pytest.mark.parametrize(
+    "prompt_len,gen_len,block_len,first_mask,block",
+    [(4, 16, 8, 4, 0), (4, 16, 8, 11, 0), (4, 16, 8, 12, 1), (3, 10, 4, 12, 2)],
+)
+def test_current_block_of_first_mask_past_prompt(
+    prompt_len, gen_len, block_len, first_mask, block
+):
+    """The block of the first mask, counted from the end of the prompt; the
+    last case's block 2 is the truncated one (positions 11 and 12)."""
+    state = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, block_len=block_len)
+    for pos in range(prompt_len, first_mask):
+        state = place_token(state, pos, 1)
+    assert current_block(state) == block
+    assert first_mask in schedule_for(state)[block]
 
 
 def test_current_block_none_when_done():
     state = all_masked_state(gen_len=4, block_len=4)
     for pos in range(4):
         state = place_token(state, pos, 2)
-    assert current_block(state, schedule_for(state)) is None
+    assert current_block(state) is None
 
 
 # --- place_token -----------------------------------------------------------
@@ -200,14 +205,13 @@ def test_current_block_monotone_over_any_fill_order():
     """Filling positions in any block-legal order never decreases the
     current block index."""
     state = all_masked_state(gen_len=12, block_len=4)
-    schedule = schedule_for(state)
     order = [2, 0, 3, 1, 7, 5, 4, 6, 9, 11, 10, 8]  # legal: block by block
     seen = []
     for pos in order:
-        seen.append(current_block(state, schedule))
+        seen.append(current_block(state))
         state = place_token(state, pos, 1)
     assert seen == sorted(seen)
-    assert current_block(state, schedule) is None
+    assert current_block(state) is None
 
 
 def test_replace_keeps_frozen_dataclass_semantics():

@@ -229,6 +229,55 @@ def test_branch_nodes_skip_exactly_one_candidate():
         assert node.index not in tree.children  # leaves by construction
 
 
+def test_node_layout_of_every_shape():
+    """Batch order decides which row becomes leaf_index, so pin it: the chain
+    0..N, then the mix_order branches by depth; kary breadth-first, parents
+    in frontier order and tokens in draft order.  Rows are (parent, depth,
+    expectation, is_branch); every node's state is its parent's state plus
+    its expectation, and children is the inverse of parent."""
+    _, state, drafts, cands = drafted_round(n=3, k=2)
+    (p1, t1), (p2, t2), (p3, t3) = cands
+    top2 = dict(zip(drafts.positions.tolist(), drafts.tokens.tolist()))
+    (a, b), (c, d) = top2[p1], top2[p2]
+    assert (a, c) == (t1, t2)
+    chain = [
+        (None, 0, None, False),
+        (0, 1, (p1, t1), False),
+        (1, 2, (p2, t2), False),
+        (2, 3, (p3, t3), False),
+    ]
+    cases = (
+        (build_tree(state, cands, drafts, "greedy"), chain),
+        (
+            build_tree(state, cands, drafts, "mix_order"),
+            chain + [(0, 1, (p2, t2), True), (1, 2, (p3, t3), True)],
+        ),
+        (
+            build_tree(state, cands[:2], drafts, "kary", k=2),
+            [
+                (None, 0, None, False),
+                (0, 1, (p1, a), False),
+                (0, 1, (p1, b), False),
+                (1, 2, (p2, c), False),
+                (1, 2, (p2, d), False),
+                (2, 2, (p2, c), False),
+                (2, 2, (p2, d), False),
+            ],
+        ),
+    )
+    for tree, layout in cases:
+        nodes = tree.nodes
+        assert [(n.parent, n.depth, n.expectation, n.is_branch) for n in nodes] == layout
+        assert [n.index for n in nodes] == list(range(len(layout)))
+        assert tree.root is nodes[0] and nodes[0].state == state
+        for node in nodes[1:]:
+            assert node.state == place_token(nodes[node.parent].state, *node.expectation)
+        parents = {n.parent for n in nodes[1:]}
+        assert tree.children == {
+            p: tuple(n.index for n in nodes if n.parent == p) for p in parents
+        }
+
+
 def test_build_tree_rejects_empty_candidates():
     _, state, drafts, _ = drafted_round()
     with pytest.raises(ValueError):

@@ -175,3 +175,5 @@ def test_trace_file_round_trip(tmp_path):
 def test_trace_from_garbage_rejected():
     with pytest.raises(ValueError):
         trace_from_lines(["{}"])
+    with pytest.raises(ValueError, match="decoder"):
+        trace_from_lines(['{"kind": "trace"}'])
