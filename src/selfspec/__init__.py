@@ -28,14 +28,11 @@ from .models import (
     softmax_matrix,
 )
 from .reporting import (
-    CompareReport,
     Report,
     RunConfig,
-    read_report,
     render_report,
     report_from_lines,
     report_to_lines,
-    write_report,
 )
 from .sequence import (
     IllegalWriteError,
@@ -72,7 +69,6 @@ from .stepwise import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompareReport",
     "DecodeTrace",
     "Drafts",
     "FixtureMissError",
@@ -105,7 +101,6 @@ __all__ = [
     "kary_tree_size",
     "load_table_fixture",
     "place_token",
-    "read_report",
     "read_trace",
     "reduction_grid",
     "render_report",
@@ -121,6 +116,5 @@ __all__ = [
     "trace_to_lines",
     "trace_windows",
     "upper_bound",
-    "write_report",
     "write_trace",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .analyzer import format_grid, reduction_grid
 from .models import (
@@ -19,16 +20,9 @@ from .models import (
     SyntheticModel,
     load_table_fixture,
 )
-from .reporting import (
-    CompareReport,
-    Report,
-    RunConfig,
-    _dumps,
-    merge_config,
-    render_report,
-)
+from .reporting import Report, RunConfig, _dumps, _result, merge_config, render_report
 from .sequence import SequenceState, initial_state
-from .ssd import ssd_decode
+from .ssd import SsdResult, ssd_decode
 from .stepwise import DecodeTrace, read_trace, stepwise_decode, write_trace
 
 
@@ -65,36 +59,32 @@ def start_state(config: RunConfig) -> SequenceState:
     )
 
 
+def _ssd_report(config: RunConfig, result: SsdResult, compared: bool = False) -> Report:
+    return Report(
+        config=config,
+        tokens=result.state.tokens,
+        actual_forwards=result.forward_count,
+        fallback_steps=result.fallback_steps,
+        rounds=result.rounds,
+        compared=compared,
+    )
+
+
 def run_decode(config: RunConfig) -> tuple[Report, DecodeTrace]:
     config.validate()
     model = build_model(config)
     state = start_state(config)
     if config.strategy == "stepwise":
         final, trace = stepwise_decode(model, state, topk=config.topk)
-        report = Report(
-            config=config,
-            tokens=final.tokens,
-            baseline_forwards=config.gen_len,
-            actual_forwards=config.gen_len,
-            fallback_steps=0,
-            rounds=(),
-        )
-        return report, trace
+        return Report(config, final.tokens, actual_forwards=config.gen_len), trace
     result = ssd_decode(model, state, n=config.draft_len, shape=config.strategy)
-    report = Report(
-        config=config,
-        tokens=result.state.tokens,
-        baseline_forwards=config.gen_len,
-        actual_forwards=result.forward_count,
-        fallback_steps=result.fallback_steps,
-        rounds=result.rounds,
-    )
-    return report, result.trace
+    return _ssd_report(config, result), result.trace
 
 
-def run_compare(config: RunConfig) -> CompareReport:
-    """Run stepwise and the configured speculative strategy on the same
-    model and prompt; raise LosslessnessError when outputs differ."""
+def run_compare(config: RunConfig) -> Report:
+    """Run stepwise and then the configured speculative strategy on the same
+    model and prompt; raise LosslessnessError when outputs differ, otherwise
+    return the speculative report marked as compared."""
     config.validate()
     if config.strategy == "stepwise":
         raise ValueError("compare needs a speculative strategy (greedy or mix_order)")
@@ -102,23 +92,13 @@ def run_compare(config: RunConfig) -> CompareReport:
     state = start_state(config)
     baseline, _ = stepwise_decode(model, state, topk=0)
     result = ssd_decode(model, state, n=config.draft_len, shape=config.strategy)
-    identical = baseline.tokens == result.state.tokens
-    report = CompareReport(
-        config=config,
-        tokens=result.state.tokens,
-        stepwise_forwards=config.gen_len,
-        ssd_forwards=result.forward_count,
-        identical=identical,
-        fallback_steps=result.fallback_steps,
-        rounds=result.rounds,
-    )
-    if not identical:
+    if baseline.tokens != result.state.tokens:
         raise LosslessnessError(
             f"{config.strategy} output diverged from stepwise output "
             f"(seed={config.seed}, gen_len={config.gen_len}, "
             f"block_len={config.block_len}, draft_len={config.draft_len})"
         )
-    return report
+    return _ssd_report(config, result, compared=True)
 
 
 # ---------------------------------------------------------------------------
@@ -168,26 +148,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         base = RunConfig.from_dict(data)
     else:
         base = RunConfig()
-    prompt = None
-    if getattr(args, "prompt", None) is not None:
-        prompt = _parse_ints(args.prompt)
-    elif getattr(args, "prompt_file", None):
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    if args.prompt is not None:
+        overrides["prompt"] = _parse_ints(args.prompt)
+    elif args.prompt_file:
         with open(args.prompt_file, "r", encoding="utf-8") as fh:
-            prompt = _parse_ints(fh.read())
-    overrides = {
-        "backend": args.backend,
-        "seed": args.seed,
-        "vocab_size": args.vocab_size,
-        "sharpness": args.sharpness,
-        "context_window": args.context_window,
-        "table_path": args.table_path,
-        "prompt": prompt,
-        "gen_len": args.gen_len,
-        "block_len": args.block_len,
-        "draft_len": args.draft_len,
-        "strategy": getattr(args, "strategy", None),
-        "topk": args.topk,
-    }
+            overrides["prompt"] = _parse_ints(fh.read())
     return merge_config(base, overrides)
 
 
@@ -238,23 +204,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for strategy in strategies:
         for n in draft_lengths:
             combo = merge_config(config, {"strategy": strategy, "draft_len": n})
-            report = run_compare(combo)
-            lines.append(
-                _dumps(
-                    {
-                        "sweep": {
-                            "strategy": strategy,
-                            "draft_len": n,
-                            "stepwise_forwards": report.stepwise_forwards,
-                            "ssd_forwards": report.ssd_forwards,
-                            "fallback_steps": report.fallback_steps,
-                            "reduction": report.reduction,
-                            "speedup": report.speedup,
-                            "identical": report.identical,
-                        }
-                    }
-                )
-            )
+            result = _result(run_compare(combo))
+            del result["tokens"], result["disclaimer"]
+            lines.append(_dumps({"sweep": {"strategy": strategy, "draft_len": n, **result}}))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -128,10 +128,6 @@ class SyntheticModel(MaskedModel):
         self._seed_base = np.uint64((config.seed * _GOLDEN + 0x9E) & _MASK64)
 
     @property
-    def config(self) -> SynthModelConfig:
-        return self._config
-
-    @property
     def vocab_size(self) -> int:
         return self._config.vocab_size
 
@@ -236,15 +232,20 @@ def dump_table_fixture(table: dict[tuple[int, ...], np.ndarray], path: str) -> N
 def load_table_fixture(path: str) -> TableModel:
     table: dict[tuple[int, ...], np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
             try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("not a JSON object")
                 table[tuple(rec["tokens"])] = np.asarray(rec["logits"], dtype=np.float64)
             except KeyError as exc:
-                raise ValueError(f"table fixture line lacks field {exc.args[0]!r}") from None
+                raise ValueError(
+                    f"table fixture line {lineno} lacks field {exc.args[0]!r}"
+                ) from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"table fixture line {lineno}: {exc}") from None
     return TableModel(table)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable
 
 from .ssd import RoundStats
@@ -24,6 +24,10 @@ DISCLAIMER = (
     "a batched forward costs about the same as a single one; no wall-clock "
     "measurement is made"
 )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,18 @@ class RunConfig:
     topk: int = 5
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # f.type is the annotation text under `from __future__ import annotations`
+            if f.type == "int" and not _is_int(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        sharpness = self.sharpness
+        if isinstance(sharpness, bool) or not isinstance(sharpness, (int, float)):
+            raise ValueError(f"sharpness must be a number, got {sharpness!r}")
+        if not (math.isfinite(sharpness) and sharpness > 0):
+            raise ValueError("sharpness must be finite and positive")
+        if not (self.table_path is None or isinstance(self.table_path, str)):
+            raise ValueError(f"table_path must be a string, got {self.table_path!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.strategy not in STRATEGIES:
@@ -53,8 +69,6 @@ class RunConfig:
             raise ValueError("table backend requires table_path")
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
-        if not (math.isfinite(self.sharpness) and self.sharpness > 0):
-            raise ValueError("sharpness must be finite and positive")
         if self.context_window < 0:
             raise ValueError("context_window must be >= 0")
         if self.gen_len < 1 or self.block_len < 1 or self.draft_len < 1:
@@ -62,8 +76,8 @@ class RunConfig:
         if self.topk < 0:
             raise ValueError("topk must be >= 0")
         for tok in self.prompt:
-            if not 0 <= tok < self.vocab_size:
-                raise ValueError(f"prompt token {tok} outside vocabulary")
+            if not (_is_int(tok) and 0 <= tok < self.vocab_size):
+                raise ValueError(f"prompt token {tok!r} outside vocabulary")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -72,12 +86,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        merged = cls(**{**data, "prompt": tuple(data.get("prompt", ()))})
-        return merged
+        prompt = data.get("prompt", [])
+        if not isinstance(prompt, list):
+            raise ValueError(f"prompt must be a list of token ids, got {prompt!r}")
+        return cls(**{**data, "prompt": tuple(prompt)})
 
 
 def merge_config(base: RunConfig, overrides: dict) -> RunConfig:
@@ -90,15 +105,24 @@ def merge_config(base: RunConfig, overrides: dict) -> RunConfig:
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of a single decode run."""
+    """Outcome of one decode run.
+
+    ``compared`` marks a report whose tokens were checked against a stepwise
+    decode of the same config; such a report exists only when they matched.
+    """
 
     config: RunConfig
     tokens: tuple[int, ...]
-    baseline_forwards: int  # stepwise equivalent: one per generated token
     actual_forwards: int
-    fallback_steps: int
-    rounds: tuple[RoundStats, ...]
+    fallback_steps: int = 0
+    rounds: tuple[RoundStats, ...] = ()
+    compared: bool = False
     disclaimer: str = DISCLAIMER
+
+    @property
+    def baseline_forwards(self) -> int:
+        """The stepwise equivalent: one forward per generated token."""
+        return self.config.gen_len
 
     @property
     def reduction(self) -> float:
@@ -109,26 +133,12 @@ class Report:
         return self.baseline_forwards / self.actual_forwards
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    """Outcome of a paired stepwise-versus-speculative run."""
-
-    config: RunConfig  # the speculative side; the baseline differs only in strategy
-    tokens: tuple[int, ...]
-    stepwise_forwards: int
-    ssd_forwards: int
-    identical: bool
-    fallback_steps: int
-    rounds: tuple[RoundStats, ...]
-    disclaimer: str = DISCLAIMER
-
-    @property
-    def reduction(self) -> float:
-        return 1.0 - self.ssd_forwards / self.stepwise_forwards
-
-    @property
-    def speedup(self) -> float:
-        return self.stepwise_forwards / self.ssd_forwards
+# report kind -> result-line keys of (baseline_forwards, actual_forwards)
+_FORWARD_KEYS = {
+    "report": ("baseline_forwards", "actual_forwards"),
+    "compare": ("stepwise_forwards", "ssd_forwards"),
+}
+_RESULT_KEYS = {"tokens", "fallback_steps", "reduction", "speedup", "disclaimer"}
 
 
 def _dumps(obj: dict) -> str:
@@ -136,110 +146,66 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "), allow_nan=False)
 
 
-def _round_line(r: RoundStats) -> str:
-    return _dumps(
-        {
-            "round": {
-                "iteration": r.iteration,
-                "batch_size": r.batch_size,
-                "accepted": r.accepted,
-                "cumulative_forwards": r.cumulative_forwards,
-            }
-        }
-    )
+def _result(report: Report) -> dict:
+    """The result line's fields; sweep lines reuse all but tokens and disclaimer."""
+    baseline_key, actual_key = _FORWARD_KEYS["compare" if report.compared else "report"]
+    result = {
+        "tokens": list(report.tokens),
+        baseline_key: report.baseline_forwards,
+        actual_key: report.actual_forwards,
+        "fallback_steps": report.fallback_steps,
+        "reduction": report.reduction,
+        "speedup": report.speedup,
+        "disclaimer": report.disclaimer,
+    }
+    if report.compared:
+        result["identical"] = True
+    return result
 
 
-def _rounds_from(lines: list[dict]) -> tuple[RoundStats, ...]:
-    rounds = []
-    for entry in lines:
-        r = entry["round"]
-        rounds.append(
-            RoundStats(
-                iteration=r["iteration"],
-                batch_size=r["batch_size"],
-                accepted=r["accepted"],
-                cumulative_forwards=r["cumulative_forwards"],
-            )
-        )
-    return tuple(rounds)
-
-
-def report_to_lines(report: Report | CompareReport) -> list[str]:
-    if isinstance(report, Report):
-        kind = "report"
-        result = {
-            "tokens": list(report.tokens),
-            "baseline_forwards": report.baseline_forwards,
-            "actual_forwards": report.actual_forwards,
-            "fallback_steps": report.fallback_steps,
-            "reduction": report.reduction,
-            "speedup": report.speedup,
-            "disclaimer": report.disclaimer,
-        }
-    else:
-        kind = "compare"
-        result = {
-            "tokens": list(report.tokens),
-            "stepwise_forwards": report.stepwise_forwards,
-            "ssd_forwards": report.ssd_forwards,
-            "identical": report.identical,
-            "fallback_steps": report.fallback_steps,
-            "reduction": report.reduction,
-            "speedup": report.speedup,
-            "disclaimer": report.disclaimer,
-        }
+def report_to_lines(report: Report) -> list[str]:
     lines = [
-        _dumps({"kind": kind, "version": 1}),
+        _dumps({"kind": "compare" if report.compared else "report", "version": 1}),
         _dumps({"config": report.config.to_dict()}),
-        _dumps({"result": result}),
+        _dumps({"result": _result(report)}),
     ]
-    lines.extend(_round_line(r) for r in report.rounds)
+    lines.extend(_dumps({"round": asdict(r)}) for r in report.rounds)
     return lines
 
 
-def report_from_lines(lines: Iterable[str]) -> Report | CompareReport:
+def report_from_lines(lines: Iterable[str]) -> Report:
     entries = [json.loads(line) for line in lines if line.strip()]
-    if not entries or "kind" not in entries[0]:
-        raise ValueError("not a report: missing kind header")
-    kind = entries[0]["kind"]
-    if kind not in ("report", "compare"):
-        raise ValueError(f"unknown report kind {kind!r}")
-    if len(entries) < 3 or "config" not in entries[1] or "result" not in entries[2]:
-        raise ValueError("malformed report: expected config and result lines")
-    config = RunConfig.from_dict(entries[1]["config"])
-    result = entries[2]["result"]
-    rounds = _rounds_from(entries[3:])
-    if kind == "report":
-        return Report(
-            config=config,
-            tokens=tuple(result["tokens"]),
-            baseline_forwards=result["baseline_forwards"],
-            actual_forwards=result["actual_forwards"],
-            fallback_steps=result["fallback_steps"],
-            rounds=rounds,
-            disclaimer=result["disclaimer"],
+    try:
+        kind = entries[0]["kind"]
+        if kind not in _FORWARD_KEYS:
+            raise ValueError(f"unknown report kind {kind!r}")
+        config = RunConfig.from_dict(entries[1]["config"])
+        config.validate()
+        result = dict(entries[2]["result"])
+        rounds = tuple(RoundStats(**entry["round"]) for entry in entries[3:])
+    except (IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed report: {exc!r}") from None
+    compared = kind == "compare"
+    if compared and result.pop("identical", None) is not True:
+        raise ValueError("a compare report must carry identical: true")
+    baseline_key, actual_key = _FORWARD_KEYS[kind]
+    expected = _RESULT_KEYS | {baseline_key, actual_key}
+    if set(result) != expected:
+        raise ValueError(
+            f"result fields {sorted(result)} differ from {sorted(expected)}"
         )
-    return CompareReport(
+    if result[baseline_key] != config.gen_len:
+        raise ValueError(f"{baseline_key} differs from gen_len {config.gen_len}")
+    return Report(
         config=config,
         tokens=tuple(result["tokens"]),
-        stepwise_forwards=result["stepwise_forwards"],
-        ssd_forwards=result["ssd_forwards"],
-        identical=result["identical"],
+        actual_forwards=result[actual_key],
         fallback_steps=result["fallback_steps"],
         rounds=rounds,
+        compared=compared,
         disclaimer=result["disclaimer"],
     )
 
 
-def render_report(report: Report | CompareReport) -> str:
+def render_report(report: Report) -> str:
     return "\n".join(report_to_lines(report)) + "\n"
-
-
-def write_report(report: Report | CompareReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
-
-
-def read_report(path: str) -> Report | CompareReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_lines(fh)

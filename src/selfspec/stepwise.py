@@ -15,7 +15,7 @@ consumes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class DecodeTrace:
 
     def positions(self) -> tuple[int, ...]:
         return tuple(r.position for r in self.records)
-
-    def tokens(self) -> tuple[int, ...]:
-        return tuple(r.token for r in self.records)
 
 
 def choose_step(
@@ -173,40 +170,51 @@ def _record_from_obj(obj: dict) -> StepRecord:
 
 
 def trace_to_lines(trace: DecodeTrace) -> list[str]:
-    header = {
-        "kind": "trace",
-        "decoder": trace.decoder,
-        "prompt_len": trace.prompt_len,
-        "gen_len": trace.gen_len,
-        "block_len": trace.block_len,
-        "mask_id": trace.mask_id,
-        "topk": trace.topk,
-    }
+    header = {f.name: getattr(trace, f.name) for f in fields(trace) if f.name != "records"}
+    header["kind"] = "trace"
     lines = [json.dumps(header, sort_keys=True)]
     for rec in trace.records:
         lines.append(json.dumps(_record_to_obj(rec), sort_keys=True))
     return lines
 
 
-def trace_from_lines(lines: list[str]) -> DecodeTrace:
-    stripped = [ln for ln in (ln.strip() for ln in lines) if ln]
-    if not stripped:
-        raise ValueError("empty trace")
-    header = json.loads(stripped[0])
-    if header.get("kind") != "trace":
+def _header_from_obj(obj: dict) -> DecodeTrace:
+    if obj.get("kind") != "trace":
         raise ValueError("first line is not a trace header")
-    try:
-        return DecodeTrace(
-            decoder=header["decoder"],
-            prompt_len=int(header["prompt_len"]),
-            gen_len=int(header["gen_len"]),
-            block_len=int(header["block_len"]),
-            mask_id=int(header["mask_id"]),
-            topk=int(header["topk"]),
-            records=tuple(_record_from_obj(json.loads(ln)) for ln in stripped[1:]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"trace lacks field {exc.args[0]!r}") from None
+    return DecodeTrace(
+        decoder=obj["decoder"],
+        prompt_len=int(obj["prompt_len"]),
+        gen_len=int(obj["gen_len"]),
+        block_len=int(obj["block_len"]),
+        mask_id=int(obj["mask_id"]),
+        topk=int(obj["topk"]),
+        records=(),
+    )
+
+
+def trace_from_lines(lines: list[str]) -> DecodeTrace:
+    """Parse a header line and record lines; any malformed line is a
+    ValueError naming its line number."""
+    trace = None
+    records: list[StepRecord] = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("not a JSON object")
+            if trace is None:
+                trace = _header_from_obj(obj)
+            else:
+                records.append(_record_from_obj(obj))
+        except KeyError as exc:
+            raise ValueError(f"trace line {lineno} lacks field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"trace line {lineno}: {exc}") from None
+    if trace is None:
+        raise ValueError("empty trace")
+    return replace(trace, records=tuple(records))
 
 
 def write_trace(trace: DecodeTrace, path: str) -> None:

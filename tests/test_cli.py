@@ -4,11 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from conftest import FIXTURES
 
 from selfspec import (
     MaskedModel,
     RunConfig,
-    read_report,
     read_trace,
     report_from_lines,
 )
@@ -61,7 +61,7 @@ def test_decode_writes_report_file(capsys, tmp_path):
         capsys, ["decode", *BASE, "--strategy", "greedy", "--out", str(out_path)]
     )
     assert code == 0 and out == ""
-    report = read_report(str(out_path))
+    report = report_from_lines(out_path.read_text(encoding="utf-8").splitlines())
     assert report.config.strategy == "greedy"
 
 
@@ -91,9 +91,10 @@ def test_compare_reports_identity_and_speedup(capsys):
     )
     assert code == 0
     report = report_from_lines(out.splitlines())
-    assert report.identical is True
-    assert report.ssd_forwards <= report.stepwise_forwards == 16
-    assert report.reduction == pytest.approx(1 - report.ssd_forwards / 16)
+    assert report.compared is True
+    assert json.loads(out.splitlines()[2])["result"]["identical"] is True
+    assert report.actual_forwards <= report.baseline_forwards == 16
+    assert report.reduction == pytest.approx(1 - report.actual_forwards / 16)
 
 
 def test_compare_rejects_stepwise_strategy(capsys):
@@ -189,6 +190,45 @@ def test_usage_errors_exit_one(capsys, argv):
     capsys.readouterr()
 
 
+TABLE_ROW = '{"tokens": [2, 2], "logits": [[0.0, 1.0], [1.0, 0.0]]}'
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [
+        ("config", '{"prompt": 5}'),
+        ("config", '{"gen_len": "abc"}'),
+        ("config", '{"gen_len": 8.5}'),
+        ("config", '{"gen_len": true, "block_len": 1}'),
+        ("config", '{"seed": 1.5}'),
+        ("config", '{"sharpness": "x"}'),
+        ("config", '{"table_path": 5, "backend": "table"}'),
+        ("config", "[1]"),
+        ("trace", "[1]"),
+        ("trace", '{"kind": "trace", "decoder": "stepwise", "prompt_len": 0, '
+                  '"gen_len": 1, "block_len": 1, "mask_id": 2, "topk": 1}\n[1]'),
+        ("trace", '{"kind": "trace", "decoder": "stepwise", "prompt_len": 0, '
+                  '"gen_len": 1, "block_len": 1, "mask_id": 2, "topk": 1}\n'
+                  '{"position": 0, "token": 1, "confidence": 0.5, "topk": 5}'),
+        ("table", "[1]"),
+        ("table", TABLE_ROW + '\n{"tokens": 5, "logits": [[0.0, 1.0]]}'),
+        ("table", TABLE_ROW + '\n{"tokens": [[1]], "logits": [[0.0, 1.0]]}'),
+    ],
+)
+def test_malformed_input_file_exits_one_with_one_line(capsys, tmp_path, kind, content):
+    path = tmp_path / "input.jsonl"
+    path.write_text(content + "\n", encoding="utf-8")
+    argv = {
+        "config": ["decode", "--config", str(path)],
+        "trace": ["analyze", "--trace", str(path)],
+        "table": ["decode", "--backend", "table", "--table", str(path),
+                  "--vocab-size", "2", "--gen-length", "2", "--block-length", "2"],
+    }[kind]
+    code, out, err = run_main(capsys, argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("selfspec: error: "), err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -256,6 +296,30 @@ def test_repeat_runs_are_byte_identical(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+GOLDEN_BASE = [
+    "--seed", "5", "--vocab-size", "32", "--gen-length", "40",
+    "--block-length", "8", "--draft-length", "4",
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("decode_mix_order", ["decode", *GOLDEN_BASE, "--strategy", "mix_order"]),
+        ("decode_stepwise", ["decode", *GOLDEN_BASE, "--strategy", "stepwise"]),
+        ("compare_greedy", ["compare", *GOLDEN_BASE, "--strategy", "greedy"]),
+        ("sweep", ["sweep", *GOLDEN_BASE, "--draft-lengths", "3,4",
+                   "--strategies", "greedy,mix_order"]),
+    ],
+)
+def test_output_bytes_match_golden_file(capsys, name, argv):
+    """The acceptance criterion-8 commands print exactly the committed
+    bytes, so any change to report layout, numbers or tokens shows here."""
+    code, out, _ = run_main(capsys, argv)
+    assert code == 0
+    assert out == (FIXTURES / "golden" / f"{name}.jsonl").read_text(encoding="utf-8")
 
 
 def test_run_decode_matches_cli_output(capsys):

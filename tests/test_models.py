@@ -234,6 +234,12 @@ def test_table_fixture_round_trip_exact(tmp_path):
     path.write_text('{"logits": [[0.0, 1.0]]}\n')
     with pytest.raises(ValueError, match="tokens"):
         load_table_fixture(str(path))
+    row = '{"tokens": [1], "logits": [[0.0, 1.0]]}\n'
+    for bad in ("[1]", '{"tokens": 5, "logits": [[0.0, 1.0]]}',
+                '{"tokens": [[1]], "logits": [[0.0, 1.0]]}'):
+        path.write_text(row + "\n" + bad + "\n")
+        with pytest.raises(ValueError, match="line 3"):
+            load_table_fixture(str(path))
 
 
 def test_table_rejects_ragged_or_non_finite():

@@ -1,19 +1,19 @@
 """Run configuration and report serialization round-trips."""
 
+import json
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfspec import (
-    CompareReport,
     Report,
     RoundStats,
     RunConfig,
-    read_report,
     render_report,
     report_from_lines,
     report_to_lines,
-    write_report,
 )
 from selfspec.reporting import merge_config
 
@@ -40,7 +40,6 @@ def sample_report():
     return Report(
         config=sample_config(),
         tokens=(1, 2, 3) + tuple(range(16)),
-        baseline_forwards=16,
         actual_forwards=7,
         fallback_steps=1,
         rounds=(
@@ -66,10 +65,25 @@ def test_config_validation_catches_bad_fields():
         sample_config(prompt=(99,), vocab_size=24).validate()
     with pytest.raises(ValueError):
         sample_config(backend="table", table_path=None).validate()
-    for sharpness in (0.0, -1.0, float("inf"), float("-inf"), float("nan")):
+    for sharpness in (0.0, -1.0, float("inf"), float("-inf"), float("nan"), "x", True):
         with pytest.raises(ValueError):
             sample_config(sharpness=sharpness).validate()
+    # wrong-typed fields, as a JSON --config file can spell them
+    for bad in (
+        {"gen_len": "abc"},
+        {"gen_len": 8.5},
+        {"gen_len": True},
+        {"seed": 1.5},
+        {"topk": None},
+        {"table_path": 5},
+        {"prompt": ("1",)},
+        {"prompt": (1.0,)},
+        {"prompt": (True,)},
+    ):
+        with pytest.raises(ValueError):
+            sample_config(**bad).validate()
     sample_config().validate()
+    sample_config(sharpness=6).validate()
 
 
 def test_config_dict_round_trip():
@@ -80,6 +94,9 @@ def test_config_dict_round_trip():
 def test_config_rejects_unknown_fields():
     with pytest.raises(ValueError):
         RunConfig.from_dict({"seeed": 3})
+    for prompt in (5, "1,2", {"1": 2}):
+        with pytest.raises(ValueError, match="prompt"):
+            RunConfig.from_dict({"prompt": prompt})
 
 
 def test_merge_config_overrides_only_given_fields():
@@ -105,16 +122,20 @@ def test_report_derived_ratios():
 
 
 def test_compare_report_round_trip_and_invariant():
-    report = CompareReport(
+    report = Report(
         config=sample_config(strategy="mix_order"),
         tokens=tuple(range(19)),
-        stepwise_forwards=16,
-        ssd_forwards=6,
-        identical=True,
+        actual_forwards=6,
         fallback_steps=0,
         rounds=(RoundStats(0, 6, 4, 2),),
+        compared=True,
     )
-    back = report_from_lines(report_to_lines(report))
+    lines = report_to_lines(report)
+    assert json.loads(lines[0])["kind"] == "compare"
+    result = json.loads(lines[2])["result"]
+    assert result["identical"] is True
+    assert (result["stepwise_forwards"], result["ssd_forwards"]) == (16, 6)
+    back = report_from_lines(lines)
     assert back == report
     assert back.reduction == pytest.approx(1 - 6 / 16)
     assert back.speedup == pytest.approx(16 / 6)
@@ -123,12 +144,37 @@ def test_compare_report_round_trip_and_invariant():
 def test_report_file_round_trip(tmp_path):
     report = sample_report()
     path = tmp_path / "report.jsonl"
-    write_report(report, str(path))
-    assert read_report(str(path)) == report
+    path.write_text(render_report(report), encoding="utf-8")
+    assert report_from_lines(path.read_text(encoding="utf-8").splitlines()) == report
 
 
 def test_render_is_deterministic():
     assert render_report(sample_report()) == render_report(sample_report())
+
+
+# (compared, line index, in-place edit of that line's JSON object)
+INCONSISTENT_EDITS = [
+    # the baseline count is gen_len, never a value of its own
+    (False, 2, lambda o: o["result"].update(baseline_forwards=17)),
+    (True, 2, lambda o: o["result"].update(stepwise_forwards=15)),
+    # a config the run could not have had
+    (False, 1, lambda o: o["config"].update(gen_len=16.0)),
+    (False, 1, lambda o: o["config"].update(strategy="parallel")),
+    # a compare report exists only on a match
+    (True, 2, lambda o: o["result"].update(identical=False)),
+    (True, 2, lambda o: o["result"].pop("identical")),
+    (False, 2, lambda o: o["result"].update(identical=True)),
+    # missing, unknown or other-kind result fields
+    (False, 2, lambda o: o["result"].pop("fallback_steps")),
+    (False, 2, lambda o: o["result"].update(extra=1)),
+    (False, 2, lambda o: o["result"].update(ssd_forwards=7)),
+    (True, 2, lambda o: o["result"].update(actual_forwards=6)),
+    # missing or unknown round fields, or a round line of the wrong shape
+    (False, 3, lambda o: o["round"].pop("accepted")),
+    (False, 3, lambda o: o["round"].update(depth=2)),
+    (False, 3, lambda o: o.update(round=[0, 4, 4, 2])),
+    (False, 3, lambda o: o.update(rounds=o.pop("round"))),
+]
 
 
 def test_malformed_report_rejected():
@@ -138,6 +184,17 @@ def test_malformed_report_rejected():
         report_from_lines(['{"kind": "mystery", "version": 1}'])
     with pytest.raises(ValueError):
         report_from_lines(['{"kind": "report", "version": 1}'])
+    with pytest.raises(ValueError):
+        report_from_lines(["[1]"])
+    for compared, line, edit in INCONSISTENT_EDITS:
+        report = replace(sample_report(), compared=compared)
+        lines = report_to_lines(report)
+        assert report_from_lines(lines) == report
+        obj = json.loads(lines[line])
+        edit(obj)
+        lines[line] = json.dumps(obj)
+        with pytest.raises(ValueError):
+            report_from_lines(lines)
 
 
 @given(
@@ -150,7 +207,6 @@ def test_round_trip_preserves_ratios_exactly(seed, gen_len, actual):
     report = Report(
         config=sample_config(seed=seed, gen_len=gen_len, prompt=()),
         tokens=tuple(range(gen_len)),
-        baseline_forwards=gen_len,
         actual_forwards=actual,
         fallback_steps=0,
         rounds=(),

@@ -177,3 +177,17 @@ def test_trace_from_garbage_rejected():
         trace_from_lines(["{}"])
     with pytest.raises(ValueError, match="decoder"):
         trace_from_lines(['{"kind": "trace"}'])
+    header = (
+        '{"kind": "trace", "decoder": "stepwise", "prompt_len": 0, "gen_len": 1,'
+        ' "block_len": 1, "mask_id": 2, "topk": 1}'
+    )
+    record = '{"position": 0, "token": 1, "confidence": 0.5, "topk": %s}'
+    assert len(trace_from_lines([header, record % "[[0, [[1, 0.5]]]]"]).records) == 1
+    with pytest.raises(ValueError, match="line 1"):
+        trace_from_lines(["[1]"])
+    with pytest.raises(ValueError, match="line 3"):
+        trace_from_lines([header, "", "[1]"])
+    with pytest.raises(ValueError, match="line 2"):
+        trace_from_lines([header, record % "5"])
+    with pytest.raises(ValueError, match="line 2"):
+        trace_from_lines([header, record % "[[0, 5]]"])
