@@ -107,16 +107,19 @@ def run_compare(config: RunConfig) -> Report:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is exit 1."""
+    """argparse exits 2 on usage errors and prints the usage first; the
+    contract here is exit 1 with one error line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    items = [piece for piece in text.replace(",", " ").split() if piece]
-    return tuple(int(piece) for piece in items)
+    """Integers separated by commas, whitespace or both; an empty item
+    between commas is an error."""
+    if "," in text and not all(item.strip() for item in text.split(",")):
+        raise ValueError(f"empty item in integer list {text!r}")
+    return tuple(int(piece) for piece in text.replace(",", " ").split())
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, with_strategy: bool = True) -> None:
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="selfspec",
         description="Speculative decoding for masked-diffusion text generation.",
     )
-    subparsers = parser.add_subparsers(dest="command", parser_class=_Parser)
+    subparsers = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
     decode = subparsers.add_parser("decode", help="run one decoder, emit a report")
     _add_config_flags(decode)
@@ -267,9 +270,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         return args.func(args)
     except LosslessnessError as exc:

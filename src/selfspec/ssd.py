@@ -1,14 +1,16 @@
 """Self-speculative decoding: draft, verify in a tree, accept multiple tokens.
 
 One forward pass drafts a greedy (token, confidence) pair for every masked
-position.  The highest-confidence positions of the current block become an
-ordered candidate list, and a verification tree materializes the states that
-would exist if successive candidates were accepted.  A single batched
-forward then scores every node, and a walk from the root accepts a candidate
-exactly when the parent node's own stepwise choice matches it.  The deepest
-validated node contributes one further token (its own stepwise choice), so a
-draft of length N can yield N+1 tokens per round while the output stays
-token-identical to plain stepwise decoding.
+position of the current and the next block.  The highest-confidence
+positions of the current block, then of the next block if the current one
+runs short, become an ordered candidate list, and a verification tree
+materializes the states that would exist if successive candidates were
+accepted.  A single batched forward then scores every node, and a walk
+from the root accepts a candidate exactly when the parent node's own
+stepwise choice matches it.  The deepest validated node contributes one
+further token (its own stepwise choice), so a draft of length N can yield
+N+1 tokens per round while the output stays token-identical to plain
+stepwise decoding.
 
 Tree shapes:
 
@@ -48,11 +50,12 @@ TREE_SHAPES = ("greedy", "mix_order", "kary")
 
 @dataclass(frozen=True, eq=False)
 class Drafts:
-    """Drafts for the masked positions of one state, as parallel arrays.
+    """Drafts for the masked positions of one state's current and next block,
+    as parallel arrays.
 
-    ``positions`` (P,) holds the masked positions, ascending; ``tokens``
-    (P, k) their top-k draft tokens, highest probability first, so column 0
-    is the greedy draft; ``confidences`` (P,) the greedy token's probability.
+    ``positions`` (P,) holds those positions, ascending; ``tokens`` (P, k)
+    their top-k draft tokens, highest probability first, so column 0 is the
+    greedy draft; ``confidences`` (P,) the greedy token's probability.
     """
 
     positions: np.ndarray
@@ -62,22 +65,24 @@ class Drafts:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def rows_of(self, positions: np.ndarray) -> np.ndarray:
-        """Row index of each given position; ValueError if one is not drafted."""
-        rows = np.searchsorted(self.positions, positions)
-        found = rows < len(self.positions)
-        found[found] = self.positions[rows[found]] == positions[found]
-        if not found.all():
-            raise ValueError(
-                f"drafts do not cover masked position {positions[~found][0]}"
-            )
-        return rows
+
+def _window(state: SequenceState) -> tuple[np.ndarray, int] | None:
+    """The masked positions of the current and the next block, ascending, and
+    the next block's first position; None once nothing is masked."""
+    block = current_block(state)
+    if block is None:
+        return None
+    start = state.prompt_len + block * state.block_len
+    stop = start + state.block_len
+    window = np.asarray(state.tokens[start : stop + state.block_len])
+    return start + np.flatnonzero(window == state.mask_id), stop
 
 
 def drafts_from_logits(
     state: SequenceState, logits: np.ndarray, k: int = 1
 ) -> Drafts:
-    """Extract top-k drafts for every masked position of state from a logit matrix.
+    """Extract top-k drafts for the masked positions of state's current and
+    next block from a logit matrix; no other position can be a candidate.
 
     Used both for fresh drafting (logits from a forward on state itself) and
     for the free refresh after a verification round, where the logits come
@@ -86,9 +91,10 @@ def drafts_from_logits(
     Column 0 and the confidences do not depend on k: the stable sort puts
     the first maximum first, exactly as argmax picks it.
     """
-    positions = np.asarray(state.masked_positions(), dtype=np.int64)
-    if not positions.size:
+    window = _window(state)
+    if window is None:
         raise ValueError("state has no masked positions to draft for")
+    positions = window[0]
     rows = softmax_matrix(np.asarray(logits, dtype=np.float64)[positions])
     if k == 1:
         tokens = np.argmax(rows, axis=1)[:, None]  # first max, lowest-id tie-break
@@ -108,26 +114,21 @@ def select_candidates(
     next-block positions by the same rule.  May return fewer than n entries
     when the current and next block together hold fewer masked positions;
     the decode loop treats that as the signal to fall back to stepwise
-    decoding.
+    decoding.  The drafts must cover exactly those masked positions.
     """
     if n < 1:
         raise ValueError("candidate count must be >= 1")
-    schedule = schedule_for(state)
-    block_idx = current_block(state)
-    if block_idx is None:
+    window = _window(state)
+    if window is None:
         return ()
-
-    def ranked(block: range) -> list[tuple[int, int]]:
-        positions = np.array([p for p in block if state.is_masked(p)], dtype=np.int64)
-        rows = drafts.rows_of(positions)
-        order = np.lexsort((positions, -drafts.confidences[rows]))
-        tokens = drafts.tokens[rows[order], 0]
-        return list(zip(positions[order].tolist(), tokens.tolist()))
-
-    chosen = ranked(schedule[block_idx])[:n]
-    if len(chosen) < n and block_idx + 1 < len(schedule):
-        chosen += ranked(schedule[block_idx + 1])[: n - len(chosen)]
-    return tuple(chosen)
+    positions, next_start = window
+    if not np.array_equal(drafts.positions, positions):
+        raise ValueError(
+            "drafts do not cover exactly the masked positions of the current "
+            "and next block"
+        )
+    order = np.lexsort((positions, -drafts.confidences, positions >= next_start))[:n]
+    return tuple(zip(positions[order].tolist(), drafts.tokens[order, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,6 @@ def select_candidates(
 
 @dataclass(frozen=True)
 class TreeNode:
-    index: int
     parent: int | None
     depth: int
     state: SequenceState
@@ -149,15 +149,10 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class VerificationTree:
-    nodes: tuple[TreeNode, ...]
-    children: dict[int, tuple[int, ...]]  # node index -> child indices
+    nodes: tuple[TreeNode, ...]  # the root first; a node's index is its batch row
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    @property
-    def root(self) -> TreeNode:
-        return self.nodes[0]
 
 
 def build_tree(
@@ -181,19 +176,16 @@ def build_tree(
     if shape not in TREE_SHAPES:
         raise ValueError(f"unknown tree shape {shape!r}")
 
-    nodes = [TreeNode(index=0, parent=None, depth=0, state=base, expectation=None)]
-    children: dict[int, list[int]] = {}
+    nodes = [TreeNode(parent=None, depth=0, state=base, expectation=None)]
 
     def grow(parent: int, pos: int, tok: int, is_branch: bool = False) -> int:
         """Append the node that places tok at pos on top of parent."""
-        idx = len(nodes)
         nodes.append(
-            TreeNode(index=idx, parent=parent, depth=nodes[parent].depth + 1,
+            TreeNode(parent=parent, depth=nodes[parent].depth + 1,
                      state=place_token(nodes[parent].state, pos, tok),
                      expectation=(pos, tok), is_branch=is_branch)
         )
-        children.setdefault(parent, []).append(idx)
-        return idx
+        return len(nodes) - 1
 
     if shape == "kary":
         if k < 1:
@@ -203,7 +195,7 @@ def build_tree(
                 f"kary tree needs {k} candidate tokens per position, "
                 f"drafts record only {drafts.tokens.shape[1]}"
             )
-        rows = drafts.rows_of(np.array([pos for pos, _ in candidates], dtype=np.int64))
+        rows = np.searchsorted(drafts.positions, [pos for pos, _ in candidates])
         frontier = [0]
         for (pos, _), row in zip(candidates, rows):
             tokens = drafts.tokens[row, :k].tolist()
@@ -218,10 +210,7 @@ def build_tree(
             for d, (pos, tok) in enumerate(candidates[1:]):
                 grow(d, pos, tok, is_branch=True)
 
-    return VerificationTree(
-        nodes=tuple(nodes),
-        children={p: tuple(c) for p, c in children.items()},
-    )
+    return VerificationTree(nodes=tuple(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +236,21 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
     accepted as the final token of the round, which guarantees progress of
     at least one token.
     """
-    batch = model.forward([node.state for node in tree.nodes])
-    schedule = schedule_for(tree.root.state)
+    nodes = tree.nodes
+    batch = model.forward([node.state for node in nodes])
+    schedule = schedule_for(nodes[0].state)
 
     accepted: list[tuple[int, int, float]] = []
     cur = 0
     # Stop once every position is decoded: nothing further to choose.
-    while current_block(tree.nodes[cur].state) is not None:
-        pos, tok, conf = choose_step(
-            tree.nodes[cur].state, schedule, softmax_matrix(batch[cur])
-        )
+    while current_block(nodes[cur].state) is not None:
+        pos, tok, conf = choose_step(nodes[cur].state, schedule, softmax_matrix(batch[cur]))
         accepted.append((pos, tok, conf))
-        children = tree.children.get(cur, ())
-        matched = next((c for c in children if tree.nodes[c].expectation == (pos, tok)), None)
+        matched = next(
+            (i for i, node in enumerate(nodes)
+             if node.parent == cur and node.expectation == (pos, tok)),
+            None,
+        )
         if matched is None:
             break
         cur = matched

@@ -154,16 +154,25 @@ def _record_to_obj(rec: StepRecord) -> dict:
     }
 
 
+def _int(value, name: str) -> int:
+    """value itself if it is an int (a bool is not one); ValueError otherwise."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _record_from_obj(obj: dict) -> StepRecord:
     topk = None
     if obj["topk"] is not None:
         topk = {
-            int(pos): tuple((int(t), float(p)) for t, p in cands)
+            _int(pos, "topk position"): tuple(
+                (_int(t, "topk token"), float(p)) for t, p in cands
+            )
             for pos, cands in obj["topk"]
         }
     return StepRecord(
-        position=int(obj["position"]),
-        token=int(obj["token"]),
+        position=_int(obj["position"], "position"),
+        token=_int(obj["token"], "token"),
         confidence=float(obj["confidence"]),
         topk=topk,
     )
@@ -181,14 +190,9 @@ def trace_to_lines(trace: DecodeTrace) -> list[str]:
 def _header_from_obj(obj: dict) -> DecodeTrace:
     if obj.get("kind") != "trace":
         raise ValueError("first line is not a trace header")
+    ints = ("prompt_len", "gen_len", "block_len", "mask_id", "topk")
     return DecodeTrace(
-        decoder=obj["decoder"],
-        prompt_len=int(obj["prompt_len"]),
-        gen_len=int(obj["gen_len"]),
-        block_len=int(obj["block_len"]),
-        mask_id=int(obj["mask_id"]),
-        topk=int(obj["topk"]),
-        records=(),
+        decoder=obj["decoder"], records=(), **{k: _int(obj[k], k) for k in ints}
     )
 
 

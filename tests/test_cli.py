@@ -183,11 +183,15 @@ def test_sweep_rejects_stepwise_strategy(capsys):
         ["decode", "--sharpness", "inf"],
         ["decode", "--sharpness", "nan"],
         ["sweep", "--sharpness=-inf"],
+        ["decode", "--prompt", "1,,2"],
+        ["decode", "--prompt", ",,,"],
+        ["analyze", "--trace", "x", "--bogus"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
-    assert main(argv) == 1
-    capsys.readouterr()
+    code, out, err = run_main(capsys, argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1, err
 
 
 TABLE_ROW = '{"tokens": [2, 2], "logits": [[0.0, 1.0], [1.0, 0.0]]}'
@@ -210,6 +214,9 @@ TABLE_ROW = '{"tokens": [2, 2], "logits": [[0.0, 1.0], [1.0, 0.0]]}'
         ("trace", '{"kind": "trace", "decoder": "stepwise", "prompt_len": 0, '
                   '"gen_len": 1, "block_len": 1, "mask_id": 2, "topk": 1}\n'
                   '{"position": 0, "token": 1, "confidence": 0.5, "topk": 5}'),
+        ("trace", '{"kind": "trace", "decoder": "stepwise", "prompt_len": 0, '
+                  '"gen_len": 2.9, "block_len": 1, "mask_id": 2, "topk": 1}\n'
+                  '{"position": 0.7, "token": 1, "confidence": 0.5, "topk": null}'),
         ("table", "[1]"),
         ("table", TABLE_ROW + '\n{"tokens": 5, "logits": [[0.0, 1.0]]}'),
         ("table", TABLE_ROW + '\n{"tokens": [[1]], "logits": [[0.0, 1.0]]}'),

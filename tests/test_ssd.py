@@ -19,10 +19,13 @@ from selfspec import (
     kary_tree_size,
     load_table_fixture,
     place_token,
+    schedule_for,
     select_candidates,
+    softmax_matrix,
     ssd_decode,
     stepwise_decode,
 )
+from selfspec.stepwise import choose_step
 
 from conftest import all_masked_state, check_block_order, replay_dual_rounds
 
@@ -61,6 +64,21 @@ def test_draft_domain_is_exactly_the_masked_positions():
     assert drafts.tokens.shape == (2, 2) and len(drafts) == 2
 
 
+def test_drafts_cover_only_the_current_and_next_block():
+    """Four blocks of 3 after a prompt of 2: with block 0 decoded and block 1
+    half decoded, drafts cover the masks of blocks 1 and 2 and nothing of
+    block 3; in the last block they cover that block alone."""
+    state = all_masked_state(prompt_len=2, gen_len=12, block_len=3)
+    for pos in (2, 3, 4, 6, 9):
+        state = place_token(state, pos, 1)
+    drafts = draft(synth(), state, k=2)
+    assert drafts.positions.tolist() == [5, 7, 8, 10]
+    assert drafts.tokens.shape == (4, 2) and drafts.confidences.shape == (4,)
+    for pos in (5, 7, 8, 10, 11):
+        state = place_token(state, pos, 1)
+    assert draft(synth(), state).positions.tolist() == [12, 13]
+
+
 def test_draft_requires_masks():
     state = all_masked_state(gen_len=2)
     state = place_token(place_token(state, 0, 1), 1, 1)
@@ -92,7 +110,7 @@ def test_top1_draft_is_independent_of_width():
     confidences are bit-identical for every k, and the token is np.argmax
     of the row (the lowest id on ties)."""
     vocab = 8
-    state = all_masked_state(gen_len=12, vocab=vocab, block_len=4)
+    state = all_masked_state(gen_len=12, vocab=vocab, block_len=6)  # window: all 12 rows
     for seed in range(3):
         logits = np.random.default_rng(seed).standard_normal((12, vocab)) * 3.0
         logits[0] = 0.0  # all equal
@@ -140,6 +158,29 @@ def test_select_spills_into_next_block_only_when_short():
     assert cands == ((3, 6), (1, 5), (4, 7))
     full = select_candidates(state, drafts, 2)
     assert full == ((3, 6), (1, 5))  # no spill when block suffices
+
+
+@given(
+    data=st.data(),
+    prompt_len=st.integers(0, 3),
+    gen_len=st.integers(1, 16),
+    block_len=st.integers(1, 6),
+    vocab=st.integers(4, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_top_candidate_is_the_stepwise_choice(data, prompt_len, gen_len, block_len, vocab):
+    """On tie-heavy integer logits, the first candidate drafted from a
+    state's own logits is exactly the stepwise choice on that state."""
+    state = all_masked_state(prompt_len, gen_len, vocab, block_len)
+    filled = data.draw(st.sets(st.integers(prompt_len, prompt_len + gen_len - 1),
+                               max_size=gen_len - 1))
+    for pos in filled:
+        state = place_token(state, pos, data.draw(st.integers(0, vocab - 1)))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=vocab, max_size=vocab),
+                              min_size=prompt_len + gen_len, max_size=prompt_len + gen_len))
+    logits = np.array(rows, dtype=np.float64)
+    top = select_candidates(state, drafts_from_logits(state, logits), 1)[0]
+    assert top == choose_step(state, schedule_for(state), softmax_matrix(logits))[:2]
 
 
 def test_select_returns_short_list_when_scope_exhausted():
@@ -215,9 +256,9 @@ def test_branch_nodes_skip_exactly_one_candidate():
     skipped (still masked), candidate d+2's token placed; always a leaf."""
     _, state, drafts, cands = drafted_round(n=4)
     tree = build_tree(state, cands, drafts, "mix_order")
-    branches = [node for node in tree.nodes if node.is_branch]
+    branches = [(i, node) for i, node in enumerate(tree.nodes) if node.is_branch]
     assert len(branches) == 3
-    for node in branches:
+    for i, node in branches:
         d = tree.nodes[node.parent].depth
         skipped_pos, _ = cands[d]
         jumped_pos, jumped_tok = cands[d + 1]
@@ -226,15 +267,15 @@ def test_branch_nodes_skip_exactly_one_candidate():
         assert node.state.tokens[jumped_pos] == jumped_tok
         for pos, tok in cands[:d]:
             assert node.state.tokens[pos] == tok
-        assert node.index not in tree.children  # leaves by construction
+        assert all(other.parent != i for other in tree.nodes)  # leaves by construction
 
 
 def test_node_layout_of_every_shape():
     """Batch order decides which row becomes leaf_index, so pin it: the chain
     0..N, then the mix_order branches by depth; kary breadth-first, parents
     in frontier order and tokens in draft order.  Rows are (parent, depth,
-    expectation, is_branch); every node's state is its parent's state plus
-    its expectation, and children is the inverse of parent."""
+    expectation, is_branch); the root holds the base state, and every other
+    node's state is its parent's state plus its expectation."""
     _, state, drafts, cands = drafted_round(n=3, k=2)
     (p1, t1), (p2, t2), (p3, t3) = cands
     top2 = dict(zip(drafts.positions.tolist(), drafts.tokens.tolist()))
@@ -268,14 +309,9 @@ def test_node_layout_of_every_shape():
     for tree, layout in cases:
         nodes = tree.nodes
         assert [(n.parent, n.depth, n.expectation, n.is_branch) for n in nodes] == layout
-        assert [n.index for n in nodes] == list(range(len(layout)))
-        assert tree.root is nodes[0] and nodes[0].state == state
+        assert nodes[0].state == state
         for node in nodes[1:]:
             assert node.state == place_token(nodes[node.parent].state, *node.expectation)
-        parents = {n.parent for n in nodes[1:]}
-        assert tree.children == {
-            p: tuple(n.index for n in nodes if n.parent == p) for p in parents
-        }
 
 
 def test_build_tree_rejects_empty_candidates():

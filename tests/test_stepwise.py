@@ -191,3 +191,9 @@ def test_trace_from_garbage_rejected():
         trace_from_lines([header, record % "5"])
     with pytest.raises(ValueError, match="line 2"):
         trace_from_lines([header, record % "[[0, 5]]"])
+    with pytest.raises(ValueError, match="line 1.*gen_len"):
+        trace_from_lines([header.replace('"gen_len": 1', '"gen_len": 2.9'), record % "null"])
+    with pytest.raises(ValueError, match="line 1.*topk"):
+        trace_from_lines([header.replace('"topk": 1', '"topk": true')])
+    with pytest.raises(ValueError, match="line 2.*position"):
+        trace_from_lines([header, (record % "null").replace('"position": 0', '"position": 0.7')])
