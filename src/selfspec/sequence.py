@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 class IllegalWriteError(Exception):
     """Raised when writing to a position that is not currently masked."""
@@ -111,6 +113,15 @@ def current_block(state: SequenceState) -> int | None:
     except ValueError:
         return None
     return (first - state.prompt_len) // state.block_len
+
+
+def masked_in_blocks(state: SequenceState, count: int) -> np.ndarray:
+    """The masked positions of the current block and the next count - 1
+    blocks, ascending; empty once nothing is masked."""
+    # With nothing masked any window is empty, so block 0's will do.
+    start = state.prompt_len + (current_block(state) or 0) * state.block_len
+    window = enumerate(state.tokens[start : start + count * state.block_len], start)
+    return np.array([p for p, t in window if t == state.mask_id], dtype=np.intp)
 
 
 def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:

@@ -32,18 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import MaskedModel, softmax_matrix
-from .sequence import (
-    SequenceState,
-    current_block,
-    place_token,
-    schedule_for,
-)
-from .stepwise import (
-    DecodeTrace,
-    StepRecord,
-    choose_step,
-    decode_remaining,
-)
+from .sequence import SequenceState, current_block, masked_in_blocks, place_token
+from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
+from .stepwise import DecodeTrace, StepRecord, choose_step, decode_remaining
 
 TREE_SHAPES = ("greedy", "mix_order", "kary")
 
@@ -66,18 +57,6 @@ class Drafts:
         return len(self.positions)
 
 
-def _window(state: SequenceState) -> tuple[np.ndarray, int] | None:
-    """The masked positions of the current and the next block, ascending, and
-    the next block's first position; None once nothing is masked."""
-    block = current_block(state)
-    if block is None:
-        return None
-    start = state.prompt_len + block * state.block_len
-    stop = start + state.block_len
-    window = np.asarray(state.tokens[start : stop + state.block_len])
-    return start + np.flatnonzero(window == state.mask_id), stop
-
-
 def drafts_from_logits(
     state: SequenceState, logits: np.ndarray, k: int = 1
 ) -> Drafts:
@@ -91,10 +70,9 @@ def drafts_from_logits(
     Column 0 and the confidences do not depend on k: the stable sort puts
     the first maximum first, exactly as argmax picks it.
     """
-    window = _window(state)
-    if window is None:
+    positions = masked_in_blocks(state, 2)
+    if positions.size == 0:
         raise ValueError("state has no masked positions to draft for")
-    positions = window[0]
     rows = softmax_matrix(np.asarray(logits, dtype=np.float64)[positions])
     if k == 1:
         tokens = np.argmax(rows, axis=1)[:, None]  # first max, lowest-id tie-break
@@ -118,16 +96,16 @@ def select_candidates(
     """
     if n < 1:
         raise ValueError("candidate count must be >= 1")
-    window = _window(state)
-    if window is None:
+    positions = masked_in_blocks(state, 2)
+    if positions.size == 0:
         return ()
-    positions, next_start = window
     if not np.array_equal(drafts.positions, positions):
         raise ValueError(
             "drafts do not cover exactly the masked positions of the current "
             "and next block"
         )
-    order = np.lexsort((positions, -drafts.confidences, positions >= next_start))[:n]
+    blocks = (positions - state.prompt_len) // state.block_len
+    order = np.lexsort((positions, -drafts.confidences, blocks))[:n]
     return tuple(zip(positions[order].tolist(), drafts.tokens[order, 0].tolist()))
 
 
@@ -238,13 +216,13 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
     """
     nodes = tree.nodes
     batch = model.forward([node.state for node in nodes])
-    schedule = schedule_for(nodes[0].state)
 
     accepted: list[tuple[int, int, float]] = []
     cur = 0
     # Stop once every position is decoded: nothing further to choose.
     while current_block(nodes[cur].state) is not None:
-        pos, tok, conf = choose_step(nodes[cur].state, schedule, softmax_matrix(batch[cur]))
+        positions = masked_in_blocks(nodes[cur].state, 1)
+        pos, tok, conf = choose_step(positions, softmax_matrix(batch[cur][positions]))
         accepted.append((pos, tok, conf))
         matched = next(
             (i for i, node in enumerate(nodes)
@@ -299,11 +277,10 @@ def ssd_decode(
         raise ValueError("draft length must be >= 1")
     if shape not in ("greedy", "mix_order"):
         raise ValueError(f"decode supports shapes 'greedy' and 'mix_order', not {shape!r}")
-    if not state.masked_positions():
+    if current_block(state) is None:
         raise ValueError("state has no masked positions to decode")
 
     start = state
-    schedule = schedule_for(state)
     drafts = drafts_from_logits(state, model.forward([state])[0])
     forwards = 1
     records: list[StepRecord] = []
@@ -313,7 +290,7 @@ def ssd_decode(
     while current_block(state) is not None:
         candidates = select_candidates(state, drafts, n)
         if len(candidates) < n:
-            state, tail = decode_remaining(model, state, schedule, topk=0)
+            state, tail = decode_remaining(model, state, topk=0)
             records.extend(tail)
             forwards += len(tail)
             fallback_steps = len(tail)

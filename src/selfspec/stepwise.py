@@ -15,12 +15,14 @@ consumes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .models import MaskedModel, softmax_matrix
-from .sequence import SequenceState, current_block, place_token, schedule_for
+from .sequence import SequenceState, current_block, masked_in_blocks, place_token
+from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
 
 Candidates = tuple[tuple[int, float], ...]
 
@@ -57,25 +59,17 @@ class DecodeTrace:
         return tuple(r.position for r in self.records)
 
 
-def choose_step(
-    state: SequenceState, schedule: tuple[range, ...], probs: np.ndarray
-) -> tuple[int, int, float]:
-    """The stepwise choice from a probability matrix: (position, token, confidence).
+def choose_step(positions: np.ndarray, probs: np.ndarray) -> tuple[int, int, float]:
+    """The stepwise choice among ascending positions, one probability row
+    each: (position, token, confidence).
 
-    Restricted to masked positions of the current block; highest max-softmax
-    confidence wins, ties to the lowest position, then lowest token id.
+    Highest max-softmax confidence wins, ties to the lowest position, then
+    lowest token id.
     """
-    block_idx = current_block(state)
-    if block_idx is None:
-        raise ValueError("no masked positions remain")
-    block = schedule[block_idx]
-    positions = [p for p in block if state.is_masked(p)]
-    sub = probs[positions]
-    confs = sub.max(axis=1)
-    local = int(np.argmax(confs))  # first max -> lowest position
-    pos = positions[local]
-    tok = int(np.argmax(sub[local]))  # first max -> lowest token id
-    return pos, tok, float(confs[local])
+    confs = probs.max(axis=1)
+    row = int(np.argmax(confs))  # first max -> lowest position
+    tok = int(np.argmax(probs[row]))  # first max -> lowest token id
+    return int(positions[row]), tok, float(confs[row])
 
 
 def candidate_snapshot(
@@ -93,10 +87,7 @@ def candidate_snapshot(
 
 
 def decode_remaining(
-    model: MaskedModel,
-    state: SequenceState,
-    schedule: tuple[range, ...],
-    topk: int,
+    model: MaskedModel, state: SequenceState, topk: int
 ) -> tuple[SequenceState, list[StepRecord]]:
     """Run stepwise steps (one forward each) until no masks remain."""
     records: list[StepRecord] = []
@@ -104,7 +95,8 @@ def decode_remaining(
         logits = model.forward([state])[0]
         probs = softmax_matrix(logits)
         snapshot = candidate_snapshot(state, probs, topk) if topk > 0 else None
-        pos, tok, conf = choose_step(state, schedule, probs)
+        positions = masked_in_blocks(state, 1)
+        pos, tok, conf = choose_step(positions, probs[positions])
         state = place_token(state, pos, tok)
         records.append(
             StepRecord(position=pos, token=tok, confidence=conf, topk=snapshot)
@@ -120,11 +112,10 @@ def stepwise_decode(
     Returns the final state and the full trace; the forward-pass count of a
     stepwise run always equals the number of masked positions decoded.
     """
-    if not state.masked_positions():
+    if current_block(state) is None:
         raise ValueError("state has no masked positions to decode")
-    schedule = schedule_for(state)
     effective_k = min(topk, model.vocab_size) if topk > 0 else 0
-    final, records = decode_remaining(model, state, schedule, effective_k)
+    final, records = decode_remaining(model, state, effective_k)
     trace = DecodeTrace(
         decoder="stepwise",
         prompt_len=state.prompt_len,
@@ -161,19 +152,27 @@ def _int(value, name: str) -> int:
     return value
 
 
+def _float(value, name: str) -> float:
+    """value as a float if it is a finite int or float (a bool is not one);
+    ValueError otherwise."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _record_from_obj(obj: dict) -> StepRecord:
     topk = None
     if obj["topk"] is not None:
         topk = {
             _int(pos, "topk position"): tuple(
-                (_int(t, "topk token"), float(p)) for t, p in cands
+                (_int(t, "topk token"), _float(p, "topk probability")) for t, p in cands
             )
             for pos, cands in obj["topk"]
         }
     return StepRecord(
         position=_int(obj["position"], "position"),
         token=_int(obj["token"], "token"),
-        confidence=float(obj["confidence"]),
+        confidence=_float(obj["confidence"], "confidence"),
         topk=topk,
     )
 
@@ -190,6 +189,8 @@ def trace_to_lines(trace: DecodeTrace) -> list[str]:
 def _header_from_obj(obj: dict) -> DecodeTrace:
     if obj.get("kind") != "trace":
         raise ValueError("first line is not a trace header")
+    if obj["decoder"] not in ("stepwise", "ssd"):
+        raise ValueError(f"decoder must be 'stepwise' or 'ssd', got {obj['decoder']!r}")
     ints = ("prompt_len", "gen_len", "block_len", "mask_id", "topk")
     return DecodeTrace(
         decoder=obj["decoder"], records=(), **{k: _int(obj[k], k) for k in ints}

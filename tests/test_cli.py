@@ -1,16 +1,22 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
 from conftest import FIXTURES
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfspec import (
     MaskedModel,
     RunConfig,
     read_trace,
+    render_report,
     report_from_lines,
+    trace_to_lines,
 )
 from selfspec.cli import LosslessnessError, main, run_compare, run_decode
 
@@ -217,6 +223,10 @@ TABLE_ROW = '{"tokens": [2, 2], "logits": [[0.0, 1.0], [1.0, 0.0]]}'
         ("trace", '{"kind": "trace", "decoder": "stepwise", "prompt_len": 0, '
                   '"gen_len": 2.9, "block_len": 1, "mask_id": 2, "topk": 1}\n'
                   '{"position": 0.7, "token": 1, "confidence": 0.5, "topk": null}'),
+        ("trace", '{"kind": "trace", "decoder": "stepwise", "prompt_len": 0, '
+                  '"gen_len": 1, "block_len": 1, "mask_id": 9, "topk": 5}\n'
+                  '{"position": 0, "token": 1, "confidence": "0.5", "topk": [[0, [[1, true], '
+                  '[2, 0.1], [3, 0.1], [4, 0.1], [5, 0.1]]]]}'),
         ("table", "[1]"),
         ("table", TABLE_ROW + '\n{"tokens": 5, "logits": [[0.0, 1.0]]}'),
         ("table", TABLE_ROW + '\n{"tokens": [[1]], "logits": [[0.0, 1.0]]}'),
@@ -340,3 +350,114 @@ def test_run_decode_matches_cli_output(capsys):
     assert code == 0
     assert report_from_lines(out.splitlines()) == report
     assert len(trace.records) == 16
+
+
+# --- fuzzing ---------------------------------------------------------------
+# Every flag value and input file either works (exit 0 and a report that
+# parses back to itself, or a grid for analyze) or fails with exit 1, nothing
+# on stdout and one line on stderr.  Each example starts from valid input and
+# replaces or drops up to two values.  Sizes stay small (gen-length <= 24,
+# vocab <= 40) so a few hundred examples run in seconds.
+
+ODD_TEXT = st.sampled_from(["", ",", " ", "x", "1,,2", "0x1", "1e3", "-", "nan", "inf", "-inf",
+                            "1e999", "0", "-1", "2.5", "41"])
+JSON_ODD = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 41), st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=3), st.just({}),
+)
+DROP = object()
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_outcome(argv, grid=False):
+    code, out, err = _run_quietly(argv)
+    if code == 0:
+        if grid:
+            assert out.startswith("draft_len") and out.endswith("\n"), out
+        else:
+            assert render_report(report_from_lines(out.splitlines())) == out
+    else:
+        assert code == 1 and out == "", (argv, code, out, err)
+        assert len(err.splitlines()) == 1, (argv, err)
+
+
+def _corrupt(data, obj: dict, odd) -> dict:
+    """obj with up to two values replaced by draws from odd or dropped."""
+    obj = dict(obj)
+    for _ in range(data.draw(st.integers(0, 2), label="corruptions")):
+        key = data.draw(st.sampled_from(sorted(obj)), label="key")
+        obj[key] = data.draw(st.one_of(odd, st.just(DROP)), label=key)
+    return {k: v for k, v in obj.items() if v is not DROP}
+
+
+RUN_FIELDS = {
+    "seed": st.integers(0, 9),
+    "vocab_size": st.integers(2, 40),
+    "gen_len": st.integers(1, 24),
+    "block_len": st.integers(1, 24),
+    "draft_len": st.integers(1, 6),
+    "strategy": st.sampled_from(["stepwise", "greedy", "mix_order"]),
+    "topk": st.integers(0, 45),
+    "context_window": st.integers(0, 4),
+    "sharpness": st.sampled_from([6, 0.5, 2.25, 1e-300, 1e300]),
+}
+FLAG_NAMES = {"vocab_size": "vocab-size", "gen_len": "gen-length", "block_len": "block-length",
+              "draft_len": "draft-length", "context_window": "context-window"}
+
+
+@given(
+    data=st.data(),
+    command=st.sampled_from(["decode", "compare"]),
+    run=st.fixed_dictionaries(RUN_FIELDS),
+    prompt=st.sampled_from(["1", "0,1", " 1 , 0 ", "1 0", "", "1,,0", "-1", "40", "1.5"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_fuzz_decode_and_compare_flags(data, command, run, prompt):
+    flags = _corrupt(data, {**run, "prompt": prompt, "backend": "synthetic"},
+                     st.one_of(ODD_TEXT, st.just("table")))
+    _check_outcome([command, *(arg for name, value in flags.items()
+                               for arg in ("--" + FLAG_NAMES.get(name, name), str(value)))])
+
+
+@given(
+    data=st.data(),
+    run=st.fixed_dictionaries(
+        RUN_FIELDS, optional={"prompt": st.lists(st.integers(0, 1), max_size=3),
+                              "backend": st.just("synthetic"), "table_path": st.none()}),
+)
+@settings(max_examples=100, deadline=None)
+def test_fuzz_config_file_fields(tmp_path_factory, data, run):
+    config = _corrupt(data, run, JSON_ODD)
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    _check_outcome(["decode", "--config", str(path)])
+
+
+@given(
+    data=st.data(),
+    run=st.fixed_dictionaries(RUN_FIELDS),
+    draft_lengths=st.one_of(st.sampled_from(["1", "3,4,5", "2 3"]), ODD_TEXT),
+    topk=st.one_of(st.sampled_from(["1", "1,2", "3"]), ODD_TEXT),
+)
+@settings(max_examples=150, deadline=None)
+def test_fuzz_analyze_trace_lines(tmp_path_factory, data, run, draft_lengths, topk):
+    """A recorded stepwise trace with up to two lines corrupted: a field
+    replaced or dropped, or the whole line replaced by another JSON value."""
+    config = RunConfig(**{**run, "strategy": "stepwise", "gen_len": min(run["gen_len"], 8)})
+    lines = [json.loads(line) for line in trace_to_lines(run_decode(config)[1])]
+    for _ in range(data.draw(st.integers(0, 2), label="corrupted lines")):
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        if data.draw(st.booleans(), label="whole line"):
+            lines[i] = data.draw(JSON_ODD, label="line value")
+        elif isinstance(lines[i], dict):
+            lines[i] = _corrupt(data, lines[i], JSON_ODD)
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    path.write_text("\n".join(json.dumps(line) for line in lines) + "\n", encoding="utf-8")
+    _check_outcome(["analyze", "--trace", str(path), "--draft-length", draft_lengths,
+                    "--topk", topk], grid=True)

@@ -15,6 +15,7 @@ from selfspec import (
     place_token,
     schedule_for,
 )
+from selfspec.sequence import masked_in_blocks
 
 from conftest import all_masked_state
 
@@ -106,6 +107,38 @@ def test_current_block_none_when_done():
     for pos in range(4):
         state = place_token(state, pos, 2)
     assert current_block(state) is None
+
+
+# --- masked_in_blocks ------------------------------------------------------
+
+
+@given(
+    data=st.data(),
+    prompt_len=st.integers(0, 4),
+    gen_len=st.integers(1, 30),
+    block_len=st.integers(1, 8),
+)
+@settings(max_examples=200)
+def test_masked_in_blocks_are_the_masked_positions_of_the_scheduled_blocks(
+    data, prompt_len, gen_len, block_len
+):
+    """count=1 gives the masked positions of the current block, count=2 adds
+    the next block's, and both are empty once every position is filled."""
+    state = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, block_len=block_len)
+    region = range(prompt_len, prompt_len + gen_len)
+    for pos in data.draw(st.sets(st.sampled_from(region), max_size=gen_len - 1)):
+        state = place_token(state, pos, 1)
+    block = current_block(state)
+    sched = schedule_for(state)
+
+    def masked(blocks):
+        return [p for b in blocks for p in b if state.is_masked(p)]
+
+    assert masked_in_blocks(state, 1).tolist() == masked(sched[block : block + 1])
+    assert masked_in_blocks(state, 2).tolist() == masked(sched[block : block + 2])
+    for pos in state.masked_positions():
+        state = place_token(state, pos, 1)
+    assert masked_in_blocks(state, 1).size == masked_in_blocks(state, 2).size == 0
 
 
 # --- place_token -----------------------------------------------------------

@@ -19,12 +19,12 @@ from selfspec import (
     kary_tree_size,
     load_table_fixture,
     place_token,
-    schedule_for,
     select_candidates,
     softmax_matrix,
     ssd_decode,
     stepwise_decode,
 )
+from selfspec.sequence import masked_in_blocks
 from selfspec.stepwise import choose_step
 
 from conftest import all_masked_state, check_block_order, replay_dual_rounds
@@ -180,7 +180,8 @@ def test_top_candidate_is_the_stepwise_choice(data, prompt_len, gen_len, block_l
                               min_size=prompt_len + gen_len, max_size=prompt_len + gen_len))
     logits = np.array(rows, dtype=np.float64)
     top = select_candidates(state, drafts_from_logits(state, logits), 1)[0]
-    assert top == choose_step(state, schedule_for(state), softmax_matrix(logits))[:2]
+    positions = masked_in_blocks(state, 1)
+    assert top == choose_step(positions, softmax_matrix(logits)[positions])[:2]
 
 
 def test_select_returns_short_list_when_scope_exhausted():
@@ -455,6 +456,27 @@ def test_ssd_trace_is_acceptance_ordered_and_block_legal():
     check_block_order(res.trace.positions(), 2, 12, 4)
     for rec in res.trace.records:
         assert res.state.tokens[rec.position] == rec.token
+
+
+@pytest.mark.parametrize("shape", ["greedy", "mix_order"])
+def test_ssd_softmaxes_at_most_two_blocks_of_rows(monkeypatch, shape):
+    """Drafting reads the current and the next block and the walk only the
+    current one, so on a sequence six blocks long no softmax in the
+    speculative loop sees more than two blocks of rows."""
+    import selfspec.ssd as ssd_mod
+
+    rows = []
+
+    def counting_softmax(mat):
+        rows.append(len(mat))
+        return softmax_matrix(mat)
+
+    monkeypatch.setattr(ssd_mod, "softmax_matrix", counting_softmax)
+    model = synth(seed=4)
+    state = all_masked_state(prompt_len=2, gen_len=24, block_len=4)
+    res = ssd_decode(model, state, n=3, shape=shape)
+    assert res.rounds and res.state.tokens == stepwise_decode(model, state, topk=0)[0].tokens
+    assert max(rows) <= 2 * 4
 
 
 def test_ssd_rejects_bad_arguments():

@@ -197,3 +197,15 @@ def test_trace_from_garbage_rejected():
         trace_from_lines([header.replace('"topk": 1', '"topk": true')])
     with pytest.raises(ValueError, match="line 2.*position"):
         trace_from_lines([header, (record % "null").replace('"position": 0', '"position": 0.7')])
+    with pytest.raises(ValueError, match="line 2.*confidence"):
+        trace_from_lines([header, (record % "null").replace("0.5", '"0.5"')])
+    with pytest.raises(ValueError, match="line 2.*confidence"):
+        trace_from_lines([header, (record % "null").replace("0.5", "NaN")])
+    with pytest.raises(ValueError, match="line 2.*probability"):
+        trace_from_lines([header, record % "[[0, [[1, true]]]]"])
+    with pytest.raises(ValueError, match="line 2.*probability"):
+        trace_from_lines([header, record % "[[0, [[1, Infinity]]]]"])
+    with pytest.raises(ValueError, match="line 1.*decoder"):
+        trace_from_lines([header.replace('"stepwise"', "5")])
+    with pytest.raises(ValueError, match="line 1.*decoder"):
+        trace_from_lines([header.replace('"stepwise"', '"greedy"')])
