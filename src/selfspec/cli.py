@@ -13,14 +13,9 @@ import sys
 from dataclasses import fields
 
 from .analyzer import format_grid, reduction_grid
-from .models import (
-    FixtureMissError,
-    MaskedModel,
-    SynthModelConfig,
-    SyntheticModel,
-    load_table_fixture,
-)
-from .reporting import Report, RunConfig, _dumps, _result, merge_config, render_report
+from .jsonl import dumps
+from .models import FixtureMissError, MaskedModel, SyntheticModel, load_table_fixture
+from .reporting import Report, RunConfig, _result, merge_config, render_report
 from .sequence import SequenceState, initial_state
 from .ssd import SsdResult, ssd_decode
 from .stepwise import DecodeTrace, read_trace, stepwise_decode, write_trace
@@ -32,14 +27,7 @@ class LosslessnessError(Exception):
 
 def build_model(config: RunConfig) -> MaskedModel:
     if config.backend == "synthetic":
-        return SyntheticModel(
-            SynthModelConfig(
-                seed=config.seed,
-                vocab_size=config.vocab_size,
-                sharpness=config.sharpness,
-                context_window=config.context_window,
-            )
-        )
+        return SyntheticModel(config.synth_config())
     model = load_table_fixture(config.table_path)
     if model.vocab_size != config.vocab_size:
         raise ValueError(
@@ -186,6 +174,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
+    if trace.decoder != "stepwise":
+        raise ValueError(f"analyze needs a stepwise trace, got a {trace.decoder!r} trace")
     draft_lengths = _parse_ints(args.draft_length)
     topk_values = _parse_ints(args.topk)
     grid = reduction_grid(trace, draft_lengths, topk_values)
@@ -202,14 +192,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for strategy in strategies:
         if strategy not in ("greedy", "mix_order"):
             raise ValueError(f"sweep strategies must be speculative, got {strategy!r}")
-    lines = [_dumps({"kind": "sweep", "version": 1})]
-    lines.append(_dumps({"config": config.to_dict()}))
+    lines = [dumps({"kind": "sweep", "version": 1}), dumps({"config": config.to_dict()})]
     for strategy in strategies:
         for n in draft_lengths:
             combo = merge_config(config, {"strategy": strategy, "draft_len": n})
             result = _result(run_compare(combo))
             del result["tokens"], result["disclaimer"]
-            lines.append(_dumps({"sweep": {"strategy": strategy, "draft_len": n, **result}}))
+            lines.append(dumps({"sweep": {"strategy": strategy, "draft_len": n, **result}}))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -22,13 +22,13 @@ so that an argmax over a logit row can never propose the mask itself.
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonl import dumps, integer, number, read_lines
 from .sequence import SequenceState
 
 
@@ -222,31 +222,19 @@ def dump_table_fixture(table: dict[tuple[int, ...], np.ndarray], path: str) -> N
     """Write a fixture file: one JSON record per line, exact float round-trip."""
     with open(path, "w", encoding="utf-8") as fh:
         for tokens, rows in table.items():
-            rec = {
-                "tokens": [int(t) for t in tokens],
-                "logits": np.asarray(rows, dtype=np.float64).tolist(),
-            }
-            fh.write(json.dumps(rec) + "\n")
+            logits = np.asarray(rows, dtype=np.float64).tolist()
+            fh.write(dumps({"tokens": [int(t) for t in tokens], "logits": logits}) + "\n")
+
+
+def _table_record(obj: dict) -> tuple[tuple[int, ...], np.ndarray]:
+    tokens = tuple(integer(t, "token") for t in obj["tokens"])
+    logits = [[number(x, "logit") for x in row] for row in obj["logits"]]
+    return tokens, np.array(logits, dtype=np.float64)
 
 
 def load_table_fixture(path: str) -> TableModel:
-    table: dict[tuple[int, ...], np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError("not a JSON object")
-                table[tuple(rec["tokens"])] = np.asarray(rec["logits"], dtype=np.float64)
-            except KeyError as exc:
-                raise ValueError(
-                    f"table fixture line {lineno} lacks field {exc.args[0]!r}"
-                ) from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"table fixture line {lineno}: {exc}") from None
-    return TableModel(table)
+        return TableModel(dict(read_lines(fh, "table fixture", _table_record)))
 
 
 class RecordingModel(MaskedModel):

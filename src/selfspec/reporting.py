@@ -9,11 +9,11 @@ file diffs stay meaningful.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable
 
+from .jsonl import dumps, integer, number, read_lines
+from .models import SynthModelConfig
 from .ssd import RoundStats
 
 STRATEGIES = ("stepwise", "greedy", "mix_order")
@@ -24,10 +24,6 @@ DISCLAIMER = (
     "a batched forward costs about the same as a single one; no wall-clock "
     "measurement is made"
 )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -50,15 +46,11 @@ class RunConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
             # f.type is the annotation text under `from __future__ import annotations`
-            if f.type == "int" and not _is_int(value):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        sharpness = self.sharpness
-        if isinstance(sharpness, bool) or not isinstance(sharpness, (int, float)):
-            raise ValueError(f"sharpness must be a number, got {sharpness!r}")
-        if not (math.isfinite(sharpness) and sharpness > 0):
-            raise ValueError("sharpness must be finite and positive")
+            if f.type == "int":
+                integer(getattr(self, f.name), f.name)
+        number(self.sharpness, "sharpness")
+        self.synth_config()  # checks vocab_size, sharpness and context_window
         if not (self.table_path is None or isinstance(self.table_path, str)):
             raise ValueError(f"table_path must be a string, got {self.table_path!r}")
         if self.backend not in BACKENDS:
@@ -67,17 +59,17 @@ class RunConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.backend == "table" and not self.table_path:
             raise ValueError("table backend requires table_path")
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
-        if self.context_window < 0:
-            raise ValueError("context_window must be >= 0")
         if self.gen_len < 1 or self.block_len < 1 or self.draft_len < 1:
             raise ValueError("gen_len, block_len and draft_len must be >= 1")
         if self.topk < 0:
             raise ValueError("topk must be >= 0")
         for tok in self.prompt:
-            if not (_is_int(tok) and 0 <= tok < self.vocab_size):
+            if not 0 <= integer(tok, "prompt token") < self.vocab_size:
                 raise ValueError(f"prompt token {tok!r} outside vocabulary")
+
+    def synth_config(self) -> SynthModelConfig:
+        """The synthetic backend's parameters; raises on an out-of-range one."""
+        return SynthModelConfig(self.seed, self.vocab_size, self.sharpness, self.context_window)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -117,7 +109,6 @@ class Report:
     fallback_steps: int = 0
     rounds: tuple[RoundStats, ...] = ()
     compared: bool = False
-    disclaimer: str = DISCLAIMER
 
     @property
     def baseline_forwards(self) -> int:
@@ -133,22 +124,16 @@ class Report:
         return self.baseline_forwards / self.actual_forwards
 
 
-# report kind -> result-line keys of (baseline_forwards, actual_forwards)
+# compared -> result-line keys of (baseline_forwards, actual_forwards)
 _FORWARD_KEYS = {
-    "report": ("baseline_forwards", "actual_forwards"),
-    "compare": ("stepwise_forwards", "ssd_forwards"),
+    False: ("baseline_forwards", "actual_forwards"),
+    True: ("stepwise_forwards", "ssd_forwards"),
 }
-_RESULT_KEYS = {"tokens", "fallback_steps", "reduction", "speedup", "disclaimer"}
-
-
-def _dumps(obj: dict) -> str:
-    """The one JSON-lines serializer for reports and sweep output."""
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "), allow_nan=False)
 
 
 def _result(report: Report) -> dict:
     """The result line's fields; sweep lines reuse all but tokens and disclaimer."""
-    baseline_key, actual_key = _FORWARD_KEYS["compare" if report.compared else "report"]
+    baseline_key, actual_key = _FORWARD_KEYS[report.compared]
     result = {
         "tokens": list(report.tokens),
         baseline_key: report.baseline_forwards,
@@ -156,7 +141,7 @@ def _result(report: Report) -> dict:
         "fallback_steps": report.fallback_steps,
         "reduction": report.reduction,
         "speedup": report.speedup,
-        "disclaimer": report.disclaimer,
+        "disclaimer": DISCLAIMER,
     }
     if report.compared:
         result["identical"] = True
@@ -165,46 +150,41 @@ def _result(report: Report) -> dict:
 
 def report_to_lines(report: Report) -> list[str]:
     lines = [
-        _dumps({"kind": "compare" if report.compared else "report", "version": 1}),
-        _dumps({"config": report.config.to_dict()}),
-        _dumps({"result": _result(report)}),
+        dumps({"kind": "compare" if report.compared else "report", "version": 1}),
+        dumps({"config": report.config.to_dict()}),
+        dumps({"result": _result(report)}),
     ]
-    lines.extend(_dumps({"round": asdict(r)}) for r in report.rounds)
+    lines.extend(dumps({"round": asdict(r)}) for r in report.rounds)
     return lines
 
 
 def report_from_lines(lines: Iterable[str]) -> Report:
-    entries = [json.loads(line) for line in lines if line.strip()]
+    """Read the fields a Report holds, then accept the lines only if the
+    report renders back to exactly them, which checks every derived value
+    (kind, baseline, ratios, disclaimer, the compare mark)."""
+    entries = read_lines(lines, "report", dict)
     try:
-        kind = entries[0]["kind"]
-        if kind not in _FORWARD_KEYS:
-            raise ValueError(f"unknown report kind {kind!r}")
-        config = RunConfig.from_dict(entries[1]["config"])
-        config.validate()
-        result = dict(entries[2]["result"])
-        rounds = tuple(RoundStats(**entry["round"]) for entry in entries[3:])
-    except (IndexError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed report: {exc!r}") from None
-    compared = kind == "compare"
-    if compared and result.pop("identical", None) is not True:
-        raise ValueError("a compare report must carry identical: true")
-    baseline_key, actual_key = _FORWARD_KEYS[kind]
-    expected = _RESULT_KEYS | {baseline_key, actual_key}
-    if set(result) != expected:
-        raise ValueError(
-            f"result fields {sorted(result)} differ from {sorted(expected)}"
+        header, config, result, *rounds = entries
+        compared = header["kind"] == "compare"
+        result, actual_key = result["result"], _FORWARD_KEYS[compared][1]
+        report = Report(
+            config=RunConfig.from_dict(config["config"]),
+            tokens=tuple(integer(t, "token") for t in result["tokens"]),
+            actual_forwards=integer(result[actual_key], actual_key),
+            fallback_steps=integer(result["fallback_steps"], "fallback_steps"),
+            rounds=tuple(
+                RoundStats(**{k: integer(v, k) for k, v in dict(r["round"]).items()})
+                for r in rounds
+            ),
+            compared=compared,
         )
-    if result[baseline_key] != config.gen_len:
-        raise ValueError(f"{baseline_key} differs from gen_len {config.gen_len}")
-    return Report(
-        config=config,
-        tokens=tuple(result["tokens"]),
-        actual_forwards=result[actual_key],
-        fallback_steps=result["fallback_steps"],
-        rounds=rounds,
-        compared=compared,
-        disclaimer=result["disclaimer"],
-    )
+        report.config.validate()
+        rendered = report_to_lines(report)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed report: {exc!r}") from None
+    if rendered != [dumps(entry) for entry in entries]:
+        raise ValueError("inconsistent report: it does not render back to its own lines")
+    return report
 
 
 def render_report(report: Report) -> str:

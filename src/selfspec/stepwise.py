@@ -14,12 +14,11 @@ consumes.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .jsonl import dumps, integer, number, read_lines
 from .models import MaskedModel, softmax_matrix
 from .sequence import SequenceState, current_block, masked_in_blocks, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
@@ -134,45 +133,25 @@ def stepwise_decode(
 
 
 def _record_to_obj(rec: StepRecord) -> dict:
-    topk = None
-    if rec.topk is not None:
-        topk = [[pos, [[t, p] for t, p in cands]] for pos, cands in sorted(rec.topk.items())]
-    return {
-        "position": rec.position,
-        "token": rec.token,
-        "confidence": rec.confidence,
-        "topk": topk,
-    }
-
-
-def _int(value, name: str) -> int:
-    """value itself if it is an int (a bool is not one); ValueError otherwise."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _float(value, name: str) -> float:
-    """value as a float if it is a finite int or float (a bool is not one);
-    ValueError otherwise."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    # tuples serialize as JSON arrays: [[position, [[token, probability], ...]], ...]
+    topk = None if rec.topk is None else sorted(rec.topk.items())
+    return {"position": rec.position, "token": rec.token, "confidence": rec.confidence,
+            "topk": topk}
 
 
 def _record_from_obj(obj: dict) -> StepRecord:
     topk = None
     if obj["topk"] is not None:
         topk = {
-            _int(pos, "topk position"): tuple(
-                (_int(t, "topk token"), _float(p, "topk probability")) for t, p in cands
+            integer(pos, "topk position"): tuple(
+                (integer(t, "topk token"), number(p, "topk probability")) for t, p in cands
             )
             for pos, cands in obj["topk"]
         }
     return StepRecord(
-        position=_int(obj["position"], "position"),
-        token=_int(obj["token"], "token"),
-        confidence=_float(obj["confidence"], "confidence"),
+        position=integer(obj["position"], "position"),
+        token=integer(obj["token"], "token"),
+        confidence=number(obj["confidence"], "confidence"),
         topk=topk,
     )
 
@@ -180,10 +159,7 @@ def _record_from_obj(obj: dict) -> StepRecord:
 def trace_to_lines(trace: DecodeTrace) -> list[str]:
     header = {f.name: getattr(trace, f.name) for f in fields(trace) if f.name != "records"}
     header["kind"] = "trace"
-    lines = [json.dumps(header, sort_keys=True)]
-    for rec in trace.records:
-        lines.append(json.dumps(_record_to_obj(rec), sort_keys=True))
-    return lines
+    return [dumps(header)] + [dumps(_record_to_obj(rec)) for rec in trace.records]
 
 
 def _header_from_obj(obj: dict) -> DecodeTrace:
@@ -192,34 +168,43 @@ def _header_from_obj(obj: dict) -> DecodeTrace:
     if obj["decoder"] not in ("stepwise", "ssd"):
         raise ValueError(f"decoder must be 'stepwise' or 'ssd', got {obj['decoder']!r}")
     ints = ("prompt_len", "gen_len", "block_len", "mask_id", "topk")
-    return DecodeTrace(
-        decoder=obj["decoder"], records=(), **{k: _int(obj[k], k) for k in ints}
+    header = DecodeTrace(
+        decoder=obj["decoder"], records=(), **{k: integer(obj[k], k) for k in ints}
     )
+    if min(header.prompt_len, header.topk) < 0 or min(header.gen_len, header.block_len) < 1:
+        raise ValueError("prompt_len and topk must be >= 0, gen_len and block_len >= 1")
+    return header
 
 
 def trace_from_lines(lines: list[str]) -> DecodeTrace:
-    """Parse a header line and record lines; any malformed line is a
-    ValueError naming its line number."""
-    trace = None
-    records: list[StepRecord] = []
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError("not a JSON object")
-            if trace is None:
-                trace = _header_from_obj(obj)
-            else:
-                records.append(_record_from_obj(obj))
-        except KeyError as exc:
-            raise ValueError(f"trace line {lineno} lacks field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"trace line {lineno}: {exc}") from None
-    if trace is None:
+    """Parse a header line and record lines, replaying the records on the
+    header's block schedule: each must decode a new generation position of
+    the then-current block, and together every generation position.  Only
+    the decoded positions are kept, so the file, not the header, bounds the
+    memory.  Any bad line is a ValueError naming its line number."""
+    header = None
+    decoded: set[int] = set()
+
+    def parse(obj: dict) -> DecodeTrace | StepRecord:
+        nonlocal header
+        if header is None:
+            header = _header_from_obj(obj)
+            return header
+        rec = _record_from_obj(obj)
+        # blocks fill in order, so the decoded count names the current block
+        lo = header.prompt_len + len(decoded) // header.block_len * header.block_len
+        hi = min(lo + header.block_len, header.prompt_len + header.gen_len)
+        if not lo <= rec.position < hi or rec.position in decoded or rec.token == header.mask_id:
+            raise ValueError(f"record ({rec.position}, {rec.token}) does not unmask a current mask")
+        decoded.add(rec.position)
+        return rec
+
+    parsed = read_lines(lines, "trace", parse)
+    if header is None:
         raise ValueError("empty trace")
-    return replace(trace, records=tuple(records))
+    if len(decoded) != header.gen_len:
+        raise ValueError(f"trace decodes {len(decoded)} of {header.gen_len} positions")
+    return replace(parsed[0], records=tuple(parsed[1:]))
 
 
 def write_trace(trace: DecodeTrace, path: str) -> None:

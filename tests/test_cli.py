@@ -12,13 +12,17 @@ from hypothesis import strategies as st
 
 from selfspec import (
     MaskedModel,
+    RecordingModel,
     RunConfig,
     read_trace,
     render_report,
     report_from_lines,
+    ssd_decode,
+    stepwise_decode,
     trace_to_lines,
 )
-from selfspec.cli import LosslessnessError, main, run_compare, run_decode
+from selfspec.cli import LosslessnessError, build_model, main, run_compare, run_decode, start_state
+from selfspec.jsonl import dumps
 
 
 def run_main(capsys, argv):
@@ -201,6 +205,11 @@ def test_usage_errors_exit_one(capsys, argv):
 
 
 TABLE_ROW = '{"tokens": [2, 2], "logits": [[0.0, 1.0], [1.0, 0.0]]}'
+# every state the table argv below decodes through, so only a bad line fails
+TABLE = TABLE_ROW + '\n{"tokens": [1, 2], "logits": [[0.0, 1.0], [1.0, 0.0]]}'
+TRACE_HEADER = ('{"kind": "trace", "decoder": "%s", "prompt_len": %d, "gen_len": %d, '
+                '"block_len": %d, "mask_id": %d, "topk": 5}')
+TRACE_RECORD = '\n{"position": %d, "token": %d, "confidence": 0.5, "topk": [[7, [[1, 0.5]]]]}'
 
 
 @pytest.mark.parametrize(
@@ -227,7 +236,21 @@ TABLE_ROW = '{"tokens": [2, 2], "logits": [[0.0, 1.0], [1.0, 0.0]]}'
                   '"gen_len": 1, "block_len": 1, "mask_id": 9, "topk": 5}\n'
                   '{"position": 0, "token": 1, "confidence": "0.5", "topk": [[0, [[1, true], '
                   '[2, 0.1], [3, 0.1], [4, 0.1], [5, 0.1]]]]}'),
+        # a layout no state has, a position outside it, a position decoded twice
+        ("trace", TRACE_HEADER % ("ssd", -3, -1, 0, -2) + TRACE_RECORD % (99, -5)
+                  + TRACE_RECORD % (7, 1) + TRACE_RECORD % (7, 1)),
+        ("trace", TRACE_HEADER % ("ssd", 7, 1, 1, 2) + TRACE_RECORD % (7, 1)),  # not stepwise
+        # lengths no memory holds: the replay must not allocate from the header
+        ("trace", TRACE_HEADER % ("stepwise", 7, 10**20, 1, 2) + TRACE_RECORD % (7, 1)),
+        ("trace", TRACE_HEADER % ("stepwise", 10**20, 1, 1, 2) + TRACE_RECORD % (7, 1)),
+        ("trace", TRACE_HEADER % ("stepwise", 0, 1, 1, 2)
+                  + TRACE_RECORD.replace("0.5", "9" * 400) % (0, 1)),
         ("table", "[1]"),
+        ("table", TABLE + '\n{"tokens": ["1", 1], "logits": [[0.0, 1.0], [1.0, 0.0]]}'),
+        ("table", TABLE + '\n{"tokens": [1, 1.0], "logits": [[0.0, 1.0], [1.0, 0.0]]}'),
+        ("table", TABLE + '\n{"tokens": [1, 1], "logits": [[0.0, "1.0"], [1.0, 0.0]]}'),
+        ("table", TABLE + '\n{"tokens": [1, 1], "logits": [[0.0, true], [1.0, 0.0]]}'),
+        ("table", TABLE + '\n{"tokens": [1, 1], "logits": [[0.0, %s], [1.0, 0.0]]}' % ("9" * 400)),
         ("table", TABLE_ROW + '\n{"tokens": 5, "logits": [[0.0, 1.0]]}'),
         ("table", TABLE_ROW + '\n{"tokens": [[1]], "logits": [[0.0, 1.0]]}'),
     ],
@@ -375,11 +398,15 @@ def _run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _check_outcome(argv, grid=False):
+def _check_outcome(argv, grid=False, sweep=False):
     code, out, err = _run_quietly(argv)
     if code == 0:
         if grid:
             assert out.startswith("draft_len") and out.endswith("\n"), out
+        elif sweep:
+            lines = out.splitlines()
+            assert [dumps(json.loads(line)) for line in lines] == lines, out
+            assert json.loads(lines[0])["kind"] == "sweep" and len(lines) > 2, out
         else:
             assert render_report(report_from_lines(out.splitlines())) == out
     else:
@@ -411,6 +438,11 @@ FLAG_NAMES = {"vocab_size": "vocab-size", "gen_len": "gen-length", "block_len": 
               "draft_len": "draft-length", "context_window": "context-window"}
 
 
+def _argv(flags: dict) -> list[str]:
+    return [arg for name, value in flags.items()
+            for arg in ("--" + FLAG_NAMES.get(name, name), str(value))]
+
+
 @given(
     data=st.data(),
     command=st.sampled_from(["decode", "compare"]),
@@ -421,8 +453,68 @@ FLAG_NAMES = {"vocab_size": "vocab-size", "gen_len": "gen-length", "block_len": 
 def test_fuzz_decode_and_compare_flags(data, command, run, prompt):
     flags = _corrupt(data, {**run, "prompt": prompt, "backend": "synthetic"},
                      st.one_of(ODD_TEXT, st.just("table")))
-    _check_outcome([command, *(arg for name, value in flags.items()
-                               for arg in ("--" + FLAG_NAMES.get(name, name), str(value)))])
+    _check_outcome([command, *_argv(flags)])
+
+
+@given(
+    data=st.data(),
+    run=st.fixed_dictionaries({k: v for k, v in RUN_FIELDS.items() if k != "strategy"}),
+    draft_lengths=st.sampled_from(["1", "3,4", "2 5"]),
+    strategies=st.sampled_from(["greedy", "mix_order", "greedy,mix_order", "mix_order,"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_fuzz_sweep_flags(data, run, draft_lengths, strategies):
+    flags = _corrupt(data, {**run, "draft-lengths": draft_lengths, "strategies": strategies},
+                     st.one_of(ODD_TEXT, st.sampled_from(["stepwise", "greedy,,x"])))
+    _check_outcome(["sweep", *_argv(flags)], sweep=True)
+
+
+@given(
+    content=st.one_of(st.text(alphabet="0123456789 ,\n\t-+_.x", max_size=12),
+                      st.binary(max_size=6)),
+    run=st.fixed_dictionaries(RUN_FIELDS),
+)
+@settings(max_examples=100, deadline=None)
+def test_fuzz_prompt_file_contents(tmp_path_factory, content, run):
+    path = tmp_path_factory.mktemp("prompt") / "prompt.txt"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    _check_outcome(["decode", "--prompt-file", str(path), *_argv(run)])
+
+
+def _corrupt_nested(data, value):
+    """value with one element at some depth (the value itself, a field, a
+    list item, a list item's item) replaced by a draw from JSON_ODD."""
+    if isinstance(value, (dict, list)) and value and data.draw(st.integers(0, 3), label="deeper"):
+        key = data.draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                                        else range(len(value))), label="key")
+        value = value.copy()
+        value[key] = _corrupt_nested(data, value[key])
+        return value
+    return data.draw(JSON_ODD, label="value")
+
+
+@given(
+    data=st.data(),
+    run=st.fixed_dictionaries({**RUN_FIELDS, "vocab_size": st.integers(2, 6),
+                               "gen_len": st.integers(1, 6)}),
+)
+@settings(max_examples=100, deadline=None)
+def test_fuzz_table_fixture_lines(tmp_path_factory, data, run):
+    """A fixture recorded from a stepwise and a greedy decode with up to two
+    values corrupted: a token, a logit, a row, a field or a whole line."""
+    config = RunConfig(**run)
+    model = RecordingModel(build_model(config))
+    stepwise_decode(model, start_state(config), topk=0)
+    ssd_decode(model, start_state(config), n=config.draft_len, shape="greedy")
+    path = tmp_path_factory.mktemp("table") / "table.jsonl"
+    model.dump(str(path))
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for _ in range(data.draw(st.integers(0, 2), label="corruptions")):
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        lines[i] = _corrupt_nested(data, lines[i])
+    path.write_text("\n".join(json.dumps(line) for line in lines) + "\n", encoding="utf-8")
+    run = {**run, "backend": "table", "table": str(path)}
+    _check_outcome(["decode", *_argv(run)])
 
 
 @given(

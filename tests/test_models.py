@@ -227,6 +227,7 @@ def test_table_fixture_round_trip_exact(tmp_path):
     }
     path = tmp_path / "table.jsonl"
     dump_table_fixture(table, str(path))
+    assert path.read_text().startswith('{"logits": ')  # sorted keys
     loaded = load_table_fixture(str(path))
     assert len(loaded) == len(table)
     for key, rows in table.items():
@@ -236,7 +237,13 @@ def test_table_fixture_round_trip_exact(tmp_path):
         load_table_fixture(str(path))
     row = '{"tokens": [1], "logits": [[0.0, 1.0]]}\n'
     for bad in ("[1]", '{"tokens": 5, "logits": [[0.0, 1.0]]}',
-                '{"tokens": [[1]], "logits": [[0.0, 1.0]]}'):
+                '{"tokens": [[1]], "logits": [[0.0, 1.0]]}',
+                '{"tokens": ["2"], "logits": [[0.0, 1.0]]}',
+                '{"tokens": [2.5], "logits": [[0.0, 1.0]]}',
+                '{"tokens": [2], "logits": [[0.0, "1.0"]]}',
+                '{"tokens": [2], "logits": [[0.0, true]]}',
+                '{"tokens": ["0", 4.9], "logits": [[0, 0, 0, 0], ["2.5", true, 0, 0]]}',
+                '{"tokens": [2], "logits": [[0.0, %s]]}' % ("9" * 400)):  # no float holds it
         path.write_text(row + "\n" + bad + "\n")
         with pytest.raises(ValueError, match="line 3"):
             load_table_fixture(str(path))

@@ -174,6 +174,16 @@ INCONSISTENT_EDITS = [
     (False, 3, lambda o: o["round"].update(depth=2)),
     (False, 3, lambda o: o.update(round=[0, 4, 4, 2])),
     (False, 3, lambda o: o.update(rounds=o.pop("round"))),
+    # derived values and constants that disagree with the fields they follow from
+    (False, 2, lambda o: o["result"].update(reduction=0.5)),
+    (True, 2, lambda o: o["result"].update(speedup=3.0)),
+    (False, 2, lambda o: o["result"].update(disclaimer="wall-clock measured")),
+    (False, 0, lambda o: o.update(version=2)),
+    (False, 2, lambda o: o["result"].update(actual_forwards=0)),  # no speedup exists
+    # fields of the wrong type
+    (False, 2, lambda o: o["result"].update(tokens="abc")),
+    (False, 2, lambda o: o["result"]["tokens"].__setitem__(0, "1")),
+    (False, 3, lambda o: o["round"].update(accepted="4")),
 ]
 
 

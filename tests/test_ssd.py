@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from selfspec import (
     Drafts,
+    MaskedModel,
     SynthModelConfig,
     SyntheticModel,
     TableModel,
@@ -519,6 +520,48 @@ def test_losslessness_property(seed, prompt_len, gen_len, block_len, n, shape):
     expected_batch = n + 1 if shape == "greedy" else max(2 * n, 2)
     assert all(r.accepted <= n + 1 for r in res.rounds)
     assert all(r.batch_size == expected_batch for r in res.rounds)
+
+
+class _CountingModel(MaskedModel):
+    """Passes forwards through to a model, counting calls and rows."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = self.rows = 0
+
+    @property
+    def vocab_size(self):
+        return self._inner.vocab_size
+
+    def forward(self, batch):
+        self.calls += 1
+        self.rows += len(batch)
+        return self._inner.forward(batch)
+
+
+@given(
+    seed=st.integers(0, 40),
+    prompt_len=st.integers(0, 4),
+    gen_len=st.integers(1, 20),
+    block_len=st.integers(1, 8),
+    n=st.integers(1, 5),
+    shape=st.sampled_from(["greedy", "mix_order"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_forward_count_law_at_the_model(seed, prompt_len, gen_len, block_len, n, shape):
+    """What the model sees is what the result reports, and speculation never
+    costs more than one forward beyond stepwise; once a round accepts two
+    tokens it costs no more than stepwise."""
+    model = _CountingModel(synth(seed=seed, vocab=12))
+    state = all_masked_state(
+        prompt_len=prompt_len, gen_len=gen_len, vocab=12, block_len=block_len
+    )
+    res = ssd_decode(model, state, n=n, shape=shape)
+    assert model.calls == res.forward_count
+    assert model.rows == 1 + sum(r.batch_size for r in res.rounds) + res.fallback_steps
+    assert model.calls <= gen_len + 1
+    if any(r.accepted >= 2 for r in res.rounds):
+        assert model.calls <= gen_len
 
 
 @given(seed=st.integers(0, 30), n=st.integers(2, 5))

@@ -1,5 +1,7 @@
 """Stepwise baseline decoder: the oracle that defines losslessness."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,3 +211,28 @@ def test_trace_from_garbage_rejected():
         trace_from_lines([header.replace('"stepwise"', "5")])
     with pytest.raises(ValueError, match="line 1.*decoder"):
         trace_from_lines([header.replace('"stepwise"', '"greedy"')])
+    # the header must describe a start state, and the records must replay on it
+    for field, bad in (("prompt_len", -3), ("gen_len", -1), ("block_len", 0), ("topk", -1)):
+        with pytest.raises(ValueError, match=f"line 1.*{field}"):
+            trace_from_lines([json.dumps({**json.loads(header), field: bad}), record % "null"])
+    two = header.replace('"gen_len": 1', '"gen_len": 2')
+    one_of_two = (record % "null").replace('"position": 0', '"position": 1')
+    assert trace_from_lines([two, record % "null", one_of_two]).positions() == (0, 1)
+    for lines, line in (
+        ([header, (record % "null").replace('"position": 0', '"position": 99')], 2),
+        ([header, (record % "null").replace('"position": 0', '"position": -1')], 2),
+        ([two, record % "null", record % "null"], 3),  # position 0 twice
+        ([two, one_of_two], 2),  # block 1 while block 0 is still masked
+        ([header, (record % "null").replace('"token": 1', '"token": 2')], 2),  # the mask id
+        ([header.replace('"prompt_len": 0', '"prompt_len": 1'), record % "null"], 2),  # prompt
+    ):
+        with pytest.raises(ValueError, match=f"line {line}"):
+            trace_from_lines(lines)
+    with pytest.raises(ValueError, match="decodes 1 of 2 positions"):
+        trace_from_lines([two, record % "null"])
+    # the replay is bounded by the records, not by the header's lengths
+    with pytest.raises(ValueError, match=f"decodes 1 of {10**20} positions"):
+        trace_from_lines([header.replace('"gen_len": 1', f'"gen_len": {10**20}'), record % "null"])
+    with pytest.raises(ValueError, match="line 2"):
+        trace_from_lines([header.replace('"prompt_len": 0', f'"prompt_len": {10**20}'),
+                          record % "null"])
