@@ -1,9 +1,9 @@
 """Masked-model forward contract and two deterministic desk-scale backends.
 
-A masked model maps a batch of sequence states to per-position logit rows of
-length ``vocab_size``.  Every backend here is a pure function of its input:
-the same batch always yields bit-identical logits, which is what makes the
-stepwise oracle and the speculative decoder exactly comparable.
+A masked model maps a batch of (sequence state, row window) pairs to logit
+rows of length ``vocab_size``.  Every backend here is a pure function of its
+input: the same batch always yields bit-identical logits, which is what makes
+the stepwise oracle and the speculative decoder exactly comparable.
 
 Backends:
 
@@ -41,8 +41,9 @@ class MaskedModel(ABC):
 
     Implementations must be deterministic (identical batch, bit-identical
     logits), per-sequence independent (a batch equals the concatenation of
-    singleton batches), and immutable after construction so concurrent
-    forward calls are safe.
+    singleton batches), window-exact (the rows of ``range(a, b)`` equal rows
+    a..b-1 of the full ``range(L)`` call, bit for bit), and immutable after
+    construction so concurrent forward calls are safe.
     """
 
     @property
@@ -50,9 +51,19 @@ class MaskedModel(ABC):
     def vocab_size(self) -> int: ...
 
     @abstractmethod
-    def forward(self, batch: list[SequenceState]) -> tuple[np.ndarray, ...]:
-        """One (sequence length, vocab_size) float64 logit matrix per state,
-        in input order."""
+    def forward(self, batch: list[tuple[SequenceState, range]]) -> tuple[np.ndarray, ...]:
+        """One (len(rows), vocab_size) float64 logit matrix per (state, rows)
+        pair, in input order; rows is a non-empty range inside [0, L)."""
+
+
+def check_windows(batch: list[tuple[SequenceState, range]]) -> None:
+    """ValueError unless every rows is a non-empty unit-step range in [0, L)."""
+    if not batch:
+        raise ValueError("forward requires a non-empty batch")
+    for state, rows in batch:
+        if not (isinstance(rows, range) and rows.step == 1
+                and 0 <= rows.start < rows.stop <= len(state.tokens)):
+            raise ValueError(f"rows {rows!r} is not a window inside [0, {len(state.tokens)})")
 
 
 def softmax_matrix(mat: np.ndarray) -> np.ndarray:
@@ -105,8 +116,8 @@ class SynthModelConfig:
     context_window: int = 2
 
     def __post_init__(self) -> None:
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
+        if not 2 <= self.vocab_size <= 2**20:  # the mask id fits int64, V-wide rows fit memory
+            raise ValueError("vocab_size must be in [2, 2**20]")
         if not (math.isfinite(self.sharpness) and self.sharpness > 0):
             raise ValueError("sharpness must be finite and positive")
         if self.context_window < 0:
@@ -131,23 +142,24 @@ class SyntheticModel(MaskedModel):
     def vocab_size(self) -> int:
         return self._config.vocab_size
 
-    def forward(self, batch: list[SequenceState]) -> tuple[np.ndarray, ...]:
-        if not batch:
-            raise ValueError("forward requires a non-empty batch")
-        return tuple(self._sequence_logits(s) for s in batch)
+    def forward(self, batch: list[tuple[SequenceState, range]]) -> tuple[np.ndarray, ...]:
+        check_windows(batch)
+        return tuple(self._window_logits(state, rows) for state, rows in batch)
 
-    def _sequence_logits(self, state: SequenceState) -> np.ndarray:
+    def _window_logits(self, state: SequenceState, rows: range) -> np.ndarray:
         cfg = self._config
-        n = len(state.tokens)
-        toks = np.asarray(state.tokens, dtype=np.int64)
+        start, stop = rows.start, rows.stop
+        n = stop - start
 
         # Commutative accumulation over in-window (offset, token) pairs:
         # padding with the mask id makes out-of-range neighbours vanish.
         acc = np.zeros(n, dtype=np.uint64)
         cw = cfg.context_window
         if cw > 0:
+            # padded[j] holds position start - cw + j
             padded = np.full(n + 2 * cw, state.mask_id, dtype=np.int64)
-            padded[cw : cw + n] = toks
+            lo, hi = max(start - cw, 0), min(stop + cw, len(state.tokens))
+            padded[lo - start + cw : hi - start + cw] = state.tokens[lo:hi]
             for delta in range(-cw, cw + 1):
                 if delta == 0:
                     continue
@@ -157,7 +169,7 @@ class SyntheticModel(MaskedModel):
                 pair = _mix64((neigh.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN) + delta_term)
                 acc += np.where(nonmask, pair, np.uint64(0))
 
-        pos = np.arange(1, n + 1, dtype=np.uint64)
+        pos = np.arange(start + 1, stop + 1, dtype=np.uint64)
         row_seed = _mix64(_mix64(pos * np.uint64(_GOLDEN) + self._seed_base) ^ acc)
 
         cols = np.arange(1, cfg.vocab_size + 1, dtype=np.uint64) * np.uint64(_PAIR_C)
@@ -176,8 +188,8 @@ class TableModel(MaskedModel):
 
     The fingerprint is the exact token tuple; querying a state the table
     does not list raises FixtureMissError, which indicates a broken test
-    fixture rather than a runtime condition.  Rows are stored read-only and
-    served without copying.
+    fixture rather than a runtime condition.  Rows are stored read-only, one
+    full (L, vocab) matrix per state, and windows are served as views.
     """
 
     def __init__(self, table: dict[tuple[int, ...], np.ndarray]):
@@ -212,10 +224,9 @@ class TableModel(MaskedModel):
             raise FixtureMissError(f"no fixture rows for state {tokens}")
         return self._table[tokens]
 
-    def forward(self, batch: list[SequenceState]) -> tuple[np.ndarray, ...]:
-        if not batch:
-            raise ValueError("forward requires a non-empty batch")
-        return tuple(self.rows_for(state.tokens) for state in batch)
+    def forward(self, batch: list[tuple[SequenceState, range]]) -> tuple[np.ndarray, ...]:
+        check_windows(batch)
+        return tuple(self.rows_for(state.tokens)[rows.start : rows.stop] for state, rows in batch)
 
 
 def dump_table_fixture(table: dict[tuple[int, ...], np.ndarray], path: str) -> None:
@@ -238,7 +249,8 @@ def load_table_fixture(path: str) -> TableModel:
 
 
 class RecordingModel(MaskedModel):
-    """Wraps a model and records every (state -> rows) pair it serves.
+    """Wraps a model and records every (state -> rows) pair it serves; the
+    inner model is always asked for every row, so fixtures stay full-shape.
 
     Running a decode through a RecordingModel and dumping the recording
     produces a table fixture that replays that decode exactly.  Repeat
@@ -255,12 +267,13 @@ class RecordingModel(MaskedModel):
     def vocab_size(self) -> int:
         return self._inner.vocab_size
 
-    def forward(self, batch: list[SequenceState]) -> tuple[np.ndarray, ...]:
-        missing = [s for s in batch if s.tokens not in self.recorded]
+    def forward(self, batch: list[tuple[SequenceState, range]]) -> tuple[np.ndarray, ...]:
+        check_windows(batch)
+        missing = [(s, range(len(s.tokens))) for s, _ in batch if s.tokens not in self.recorded]
         if missing:
-            for state, rows in zip(missing, self._inner.forward(missing)):
+            for (state, _), rows in zip(missing, self._inner.forward(missing)):
                 self.recorded.setdefault(state.tokens, _read_only(rows))
-        return tuple(self.recorded[s.tokens] for s in batch)
+        return tuple(self.recorded[s.tokens][rows.start : rows.stop] for s, rows in batch)
 
     def dump(self, path: str) -> None:
         dump_table_fixture(self.recorded, path)

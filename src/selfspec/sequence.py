@@ -115,13 +115,16 @@ def current_block(state: SequenceState) -> int | None:
     return (first - state.prompt_len) // state.block_len
 
 
-def masked_in_blocks(state: SequenceState, count: int) -> np.ndarray:
-    """The masked positions of the current block and the next count - 1
-    blocks, ascending; empty once nothing is masked."""
-    # With nothing masked any window is empty, so block 0's will do.
+def block_rows(state: SequenceState, count: int) -> range:
+    """Rows of the current block and the next count - 1, clipped at L."""
     start = state.prompt_len + (current_block(state) or 0) * state.block_len
-    window = enumerate(state.tokens[start : start + count * state.block_len], start)
-    return np.array([p for p, t in window if t == state.mask_id], dtype=np.intp)
+    return range(start, min(start + count * state.block_len, len(state.tokens)))
+
+
+def masked_in_blocks(state: SequenceState, count: int) -> np.ndarray:
+    """The masked positions of block_rows(state, count), ascending."""
+    rows = block_rows(state, count)
+    return np.array([p for p in rows if state.tokens[p] == state.mask_id], dtype=np.intp)
 
 
 def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:

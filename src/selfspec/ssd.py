@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import MaskedModel, softmax_matrix
-from .sequence import SequenceState, current_block, masked_in_blocks, place_token
+from .sequence import SequenceState, block_rows, current_block, masked_in_blocks, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
 from .stepwise import DecodeTrace, StepRecord, choose_step, decode_remaining
 
@@ -58,10 +58,11 @@ class Drafts:
 
 
 def drafts_from_logits(
-    state: SequenceState, logits: np.ndarray, k: int = 1
+    state: SequenceState, logits: np.ndarray, k: int = 1, start: int = 0
 ) -> Drafts:
     """Extract top-k drafts for the masked positions of state's current and
-    next block from a logit matrix; no other position can be a candidate.
+    next block from a logit matrix whose row i belongs to position
+    start + i; no other position can be a candidate.
 
     Used both for fresh drafting (logits from a forward on state itself) and
     for the free refresh after a verification round, where the logits come
@@ -73,7 +74,9 @@ def drafts_from_logits(
     positions = masked_in_blocks(state, 2)
     if positions.size == 0:
         raise ValueError("state has no masked positions to draft for")
-    rows = softmax_matrix(np.asarray(logits, dtype=np.float64)[positions])
+    if positions[0] < start or positions[-1] >= start + len(logits):
+        raise ValueError("logits do not cover the current and next block")
+    rows = softmax_matrix(np.asarray(logits, dtype=np.float64)[positions - start])
     if k == 1:
         tokens = np.argmax(rows, axis=1)[:, None]  # first max, lowest-id tie-break
     else:
@@ -201,7 +204,8 @@ class VerifyResult:
     """Outcome of one verification round."""
 
     accepted: tuple[tuple[int, int, float], ...]  # (position, token, confidence)
-    leaf_logits: np.ndarray  # logits of the deepest validated node
+    leaf_logits: np.ndarray  # logits of the deepest validated node's rows
+    leaf_rows: range
     leaf_index: int
 
 
@@ -215,14 +219,18 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
     at least one token.
     """
     nodes = tree.nodes
-    batch = model.forward([node.state for node in nodes])
+    # A node's walk reads its current block; once the bonus token completes
+    # it, the draft refresh reads the next two from the leaf's rows.
+    windows = [block_rows(node.state, 3) for node in nodes]
+    batch = model.forward(list(zip((node.state for node in nodes), windows)))
 
     accepted: list[tuple[int, int, float]] = []
     cur = 0
     # Stop once every position is decoded: nothing further to choose.
     while current_block(nodes[cur].state) is not None:
         positions = masked_in_blocks(nodes[cur].state, 1)
-        pos, tok, conf = choose_step(positions, softmax_matrix(batch[cur][positions]))
+        probs = softmax_matrix(batch[cur][positions - windows[cur].start])
+        pos, tok, conf = choose_step(positions, probs)
         accepted.append((pos, tok, conf))
         matched = next(
             (i for i, node in enumerate(nodes)
@@ -232,9 +240,7 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
         if matched is None:
             break
         cur = matched
-    return VerifyResult(
-        accepted=tuple(accepted), leaf_logits=batch[cur], leaf_index=cur
-    )
+    return VerifyResult(tuple(accepted), batch[cur], windows[cur], cur)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +287,8 @@ def ssd_decode(
         raise ValueError("state has no masked positions to decode")
 
     start = state
-    drafts = drafts_from_logits(state, model.forward([state])[0])
+    rows = block_rows(state, 2)
+    drafts = drafts_from_logits(state, model.forward([(state, rows)])[0], start=rows.start)
     forwards = 1
     records: list[StepRecord] = []
     rounds: list[RoundStats] = []
@@ -310,7 +317,7 @@ def ssd_decode(
             )
         )
         if current_block(state) is not None:
-            drafts = drafts_from_logits(state, result.leaf_logits)
+            drafts = drafts_from_logits(state, result.leaf_logits, start=result.leaf_rows.start)
 
     trace = DecodeTrace(
         decoder="ssd",

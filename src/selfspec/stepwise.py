@@ -20,7 +20,7 @@ import numpy as np
 
 from .jsonl import dumps, integer, number, read_lines
 from .models import MaskedModel, softmax_matrix
-from .sequence import SequenceState, current_block, masked_in_blocks, place_token
+from .sequence import SequenceState, block_rows, current_block, masked_in_blocks, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
 
 Candidates = tuple[tuple[int, float], ...]
@@ -72,11 +72,11 @@ def choose_step(positions: np.ndarray, probs: np.ndarray) -> tuple[int, int, flo
 
 
 def candidate_snapshot(
-    state: SequenceState, probs: np.ndarray, k: int
+    state: SequenceState, probs: np.ndarray, k: int, start: int = 0
 ) -> dict[int, Candidates]:
-    """Top-k (token, probability) pairs at every masked position."""
+    """Top-k (token, probability) pairs at every masked position; probs[0] is row start."""
     masked = state.masked_positions()
-    sub = probs[list(masked)]
+    sub = probs[[pos - start for pos in masked]]
     order = np.argsort(-sub, axis=1, kind="stable")[:, :k]
     snapshot: dict[int, Candidates] = {}
     for row, pos in enumerate(masked):
@@ -88,14 +88,16 @@ def candidate_snapshot(
 def decode_remaining(
     model: MaskedModel, state: SequenceState, topk: int
 ) -> tuple[SequenceState, list[StepRecord]]:
-    """Run stepwise steps (one forward each) until no masks remain."""
+    """Run stepwise steps (one forward each) until no masks remain; each
+    scores the current block, or all rows from its start for a snapshot."""
     records: list[StepRecord] = []
     while current_block(state) is not None:
-        logits = model.forward([state])[0]
-        probs = softmax_matrix(logits)
-        snapshot = candidate_snapshot(state, probs, topk) if topk > 0 else None
+        rows = block_rows(state, 1)
+        rows = range(rows.start, len(state.tokens) if topk > 0 else rows.stop)
+        probs = softmax_matrix(model.forward([(state, rows)])[0])
+        snapshot = candidate_snapshot(state, probs, topk, rows.start) if topk > 0 else None
         positions = masked_in_blocks(state, 1)
-        pos, tok, conf = choose_step(positions, probs[positions])
+        pos, tok, conf = choose_step(positions, probs[positions - rows.start])
         state = place_token(state, pos, tok)
         records.append(
             StepRecord(position=pos, token=tok, confidence=conf, topk=snapshot)

@@ -34,11 +34,21 @@ def all_masked_state(prompt_len=0, gen_len=8, vocab=16, block_len=8):
     )
 
 
+def full_window(*states):
+    """(state, every row) pairs: a forward batch that scores whole states."""
+    return [(state, range(len(state.tokens))) for state in states]
+
+
+def full_logits(model, state):
+    """The full (L, vocab) logit matrix of one state."""
+    return model.forward(full_window(state))[0]
+
+
 def replay_dual_rounds(model, state, n):
     """Walk the greedy-strategy decode trajectory; at every full verification
     round build both tree shapes on identical (state, drafts) inputs and
     record the pair of accepted counts."""
-    drafts = drafts_from_logits(state, model.forward([state])[0])
+    drafts = drafts_from_logits(state, full_logits(model, state))
     rounds = []
     while current_block(state) is not None:
         cands = select_candidates(state, drafts, n)
@@ -50,7 +60,7 @@ def replay_dual_rounds(model, state, n):
         for pos, tok, _ in g.accepted:
             state = place_token(state, pos, tok)
         if current_block(state) is not None:
-            drafts = drafts_from_logits(state, g.leaf_logits)
+            drafts = drafts_from_logits(state, g.leaf_logits, start=g.leaf_rows.start)
     return rounds
 
 

@@ -27,7 +27,7 @@ from selfspec import (
 )
 from selfspec.cli import main
 
-from conftest import FIXTURES, check_block_order, replay_dual_rounds
+from conftest import FIXTURES, check_block_order, full_logits, replay_dual_rounds
 
 GRID_SEEDS = tuple(range(19))  # prompt lengths seed % 17 cover 0..16
 GRID_VOCAB = 48
@@ -120,7 +120,7 @@ def test_criterion_2_tree_size_laws():
     k-ary sizes equal the geometric sum for k in {1,2,3}, N in 1..6."""
     model = SyntheticModel(SynthModelConfig(seed=2, vocab_size=16, context_window=2))
     state = initial_state(prompt=(), gen_len=12, mask_id=16, block_len=12)
-    drafts = drafts_from_logits(state, model.forward([state])[0], 3)
+    drafts = drafts_from_logits(state, full_logits(model, state), 3)
 
     for n, greedy_size, mix_size in ((3, 4, 6), (4, 5, 8), (5, 6, 10)):
         cands = select_candidates(state, drafts, n)

@@ -196,6 +196,9 @@ def test_sweep_rejects_stepwise_strategy(capsys):
         ["decode", "--prompt", "1,,2"],
         ["decode", "--prompt", ",,,"],
         ["analyze", "--trace", "x", "--bogus"],
+        # vocabularies no int64 token array or memory holds
+        ["decode", "--vocab-size", "100000000000000000000"],
+        ["decode", "--vocab-size", "100000000000"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -223,6 +226,7 @@ TRACE_RECORD = '\n{"position": %d, "token": %d, "confidence": 0.5, "topk": [[7, 
         ("config", '{"sharpness": "x"}'),
         ("config", '{"table_path": 5, "backend": "table"}'),
         ("config", "[1]"),
+        ("config", '{"vocab_size": %s}' % ("9" * 400)),
         ("trace", "[1]"),
         ("trace", '{"kind": "trace", "decoder": "stepwise", "prompt_len": 0, '
                   '"gen_len": 1, "block_len": 1, "mask_id": 2, "topk": 1}\n[1]'),
@@ -290,8 +294,8 @@ class _TwoFacedModel(MaskedModel):
     def forward(self, batch):
         self._calls += 1
         rows = []
-        for state in batch:
-            mat = np.zeros((len(state.tokens), self._vocab))
+        for _, window in batch:
+            mat = np.zeros((len(window), self._vocab))
             tok = 1 if self._calls == 1 else 2
             mat[:, tok] = 5.0
             rows.append(mat)

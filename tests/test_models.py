@@ -22,7 +22,7 @@ from selfspec import (
 )
 from selfspec.stepwise import candidate_snapshot
 
-from conftest import all_masked_state
+from conftest import all_masked_state, full_logits, full_window
 
 
 # --- top-1 prediction rule --------------------------------------------------
@@ -101,7 +101,7 @@ def synth(seed=0, vocab=16, sharpness=6.0, cw=2) -> SyntheticModel:
 def test_forward_row_shape_is_vocab_size():
     model = synth(vocab=11)
     state = all_masked_state(gen_len=5, vocab=11)
-    rows = model.forward([state])[0]
+    rows = full_logits(model, state)
     assert rows.shape == (len(state.tokens), 11)
     assert np.isfinite(rows).all()
 
@@ -114,9 +114,9 @@ def test_forward_rejects_empty_batch():
 def test_forward_deterministic_100_repeats():
     model = synth(seed=9)
     state = all_masked_state(prompt_len=3, gen_len=6)
-    first = model.forward([state])[0]
+    first = full_logits(model, state)
     for _ in range(100):
-        again = model.forward([state])[0]
+        again = full_logits(model, state)
         assert np.array_equal(first, again)
 
 
@@ -124,11 +124,11 @@ def test_forward_batch_matches_singles_and_permutation():
     model = synth(seed=4)
     base = all_masked_state(prompt_len=2, gen_len=6)
     states = [base, place_token(base, 3, 5), place_token(base, 2, 1)]
-    batch = model.forward(states)
-    singles = [model.forward([s])[0] for s in states]
+    batch = model.forward(full_window(*states))
+    singles = [full_logits(model, s) for s in states]
     for got, want in zip(batch, singles):
         assert np.array_equal(got, want)
-    permuted = model.forward(states[::-1])
+    permuted = model.forward(full_window(*states[::-1]))
     for got, want in zip(permuted, singles[::-1]):
         assert np.array_equal(got, want)
 
@@ -136,7 +136,7 @@ def test_forward_batch_matches_singles_and_permutation():
 def test_same_state_twice_in_one_batch():
     model = synth(seed=2)
     state = all_masked_state(gen_len=4)
-    out = model.forward([state, state])
+    out = model.forward(full_window(state, state))
     assert np.array_equal(out[0], out[1])
 
 
@@ -144,8 +144,8 @@ def test_context_free_model_ignores_placements():
     """context_window=0: logits at one position never react to another."""
     model = synth(seed=7, cw=0)
     state = all_masked_state(gen_len=8)
-    before = model.forward([state])[0]
-    after = model.forward([place_token(state, 2, 9)])[0]
+    before = full_logits(model, state)
+    after = full_logits(model, place_token(state, 2, 9))
     untouched = [i for i in range(8) if i != 2]
     assert np.array_equal(before[untouched], after[untouched])
 
@@ -153,8 +153,8 @@ def test_context_free_model_ignores_placements():
 def test_in_window_placement_changes_logits():
     model = synth(seed=7, cw=2)
     state = all_masked_state(gen_len=8)
-    before = model.forward([state])[0]
-    after = model.forward([place_token(state, 2, 9)])[0]
+    before = full_logits(model, state)
+    after = full_logits(model, place_token(state, 2, 9))
     assert not np.array_equal(before[3], after[3])  # distance 1, in window
     assert np.array_equal(before[6], after[6])  # distance 4, out of window
 
@@ -163,15 +163,15 @@ def test_different_seeds_differ_on_32_position_probe():
     """Frozen probe: seeds 0 and 1 disagree on argmax somewhere in 32
     all-masked positions."""
     state = all_masked_state(gen_len=32)
-    a = np.argmax(synth(seed=0).forward([state])[0], axis=1)
-    b = np.argmax(synth(seed=1).forward([state])[0], axis=1)
+    a = np.argmax(full_logits(synth(seed=0), state), axis=1)
+    b = np.argmax(full_logits(synth(seed=1), state), axis=1)
     assert (a != b).any()
 
 
 def test_sharpness_saturates_confidence():
     model = synth(seed=0, vocab=16, sharpness=10000.0)
     state = all_masked_state(gen_len=8)
-    probs = softmax_matrix(model.forward([state])[0])
+    probs = softmax_matrix(full_logits(model, state))
     assert (probs.max(axis=1) > 0.999).all()
 
 
@@ -187,6 +187,61 @@ def test_config_validation():
         SynthModelConfig(seed=0, vocab_size=8, context_window=-1)
 
 
+# --- row windows -----------------------------------------------------------
+
+
+def window_backends(seed, vocab, cw, state):
+    """The three backends, each able to score state: the table replays the
+    synthetic model's full rows."""
+    model = synth(seed=seed, vocab=vocab, cw=cw)
+    return {
+        "synthetic": model,
+        "table": TableModel({state.tokens: full_logits(model, state)}),
+        "recording": RecordingModel(model),
+    }
+
+
+@given(
+    seed=st.integers(0, 50),
+    prompt_len=st.integers(0, 4),
+    gen_len=st.integers(1, 10),
+    cw=st.integers(0, 4),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_window_is_the_full_rows_bit_for_bit(seed, prompt_len, gen_len, cw, data):
+    """On a partially decoded state, range(a, b) returns rows a..b-1 of the
+    full-range call on every backend, windows nearer an edge than the
+    context window included, and a batch of pairs equals its singletons."""
+    vocab = 6
+    state = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, vocab=vocab)
+    length = len(state.tokens)
+    decoded = data.draw(st.sets(st.integers(prompt_len, length - 1)))
+    for pos in sorted(decoded):
+        state = place_token(state, pos, data.draw(st.integers(0, vocab - 1)))
+    windows = [range(a, b) for a in range(length) for b in range(a + 1, length + 1)]
+    for name, model in window_backends(seed, vocab, cw, state).items():
+        full = full_logits(model, state)
+        assert full.shape == (length, vocab), name
+        singles = [model.forward([(state, rows)])[0] for rows in windows]
+        for rows, got in zip(windows, singles):
+            assert np.array_equal(got, full[rows.start : rows.stop]), (name, rows)
+        batch = model.forward([(state, rows) for rows in windows])
+        assert all(np.array_equal(a, b) for a, b in zip(batch, singles)), name
+
+
+@pytest.mark.parametrize("backend", ["synthetic", "table", "recording"])
+def test_empty_or_out_of_range_window_raises(backend):
+    state = all_masked_state(prompt_len=1, gen_len=4, vocab=6)
+    model = window_backends(0, 6, 2, state)[backend]
+    for rows in (range(2, 2), range(3, 1), range(-1, 2), range(0, 6), range(5, 6),
+                 range(0, 4, 2), slice(0, 2), (0, 1)):
+        with pytest.raises(ValueError):
+            model.forward([(state, rows)])
+    with pytest.raises(ValueError):
+        model.forward([])
+
+
 # --- table model -----------------------------------------------------------
 
 
@@ -198,7 +253,7 @@ def tiny_table():
 
 def test_table_returns_rows_verbatim():
     state, model = tiny_table()
-    got = model.forward([state])[0]
+    got = full_logits(model, state)
     assert np.array_equal(got, [[0, 1, 2, 3], [3, 2, 1, 0]])
     assert model.vocab_size == 4
 
@@ -207,7 +262,7 @@ def test_served_rows_are_read_only():
     state, table = tiny_table()
     recording = RecordingModel(synth(seed=3, vocab=4))
     for model in (table, recording):
-        row = model.forward([state])[0]
+        row = full_logits(model, state)
         with pytest.raises(ValueError):
             row[0, 0] = 1.0
 
@@ -215,7 +270,7 @@ def test_served_rows_are_read_only():
 def test_table_misses_on_unknown_state():
     state, model = tiny_table()
     with pytest.raises(FixtureMissError):
-        model.forward([place_token(state, 0, 1)])
+        full_logits(model, place_token(state, 0, 1))
 
 
 def test_table_fixture_round_trip_exact(tmp_path):
@@ -281,8 +336,8 @@ def test_recording_model_serves_memoized_rows():
     inner = synth(seed=3, vocab=10)
     rec = RecordingModel(inner)
     state = all_masked_state(gen_len=4, vocab=10)
-    first = rec.forward([state])[0]
-    second = rec.forward([state, state])
+    first = full_logits(rec, state)
+    second = rec.forward(full_window(state, state))
     assert np.array_equal(first, second[0])
     assert np.array_equal(first, second[1])
     assert state.tokens in rec.recorded

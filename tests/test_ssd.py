@@ -25,10 +25,10 @@ from selfspec import (
     ssd_decode,
     stepwise_decode,
 )
-from selfspec.sequence import masked_in_blocks
+from selfspec.sequence import block_rows, masked_in_blocks
 from selfspec.stepwise import choose_step
 
-from conftest import all_masked_state, check_block_order, replay_dual_rounds
+from conftest import all_masked_state, check_block_order, full_logits, replay_dual_rounds
 
 
 def synth(seed=0, vocab=16, cw=2, sharpness=6.0):
@@ -50,7 +50,7 @@ def manual_drafts(entries):
 
 
 def draft(model, state, k=1):
-    return drafts_from_logits(state, model.forward([state])[0], k)
+    return drafts_from_logits(state, full_logits(model, state), k)
 
 
 # --- drafts_from_logits ----------------------------------------------------
@@ -359,6 +359,22 @@ def test_full_match_accepts_n_plus_one():
     assert result.leaf_index == 3
 
 
+def test_refresh_reads_the_leafs_next_but_one_block():
+    """block_len 1: the bonus token completes the leaf's block, so the
+    refreshed drafts need the leaf's next and next-but-one block, which a
+    two-block node window would not hold."""
+    model = synth(seed=1, cw=0)
+    state = all_masked_state(gen_len=8, block_len=1)
+    drafts = draft(model, state)
+    result = batch_verify(model, build_tree(state, select_candidates(state, drafts, 1), drafts))
+    assert result.leaf_index == 1 and result.leaf_rows == range(1, 4)
+    for pos, tok, _ in result.accepted:
+        state = place_token(state, pos, tok)
+    assert masked_in_blocks(state, 2).tolist() == [2, 3]
+    refreshed = drafts_from_logits(state, result.leaf_logits, start=result.leaf_rows.start)
+    assert np.array_equal(refreshed.positions, [2, 3])
+
+
 def test_root_mismatch_accepts_exactly_one():
     """Stale drafts put the wrong candidate first; the root's own stepwise
     choice is still accepted, guaranteeing progress."""
@@ -523,11 +539,13 @@ def test_losslessness_property(seed, prompt_len, gen_len, block_len, n, shape):
 
 
 class _CountingModel(MaskedModel):
-    """Passes forwards through to a model, counting calls and rows."""
+    """Passes forwards through to a model, counting calls and rows and
+    keeping every batch of (state, rows) pairs it is asked for."""
 
     def __init__(self, inner):
         self._inner = inner
         self.calls = self.rows = 0
+        self.batches = []
 
     @property
     def vocab_size(self):
@@ -536,6 +554,7 @@ class _CountingModel(MaskedModel):
     def forward(self, batch):
         self.calls += 1
         self.rows += len(batch)
+        self.batches.append(batch)
         return self._inner.forward(batch)
 
 
@@ -562,6 +581,38 @@ def test_forward_count_law_at_the_model(seed, prompt_len, gen_len, block_len, n,
     assert model.calls <= gen_len + 1
     if any(r.accepted >= 2 for r in res.rounds):
         assert model.calls <= gen_len
+
+
+@given(
+    seed=st.integers(0, 40),
+    prompt_len=st.integers(0, 4),
+    gen_len=st.integers(1, 20),
+    block_len=st.integers(1, 8),
+    n=st.integers(1, 5),
+    shape=st.sampled_from(["greedy", "mix_order"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_forwards_score_only_the_block_windows(seed, prompt_len, gen_len, block_len, n, shape):
+    """The first draft scores the current and next block, every tree node
+    its current block and the two after it, each stepwise fallback step its
+    current block, and a stepwise step that snapshots everything from its
+    current block on, so no decode goes back to full-length rows."""
+    model = _CountingModel(synth(seed=seed, vocab=12))
+    state = all_masked_state(
+        prompt_len=prompt_len, gen_len=gen_len, vocab=12, block_len=block_len
+    )
+    res = ssd_decode(model, state, n=n, shape=shape)
+    first, *rounds = model.batches[: 1 + len(res.rounds)]
+    fallback = model.batches[1 + len(res.rounds) :]
+    assert first == [(state, block_rows(state, 2))]
+    assert all(rows == block_rows(node, 3) for batch in rounds for node, rows in batch)
+    assert len(fallback) == res.fallback_steps
+    for [(step, rows)] in fallback:
+        assert rows == block_rows(step, 1)
+    snapshots = _CountingModel(synth(seed=seed, vocab=12))
+    stepwise_decode(snapshots, state, topk=2)
+    for [(step, rows)] in snapshots.batches:
+        assert rows == range(block_rows(step, 1).start, len(step.tokens))
 
 
 @given(seed=st.integers(0, 30), n=st.integers(2, 5))

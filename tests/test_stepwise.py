@@ -22,7 +22,7 @@ from selfspec import (
 
 from selfspec.stepwise import candidate_snapshot
 
-from conftest import all_masked_state, check_block_order
+from conftest import all_masked_state, check_block_order, full_logits
 
 
 def synth(seed=0, vocab=16, cw=2, sharpness=6.0):
@@ -86,7 +86,7 @@ def test_context_free_output_is_per_position_argmax():
     and acceptance order is descending confidence within each block."""
     model = synth(seed=5, cw=0, vocab=12)
     state = all_masked_state(gen_len=8, vocab=12, block_len=4)
-    base_rows = model.forward([state])[0]
+    base_rows = full_logits(model, state)
     final, trace = stepwise_decode(model, state, topk=0)
     assert final.tokens == tuple(int(t) for t in np.argmax(base_rows, axis=1))
     probs = softmax_matrix(base_rows)
