@@ -11,7 +11,8 @@ Backends:
   hash of the non-mask tokens near that position, so placing a token changes
   the predictions of its neighbours.  This reproduces the dynamics real
   denoisers show (context improves predictions; decode order can shuffle)
-  without any learned weights.
+  without any learned weights.  A forward hashes the whole batch in one
+  numpy pass, so its cost follows the rows scored, not the states.
 * ``TableModel`` replays logits from an explicit fixture keyed by the exact
   token sequence, for hand-checkable unit tests.
 
@@ -87,11 +88,11 @@ def _read_only(rows: np.ndarray) -> np.ndarray:
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _PAIR_C = 0xC2B2AE3D27D4EB4F
+_CHUNK_CELLS = 2**16  # cells hashed per step, so temporaries stay small at any V
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over uint64 arrays (wraps modulo 2**64)."""
-    x = x.astype(np.uint64, copy=True)
+    """splitmix64 finalizer, in place over a uint64 array (wraps modulo 2**64)."""
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
@@ -120,8 +121,8 @@ class SynthModelConfig:
             raise ValueError("vocab_size must be in [2, 2**20]")
         if not (math.isfinite(self.sharpness) and self.sharpness > 0):
             raise ValueError("sharpness must be finite and positive")
-        if self.context_window < 0:
-            raise ValueError("context_window must be >= 0")
+        if not 0 <= self.context_window <= 2**10:  # a forward loops over 2 * context_window offsets
+            raise ValueError("context_window must be in [0, 2**10]")
 
 
 class SyntheticModel(MaskedModel):
@@ -132,11 +133,21 @@ class SyntheticModel(MaskedModel):
     Masked neighbours carry no information, so predictions sharpen and can
     reorder as the sequence fills in, which is the behaviour speculative
     verification has to cope with.
+
+    Exactly, with mix the splitmix64 finalizer, G = 0x9E3779B97F4A7C15,
+    C = 0xC2B2AE3D27D4EB4F and integer arithmetic modulo 2**64: let acc be
+    the sum of mix((t + 1) * G + d * C) over the offsets 0 < |d| <= cw whose
+    position i + d lies in the sequence and holds a non-mask token t, and
+    row = mix(mix((i + 1) * G + seed * G + 0x9E) ^ acc).  Column c then
+    holds sharpness * (float(mix(row + (c + 1) * C) >> 11) * 2**-53), the
+    two float products in that order.
     """
 
     def __init__(self, config: SynthModelConfig):
         self._config = config
         self._seed_base = np.uint64((config.seed * _GOLDEN + 0x9E) & _MASK64)
+        self._cols = np.arange(1, config.vocab_size + 1, dtype=np.uint64) * np.uint64(_PAIR_C)
+        self._cols.setflags(write=False)
 
     @property
     def vocab_size(self) -> int:
@@ -144,38 +155,55 @@ class SyntheticModel(MaskedModel):
 
     def forward(self, batch: list[tuple[SequenceState, range]]) -> tuple[np.ndarray, ...]:
         check_windows(batch)
-        return tuple(self._window_logits(state, rows) for state, rows in batch)
-
-    def _window_logits(self, state: SequenceState, rows: range) -> np.ndarray:
         cfg = self._config
-        start, stop = rows.start, rows.stop
-        n = stop - start
+        lens = np.array([len(rows) for _, rows in batch])
+        offsets = np.cumsum(lens) - lens  # the first output row of each pair
+        flat = np.arange(int(lens.sum()))
 
-        # Commutative accumulation over in-window (offset, token) pairs:
-        # padding with the mask id makes out-of-range neighbours vanish.
-        acc = np.zeros(n, dtype=np.uint64)
+        # Commutative accumulation over in-window (offset, token) pairs for all
+        # rows at once.  The strip holds each window with cw cells on each
+        # side; padding with the mask id makes out-of-range neighbours vanish.
+        acc = np.zeros(len(flat), dtype=np.uint64)
         cw = cfg.context_window
         if cw > 0:
-            # padded[j] holds position start - cw + j
-            padded = np.full(n + 2 * cw, state.mask_id, dtype=np.int64)
-            lo, hi = max(start - cw, 0), min(stop + cw, len(state.tokens))
-            padded[lo - start + cw : hi - start + cw] = state.tokens[lo:hi]
+            strip: list[int] = []
+            for state, rows in batch:
+                lo, hi = max(rows.start - cw, 0), min(rows.stop + cw, len(state.tokens))
+                strip += [state.mask_id] * (lo - rows.start + cw)
+                strip += state.tokens[lo:hi]
+                strip += [state.mask_id] * (rows.stop + cw - hi)
+            tokens = np.array(strip, dtype=np.int64)
+            masks = np.repeat([s.mask_id for s, _ in batch], lens + 2 * cw)
+            nonmask = (tokens != masks).astype(np.uint64)
+            key = (tokens.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
+            centre = flat + np.repeat(cw * (2 * np.arange(len(batch)) + 1), lens)  # strip index
             for delta in range(-cw, cw + 1):
                 if delta == 0:
                     continue
-                neigh = padded[cw + delta : cw + delta + n]
-                nonmask = neigh != state.mask_id
+                neigh = centre + delta
                 delta_term = np.uint64((delta * _PAIR_C) & _MASK64)
-                pair = _mix64((neigh.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN) + delta_term)
-                acc += np.where(nonmask, pair, np.uint64(0))
+                term = _mix64(key[neigh] + delta_term)
+                term *= nonmask[neigh]
+                acc += term
 
-        pos = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        starts = np.array([rows.start for _, rows in batch])
+        pos = (flat + np.repeat(starts - offsets + 1, lens)).astype(np.uint64)
         row_seed = _mix64(_mix64(pos * np.uint64(_GOLDEN) + self._seed_base) ^ acc)
 
-        cols = np.arange(1, cfg.vocab_size + 1, dtype=np.uint64) * np.uint64(_PAIR_C)
-        cells = _mix64(row_seed[:, None] + cols[None, :])
-        uniform = (cells >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-        return cfg.sharpness * uniform
+        # Cells are hashed in place, a bounded number at a time, into one
+        # fresh matrix per pair, so a kept matrix holds no other pair alive.
+        step = max(1, _CHUNK_CELLS // cfg.vocab_size)
+        out = []
+        for lo, n in zip(offsets.tolist(), lens.tolist()):
+            seeds = row_seed[lo : lo + n]
+            logits = np.empty((n, cfg.vocab_size))
+            for a in range(0, n, step):
+                cells = _mix64(seeds[a : a + step, None] + self._cols)
+                cells >>= np.uint64(11)
+                np.multiply(cells, 2.0**-53, out=logits[a : a + step])
+            logits *= cfg.sharpness  # after the 2**-53 scale: a fused scale can be subnormal
+            out.append(logits)
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,10 @@ class RunConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.backend == "table" and not self.table_path:
             raise ValueError("table backend requires table_path")
-        if self.gen_len < 1 or self.block_len < 1 or self.draft_len < 1:
-            raise ValueError("gen_len, block_len and draft_len must be >= 1")
+        # upper bounds keep positions inside int64 arrays and trees at most 512 nodes
+        if not (1 <= self.gen_len <= 2**20 and 1 <= self.block_len <= 2**20
+                and 1 <= self.draft_len <= 2**8):
+            raise ValueError("gen_len and block_len must be in [1, 2**20], draft_len in [1, 2**8]")
         if self.topk < 0:
             raise ValueError("topk must be >= 0")
         for tok in self.prompt:

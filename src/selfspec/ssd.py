@@ -1,16 +1,17 @@
 """Self-speculative decoding: draft, verify in a tree, accept multiple tokens.
 
 One forward pass drafts a greedy (token, confidence) pair for every masked
-position of the current and the next block.  The highest-confidence
-positions of the current block, then of the next block if the current one
-runs short, become an ordered candidate list, and a verification tree
+position of the current block, and of the next block too when the current
+one holds fewer than N masks.  The highest-confidence positions, current
+block first, become an ordered candidate list, and a verification tree
 materializes the states that would exist if successive candidates were
-accepted.  A single batched forward then scores every node, and a walk
-from the root accepts a candidate exactly when the parent node's own
-stepwise choice matches it.  The deepest validated node contributes one
-further token (its own stepwise choice), so a draft of length N can yield
-N+1 tokens per round while the output stays token-identical to plain
-stepwise decoding.
+accepted.  A single batched forward then scores every node's current block,
+plus the two after it when that block holds N masks or fewer (only then can
+a draft refresh from the node reach them), and a walk from the root accepts
+a candidate exactly when the parent node's own stepwise choice matches it.
+The deepest validated node contributes one further token (its own stepwise
+choice), so a draft of length N can yield N+1 tokens per round while the
+output stays token-identical to plain stepwise decoding.
 
 Tree shapes:
 
@@ -41,8 +42,8 @@ TREE_SHAPES = ("greedy", "mix_order", "kary")
 
 @dataclass(frozen=True, eq=False)
 class Drafts:
-    """Drafts for the masked positions of one state's current and next block,
-    as parallel arrays.
+    """Drafts for the masked positions of one state's draft_blocks(state, n)
+    blocks, as parallel arrays.
 
     ``positions`` (P,) holds those positions, ascending; ``tokens`` (P, k)
     their top-k draft tokens, highest probability first, so column 0 is the
@@ -57,12 +58,19 @@ class Drafts:
         return len(self.positions)
 
 
+def draft_blocks(state: SequenceState, n: int) -> int:
+    """How many blocks the drafts of state cover for n candidates: the
+    current block, and the next one too when the current block holds fewer
+    than n masks."""
+    return 1 if len(masked_in_blocks(state, 1)) >= n else 2
+
+
 def drafts_from_logits(
-    state: SequenceState, logits: np.ndarray, k: int = 1, start: int = 0
+    state: SequenceState, logits: np.ndarray, k: int = 1, start: int = 0, *, n: int
 ) -> Drafts:
-    """Extract top-k drafts for the masked positions of state's current and
-    next block from a logit matrix whose row i belongs to position
-    start + i; no other position can be a candidate.
+    """Extract top-k drafts for the masked positions of state's
+    draft_blocks(state, n) blocks from a logit matrix whose row i belongs to
+    position start + i; no other position can be a candidate.
 
     Used both for fresh drafting (logits from a forward on state itself) and
     for the free refresh after a verification round, where the logits come
@@ -71,11 +79,11 @@ def drafts_from_logits(
     Column 0 and the confidences do not depend on k: the stable sort puts
     the first maximum first, exactly as argmax picks it.
     """
-    positions = masked_in_blocks(state, 2)
+    positions = masked_in_blocks(state, draft_blocks(state, n))
     if positions.size == 0:
         raise ValueError("state has no masked positions to draft for")
     if positions[0] < start or positions[-1] >= start + len(logits):
-        raise ValueError("logits do not cover the current and next block")
+        raise ValueError("logits do not cover the drafted blocks")
     rows = softmax_matrix(np.asarray(logits, dtype=np.float64)[positions - start])
     if k == 1:
         tokens = np.argmax(rows, axis=1)[:, None]  # first max, lowest-id tie-break
@@ -95,18 +103,16 @@ def select_candidates(
     next-block positions by the same rule.  May return fewer than n entries
     when the current and next block together hold fewer masked positions;
     the decode loop treats that as the signal to fall back to stepwise
-    decoding.  The drafts must cover exactly those masked positions.
+    decoding.  The drafts must cover exactly the masked positions of
+    draft_blocks(state, n) blocks.
     """
     if n < 1:
         raise ValueError("candidate count must be >= 1")
-    positions = masked_in_blocks(state, 2)
+    positions = masked_in_blocks(state, draft_blocks(state, n))
     if positions.size == 0:
         return ()
     if not np.array_equal(drafts.positions, positions):
-        raise ValueError(
-            "drafts do not cover exactly the masked positions of the current "
-            "and next block"
-        )
+        raise ValueError("drafts do not cover exactly the masked positions of the drafted blocks")
     blocks = (positions - state.prompt_len) // state.block_len
     order = np.lexsort((positions, -drafts.confidences, blocks))[:n]
     return tuple(zip(positions[order].tolist(), drafts.tokens[order, 0].tolist()))
@@ -209,8 +215,9 @@ class VerifyResult:
     leaf_index: int
 
 
-def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
-    """Score every node in one batched forward and walk the tree.
+def batch_verify(model: MaskedModel, tree: VerificationTree, n: int) -> VerifyResult:
+    """Score every node in one batched forward and walk the tree; n is the
+    candidate count the leaf's logits will be drafted for.
 
     At each validated node the stepwise choice is computed from that node's
     own logits; a child whose expectation equals the choice is validated in
@@ -219,16 +226,17 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
     at least one token.
     """
     nodes = tree.nodes
-    # A node's walk reads its current block; once the bonus token completes
-    # it, the draft refresh reads the next two from the leaf's rows.
-    windows = [block_rows(node.state, 3) for node in nodes]
+    masks = [masked_in_blocks(node.state, 1) for node in nodes]
+    # The walk reads a node's current block.  A leaf's bonus token leaves m - 1
+    # masks there, so the refresh needs the next two blocks only if m - 1 < n.
+    windows = [block_rows(node.state, 1 if len(m) > n else 3) for node, m in zip(nodes, masks)]
     batch = model.forward(list(zip((node.state for node in nodes), windows)))
 
     accepted: list[tuple[int, int, float]] = []
     cur = 0
     # Stop once every position is decoded: nothing further to choose.
-    while current_block(nodes[cur].state) is not None:
-        positions = masked_in_blocks(nodes[cur].state, 1)
+    while masks[cur].size:
+        positions = masks[cur]
         probs = softmax_matrix(batch[cur][positions - windows[cur].start])
         pos, tok, conf = choose_step(positions, probs)
         accepted.append((pos, tok, conf))
@@ -287,8 +295,8 @@ def ssd_decode(
         raise ValueError("state has no masked positions to decode")
 
     start = state
-    rows = block_rows(state, 2)
-    drafts = drafts_from_logits(state, model.forward([(state, rows)])[0], start=rows.start)
+    rows = block_rows(state, draft_blocks(state, n))
+    drafts = drafts_from_logits(state, model.forward([(state, rows)])[0], start=rows.start, n=n)
     forwards = 1
     records: list[StepRecord] = []
     rounds: list[RoundStats] = []
@@ -303,7 +311,7 @@ def ssd_decode(
             fallback_steps = len(tail)
             break
         tree = build_tree(state, candidates, drafts, shape)
-        result = batch_verify(model, tree)
+        result = batch_verify(model, tree, n)
         forwards += 1
         for pos, tok, conf in result.accepted:
             state = place_token(state, pos, tok)
@@ -317,7 +325,7 @@ def ssd_decode(
             )
         )
         if current_block(state) is not None:
-            drafts = drafts_from_logits(state, result.leaf_logits, start=result.leaf_rows.start)
+            drafts = drafts_from_logits(state, result.leaf_logits, start=result.leaf_rows.start, n=n)
 
     trace = DecodeTrace(
         decoder="ssd",

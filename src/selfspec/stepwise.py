@@ -74,15 +74,21 @@ def choose_step(positions: np.ndarray, probs: np.ndarray) -> tuple[int, int, flo
 def candidate_snapshot(
     state: SequenceState, probs: np.ndarray, k: int, start: int = 0
 ) -> dict[int, Candidates]:
-    """Top-k (token, probability) pairs at every masked position; probs[0] is row start."""
+    """Top-k (token, probability) pairs at every masked position, highest
+    probability first, ties to the lowest token id; probs[0] is row start."""
     masked = state.masked_positions()
     sub = probs[[pos - start for pos in masked]]
-    order = np.argsort(-sub, axis=1, kind="stable")[:, :k]
-    snapshot: dict[int, Candidates] = {}
-    for row, pos in enumerate(masked):
-        toks = order[row]
-        snapshot[pos] = tuple((int(t), float(sub[row, t])) for t in toks)
-    return snapshot
+    k = min(k, sub.shape[1])
+    rows = np.arange(len(sub))[:, None]
+    # The k largest of each row in any order, then sorted by (-p, token id).
+    top = np.argpartition(sub, -k, axis=1)[:, -k:]
+    top = top[rows, np.lexsort((top, -sub[rows, top]))]
+    # A row with more than k entries at its kth value has a tie at the cut,
+    # which the partition breaks arbitrarily: sort those rows in full.
+    tied = np.count_nonzero(sub >= sub[rows, top[:, -1:]], axis=1) > k
+    top[tied] = np.argsort(-sub[tied], axis=1, kind="stable")[:, :k]
+    pairs = zip(top.ravel().tolist(), sub[rows, top].ravel().tolist())
+    return dict(zip(masked, zip(*[pairs] * k)))  # k consecutive pairs per position
 
 
 def decode_remaining(

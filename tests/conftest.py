@@ -48,19 +48,19 @@ def replay_dual_rounds(model, state, n):
     """Walk the greedy-strategy decode trajectory; at every full verification
     round build both tree shapes on identical (state, drafts) inputs and
     record the pair of accepted counts."""
-    drafts = drafts_from_logits(state, full_logits(model, state))
+    drafts = drafts_from_logits(state, full_logits(model, state), n=n)
     rounds = []
     while current_block(state) is not None:
         cands = select_candidates(state, drafts, n)
         if len(cands) < n:
             break
-        g = batch_verify(model, build_tree(state, cands, drafts, "greedy"))
-        m = batch_verify(model, build_tree(state, cands, drafts, "mix_order"))
+        g = batch_verify(model, build_tree(state, cands, drafts, "greedy"), n)
+        m = batch_verify(model, build_tree(state, cands, drafts, "mix_order"), n)
         rounds.append((len(g.accepted), len(m.accepted)))
         for pos, tok, _ in g.accepted:
             state = place_token(state, pos, tok)
         if current_block(state) is not None:
-            drafts = drafts_from_logits(state, g.leaf_logits, start=g.leaf_rows.start)
+            drafts = drafts_from_logits(state, g.leaf_logits, start=g.leaf_rows.start, n=n)
     return rounds
 
 

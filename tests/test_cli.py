@@ -199,6 +199,14 @@ def test_sweep_rejects_stepwise_strategy(capsys):
         # vocabularies no int64 token array or memory holds
         ["decode", "--vocab-size", "100000000000000000000"],
         ["decode", "--vocab-size", "100000000000"],
+        # lengths past their bounds: no OverflowError, no gigabyte arrays
+        ["decode", "--gen-length", "100000000000000000000"],
+        ["decode", "--gen-length", "8", "--block-length", "100000000000000000000"],
+        ["decode", "--context-window", "100000000000000000000"],
+        ["decode", "--draft-length", "100000000000000000000"],
+        ["decode", "--gen-length", "1048577"],
+        ["decode", "--context-window", "1025"],
+        ["sweep", "--draft-lengths", "257"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -386,10 +394,12 @@ def test_run_decode_matches_cli_output(capsys):
 # replaces or drops up to two values.  Sizes stay small (gen-length <= 24,
 # vocab <= 40) so a few hundred examples run in seconds.
 
+HUGE = [10**20, 2**63, 2**20 + 1]  # past the bound of every bounded integer flag
 ODD_TEXT = st.sampled_from(["", ",", " ", "x", "1,,2", "0x1", "1e3", "-", "nan", "inf", "-inf",
-                            "1e999", "0", "-1", "2.5", "41"])
+                            "1e999", "0", "-1", "2.5", "41", *map(str, HUGE)])
 JSON_ODD = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 41), st.floats(allow_nan=True, allow_infinity=True),
+    st.none(), st.booleans(), st.integers(-2, 41), st.sampled_from(HUGE),
+    st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=3), st.just({}),
 )
 DROP = object()

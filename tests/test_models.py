@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from selfspec import (
     FixtureMissError,
     RecordingModel,
+    SequenceState,
     SynthModelConfig,
     SyntheticModel,
     TableModel,
@@ -31,7 +32,7 @@ from conftest import all_masked_state, full_logits, full_window
 def predict(row):
     """(token, confidence) that drafting assigns to a single logit row."""
     state = all_masked_state(gen_len=1, vocab=len(row), block_len=1)
-    drafts = drafts_from_logits(state, np.array([row], dtype=np.float64))
+    drafts = drafts_from_logits(state, np.array([row], dtype=np.float64), n=1)
     return int(drafts.tokens[0, 0]), float(drafts.confidences[0])
 
 
@@ -183,8 +184,67 @@ def test_config_validation():
     for sharpness in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             SynthModelConfig(seed=0, vocab_size=8, sharpness=sharpness)
-    with pytest.raises(ValueError):
-        SynthModelConfig(seed=0, vocab_size=8, context_window=-1)
+    for cw in (-1, 2**10 + 1):
+        with pytest.raises(ValueError):
+            SynthModelConfig(seed=0, vocab_size=8, context_window=cw)
+
+
+_M64 = 2**64 - 1
+
+
+def _mix_reference(x):
+    """splitmix64 finalizer on one Python integer."""
+    x ^= x >> 30
+    x = x * 0xBF58476D1CE4E5B9 & _M64
+    x ^= x >> 27
+    x = x * 0x94D049BB133111EB & _M64
+    return x ^ (x >> 31)
+
+
+def reference_logits(config, state, rows):
+    """The hash the SyntheticModel docstring documents, one cell at a time in
+    Python integers and floats."""
+    golden, pair = 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F
+    cw, tokens = config.context_window, state.tokens
+    out = []
+    for i in rows:
+        acc = 0
+        for d in range(-cw, cw + 1):
+            if d and 0 <= i + d < len(tokens) and tokens[i + d] != state.mask_id:
+                acc += _mix_reference(((tokens[i + d] + 1) * golden + d * pair) & _M64)
+        seed = _mix_reference(((i + 1) * golden + config.seed * golden + 0x9E) & _M64)
+        row = _mix_reference(seed ^ (acc & _M64))
+        out.append([config.sharpness
+                    * (float(_mix_reference((row + (c + 1) * pair) & _M64) >> 11) * 2.0**-53)
+                    for c in range(config.vocab_size)])
+    return np.array(out)
+
+
+@given(
+    seed=st.integers(0, 2**40),
+    vocab=st.integers(2, 9),
+    cw=st.integers(0, 4),
+    sharpness=st.sampled_from([6.0, 0.5, 12.0, 1e300, 1e-300, 5e-324]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_synthetic_forward_is_the_documented_hash_cell_for_cell(seed, vocab, cw, sharpness, data):
+    """A batch of states with different mask ids and windows nearer an edge
+    than the context window gives, bit for bit, the scalar reference; tiny
+    sharpness pins the order of the two scale multiplies."""
+    config = SynthModelConfig(seed=seed, vocab_size=vocab, sharpness=sharpness,
+                              context_window=cw)
+    batch = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        mask_id = vocab + data.draw(st.integers(0, 3))
+        prompt = data.draw(st.lists(st.integers(0, vocab - 1), max_size=2))
+        gen = data.draw(st.lists(st.sampled_from([mask_id, *range(vocab)]), min_size=1, max_size=8))
+        state = SequenceState(tokens=tuple(prompt + gen), prompt_len=len(prompt),
+                              gen_len=len(gen), mask_id=mask_id, block_len=3)
+        start = data.draw(st.integers(0, len(state.tokens) - 1))
+        batch.append((state, range(start, data.draw(st.integers(start + 1, len(state.tokens))))))
+    for (state, rows), got in zip(batch, SyntheticModel(config).forward(batch)):
+        assert got.tobytes() == reference_logits(config, state, rows).tobytes()
 
 
 # --- row windows -----------------------------------------------------------

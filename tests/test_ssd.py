@@ -26,6 +26,7 @@ from selfspec import (
     stepwise_decode,
 )
 from selfspec.sequence import block_rows, masked_in_blocks
+from selfspec.ssd import draft_blocks
 from selfspec.stepwise import choose_step
 
 from conftest import all_masked_state, check_block_order, full_logits, replay_dual_rounds
@@ -49,8 +50,8 @@ def manual_drafts(entries):
     )
 
 
-def draft(model, state, k=1):
-    return drafts_from_logits(state, full_logits(model, state), k)
+def draft(model, state, k=1, n=1):
+    return drafts_from_logits(state, full_logits(model, state), k, n=n)
 
 
 # --- drafts_from_logits ----------------------------------------------------
@@ -65,19 +66,22 @@ def test_draft_domain_is_exactly_the_masked_positions():
     assert drafts.tokens.shape == (2, 2) and len(drafts) == 2
 
 
-def test_drafts_cover_only_the_current_and_next_block():
+def test_drafts_cover_the_next_block_only_when_the_current_one_is_short():
     """Four blocks of 3 after a prompt of 2: with block 0 decoded and block 1
-    half decoded, drafts cover the masks of blocks 1 and 2 and nothing of
-    block 3; in the last block they cover that block alone."""
+    holding two masks, drafts for n = 2 cover block 1 alone, and for n = 3
+    the masks of blocks 1 and 2 and nothing of block 3; in the last block
+    they cover that block alone."""
     state = all_masked_state(prompt_len=2, gen_len=12, block_len=3)
     for pos in (2, 3, 4, 6, 9):
         state = place_token(state, pos, 1)
-    drafts = draft(synth(), state, k=2)
+    assert draft_blocks(state, 2) == 1 and draft_blocks(state, 3) == 2
+    assert draft(synth(), state, k=2, n=2).positions.tolist() == [5, 7]
+    drafts = draft(synth(), state, k=2, n=3)
     assert drafts.positions.tolist() == [5, 7, 8, 10]
     assert drafts.tokens.shape == (4, 2) and drafts.confidences.shape == (4,)
     for pos in (5, 7, 8, 10, 11):
         state = place_token(state, pos, 1)
-    assert draft(synth(), state).positions.tolist() == [12, 13]
+    assert draft(synth(), state, n=3).positions.tolist() == [12, 13]
 
 
 def test_draft_requires_masks():
@@ -111,16 +115,16 @@ def test_top1_draft_is_independent_of_width():
     confidences are bit-identical for every k, and the token is np.argmax
     of the row (the lowest id on ties)."""
     vocab = 8
-    state = all_masked_state(gen_len=12, vocab=vocab, block_len=6)  # window: all 12 rows
+    state = all_masked_state(gen_len=12, vocab=vocab, block_len=6)  # n=7 drafts all 12 rows
     for seed in range(3):
         logits = np.random.default_rng(seed).standard_normal((12, vocab)) * 3.0
         logits[0] = 0.0  # all equal
         logits[1, [2, 5]] = logits[1].max() + 1.0  # duplicated maximum
         logits[2] = 0.0
         logits[2, 3] = 1000.0  # saturated one-hot
-        top1 = drafts_from_logits(state, logits, 1)
+        top1 = drafts_from_logits(state, logits, 1, n=7)
         for k in (1, 3, vocab):
-            drafts = drafts_from_logits(state, logits, k)
+            drafts = drafts_from_logits(state, logits, k, n=7)
             assert drafts.tokens.shape == (12, k)
             assert drafts.tokens[:, 0].tobytes() == top1.tokens[:, 0].tobytes()
             assert drafts.confidences.tobytes() == top1.confidences.tobytes()
@@ -130,7 +134,7 @@ def test_top1_draft_is_independent_of_width():
         assert abs(top1.confidences[2] - 1.0) < 1e-12
     # frozen closed form: softmax([2, 0, 0])[0] = e^2 / (e^2 + 2)
     one = all_masked_state(gen_len=1, vocab=3, block_len=1)
-    closed = drafts_from_logits(one, np.array([[2.0, 0.0, 0.0]]))
+    closed = drafts_from_logits(one, np.array([[2.0, 0.0, 0.0]]), n=1)
     assert closed.tokens[0, 0] == 0
     want = math.exp(2) / (math.exp(2) + 2)
     assert closed.confidences[0] == pytest.approx(want, abs=1e-12)
@@ -157,8 +161,11 @@ def test_select_spills_into_next_block_only_when_short():
     cands = select_candidates(state, drafts, 3)
     # both current-block positions first (by confidence), then best of block 1
     assert cands == ((3, 6), (1, 5), (4, 7))
-    full = select_candidates(state, drafts, 2)
-    assert full == ((3, 6), (1, 5))  # no spill when block suffices
+    # no spill when the block suffices: the drafts for n = 2 hold block 0 alone
+    full = select_candidates(state, manual_drafts({1: (5, 0.3), 3: (6, 0.4)}), 2)
+    assert full == ((3, 6), (1, 5))
+    with pytest.raises(ValueError):
+        select_candidates(state, drafts, 2)
 
 
 @given(
@@ -180,7 +187,7 @@ def test_top_candidate_is_the_stepwise_choice(data, prompt_len, gen_len, block_l
     rows = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=vocab, max_size=vocab),
                               min_size=prompt_len + gen_len, max_size=prompt_len + gen_len))
     logits = np.array(rows, dtype=np.float64)
-    top = select_candidates(state, drafts_from_logits(state, logits), 1)[0]
+    top = select_candidates(state, drafts_from_logits(state, logits, n=1), 1)[0]
     positions = masked_in_blocks(state, 1)
     assert top == choose_step(positions, softmax_matrix(logits)[positions])[:2]
 
@@ -220,7 +227,7 @@ def test_select_rejects_nonpositive_n():
 def drafted_round(gen_len=12, n=3, vocab=16, seed=0, k=3):
     model = synth(seed=seed, vocab=vocab)
     state = all_masked_state(gen_len=gen_len, vocab=vocab, block_len=gen_len)
-    drafts = draft(model, state, k)
+    drafts = draft(model, state, k, n)
     cands = select_candidates(state, drafts, n)
     return model, state, drafts, cands
 
@@ -353,26 +360,38 @@ def test_full_match_accepts_n_plus_one():
     model = synth(seed=1, cw=0)
     drafts = draft(model, state)
     cands = select_candidates(state, drafts, 3)
-    result = batch_verify(model, build_tree(state, cands, drafts, "greedy"))
+    result = batch_verify(model, build_tree(state, cands, drafts, "greedy"), 3)
     assert len(result.accepted) == 4
     assert [(p, t) for p, t, _ in result.accepted[:3]] == list(cands)
     assert result.leaf_index == 3
 
 
 def test_refresh_reads_the_leafs_next_but_one_block():
-    """block_len 1: the bonus token completes the leaf's block, so the
-    refreshed drafts need the leaf's next and next-but-one block, which a
-    two-block node window would not hold."""
+    """block_len 1 and n = 2: the bonus token completes the leaf's block,
+    and one mask is short of n, so the refreshed drafts need the leaf's next
+    and next-but-one block, which a two-block node window would not hold."""
     model = synth(seed=1, cw=0)
     state = all_masked_state(gen_len=8, block_len=1)
-    drafts = draft(model, state)
-    result = batch_verify(model, build_tree(state, select_candidates(state, drafts, 1), drafts))
-    assert result.leaf_index == 1 and result.leaf_rows == range(1, 4)
+    drafts = draft(model, state, n=2)
+    result = batch_verify(model, build_tree(state, select_candidates(state, drafts, 2), drafts), 2)
+    assert result.leaf_index == 2 and result.leaf_rows == range(2, 5)
     for pos, tok, _ in result.accepted:
         state = place_token(state, pos, tok)
-    assert masked_in_blocks(state, 2).tolist() == [2, 3]
-    refreshed = drafts_from_logits(state, result.leaf_logits, start=result.leaf_rows.start)
-    assert np.array_equal(refreshed.positions, [2, 3])
+    assert masked_in_blocks(state, 2).tolist() == [3, 4]
+    refreshed = drafts_from_logits(state, result.leaf_logits, start=result.leaf_rows.start, n=2)
+    assert np.array_equal(refreshed.positions, [3, 4])
+
+
+def test_node_scores_one_block_only_above_n_masks():
+    """n = 3 in blocks of 4: the root holds n + 1 masks, so its refresh can
+    read only its own block and it scores that block; every deeper chain
+    node holds n masks or fewer and scores three blocks."""
+    model = _CountingModel(synth(seed=1, cw=0))
+    state = all_masked_state(gen_len=16, block_len=4)
+    drafts = draft(model, state, n=3)
+    batch_verify(model, build_tree(state, select_candidates(state, drafts, 3), drafts), 3)
+    windows = [rows for _, rows in model.batches[-1]]
+    assert windows == [range(0, 4)] + [range(0, 12)] * 3
 
 
 def test_root_mismatch_accepts_exactly_one():
@@ -389,7 +408,7 @@ def test_root_mismatch_accepts_exactly_one():
     stale = manual_drafts({0: (1, 0.9), 1: (1, 0.8)})  # wrong token at pos 0
     cands = select_candidates(state, stale, 2)
     assert cands == ((0, 1), (1, 1))
-    result = batch_verify(model, build_tree(state, cands, stale, "greedy"))
+    result = batch_verify(model, build_tree(state, cands, stale, "greedy"), 2)
     assert [(p, t) for p, t, _ in result.accepted] == [(0, 2)]
     assert result.leaf_index == 0
 
@@ -593,10 +612,11 @@ def test_forward_count_law_at_the_model(seed, prompt_len, gen_len, block_len, n,
 )
 @settings(max_examples=60, deadline=None)
 def test_forwards_score_only_the_block_windows(seed, prompt_len, gen_len, block_len, n, shape):
-    """The first draft scores the current and next block, every tree node
-    its current block and the two after it, each stepwise fallback step its
-    current block, and a stepwise step that snapshots everything from its
-    current block on, so no decode goes back to full-length rows."""
+    """The first draft scores the blocks it drafts, every tree node its
+    current block when that holds more than n masks and otherwise the two
+    after it too, each stepwise fallback step its current block, and a
+    stepwise step that snapshots everything from its current block on, so
+    no decode goes back to full-length rows."""
     model = _CountingModel(synth(seed=seed, vocab=12))
     state = all_masked_state(
         prompt_len=prompt_len, gen_len=gen_len, vocab=12, block_len=block_len
@@ -604,8 +624,10 @@ def test_forwards_score_only_the_block_windows(seed, prompt_len, gen_len, block_
     res = ssd_decode(model, state, n=n, shape=shape)
     first, *rounds = model.batches[: 1 + len(res.rounds)]
     fallback = model.batches[1 + len(res.rounds) :]
-    assert first == [(state, block_rows(state, 2))]
-    assert all(rows == block_rows(node, 3) for batch in rounds for node, rows in batch)
+    assert first == [(state, block_rows(state, draft_blocks(state, n)))]
+    for batch in rounds:
+        for node, rows in batch:
+            assert rows == block_rows(node, 1 if len(masked_in_blocks(node, 1)) > n else 3)
     assert len(fallback) == res.fallback_steps
     for [(step, rows)] in fallback:
         assert rows == block_rows(step, 1)

@@ -143,6 +143,12 @@ def test_snapshot_k_clamped_to_vocab():
     one = all_masked_state(gen_len=1, vocab=4, block_len=1)
     assert [t for t, _ in candidate_snapshot(one, probs, 3)[0]] == [3, 0, 1]
     assert [t for t, _ in candidate_snapshot(one, probs, 10)[0]] == [3, 0, 1, 2]
+    # a tie at the cut keeps the lowest ids, also among probabilities saturated to 0.0
+    wide = all_masked_state(gen_len=1, vocab=64, block_len=1)
+    flat = softmax_matrix(np.zeros((1, 64)))
+    assert [t for t, _ in candidate_snapshot(wide, flat, 3)[0]] == [0, 1, 2]
+    saturated = softmax_matrix(np.array([[0.0] * 63 + [1000.0]]))
+    assert [t for t, _ in candidate_snapshot(wide, saturated, 3)[0]] == [63, 0, 1]
 
 
 def test_chosen_token_heads_its_own_snapshot():
