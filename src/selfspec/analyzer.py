@@ -135,6 +135,8 @@ def reduction_grid(
     """Measure reductions for every (draft length, k) pair on one trace."""
     if not draft_lengths or not topk_values:
         raise ValueError("need at least one draft length and one k")
+    if not all(1 <= n <= 2**8 for n in draft_lengths):  # the bound RunConfig puts on draft_len
+        raise ValueError("draft lengths must be in [1, 2**8]")
     ks = tuple(sorted(set(topk_values)))
     rows = []
     for n in sorted(set(draft_lengths)):

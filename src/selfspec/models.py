@@ -11,8 +11,9 @@ Backends:
   hash of the non-mask tokens near that position, so placing a token changes
   the predictions of its neighbours.  This reproduces the dynamics real
   denoisers show (context improves predictions; decode order can shuffle)
-  without any learned weights.  A forward hashes the whole batch in one
-  numpy pass, so its cost follows the rows scored, not the states.
+  without any learned weights.  A forward hashes each distinct row of the
+  batch once, in one numpy pass, so its cost follows the distinct rows
+  scored, not the states.
 * ``TableModel`` replays logits from an explicit fixture keyed by the exact
   token sequence, for hand-checkable unit tests.
 
@@ -140,7 +141,10 @@ class SyntheticModel(MaskedModel):
     position i + d lies in the sequence and holds a non-mask token t, and
     row = mix(mix((i + 1) * G + seed * G + 0x9E) ^ acc).  Column c then
     holds sharpness * (float(mix(row + (c + 1) * C) >> 11) * 2**-53), the
-    two float products in that order.
+    two float products in that order.  A row's logits thus depend on its
+    row seed alone, so rows with equal seeds are bit-equal, and a batch of
+    several pairs hashes each distinct seed once and copies it to every row
+    that holds it.
     """
 
     def __init__(self, config: SynthModelConfig):
@@ -190,20 +194,26 @@ class SyntheticModel(MaskedModel):
         pos = (flat + np.repeat(starts - offsets + 1, lens)).astype(np.uint64)
         row_seed = _mix64(_mix64(pos * np.uint64(_GOLDEN) + self._seed_base) ^ acc)
 
-        # Cells are hashed in place, a bounded number at a time, into one
-        # fresh matrix per pair, so a kept matrix holds no other pair alive.
-        step = max(1, _CHUNK_CELLS // cfg.vocab_size)
-        out = []
-        for lo, n in zip(offsets.tolist(), lens.tolist()):
-            seeds = row_seed[lo : lo + n]
-            logits = np.empty((n, cfg.vocab_size))
-            for a in range(0, n, step):
-                cells = _mix64(seeds[a : a + step, None] + self._cols)
-                cells >>= np.uint64(11)
-                np.multiply(cells, 2.0**-53, out=logits[a : a + step])
-            logits *= cfg.sharpness  # after the 2**-53 scale: a fused scale can be subnormal
-            out.append(logits)
-        return tuple(out)
+        if len(batch) == 1:
+            return (self._hash_rows(row_seed),)
+        # Tree nodes share most rows with their root: hash each distinct seed
+        # once, then gather a fresh matrix per pair, so a kept matrix holds no
+        # other pair (nor the table) alive.
+        seeds, inverse = np.unique(row_seed, return_inverse=True)
+        table = self._hash_rows(seeds)
+        return tuple(table[inverse[lo : lo + n]] for lo, n in zip(offsets.tolist(), lens.tolist()))
+
+    def _hash_rows(self, seeds: np.ndarray) -> np.ndarray:
+        """The (len(seeds), V) logits of the given row seeds, with the cells
+        hashed in place a bounded number at a time."""
+        step = max(1, _CHUNK_CELLS // self._config.vocab_size)
+        logits = np.empty((len(seeds), self._config.vocab_size))
+        for a in range(0, len(seeds), step):
+            cells = _mix64(seeds[a : a + step, None] + self._cols)
+            cells >>= np.uint64(11)
+            np.multiply(cells, 2.0**-53, out=logits[a : a + step])
+        logits *= self._config.sharpness  # after the 2**-53 scale: a fused scale can be subnormal
+        return logits
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +292,9 @@ class RecordingModel(MaskedModel):
 
     Running a decode through a RecordingModel and dumping the recording
     produces a table fixture that replays that decode exactly.  Repeat
-    states are served from the recording rather than recomputed, so the
-    wrapper also works as a memo when several decodes share a model;
-    served rows are read-only arrays.
+    states, within one batch or across calls, are served from the recording
+    rather than recomputed, so the wrapper also works as a memo when several
+    decodes share a model; served rows are read-only arrays.
     """
 
     def __init__(self, inner: MaskedModel):
@@ -297,10 +307,14 @@ class RecordingModel(MaskedModel):
 
     def forward(self, batch: list[tuple[SequenceState, range]]) -> tuple[np.ndarray, ...]:
         check_windows(batch)
-        missing = [(s, range(len(s.tokens))) for s, _ in batch if s.tokens not in self.recorded]
+        missing: dict[tuple[int, ...], SequenceState] = {}
+        for state, _ in batch:  # each unrecorded state once, first seen first
+            if state.tokens not in self.recorded:
+                missing.setdefault(state.tokens, state)
         if missing:
-            for (state, _), rows in zip(missing, self._inner.forward(missing)):
-                self.recorded.setdefault(state.tokens, _read_only(rows))
+            full = [(state, range(len(state.tokens))) for state in missing.values()]
+            for tokens, rows in zip(missing, self._inner.forward(full)):
+                self.recorded[tokens] = _read_only(rows)
         return tuple(self.recorded[s.tokens][rows.start : rows.stop] for s, rows in batch)
 
     def dump(self, path: str) -> None:

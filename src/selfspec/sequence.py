@@ -57,15 +57,6 @@ class SequenceState:
     def is_masked(self, pos: int) -> bool:
         return self.tokens[pos] == self.mask_id
 
-    def masked_positions(self) -> tuple[int, ...]:
-        """All still-masked positions, ascending."""
-        mask = self.mask_id
-        return tuple(
-            i
-            for i in range(self.prompt_len, len(self.tokens))
-            if self.tokens[i] == mask
-        )
-
 
 def initial_state(
     prompt: tuple[int, ...] | list[int],

@@ -75,9 +75,14 @@ def candidate_snapshot(
     state: SequenceState, probs: np.ndarray, k: int, start: int = 0
 ) -> dict[int, Candidates]:
     """Top-k (token, probability) pairs at every masked position, highest
-    probability first, ties to the lowest token id; probs[0] is row start."""
-    masked = state.masked_positions()
-    sub = probs[[pos - start for pos in masked]]
+    probability first, ties to the lowest token id; probs[0] is row start.
+
+    ValueError unless every masked position has a row in probs."""
+    hits = np.flatnonzero(np.array(state.tokens[start : start + len(probs)]) == state.mask_id)
+    if len(hits) != state.tokens.count(state.mask_id):  # the prompt holds no mask
+        raise ValueError(f"a masked position lies outside rows [{start}, {start + len(probs)})")
+    masked = (start + hits).tolist()
+    sub = probs[hits]
     k = min(k, sub.shape[1])
     rows = np.arange(len(sub))[:, None]
     # The k largest of each row in any order, then sorted by (-p, token id).

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from selfspec import (
+    MaskedModel,
     batch_verify,
     block_partition,
     build_tree,
@@ -79,3 +80,23 @@ def check_block_order(positions, prompt_len, gen_len, block_len):
         assert pos in remaining[j], f"position {pos} decoded twice"
         remaining[j].discard(pos)
     return len(positions)
+
+
+class CountingModel(MaskedModel):
+    """Passes forwards through to a model, counting calls and rows and
+    keeping every batch of (state, rows) pairs it is asked for."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = self.rows = 0
+        self.batches = []
+
+    @property
+    def vocab_size(self):
+        return self._inner.vocab_size
+
+    def forward(self, batch):
+        self.calls += 1
+        self.rows += len(batch)
+        self.batches.append(batch)
+        return self._inner.forward(batch)

@@ -224,3 +224,9 @@ def test_reduction_grid_rejects_empty_axes():
         reduction_grid(trace, (), (1,))
     with pytest.raises(ValueError):
         reduction_grid(trace, (3,), ())
+    # draft lengths are bounded as decode bounds them, so the grid's first
+    # column never outgrows its header
+    for n in (0, 2**8 + 1, 10**20):
+        with pytest.raises(ValueError, match="draft lengths"):
+            reduction_grid(trace, (3, n), (1,))
+    assert format_grid(reduction_grid(trace, (2**8,), (1,))).startswith("draft_len")

@@ -14,16 +14,20 @@ from selfspec import (
     SynthModelConfig,
     SyntheticModel,
     TableModel,
+    batch_verify,
+    build_tree,
     drafts_from_logits,
     dump_table_fixture,
     load_table_fixture,
     place_token,
+    select_candidates,
     softmax_matrix,
     stepwise_decode,
 )
+from selfspec import models
 from selfspec.stepwise import candidate_snapshot
 
-from conftest import all_masked_state, full_logits, full_window
+from conftest import CountingModel, all_masked_state, full_logits, full_window
 
 
 # --- top-1 prediction rule --------------------------------------------------
@@ -134,11 +138,67 @@ def test_forward_batch_matches_singles_and_permutation():
         assert np.array_equal(got, want)
 
 
-def test_same_state_twice_in_one_batch():
+def distinct_seeds(batch, cw):
+    """How many distinct row seeds a batch holds: by the documented hash, a
+    row's seed is a function of its position and its in-window non-mask
+    (offset, token) pairs."""
+    return len({
+        (i, tuple((d, s.tokens[i + d]) for d in range(-cw, cw + 1)
+                  if d and 0 <= i + d < len(s.tokens) and s.tokens[i + d] != s.mask_id))
+        for s, rows in batch for i in rows
+    })
+
+
+def check_distinct_row_law(model, batch, cw, monkeypatch):
+    """A batched forward hashes each distinct row seed once, in chunks of at
+    most max(2**16, V) cells, and still hands every pair a writable matrix of
+    its own that is bit-equal to the singleton call."""
+    cell_calls = []
+
+    def counting_mix64(x):
+        if x.ndim == 2:  # the (rows, V) cell hash, not a per-row seed hash
+            cell_calls.append(x.shape)
+        return mix64(x)
+
+    mix64 = models._mix64
+    monkeypatch.setattr(models, "_mix64", counting_mix64)
+    out = model.forward(batch)
+    monkeypatch.undo()
+    assert sum(rows for rows, _ in cell_calls) == distinct_seeds(batch, cw)
+    assert max(rows * cols for rows, cols in cell_calls) <= max(2**16, model.vocab_size)
+    for pair, got in zip(batch, out):
+        assert got.tobytes() == model.forward([pair])[0].tobytes()
+        assert got.flags.writeable
+    for i, a in enumerate(out):
+        assert not any(np.shares_memory(a, b) for b in out[i + 1 :])
+
+
+def test_same_state_twice_in_one_batch(monkeypatch):
     model = synth(seed=2)
     state = all_masked_state(gen_len=4)
-    out = model.forward(full_window(state, state))
-    assert np.array_equal(out[0], out[1])
+    batch = full_window(state, state)
+    assert distinct_seeds(batch, 2) == 4
+    check_distinct_row_law(model, batch, 2, monkeypatch)
+
+
+@pytest.mark.parametrize("shape", ["greedy", "mix_order"])
+@pytest.mark.parametrize("cw", range(5))
+def test_verification_batch_hashes_each_distinct_row_once(shape, cw, monkeypatch):
+    """The batch batch_verify sends for a real tree: its nodes share most
+    rows, and V is wide enough that one unchunked table would pass 2**16
+    cells."""
+    vocab, n = 4096, 4
+    model = synth(seed=cw, vocab=vocab, cw=cw)
+    state = all_masked_state(prompt_len=3, gen_len=24, vocab=vocab, block_len=8)
+    state = place_token(place_token(state, 4, 7), 6, 9)
+    drafts = drafts_from_logits(state, full_logits(model, state), n=n)
+    tree = build_tree(state, select_candidates(state, drafts, n), drafts, shape)
+    spy = CountingModel(model)
+    batch_verify(spy, tree, n)
+    (batch,) = spy.batches
+    assert len(batch) == len(tree.nodes)
+    assert distinct_seeds(batch, cw) < sum(len(rows) for _, rows in batch)
+    check_distinct_row_law(model, batch, cw, monkeypatch)
 
 
 def test_context_free_model_ignores_placements():
@@ -393,7 +453,7 @@ def test_recording_model_replays_decode(tmp_path):
 
 
 def test_recording_model_serves_memoized_rows():
-    inner = synth(seed=3, vocab=10)
+    inner = CountingModel(synth(seed=3, vocab=10))
     rec = RecordingModel(inner)
     state = all_masked_state(gen_len=4, vocab=10)
     first = full_logits(rec, state)
@@ -401,3 +461,9 @@ def test_recording_model_serves_memoized_rows():
     assert np.array_equal(first, second[0])
     assert np.array_equal(first, second[1])
     assert state.tokens in rec.recorded
+    # the inner model sees each unrecorded state once, first seen first
+    a, b = place_token(state, 0, 1), place_token(state, 1, 2)
+    third = rec.forward([(b, range(0, 2)), (a, range(4)), (b, range(2, 4)), (state, range(4))])
+    asked = [[s.tokens for s, _ in batch] for batch in inner.batches]
+    assert asked == [[state.tokens], [b.tokens, a.tokens]]
+    assert np.array_equal(np.vstack([third[0], third[2]]), full_logits(inner, b))

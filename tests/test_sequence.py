@@ -136,7 +136,7 @@ def test_masked_in_blocks_are_the_masked_positions_of_the_scheduled_blocks(
 
     assert masked_in_blocks(state, 1).tolist() == masked(sched[block : block + 1])
     assert masked_in_blocks(state, 2).tolist() == masked(sched[block : block + 2])
-    for pos in state.masked_positions():
+    for pos in [p for p in region if state.is_masked(p)]:
         state = place_token(state, pos, 1)
     assert masked_in_blocks(state, 1).size == masked_in_blocks(state, 2).size == 0
 
@@ -223,12 +223,6 @@ def test_state_length_must_be_consistent():
         SequenceState(
             tokens=(1, 2, 3), prompt_len=1, gen_len=4, mask_id=9, block_len=2
         )
-
-
-def test_masked_positions_ascending():
-    state = all_masked_state(prompt_len=2, gen_len=6)
-    state = place_token(state, 4, 3)
-    assert state.masked_positions() == (2, 3, 5, 6, 7)
 
 
 # --- decode-run monotonicity ----------------------------------------------

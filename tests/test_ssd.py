@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from selfspec import (
     Drafts,
-    MaskedModel,
     SynthModelConfig,
     SyntheticModel,
     TableModel,
@@ -29,7 +28,13 @@ from selfspec.sequence import block_rows, masked_in_blocks
 from selfspec.ssd import draft_blocks
 from selfspec.stepwise import choose_step
 
-from conftest import all_masked_state, check_block_order, full_logits, replay_dual_rounds
+from conftest import (
+    CountingModel,
+    all_masked_state,
+    check_block_order,
+    full_logits,
+    replay_dual_rounds,
+)
 
 
 def synth(seed=0, vocab=16, cw=2, sharpness=6.0):
@@ -386,7 +391,7 @@ def test_node_scores_one_block_only_above_n_masks():
     """n = 3 in blocks of 4: the root holds n + 1 masks, so its refresh can
     read only its own block and it scores that block; every deeper chain
     node holds n masks or fewer and scores three blocks."""
-    model = _CountingModel(synth(seed=1, cw=0))
+    model = CountingModel(synth(seed=1, cw=0))
     state = all_masked_state(gen_len=16, block_len=4)
     drafts = draft(model, state, n=3)
     batch_verify(model, build_tree(state, select_candidates(state, drafts, 3), drafts), 3)
@@ -557,26 +562,6 @@ def test_losslessness_property(seed, prompt_len, gen_len, block_len, n, shape):
     assert all(r.batch_size == expected_batch for r in res.rounds)
 
 
-class _CountingModel(MaskedModel):
-    """Passes forwards through to a model, counting calls and rows and
-    keeping every batch of (state, rows) pairs it is asked for."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.calls = self.rows = 0
-        self.batches = []
-
-    @property
-    def vocab_size(self):
-        return self._inner.vocab_size
-
-    def forward(self, batch):
-        self.calls += 1
-        self.rows += len(batch)
-        self.batches.append(batch)
-        return self._inner.forward(batch)
-
-
 @given(
     seed=st.integers(0, 40),
     prompt_len=st.integers(0, 4),
@@ -590,7 +575,7 @@ def test_forward_count_law_at_the_model(seed, prompt_len, gen_len, block_len, n,
     """What the model sees is what the result reports, and speculation never
     costs more than one forward beyond stepwise; once a round accepts two
     tokens it costs no more than stepwise."""
-    model = _CountingModel(synth(seed=seed, vocab=12))
+    model = CountingModel(synth(seed=seed, vocab=12))
     state = all_masked_state(
         prompt_len=prompt_len, gen_len=gen_len, vocab=12, block_len=block_len
     )
@@ -617,7 +602,7 @@ def test_forwards_score_only_the_block_windows(seed, prompt_len, gen_len, block_
     after it too, each stepwise fallback step its current block, and a
     stepwise step that snapshots everything from its current block on, so
     no decode goes back to full-length rows."""
-    model = _CountingModel(synth(seed=seed, vocab=12))
+    model = CountingModel(synth(seed=seed, vocab=12))
     state = all_masked_state(
         prompt_len=prompt_len, gen_len=gen_len, vocab=12, block_len=block_len
     )
@@ -631,7 +616,7 @@ def test_forwards_score_only_the_block_windows(seed, prompt_len, gen_len, block_
     assert len(fallback) == res.fallback_steps
     for [(step, rows)] in fallback:
         assert rows == block_rows(step, 1)
-    snapshots = _CountingModel(synth(seed=seed, vocab=12))
+    snapshots = CountingModel(synth(seed=seed, vocab=12))
     stepwise_decode(snapshots, state, topk=2)
     for [(step, rows)] in snapshots.batches:
         assert rows == range(block_rows(step, 1).start, len(step.tokens))

@@ -12,6 +12,7 @@ from selfspec import (
     SyntheticModel,
     TableModel,
     initial_state,
+    place_token,
     read_trace,
     softmax_matrix,
     stepwise_decode,
@@ -37,7 +38,7 @@ def test_forward_count_equals_gen_len():
     state = all_masked_state(prompt_len=3, gen_len=10, block_len=4)
     final, trace = stepwise_decode(synth(), state, topk=3)
     assert len(trace.records) == 10
-    assert not final.masked_positions()
+    assert final.mask_id not in final.tokens
 
 
 def test_single_token_single_step():
@@ -131,6 +132,20 @@ def test_snapshot_domain_is_masked_positions():
             assert len(cands) == 3
             probs = [p for _, p in cands]
             assert probs == sorted(probs, reverse=True)
+    # neither the prompt nor a decoded position is in the domain; keys ascend
+    state = place_token(all_masked_state(prompt_len=2, gen_len=6), 4, 3)
+    probs = softmax_matrix(full_logits(synth(), state))
+    assert list(candidate_snapshot(state, probs, 2)) == [2, 3, 5, 6, 7]
+    assert candidate_snapshot(state, probs[2:], 2, start=2) == candidate_snapshot(state, probs, 2)
+
+
+def test_snapshot_rejects_a_mask_without_a_row():
+    state = place_token(all_masked_state(prompt_len=1, gen_len=6), 3, 0)
+    probs = softmax_matrix(full_logits(synth(), state))
+    candidate_snapshot(state, probs[1:], 2, start=1)  # rows 1..6 hold every mask
+    for start, stop in ((2, 7), (3, 7), (1, 6), (4, 6)):  # a mask below start, past the end
+        with pytest.raises(ValueError, match="outside rows"):
+            candidate_snapshot(state, probs[start:stop], 2, start=start)
 
 
 def test_snapshot_k_clamped_to_vocab():
