@@ -1,7 +1,8 @@
 """Masked-model forward contract and two deterministic desk-scale backends.
 
-A masked model maps a batch of (sequence state, row window) pairs to logit
-rows of length ``vocab_size``.  Every backend here is a pure function of its
+A masked model maps a batch of (sequence state, positions) pairs to one logit
+row of length ``vocab_size`` per asked position; the decoders ask only for
+the masked positions they read.  Every backend here is a pure function of its
 input: the same batch always yields bit-identical logits, which is what makes
 the stepwise oracle and the speculative decoder exactly comparable.
 
@@ -13,7 +14,8 @@ Backends:
   denoisers show (context improves predictions; decode order can shuffle)
   without any learned weights.  A forward hashes each distinct row of the
   batch once, in one numpy pass, so its cost follows the distinct rows
-  scored, not the states.
+  scored, not the states; a batch of several pairs gathers each pair's
+  matrix only when the caller reads it.
 * ``TableModel`` replays logits from an explicit fixture keyed by the exact
   token sequence, for hand-checkable unit tests.
 
@@ -26,12 +28,17 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .jsonl import dumps, integer, number, read_lines
 from .sequence import SequenceState
+
+
+Batch = list[tuple[SequenceState, Sequence[int]]]  # (state, positions) pairs
 
 
 class FixtureMissError(Exception):
@@ -43,9 +50,10 @@ class MaskedModel(ABC):
 
     Implementations must be deterministic (identical batch, bit-identical
     logits), per-sequence independent (a batch equals the concatenation of
-    singleton batches), window-exact (the rows of ``range(a, b)`` equal rows
-    a..b-1 of the full ``range(L)`` call, bit for bit), and immutable after
-    construction so concurrent forward calls are safe.
+    singleton batches), position-exact (row i of a call that asks for
+    ``positions`` equals row ``positions[i]`` of the full ``range(L)`` call,
+    bit for bit), and immutable after construction so concurrent forward
+    calls are safe.
     """
 
     @property
@@ -53,26 +61,39 @@ class MaskedModel(ABC):
     def vocab_size(self) -> int: ...
 
     @abstractmethod
-    def forward(self, batch: list[tuple[SequenceState, range]]) -> tuple[np.ndarray, ...]:
-        """One (len(rows), vocab_size) float64 logit matrix per (state, rows)
-        pair, in input order; rows is a non-empty range inside [0, L)."""
+    def forward(self, batch: Batch) -> Sequence[np.ndarray]:
+        """One (len(positions), vocab_size) float64 logit matrix per (state,
+        positions) pair, in input order; positions ascend without repeats
+        inside [0, L) and may be empty."""
 
 
-def check_windows(batch: list[tuple[SequenceState, range]]) -> None:
-    """ValueError unless every rows is a non-empty unit-step range in [0, L)."""
+def check_positions(batch: Batch) -> list[np.ndarray]:
+    """Every pair's positions as an intp array; ValueError unless the batch
+    is non-empty and each positions ascends without repeats inside [0, L)."""
     if not batch:
         raise ValueError("forward requires a non-empty batch")
-    for state, rows in batch:
-        if not (isinstance(rows, range) and rows.step == 1
-                and 0 <= rows.start < rows.stop <= len(state.tokens)):
-            raise ValueError(f"rows {rows!r} is not a window inside [0, {len(state.tokens)})")
+    arrays = []
+    for state, positions in batch:
+        pos = np.asarray(positions)
+        if pos.ndim != 1 or (pos.size and pos.dtype.kind not in "iu"):
+            raise ValueError(f"positions {positions!r} are not a 1-d integer sequence")
+        pos = pos.astype(np.intp, copy=False)
+        if len(pos) and not (0 <= pos[0] and pos[-1] < len(state.tokens)
+                             and (pos[1:] > pos[:-1]).all()):
+            raise ValueError(
+                f"positions {positions!r} do not ascend inside [0, {len(state.tokens)})"
+            )
+        arrays.append(pos)
+    return arrays
 
 
 def softmax_matrix(mat: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax of a (positions, vocab) logit matrix."""
-    shifted = mat - mat.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise stable softmax of a (positions, vocab) logit matrix.  Only
+    the shifted copy is allocated: exp and the division run in place on it."""
+    e = mat - mat.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _read_only(rows: np.ndarray) -> np.ndarray:
@@ -80,6 +101,13 @@ def _read_only(rows: np.ndarray) -> np.ndarray:
     arr = np.array(rows, dtype=np.float64)
     arr.setflags(write=False)
     return arr
+
+
+def _serve(rows: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The stored rows at positions, read-only like the store they came from."""
+    out = rows[positions]
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +171,8 @@ class SyntheticModel(MaskedModel):
     holds sharpness * (float(mix(row + (c + 1) * C) >> 11) * 2**-53), the
     two float products in that order.  A row's logits thus depend on its
     row seed alone, so rows with equal seeds are bit-equal, and a batch of
-    several pairs hashes each distinct seed once and copies it to every row
-    that holds it.
+    several pairs hashes each distinct seed once and copies it to a pair's
+    rows when that pair's matrix is read.
     """
 
     def __init__(self, config: SynthModelConfig):
@@ -157,30 +185,36 @@ class SyntheticModel(MaskedModel):
     def vocab_size(self) -> int:
         return self._config.vocab_size
 
-    def forward(self, batch: list[tuple[SequenceState, range]]) -> tuple[np.ndarray, ...]:
-        check_windows(batch)
-        cfg = self._config
-        lens = np.array([len(rows) for _, rows in batch])
-        offsets = np.cumsum(lens) - lens  # the first output row of each pair
-        flat = np.arange(int(lens.sum()))
+    def forward(self, batch: Batch) -> Sequence[np.ndarray]:
+        asked = check_positions(batch)
+        flat = np.concatenate(asked)  # the position of every output row
 
         # Commutative accumulation over in-window (offset, token) pairs for all
-        # rows at once.  The strip holds each window with cw cells on each
-        # side; padding with the mask id makes out-of-range neighbours vanish.
+        # rows at once.  The strip holds each pair's covering range, from its
+        # first to its last position, with cw cells on each side; padding with
+        # the mask id makes out-of-range neighbours vanish.
         acc = np.zeros(len(flat), dtype=np.uint64)
-        cw = cfg.context_window
-        if cw > 0:
+        cw = self._config.context_window
+        if cw > 0 and len(flat):
             strip: list[int] = []
-            for state, rows in batch:
-                lo, hi = max(rows.start - cw, 0), min(rows.stop + cw, len(state.tokens))
-                strip += [state.mask_id] * (lo - rows.start + cw)
+            # per pair with rows: row count, strip cells, mask id, row shift
+            rows, spans, masks, shifts = [], [], [], []
+            for (state, _), pos in zip(batch, asked):
+                if not len(pos):
+                    continue
+                first, stop = int(pos[0]), int(pos[-1]) + 1
+                lo, hi = max(first - cw, 0), min(stop + cw, len(state.tokens))
+                rows.append(len(pos))
+                spans.append(stop - first + 2 * cw)
+                masks.append(state.mask_id)
+                shifts.append(len(strip) + cw - first)  # position + shift = strip index
+                strip += [state.mask_id] * (lo - first + cw)
                 strip += state.tokens[lo:hi]
-                strip += [state.mask_id] * (rows.stop + cw - hi)
+                strip += [state.mask_id] * (stop + cw - hi)
             tokens = np.array(strip, dtype=np.int64)
-            masks = np.repeat([s.mask_id for s, _ in batch], lens + 2 * cw)
-            nonmask = (tokens != masks).astype(np.uint64)
+            nonmask = (tokens != np.repeat(masks, spans)).astype(np.uint64)
             key = (tokens.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
-            centre = flat + np.repeat(cw * (2 * np.arange(len(batch)) + 1), lens)  # strip index
+            centre = flat + np.repeat(shifts, rows)
             for delta in range(-cw, cw + 1):
                 if delta == 0:
                     continue
@@ -190,18 +224,17 @@ class SyntheticModel(MaskedModel):
                 term *= nonmask[neigh]
                 acc += term
 
-        starts = np.array([rows.start for _, rows in batch])
-        pos = (flat + np.repeat(starts - offsets + 1, lens)).astype(np.uint64)
+        pos = (flat + 1).astype(np.uint64)
         row_seed = _mix64(_mix64(pos * np.uint64(_GOLDEN) + self._seed_base) ^ acc)
 
         if len(batch) == 1:
             return (self._hash_rows(row_seed),)
         # Tree nodes share most rows with their root: hash each distinct seed
-        # once, then gather a fresh matrix per pair, so a kept matrix holds no
-        # other pair (nor the table) alive.
+        # once, and gather a pair's matrix from that table only when it is read.
         seeds, inverse = np.unique(row_seed, return_inverse=True)
-        table = self._hash_rows(seeds)
-        return tuple(table[inverse[lo : lo + n]] for lo, n in zip(offsets.tolist(), lens.tolist()))
+        ends = list(accumulate(len(pos) for pos in asked))
+        parts = [inverse[a:b] for a, b in zip([0, *ends], ends)]
+        return GatheredRows(self._hash_rows(seeds), parts)
 
     def _hash_rows(self, seeds: np.ndarray) -> np.ndarray:
         """The (len(seeds), V) logits of the given row seeds, with the cells
@@ -216,6 +249,25 @@ class SyntheticModel(MaskedModel):
         return logits
 
 
+class GatheredRows(Sequence):
+    """The per-pair logit matrices of a batched forward.  Reading pair i
+    gathers a fresh, writable matrix from the table of distinct rows, so a
+    pair nobody reads costs no copy, and a kept matrix holds neither the
+    table nor another pair alive."""
+
+    def __init__(self, table: np.ndarray, parts: list[np.ndarray]):
+        self._table = table
+        self._parts = parts  # each pair's table row indices, in pair order
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._table[part] for part in self._parts[i])
+        return self._table[self._parts[i]]
+
+
 # ---------------------------------------------------------------------------
 # Table backend
 # ---------------------------------------------------------------------------
@@ -227,7 +279,8 @@ class TableModel(MaskedModel):
     The fingerprint is the exact token tuple; querying a state the table
     does not list raises FixtureMissError, which indicates a broken test
     fixture rather than a runtime condition.  Rows are stored read-only, one
-    full (L, vocab) matrix per state, and windows are served as views.
+    full (L, vocab) matrix per state, and the asked rows are served as
+    read-only copies.
     """
 
     def __init__(self, table: dict[tuple[int, ...], np.ndarray]):
@@ -262,9 +315,9 @@ class TableModel(MaskedModel):
             raise FixtureMissError(f"no fixture rows for state {tokens}")
         return self._table[tokens]
 
-    def forward(self, batch: list[tuple[SequenceState, range]]) -> tuple[np.ndarray, ...]:
-        check_windows(batch)
-        return tuple(self.rows_for(state.tokens)[rows.start : rows.stop] for state, rows in batch)
+    def forward(self, batch: Batch) -> Sequence[np.ndarray]:
+        asked = check_positions(batch)
+        return tuple(_serve(self.rows_for(s.tokens), pos) for (s, _), pos in zip(batch, asked))
 
 
 def dump_table_fixture(table: dict[tuple[int, ...], np.ndarray], path: str) -> None:
@@ -305,8 +358,8 @@ class RecordingModel(MaskedModel):
     def vocab_size(self) -> int:
         return self._inner.vocab_size
 
-    def forward(self, batch: list[tuple[SequenceState, range]]) -> tuple[np.ndarray, ...]:
-        check_windows(batch)
+    def forward(self, batch: Batch) -> Sequence[np.ndarray]:
+        asked = check_positions(batch)
         missing: dict[tuple[int, ...], SequenceState] = {}
         for state, _ in batch:  # each unrecorded state once, first seen first
             if state.tokens not in self.recorded:
@@ -315,7 +368,7 @@ class RecordingModel(MaskedModel):
             full = [(state, range(len(state.tokens))) for state in missing.values()]
             for tokens, rows in zip(missing, self._inner.forward(full)):
                 self.recorded[tokens] = _read_only(rows)
-        return tuple(self.recorded[s.tokens][rows.start : rows.stop] for s, rows in batch)
+        return tuple(_serve(self.recorded[s.tokens], pos) for (s, _), pos in zip(batch, asked))
 
     def dump(self, path: str) -> None:
         dump_table_fixture(self.recorded, path)

@@ -17,7 +17,7 @@ never mutates, so many divergent copies of a base state can be held at once
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,16 +106,17 @@ def current_block(state: SequenceState) -> int | None:
     return (first - state.prompt_len) // state.block_len
 
 
-def block_rows(state: SequenceState, count: int) -> range:
-    """Rows of the current block and the next count - 1, clipped at L."""
-    start = state.prompt_len + (current_block(state) or 0) * state.block_len
-    return range(start, min(start + count * state.block_len, len(state.tokens)))
-
-
 def masked_in_blocks(state: SequenceState, count: int) -> np.ndarray:
-    """The masked positions of block_rows(state, count), ascending."""
-    rows = block_rows(state, count)
-    return np.array([p for p in rows if state.tokens[p] == state.mask_id], dtype=np.intp)
+    """The masked positions of the current block and the next count - 1,
+    ascending; empty once the state is fully decoded.  Every mask lies in
+    or after the current block, so count >= the block count gives them all."""
+    block = current_block(state)
+    if block is None:
+        return np.empty(0, dtype=np.intp)
+    start = state.prompt_len + block * state.block_len
+    stop = min(start + count * state.block_len, len(state.tokens))
+    tokens, mask = state.tokens, state.mask_id
+    return np.array([p for p in range(start, stop) if tokens[p] == mask], dtype=np.intp)
 
 
 def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:
@@ -128,5 +129,9 @@ def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:
     if not state.is_masked(pos):
         region = "prompt" if pos < state.prompt_len else "already-decoded"
         raise IllegalWriteError(f"position {pos} is {region}, not masked")
+    # Built without __post_init__: unmasking one generation position keeps
+    # the length and the prompt, so every invariant it checks still holds.
     tokens = state.tokens[:pos] + (tok,) + state.tokens[pos + 1 :]
-    return replace(state, tokens=tokens)
+    placed = object.__new__(SequenceState)
+    placed.__dict__.update(state.__dict__, tokens=tokens)
+    return placed

@@ -5,10 +5,11 @@ position of the current block, and of the next block too when the current
 one holds fewer than N masks.  The highest-confidence positions, current
 block first, become an ordered candidate list, and a verification tree
 materializes the states that would exist if successive candidates were
-accepted.  A single batched forward then scores every node's current block,
-plus the two after it when that block holds N masks or fewer (only then can
-a draft refresh from the node reach them), and a walk from the root accepts
-a candidate exactly when the parent node's own stepwise choice matches it.
+accepted.  A single batched forward then scores the masks of every node's
+current block, plus those of the two after it when that block holds N masks
+or fewer (only then can a draft refresh from the node reach them), and a
+walk from the root accepts a candidate exactly when the parent node's own
+stepwise choice matches it; it reads only the nodes it visits.
 The deepest validated node contributes one further token (its own stepwise
 choice), so a draft of length N can yield N+1 tokens per round while the
 output stays token-identical to plain stepwise decoding.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import MaskedModel, softmax_matrix
-from .sequence import SequenceState, block_rows, current_block, masked_in_blocks, place_token
+from .sequence import SequenceState, current_block, masked_in_blocks, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
 from .stepwise import DecodeTrace, StepRecord, choose_step, decode_remaining
 
@@ -66,11 +67,12 @@ def draft_blocks(state: SequenceState, n: int) -> int:
 
 
 def drafts_from_logits(
-    state: SequenceState, logits: np.ndarray, k: int = 1, start: int = 0, *, n: int
+    state: SequenceState, logits: np.ndarray, k: int = 1, *, n: int, rows: np.ndarray | None = None
 ) -> Drafts:
     """Extract top-k drafts for the masked positions of state's
     draft_blocks(state, n) blocks from a logit matrix whose row i belongs to
-    position start + i; no other position can be a candidate.
+    the ascending position rows[i] (to position i when rows is None); no
+    other position can be a candidate.
 
     Used both for fresh drafting (logits from a forward on state itself) and
     for the free refresh after a verification round, where the logits come
@@ -82,14 +84,17 @@ def drafts_from_logits(
     positions = masked_in_blocks(state, draft_blocks(state, n))
     if positions.size == 0:
         raise ValueError("state has no masked positions to draft for")
-    if positions[0] < start or positions[-1] >= start + len(logits):
+    if rows is None:
+        rows = np.arange(len(logits))
+    found = np.searchsorted(rows, positions)
+    if found[-1] >= len(rows) or not np.array_equal(rows[found], positions):
         raise ValueError("logits do not cover the drafted blocks")
-    rows = softmax_matrix(np.asarray(logits, dtype=np.float64)[positions - start])
+    probs = softmax_matrix(np.asarray(logits, dtype=np.float64)[found])
     if k == 1:
-        tokens = np.argmax(rows, axis=1)[:, None]  # first max, lowest-id tie-break
+        tokens = np.argmax(probs, axis=1)[:, None]  # first max, lowest-id tie-break
     else:
-        tokens = np.argsort(-rows, axis=1, kind="stable")[:, :k]
-    confidences = rows[np.arange(len(positions)), tokens[:, 0]]
+        tokens = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    confidences = probs[np.arange(len(positions)), tokens[:, 0]]
     return Drafts(positions=positions, tokens=tokens, confidences=confidences)
 
 
@@ -210,8 +215,8 @@ class VerifyResult:
     """Outcome of one verification round."""
 
     accepted: tuple[tuple[int, int, float], ...]  # (position, token, confidence)
-    leaf_logits: np.ndarray  # logits of the deepest validated node's rows
-    leaf_rows: range
+    leaf_logits: np.ndarray  # the deepest validated node's logit rows
+    leaf_positions: np.ndarray  # the ascending positions of those rows
     leaf_index: int
 
 
@@ -223,22 +228,25 @@ def batch_verify(model: MaskedModel, tree: VerificationTree, n: int) -> VerifyRe
     own logits; a child whose expectation equals the choice is validated in
     turn.  When no child matches (or none exists), the node's own choice is
     accepted as the final token of the round, which guarantees progress of
-    at least one token.
+    at least one token.  The walk reads each node it visits once and no
+    other node, so a backend that gathers a node's rows on read copies only
+    the accepted path.
     """
     nodes = tree.nodes
     masks = [masked_in_blocks(node.state, 1) for node in nodes]
-    # The walk reads a node's current block.  A leaf's bonus token leaves m - 1
-    # masks there, so the refresh needs the next two blocks only if m - 1 < n.
-    windows = [block_rows(node.state, 1 if len(m) > n else 3) for node, m in zip(nodes, masks)]
-    batch = model.forward(list(zip((node.state for node in nodes), windows)))
+    # The walk reads the current block's masks, the first rows of a node.  A
+    # leaf's bonus token leaves m - 1 of them, so the refresh needs the masks
+    # of the next two blocks only if m - 1 < n.
+    asked = [m if len(m) > n else masked_in_blocks(node.state, 3) for node, m in zip(nodes, masks)]
+    batch = model.forward(list(zip((node.state for node in nodes), asked)))
 
     accepted: list[tuple[int, int, float]] = []
     cur = 0
+    logits = batch[cur]
     # Stop once every position is decoded: nothing further to choose.
     while masks[cur].size:
         positions = masks[cur]
-        probs = softmax_matrix(batch[cur][positions - windows[cur].start])
-        pos, tok, conf = choose_step(positions, probs)
+        pos, tok, conf = choose_step(positions, softmax_matrix(logits[: len(positions)]))
         accepted.append((pos, tok, conf))
         matched = next(
             (i for i, node in enumerate(nodes)
@@ -248,7 +256,8 @@ def batch_verify(model: MaskedModel, tree: VerificationTree, n: int) -> VerifyRe
         if matched is None:
             break
         cur = matched
-    return VerifyResult(tuple(accepted), batch[cur], windows[cur], cur)
+        logits = batch[cur]
+    return VerifyResult(tuple(accepted), logits, asked[cur], cur)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +304,8 @@ def ssd_decode(
         raise ValueError("state has no masked positions to decode")
 
     start = state
-    rows = block_rows(state, draft_blocks(state, n))
-    drafts = drafts_from_logits(state, model.forward([(state, rows)])[0], start=rows.start, n=n)
+    rows = masked_in_blocks(state, draft_blocks(state, n))
+    drafts = drafts_from_logits(state, model.forward([(state, rows)])[0], n=n, rows=rows)
     forwards = 1
     records: list[StepRecord] = []
     rounds: list[RoundStats] = []
@@ -325,7 +334,7 @@ def ssd_decode(
             )
         )
         if current_block(state) is not None:
-            drafts = drafts_from_logits(state, result.leaf_logits, start=result.leaf_rows.start, n=n)
+            drafts = drafts_from_logits(state, result.leaf_logits, n=n, rows=result.leaf_positions)
 
     trace = DecodeTrace(
         decoder="ssd",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .jsonl import dumps, integer, number, read_lines
 from .models import MaskedModel, softmax_matrix
-from .sequence import SequenceState, block_rows, current_block, masked_in_blocks, place_token
+from .sequence import SequenceState, current_block, masked_in_blocks, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
 
 Candidates = tuple[tuple[int, float], ...]
@@ -72,43 +72,39 @@ def choose_step(positions: np.ndarray, probs: np.ndarray) -> tuple[int, int, flo
 
 
 def candidate_snapshot(
-    state: SequenceState, probs: np.ndarray, k: int, start: int = 0
+    positions: np.ndarray, probs: np.ndarray, k: int
 ) -> dict[int, Candidates]:
-    """Top-k (token, probability) pairs at every masked position, highest
-    probability first, ties to the lowest token id; probs[0] is row start.
-
-    ValueError unless every masked position has a row in probs."""
-    hits = np.flatnonzero(np.array(state.tokens[start : start + len(probs)]) == state.mask_id)
-    if len(hits) != state.tokens.count(state.mask_id):  # the prompt holds no mask
-        raise ValueError(f"a masked position lies outside rows [{start}, {start + len(probs)})")
-    masked = (start + hits).tolist()
-    sub = probs[hits]
-    k = min(k, sub.shape[1])
-    rows = np.arange(len(sub))[:, None]
+    """Top-k (token, probability) pairs at each of the ascending positions,
+    highest probability first, ties to the lowest token id; probs[i] is the
+    row of positions[i]."""
+    if len(positions) != len(probs):
+        raise ValueError(f"{len(positions)} positions for {len(probs)} probability rows")
+    k = min(k, probs.shape[1])
+    rows = np.arange(len(probs))[:, None]
     # The k largest of each row in any order, then sorted by (-p, token id).
-    top = np.argpartition(sub, -k, axis=1)[:, -k:]
-    top = top[rows, np.lexsort((top, -sub[rows, top]))]
+    top = np.argpartition(probs, -k, axis=1)[:, -k:]
+    top = top[rows, np.lexsort((top, -probs[rows, top]))]
     # A row with more than k entries at its kth value has a tie at the cut,
     # which the partition breaks arbitrarily: sort those rows in full.
-    tied = np.count_nonzero(sub >= sub[rows, top[:, -1:]], axis=1) > k
-    top[tied] = np.argsort(-sub[tied], axis=1, kind="stable")[:, :k]
-    pairs = zip(top.ravel().tolist(), sub[rows, top].ravel().tolist())
-    return dict(zip(masked, zip(*[pairs] * k)))  # k consecutive pairs per position
+    tied = np.count_nonzero(probs >= probs[rows, top[:, -1:]], axis=1) > k
+    top[tied] = np.argsort(-probs[tied], axis=1, kind="stable")[:, :k]
+    pairs = zip(top.ravel().tolist(), probs[rows, top].ravel().tolist())
+    return dict(zip(np.asarray(positions).tolist(), zip(*[pairs] * k)))  # k pairs per position
 
 
 def decode_remaining(
     model: MaskedModel, state: SequenceState, topk: int
 ) -> tuple[SequenceState, list[StepRecord]]:
-    """Run stepwise steps (one forward each) until no masks remain; each
-    scores the current block, or all rows from its start for a snapshot."""
+    """Run stepwise steps (one forward each) until no masks remain.  Each
+    scores the masks of its current block, or every mask when it records a
+    top-k snapshot; the current block's masks come first either way."""
     records: list[StepRecord] = []
     while current_block(state) is not None:
-        rows = block_rows(state, 1)
-        rows = range(rows.start, len(state.tokens) if topk > 0 else rows.stop)
-        probs = softmax_matrix(model.forward([(state, rows)])[0])
-        snapshot = candidate_snapshot(state, probs, topk, rows.start) if topk > 0 else None
         positions = masked_in_blocks(state, 1)
-        pos, tok, conf = choose_step(positions, probs[positions - rows.start])
+        asked = masked_in_blocks(state, state.gen_len) if topk > 0 else positions
+        probs = softmax_matrix(model.forward([(state, asked)])[0])
+        snapshot = candidate_snapshot(asked, probs, topk) if topk > 0 else None
+        pos, tok, conf = choose_step(positions, probs[: len(positions)])
         state = place_token(state, pos, tok)
         records.append(
             StepRecord(position=pos, token=tok, confidence=conf, topk=snapshot)

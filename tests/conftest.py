@@ -36,7 +36,7 @@ def all_masked_state(prompt_len=0, gen_len=8, vocab=16, block_len=8):
 
 
 def full_window(*states):
-    """(state, every row) pairs: a forward batch that scores whole states."""
+    """(state, every position) pairs: a forward batch that scores whole states."""
     return [(state, range(len(state.tokens))) for state in states]
 
 
@@ -61,7 +61,7 @@ def replay_dual_rounds(model, state, n):
         for pos, tok, _ in g.accepted:
             state = place_token(state, pos, tok)
         if current_block(state) is not None:
-            drafts = drafts_from_logits(state, g.leaf_logits, start=g.leaf_rows.start, n=n)
+            drafts = drafts_from_logits(state, g.leaf_logits, n=n, rows=g.leaf_positions)
     return rounds
 
 
@@ -84,7 +84,7 @@ def check_block_order(positions, prompt_len, gen_len, block_len):
 
 class CountingModel(MaskedModel):
     """Passes forwards through to a model, counting calls and rows and
-    keeping every batch of (state, rows) pairs it is asked for."""
+    keeping every batch of (state, positions) pairs it is asked for."""
 
     def __init__(self, inner):
         self._inner = inner

@@ -74,11 +74,35 @@ def test_softmax_matrix_rows_sum_to_one(logits):
     assert (probs > 0).all() and (probs <= 1).all()
 
 
+def three_temporary_softmax(mat):
+    """The softmax formula with a fresh array for each of its three steps."""
+    shifted = mat - mat.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def test_softmax_matrix_is_bit_equal_to_three_temporaries():
+    """The in-place softmax runs the same IEEE operations in the same order,
+    on random, tied and saturated rows, at narrow and wide vocabularies."""
+    rng = np.random.default_rng(11)
+    for vocab in (2, 7, 64, 4096):
+        mats = [
+            rng.standard_normal((9, vocab)) * 6.0,
+            np.zeros((3, vocab)),  # every entry tied
+            np.tile(rng.integers(0, 3, vocab).astype(np.float64), (4, 1)),  # ties at the top
+            np.where(rng.random((5, vocab)) < 0.1, 1000.0, 0.0),  # saturated to 0 and 1
+            rng.standard_normal((4, vocab)) * 1e300,  # exp underflows to exactly 0
+        ]
+        for mat in mats:
+            before = mat.copy()
+            assert softmax_matrix(mat).tobytes() == three_temporary_softmax(mat).tobytes()
+            assert np.array_equal(mat, before)  # the input is left alone
+
+
 def topk(row, k):
     """Top-k (token, probability) pairs of a single logit row."""
-    state = all_masked_state(gen_len=1, vocab=len(row), block_len=1)
     probs = softmax_matrix(np.array([row], dtype=np.float64))
-    return candidate_snapshot(state, probs, k)[0]
+    return candidate_snapshot([0], probs, k)[0]
 
 
 def test_topk_ordering_and_tie_break():
@@ -289,9 +313,10 @@ def reference_logits(config, state, rows):
 )
 @settings(max_examples=60, deadline=None)
 def test_synthetic_forward_is_the_documented_hash_cell_for_cell(seed, vocab, cw, sharpness, data):
-    """A batch of states with different mask ids and windows nearer an edge
-    than the context window gives, bit for bit, the scalar reference; tiny
-    sharpness pins the order of the two scale multiplies."""
+    """A batch of states with different mask ids and position sets, empty,
+    gapped or nearer an edge than the context window, gives, bit for bit,
+    the scalar reference; tiny sharpness pins the order of the two scale
+    multiplies."""
     config = SynthModelConfig(seed=seed, vocab_size=vocab, sharpness=sharpness,
                               context_window=cw)
     batch = []
@@ -301,16 +326,16 @@ def test_synthetic_forward_is_the_documented_hash_cell_for_cell(seed, vocab, cw,
         gen = data.draw(st.lists(st.sampled_from([mask_id, *range(vocab)]), min_size=1, max_size=8))
         state = SequenceState(tokens=tuple(prompt + gen), prompt_len=len(prompt),
                               gen_len=len(gen), mask_id=mask_id, block_len=3)
-        start = data.draw(st.integers(0, len(state.tokens) - 1))
-        batch.append((state, range(start, data.draw(st.integers(start + 1, len(state.tokens))))))
-    for (state, rows), got in zip(batch, SyntheticModel(config).forward(batch)):
-        assert got.tobytes() == reference_logits(config, state, rows).tobytes()
+        positions = data.draw(st.sets(st.integers(0, len(state.tokens) - 1)))
+        batch.append((state, sorted(positions)))
+    for (state, positions), got in zip(batch, SyntheticModel(config).forward(batch)):
+        assert got.tobytes() == reference_logits(config, state, positions).tobytes()
 
 
-# --- row windows -----------------------------------------------------------
+# --- position sets ---------------------------------------------------------
 
 
-def window_backends(seed, vocab, cw, state):
+def position_backends(seed, vocab, cw, state):
     """The three backends, each able to score state: the table replays the
     synthetic model's full rows."""
     model = synth(seed=seed, vocab=vocab, cw=cw)
@@ -329,37 +354,71 @@ def window_backends(seed, vocab, cw, state):
     data=st.data(),
 )
 @settings(max_examples=40, deadline=None)
-def test_every_window_is_the_full_rows_bit_for_bit(seed, prompt_len, gen_len, cw, data):
-    """On a partially decoded state, range(a, b) returns rows a..b-1 of the
-    full-range call on every backend, windows nearer an edge than the
-    context window included, and a batch of pairs equals its singletons."""
+def test_every_position_set_is_the_full_rows_bit_for_bit(seed, prompt_len, gen_len, cw, data):
+    """On a partially decoded state, any ascending position set returns
+    those rows of the full-range call on every backend: empty sets,
+    non-contiguous ones and ones nearer an edge than the context window
+    included, and a batch of pairs equals its singletons."""
     vocab = 6
     state = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, vocab=vocab)
     length = len(state.tokens)
     decoded = data.draw(st.sets(st.integers(prompt_len, length - 1)))
     for pos in sorted(decoded):
         state = place_token(state, pos, data.draw(st.integers(0, vocab - 1)))
-    windows = [range(a, b) for a in range(length) for b in range(a + 1, length + 1)]
-    for name, model in window_backends(seed, vocab, cw, state).items():
+    subsets = [sorted(data.draw(st.sets(st.integers(0, length - 1)))) for _ in range(8)]
+    subsets += [[], [0], [length - 1], sorted({0, length - 1}), list(range(length))]
+    subsets += [[p for p in range(length) if state.is_masked(p)]]
+    for name, model in position_backends(seed, vocab, cw, state).items():
         full = full_logits(model, state)
         assert full.shape == (length, vocab), name
-        singles = [model.forward([(state, rows)])[0] for rows in windows]
-        for rows, got in zip(windows, singles):
-            assert np.array_equal(got, full[rows.start : rows.stop]), (name, rows)
-        batch = model.forward([(state, rows) for rows in windows])
+        singles = [model.forward([(state, np.array(pos, dtype=np.intp))])[0] for pos in subsets]
+        for pos, got in zip(subsets, singles):
+            assert got.shape == (len(pos), vocab), (name, pos)
+            assert np.array_equal(got, full[pos]), (name, pos)
+        batch = model.forward([(state, pos) for pos in subsets])
+        assert len(batch) == len(subsets)
         assert all(np.array_equal(a, b) for a, b in zip(batch, singles)), name
 
 
 @pytest.mark.parametrize("backend", ["synthetic", "table", "recording"])
-def test_empty_or_out_of_range_window_raises(backend):
+def test_bad_positions_raise_and_empty_ones_answer_no_rows(backend):
+    """Empty position sets are valid; non-ascending, duplicate, out-of-range,
+    non-integer and non-1-d ones raise, as does an empty batch."""
     state = all_masked_state(prompt_len=1, gen_len=4, vocab=6)
-    model = window_backends(0, 6, 2, state)[backend]
-    for rows in (range(2, 2), range(3, 1), range(-1, 2), range(0, 6), range(5, 6),
-                 range(0, 4, 2), slice(0, 2), (0, 1)):
+    model = position_backends(0, 6, 2, state)[backend]
+    for empty in ([], (), range(2, 2), np.empty(0, dtype=np.intp)):
+        assert model.forward([(state, empty)])[0].shape == (0, 6)
+    for bad in ([3, 1], [2, 2], [0, 2, 2, 4], [-1, 2], [0, 5], [5], range(0, 6), range(3, 1, -1),
+                [[0, 1]], [0.0, 1.0], [True], slice(0, 2), 3):
         with pytest.raises(ValueError):
-            model.forward([(state, rows)])
+            model.forward([(state, bad)])
+        with pytest.raises(ValueError):
+            model.forward([(state, [0]), (state, bad)])
     with pytest.raises(ValueError):
         model.forward([])
+
+
+def test_batched_synthetic_forward_gathers_each_pair_on_read():
+    """A batch of several pairs answers with a sequence whose items are
+    gathered when read: each read is a fresh writable matrix, slices and
+    negative indices work, and an index past the end raises IndexError."""
+    model = synth(seed=5, vocab=8)
+    base = all_masked_state(prompt_len=1, gen_len=6, vocab=8)
+    batch = [(base, [1, 2, 3]), (place_token(base, 2, 4), [1, 3, 4]), (base, [])]
+    out = model.forward(batch)
+    assert len(out) == 3
+    first, again = out[0], out[0]
+    assert np.array_equal(first, again) and not np.shares_memory(first, again)
+    first[:] = 0.0  # writable, and the next read is untouched
+    assert np.array_equal(out[0], model.forward(batch[:1])[0])
+    assert np.array_equal(out[-2], out[1]) and out[-1].shape == (0, 8)
+    assert [m.shape for m in out[1:]] == [(3, 8), (0, 8)]
+    assert [m.shape for m in out[::-2]] == [(0, 8), (3, 8)]
+    assert [m.shape for m in out] == [(3, 8), (3, 8), (0, 8)]
+    with pytest.raises(IndexError):
+        out[3]
+    with pytest.raises(IndexError):
+        out[-4]
 
 
 # --- table model -----------------------------------------------------------
@@ -463,7 +522,7 @@ def test_recording_model_serves_memoized_rows():
     assert state.tokens in rec.recorded
     # the inner model sees each unrecorded state once, first seen first
     a, b = place_token(state, 0, 1), place_token(state, 1, 2)
-    third = rec.forward([(b, range(0, 2)), (a, range(4)), (b, range(2, 4)), (state, range(4))])
+    third = rec.forward([(b, [0, 1]), (a, range(4)), (b, [2, 3]), (state, range(4))])
     asked = [[s.tokens for s, _ in batch] for batch in inner.batches]
     assert asked == [[state.tokens], [b.tokens, a.tokens]]
     assert np.array_equal(np.vstack([third[0], third[2]]), full_logits(inner, b))

@@ -123,7 +123,8 @@ def test_masked_in_blocks_are_the_masked_positions_of_the_scheduled_blocks(
     data, prompt_len, gen_len, block_len
 ):
     """count=1 gives the masked positions of the current block, count=2 adds
-    the next block's, and both are empty once every position is filled."""
+    the next block's, a count of gen_len gives every mask, and all are empty
+    once every position is filled."""
     state = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, block_len=block_len)
     region = range(prompt_len, prompt_len + gen_len)
     for pos in data.draw(st.sets(st.sampled_from(region), max_size=gen_len - 1)):
@@ -136,9 +137,11 @@ def test_masked_in_blocks_are_the_masked_positions_of_the_scheduled_blocks(
 
     assert masked_in_blocks(state, 1).tolist() == masked(sched[block : block + 1])
     assert masked_in_blocks(state, 2).tolist() == masked(sched[block : block + 2])
+    assert masked_in_blocks(state, gen_len).tolist() == masked(sched)
     for pos in [p for p in region if state.is_masked(p)]:
         state = place_token(state, pos, 1)
-    assert masked_in_blocks(state, 1).size == masked_in_blocks(state, 2).size == 0
+    for count in (1, 2, 3, gen_len):
+        assert masked_in_blocks(state, count).size == 0
 
 
 # --- place_token -----------------------------------------------------------
@@ -199,6 +202,29 @@ def test_place_token_frame_property(prompt_len, gen_len, pos_seed, tok):
         and placed.mask_id == state.mask_id
         and placed.block_len == state.block_len
     )
+
+
+@given(
+    prompt_len=st.integers(0, 6),
+    gen_len=st.integers(1, 24),
+    block_len=st.integers(1, 8),
+    data=st.data(),
+)
+@settings(max_examples=100)
+def test_placed_state_equals_a_constructed_one(prompt_len, gen_len, block_len, data):
+    """place_token skips the constructor's checks, yet every placement order
+    gives the state the constructor builds from the same fields: equal,
+    equally hashed and still frozen."""
+    state = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, block_len=block_len)
+    order = data.draw(st.permutations(range(prompt_len, prompt_len + gen_len)))
+    for pos in order[: data.draw(st.integers(1, gen_len))]:
+        state = place_token(state, pos, data.draw(st.integers(0, 15)))
+        built = SequenceState(tokens=state.tokens, prompt_len=prompt_len, gen_len=gen_len,
+                              mask_id=16, block_len=block_len)
+        assert state == built and hash(state) == hash(built)
+        assert type(state) is SequenceState and vars(state) == vars(built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.tokens = ()
 
 
 def test_states_are_value_snapshots():

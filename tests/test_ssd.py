@@ -1,6 +1,7 @@
 """Speculative decoding: drafting, trees, batch verification, the full loop."""
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 
 from selfspec import (
     Drafts,
+    MaskedModel,
+    RecordingModel,
     SynthModelConfig,
     SyntheticModel,
     TableModel,
     batch_verify,
     build_tree,
+    current_block,
     drafts_from_logits,
     initial_state,
     kary_tree_size,
@@ -24,7 +28,7 @@ from selfspec import (
     ssd_decode,
     stepwise_decode,
 )
-from selfspec.sequence import block_rows, masked_in_blocks
+from selfspec.sequence import masked_in_blocks
 from selfspec.ssd import draft_blocks
 from selfspec.stepwise import choose_step
 
@@ -373,30 +377,74 @@ def test_full_match_accepts_n_plus_one():
 
 def test_refresh_reads_the_leafs_next_but_one_block():
     """block_len 1 and n = 2: the bonus token completes the leaf's block,
-    and one mask is short of n, so the refreshed drafts need the leaf's next
-    and next-but-one block, which a two-block node window would not hold."""
+    and one mask is short of n, so the refreshed drafts need the masks of
+    the leaf's next and next-but-one block, which a two-block node would
+    not ask for; the refresh finds them past the bonus token's row."""
     model = synth(seed=1, cw=0)
     state = all_masked_state(gen_len=8, block_len=1)
     drafts = draft(model, state, n=2)
-    result = batch_verify(model, build_tree(state, select_candidates(state, drafts, 2), drafts), 2)
-    assert result.leaf_index == 2 and result.leaf_rows == range(2, 5)
+    tree = build_tree(state, select_candidates(state, drafts, 2), drafts)
+    result = batch_verify(model, tree, 2)
+    assert result.leaf_index == 2 and result.leaf_positions.tolist() == [2, 3, 4]
+    assert np.array_equal(result.leaf_logits, full_logits(model, tree.nodes[2].state)[2:5])
     for pos, tok, _ in result.accepted:
         state = place_token(state, pos, tok)
     assert masked_in_blocks(state, 2).tolist() == [3, 4]
-    refreshed = drafts_from_logits(state, result.leaf_logits, start=result.leaf_rows.start, n=2)
+    refreshed = drafts_from_logits(state, result.leaf_logits, n=2, rows=result.leaf_positions)
     assert np.array_equal(refreshed.positions, [3, 4])
+    stale = drafts_from_logits(state, full_logits(model, tree.nodes[2].state), n=2)
+    assert np.array_equal(refreshed.tokens, stale.tokens)
+    assert np.array_equal(refreshed.confidences, stale.confidences)
+    with pytest.raises(ValueError, match="do not cover"):
+        drafts_from_logits(state, result.leaf_logits[:2], n=2, rows=result.leaf_positions[:2])
 
 
 def test_node_scores_one_block_only_above_n_masks():
     """n = 3 in blocks of 4: the root holds n + 1 masks, so its refresh can
-    read only its own block and it scores that block; every deeper chain
-    node holds n masks or fewer and scores three blocks."""
+    read only its own block and it asks for that block's masks; every
+    deeper chain node holds n masks or fewer and asks for the masks of
+    three blocks."""
     model = CountingModel(synth(seed=1, cw=0))
     state = all_masked_state(gen_len=16, block_len=4)
     drafts = draft(model, state, n=3)
-    batch_verify(model, build_tree(state, select_candidates(state, drafts, 3), drafts), 3)
-    windows = [rows for _, rows in model.batches[-1]]
-    assert windows == [range(0, 4)] + [range(0, 12)] * 3
+    tree = build_tree(state, select_candidates(state, drafts, 3), drafts)
+    batch_verify(model, tree, 3)
+    asked = [pos.tolist() for _, pos in model.batches[-1]]
+    assert asked[0] == [0, 1, 2, 3]
+    assert [len(pos) for pos in asked] == [4, 11, 10, 9]
+    for node, pos in zip(tree.nodes[1:], asked[1:]):
+        assert pos == [p for p in range(12) if node.state.is_masked(p)]
+
+
+def test_fully_decoded_node_asks_for_no_rows():
+    """A chain whose last candidate fills the last mask: that node asks for
+    an empty position set, and every backend answers it with a (0, V)
+    matrix, alone or beside other pairs."""
+    model = CountingModel(synth(seed=3, cw=0))  # context-free: the whole chain validates
+    state = all_masked_state(gen_len=4, block_len=2)
+    for pos in (0, 1):
+        state = place_token(state, pos, 5)
+    drafts = draft(model, state, n=2)
+    tree = build_tree(state, select_candidates(state, drafts, 2), drafts)
+    result = batch_verify(model, tree, 2)
+    asked = [pos.tolist() for _, pos in model.batches[-1]]
+    assert asked == [[2, 3], [p for p in (2, 3) if tree.nodes[1].state.is_masked(p)], []]
+    decoded = tree.nodes[2].state
+    assert masked_in_blocks(decoded, 3).size == 0
+    recording = RecordingModel(synth(seed=3))
+    backends = {
+        "synthetic": synth(seed=3),
+        "table": TableModel({decoded.tokens: full_logits(recording, decoded),
+                             state.tokens: full_logits(recording, state)}),
+        "recording": recording,
+    }
+    for name, backend in backends.items():
+        (alone,) = backend.forward([(decoded, [])])
+        beside = backend.forward([(decoded, np.empty(0, dtype=np.intp)), (state, [2, 3])])
+        assert alone.shape == beside[0].shape == (0, 16), name
+        assert np.array_equal(beside[1], full_logits(backend, state)[2:]), name
+    assert result.leaf_index == 2 and len(result.accepted) == 2
+    assert result.leaf_logits.shape == (0, 16) and result.leaf_positions.size == 0
 
 
 def test_root_mismatch_accepts_exactly_one():
@@ -587,6 +635,11 @@ def test_forward_count_law_at_the_model(seed, prompt_len, gen_len, block_len, n,
         assert model.calls <= gen_len
 
 
+def all_masks(state):
+    """Every masked position of state, ascending."""
+    return [p for p in range(len(state.tokens)) if state.is_masked(p)]
+
+
 @given(
     seed=st.integers(0, 40),
     prompt_len=st.integers(0, 4),
@@ -596,12 +649,14 @@ def test_forward_count_law_at_the_model(seed, prompt_len, gen_len, block_len, n,
     shape=st.sampled_from(["greedy", "mix_order"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_forwards_score_only_the_block_windows(seed, prompt_len, gen_len, block_len, n, shape):
-    """The first draft scores the blocks it drafts, every tree node its
-    current block when that holds more than n masks and otherwise the two
-    after it too, each stepwise fallback step its current block, and a
-    stepwise step that snapshots everything from its current block on, so
-    no decode goes back to full-length rows."""
+def test_forwards_ask_only_for_the_masks_of_the_scoped_blocks(
+    seed, prompt_len, gen_len, block_len, n, shape
+):
+    """The first draft asks for the masks of the blocks it drafts, every
+    tree node for those of its current block when that holds more than n
+    masks and otherwise of the two after it too, each stepwise fallback
+    step for its current block's, and a stepwise step that snapshots for
+    every mask, so no forward scores a decoded row."""
     model = CountingModel(synth(seed=seed, vocab=12))
     state = all_masked_state(
         prompt_len=prompt_len, gen_len=gen_len, vocab=12, block_len=block_len
@@ -609,17 +664,83 @@ def test_forwards_score_only_the_block_windows(seed, prompt_len, gen_len, block_
     res = ssd_decode(model, state, n=n, shape=shape)
     first, *rounds = model.batches[: 1 + len(res.rounds)]
     fallback = model.batches[1 + len(res.rounds) :]
-    assert first == [(state, block_rows(state, draft_blocks(state, n)))]
+    [(root, asked)] = first
+    assert root is state
+    assert asked.tolist() == masked_in_blocks(state, draft_blocks(state, n)).tolist()
     for batch in rounds:
-        for node, rows in batch:
-            assert rows == block_rows(node, 1 if len(masked_in_blocks(node, 1)) > n else 3)
+        for node, asked in batch:
+            blocks = 1 if len(masked_in_blocks(node, 1)) > n else 3
+            assert asked.tolist() == masked_in_blocks(node, blocks).tolist()
+            assert all(node.is_masked(p) for p in asked)
     assert len(fallback) == res.fallback_steps
-    for [(step, rows)] in fallback:
-        assert rows == block_rows(step, 1)
+    for [(step, asked)] in fallback:
+        assert asked.tolist() == masked_in_blocks(step, 1).tolist()
     snapshots = CountingModel(synth(seed=seed, vocab=12))
     stepwise_decode(snapshots, state, topk=2)
-    for [(step, rows)] in snapshots.batches:
-        assert rows == range(block_rows(step, 1).start, len(step.tokens))
+    for [(step, asked)] in snapshots.batches:
+        assert asked.tolist() == all_masks(step)
+
+
+class CountedReads(Sequence):
+    """A forward result that appends the index of every read to reads."""
+
+    def __init__(self, out, reads):
+        self._out, self.reads = out, reads
+
+    def __len__(self):
+        return len(self._out)
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return self._out[i]
+
+
+class ReadCountingModel(MaskedModel):
+    """Passes forwards through and records, per forward, which pairs of the
+    result the caller reads, one entry per read."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.reads = []
+
+    @property
+    def vocab_size(self):
+        return self._inner.vocab_size
+
+    def forward(self, batch):
+        self.reads.append([])
+        return CountedReads(self._inner.forward(batch), self.reads[-1])
+
+
+@given(
+    seed=st.integers(0, 40),
+    gen_len=st.integers(2, 20),
+    block_len=st.integers(1, 8),
+    n=st.integers(1, 5),
+    shape=st.sampled_from(["greedy", "mix_order"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_verify_reads_only_the_nodes_its_walk_visits(seed, gen_len, block_len, n, shape):
+    """Every round reads each node on the path from the root to its leaf
+    once, in walk order, and no other node's matrix."""
+    model = ReadCountingModel(synth(seed=seed, vocab=12, sharpness=3.0))
+    state = all_masked_state(gen_len=gen_len, vocab=12, block_len=block_len)
+    drafts = draft(model, state, n=n)
+    while current_block(state) is not None:
+        candidates = select_candidates(state, drafts, n)
+        if len(candidates) < n:
+            break
+        tree = build_tree(state, candidates, drafts, shape)
+        result = batch_verify(model, tree, n)
+        path = [result.leaf_index]
+        while tree.nodes[path[-1]].parent is not None:
+            path.append(tree.nodes[path[-1]].parent)
+        assert model.reads[-1] == path[::-1]
+        for pos, tok, _ in result.accepted:
+            state = place_token(state, pos, tok)
+        if current_block(state) is None:
+            break
+        drafts = drafts_from_logits(state, result.leaf_logits, n=n, rows=result.leaf_positions)
 
 
 @given(seed=st.integers(0, 30), n=st.integers(2, 5))

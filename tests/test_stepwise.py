@@ -132,20 +132,21 @@ def test_snapshot_domain_is_masked_positions():
             assert len(cands) == 3
             probs = [p for _, p in cands]
             assert probs == sorted(probs, reverse=True)
-    # neither the prompt nor a decoded position is in the domain; keys ascend
+    # the keys are the given positions in order, each with its own row's top-k
     state = place_token(all_masked_state(prompt_len=2, gen_len=6), 4, 3)
     probs = softmax_matrix(full_logits(synth(), state))
-    assert list(candidate_snapshot(state, probs, 2)) == [2, 3, 5, 6, 7]
-    assert candidate_snapshot(state, probs[2:], 2, start=2) == candidate_snapshot(state, probs, 2)
+    masked = np.array([2, 3, 5, 6, 7])
+    snapshot = candidate_snapshot(masked, probs[masked], 2)
+    assert list(snapshot) == [2, 3, 5, 6, 7]
+    assert snapshot[5] == candidate_snapshot([5], probs[5:6], 2)[5]
 
 
-def test_snapshot_rejects_a_mask_without_a_row():
-    state = place_token(all_masked_state(prompt_len=1, gen_len=6), 3, 0)
-    probs = softmax_matrix(full_logits(synth(), state))
-    candidate_snapshot(state, probs[1:], 2, start=1)  # rows 1..6 hold every mask
-    for start, stop in ((2, 7), (3, 7), (1, 6), (4, 6)):  # a mask below start, past the end
-        with pytest.raises(ValueError, match="outside rows"):
-            candidate_snapshot(state, probs[start:stop], 2, start=start)
+def test_snapshot_needs_one_row_per_position():
+    probs = softmax_matrix(full_logits(synth(), all_masked_state(gen_len=6)))
+    candidate_snapshot(range(6), probs, 2)
+    for positions in (range(5), range(7), []):
+        with pytest.raises(ValueError, match="probability rows"):
+            candidate_snapshot(positions, probs, 2)
 
 
 def test_snapshot_k_clamped_to_vocab():
@@ -155,15 +156,13 @@ def test_snapshot_k_clamped_to_vocab():
     assert all(len(c) == 4 for r in trace.records for c in r.topk.values())
     # ties break to the lowest token id, and k beyond the vocabulary truncates
     probs = softmax_matrix(np.array([[1.0, 1.0, 0.0, 2.0]]))
-    one = all_masked_state(gen_len=1, vocab=4, block_len=1)
-    assert [t for t, _ in candidate_snapshot(one, probs, 3)[0]] == [3, 0, 1]
-    assert [t for t, _ in candidate_snapshot(one, probs, 10)[0]] == [3, 0, 1, 2]
+    assert [t for t, _ in candidate_snapshot([0], probs, 3)[0]] == [3, 0, 1]
+    assert [t for t, _ in candidate_snapshot([0], probs, 10)[0]] == [3, 0, 1, 2]
     # a tie at the cut keeps the lowest ids, also among probabilities saturated to 0.0
-    wide = all_masked_state(gen_len=1, vocab=64, block_len=1)
     flat = softmax_matrix(np.zeros((1, 64)))
-    assert [t for t, _ in candidate_snapshot(wide, flat, 3)[0]] == [0, 1, 2]
+    assert [t for t, _ in candidate_snapshot([0], flat, 3)[0]] == [0, 1, 2]
     saturated = softmax_matrix(np.array([[0.0] * 63 + [1000.0]]))
-    assert [t for t, _ in candidate_snapshot(wide, saturated, 3)[0]] == [63, 0, 1]
+    assert [t for t, _ in candidate_snapshot([0], saturated, 3)[0]] == [63, 0, 1]
 
 
 def test_chosen_token_heads_its_own_snapshot():
