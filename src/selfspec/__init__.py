@@ -1,9 +1,10 @@
 """Lossless speculative decoding for masked-diffusion text generation.
 
-The model drafts the masked positions of the current and the next block in
-one forward pass, a verification tree re-checks the most confident
-candidates in one batched forward, and the accepted prefix is guaranteed
-token-identical to plain stepwise decoding.
+The model drafts the masked positions of the current block (and of the next
+one when the current block holds too few) in one forward pass, a
+verification tree re-checks the most confident candidates in one batched
+forward, and the accepted prefix is guaranteed token-identical to plain
+stepwise decoding.
 """
 
 from .analyzer import (

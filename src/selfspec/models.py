@@ -12,10 +12,9 @@ Backends:
   hash of the non-mask tokens near that position, so placing a token changes
   the predictions of its neighbours.  This reproduces the dynamics real
   denoisers show (context improves predictions; decode order can shuffle)
-  without any learned weights.  A forward hashes each distinct row of the
-  batch once, in one numpy pass, so its cost follows the distinct rows
-  scored, not the states; a batch of several pairs gathers each pair's
-  matrix only when the caller reads it.
+  without any learned weights.  A forward only checks the positions; each
+  pair's rows are hashed when the caller reads that pair, so a pair nobody
+  reads costs nothing.
 * ``TableModel`` replays logits from an explicit fixture keyed by the exact
   token sequence, for hand-checkable unit tests.
 
@@ -30,7 +29,6 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -68,7 +66,8 @@ class MaskedModel(ABC):
 
 
 def check_positions(batch: Batch) -> list[np.ndarray]:
-    """Every pair's positions as an intp array; ValueError unless the batch
+    """Every pair's positions as a read-only intp copy, so a later change to
+    the caller's array cannot reach a lazy read; ValueError unless the batch
     is non-empty and each positions ascends without repeats inside [0, L)."""
     if not batch:
         raise ValueError("forward requires a non-empty batch")
@@ -77,7 +76,8 @@ def check_positions(batch: Batch) -> list[np.ndarray]:
         pos = np.asarray(positions)
         if pos.ndim != 1 or (pos.size and pos.dtype.kind not in "iu"):
             raise ValueError(f"positions {positions!r} are not a 1-d integer sequence")
-        pos = pos.astype(np.intp, copy=False)
+        pos = pos.astype(np.intp)
+        pos.setflags(write=False)
         if len(pos) and not (0 <= pos[0] and pos[-1] < len(state.tokens)
                              and (pos[1:] > pos[:-1]).all()):
             raise ValueError(
@@ -117,7 +117,7 @@ def _serve(rows: np.ndarray, positions: np.ndarray) -> np.ndarray:
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _PAIR_C = 0xC2B2AE3D27D4EB4F
-_CHUNK_CELLS = 2**16  # cells hashed per step, so temporaries stay small at any V
+_CHUNK_CELLS = 2**16  # cells hashed per step, so temporaries stay small at any V or cw
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -169,10 +169,10 @@ class SyntheticModel(MaskedModel):
     position i + d lies in the sequence and holds a non-mask token t, and
     row = mix(mix((i + 1) * G + seed * G + 0x9E) ^ acc).  Column c then
     holds sharpness * (float(mix(row + (c + 1) * C) >> 11) * 2**-53), the
-    two float products in that order.  A row's logits thus depend on its
-    row seed alone, so rows with equal seeds are bit-equal, and a batch of
-    several pairs hashes each distinct seed once and copies it to a pair's
-    rows when that pair's matrix is read.
+    two float products in that order.  A row's logits depend on its row
+    seed alone, so any position set gives the same rows as the full call;
+    and a batch is its singleton calls, run when each pair is read, so it is
+    batch-invariant by construction.
     """
 
     def __init__(self, config: SynthModelConfig):
@@ -180,6 +180,9 @@ class SyntheticModel(MaskedModel):
         self._seed_base = np.uint64((config.seed * _GOLDEN + 0x9E) & _MASK64)
         self._cols = np.arange(1, config.vocab_size + 1, dtype=np.uint64) * np.uint64(_PAIR_C)
         self._cols.setflags(write=False)
+        offsets = [d for d in range(-config.context_window, config.context_window + 1) if d]
+        self._offsets = np.array(offsets, dtype=np.intp)
+        self._offset_keys = np.array([(d * _PAIR_C) & _MASK64 for d in offsets], dtype=np.uint64)
 
     @property
     def vocab_size(self) -> int:
@@ -187,54 +190,32 @@ class SyntheticModel(MaskedModel):
 
     def forward(self, batch: Batch) -> Sequence[np.ndarray]:
         asked = check_positions(batch)
-        flat = np.concatenate(asked)  # the position of every output row
+        return LazyLogits(self._logits, [(s, pos) for (s, _), pos in zip(batch, asked)])
 
-        # Commutative accumulation over in-window (offset, token) pairs for all
-        # rows at once.  The strip holds each pair's covering range, from its
-        # first to its last position, with cw cells on each side; padding with
-        # the mask id makes out-of-range neighbours vanish.
-        acc = np.zeros(len(flat), dtype=np.uint64)
+    def _logits(self, state: SequenceState, positions: np.ndarray) -> np.ndarray:
+        """The (len(positions), V) logits of one pair, in a fresh array."""
+        # Commutative accumulation over in-window (offset, token) pairs.  The
+        # strip holds the covering range, from the first to the last position,
+        # with cw cells on each side; padding with the mask id makes
+        # out-of-range neighbours vanish.
+        acc = np.zeros(len(positions), dtype=np.uint64)
         cw = self._config.context_window
-        if cw > 0 and len(flat):
-            strip: list[int] = []
-            # per pair with rows: row count, strip cells, mask id, row shift
-            rows, spans, masks, shifts = [], [], [], []
-            for (state, _), pos in zip(batch, asked):
-                if not len(pos):
-                    continue
-                first, stop = int(pos[0]), int(pos[-1]) + 1
-                lo, hi = max(first - cw, 0), min(stop + cw, len(state.tokens))
-                rows.append(len(pos))
-                spans.append(stop - first + 2 * cw)
-                masks.append(state.mask_id)
-                shifts.append(len(strip) + cw - first)  # position + shift = strip index
-                strip += [state.mask_id] * (lo - first + cw)
-                strip += state.tokens[lo:hi]
-                strip += [state.mask_id] * (stop + cw - hi)
-            tokens = np.array(strip, dtype=np.int64)
-            nonmask = (tokens != np.repeat(masks, spans)).astype(np.uint64)
+        if cw > 0 and len(positions):
+            first, stop = int(positions[0]) - cw, int(positions[-1]) + 1 + cw
+            lo, hi = max(first, 0), min(stop, len(state.tokens))
+            tokens = np.full(stop - first, state.mask_id, dtype=np.int64)
+            tokens[lo - first : hi - first] = state.tokens[lo:hi]
+            nonmask = (tokens != state.mask_id).astype(np.uint64)
             key = (tokens.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
-            centre = flat + np.repeat(shifts, rows)
-            for delta in range(-cw, cw + 1):
-                if delta == 0:
-                    continue
-                neigh = centre + delta
-                delta_term = np.uint64((delta * _PAIR_C) & _MASK64)
-                term = _mix64(key[neigh] + delta_term)
-                term *= nonmask[neigh]
-                acc += term
+            step = max(1, _CHUNK_CELLS // (2 * cw))
+            for a in range(0, len(positions), step):
+                neigh = positions[a : a + step, None] - first + self._offsets  # strip indices
+                terms = _mix64(key[neigh] + self._offset_keys)
+                terms *= nonmask[neigh]
+                terms.sum(axis=1, out=acc[a : a + step])
 
-        pos = (flat + 1).astype(np.uint64)
-        row_seed = _mix64(_mix64(pos * np.uint64(_GOLDEN) + self._seed_base) ^ acc)
-
-        if len(batch) == 1:
-            return (self._hash_rows(row_seed),)
-        # Tree nodes share most rows with their root: hash each distinct seed
-        # once, and gather a pair's matrix from that table only when it is read.
-        seeds, inverse = np.unique(row_seed, return_inverse=True)
-        ends = list(accumulate(len(pos) for pos in asked))
-        parts = [inverse[a:b] for a, b in zip([0, *ends], ends)]
-        return GatheredRows(self._hash_rows(seeds), parts)
+        pos = (positions + 1).astype(np.uint64)
+        return self._hash_rows(_mix64(_mix64(pos * np.uint64(_GOLDEN) + self._seed_base) ^ acc))
 
     def _hash_rows(self, seeds: np.ndarray) -> np.ndarray:
         """The (len(seeds), V) logits of the given row seeds, with the cells
@@ -249,23 +230,22 @@ class SyntheticModel(MaskedModel):
         return logits
 
 
-class GatheredRows(Sequence):
-    """The per-pair logit matrices of a batched forward.  Reading pair i
-    gathers a fresh, writable matrix from the table of distinct rows, so a
-    pair nobody reads costs no copy, and a kept matrix holds neither the
-    table nor another pair alive."""
+class LazyLogits(Sequence):
+    """The per-pair logit matrices of a forward, each computed when read:
+    a pair nobody reads costs nothing, and every read is a fresh, writable
+    matrix that shares memory with no other read."""
 
-    def __init__(self, table: np.ndarray, parts: list[np.ndarray]):
-        self._table = table
-        self._parts = parts  # each pair's table row indices, in pair order
+    def __init__(self, logits, pairs: list[tuple[SequenceState, np.ndarray]]):
+        self._logits = logits  # (state, positions) -> matrix
+        self._pairs = pairs
 
     def __len__(self) -> int:
-        return len(self._parts)
+        return len(self._pairs)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self._table[part] for part in self._parts[i])
-        return self._table[self._parts[i]]
+            return LazyLogits(self._logits, self._pairs[i])
+        return self._logits(*self._pairs[i])
 
 
 # ---------------------------------------------------------------------------

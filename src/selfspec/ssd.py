@@ -67,12 +67,11 @@ def draft_blocks(state: SequenceState, n: int) -> int:
 
 
 def drafts_from_logits(
-    state: SequenceState, logits: np.ndarray, k: int = 1, *, n: int, rows: np.ndarray | None = None
+    state: SequenceState, logits: np.ndarray, k: int = 1, *, n: int, rows: np.ndarray
 ) -> Drafts:
     """Extract top-k drafts for the masked positions of state's
     draft_blocks(state, n) blocks from a logit matrix whose row i belongs to
-    the ascending position rows[i] (to position i when rows is None); no
-    other position can be a candidate.
+    the ascending position rows[i]; no other position can be a candidate.
 
     Used both for fresh drafting (logits from a forward on state itself) and
     for the free refresh after a verification round, where the logits come
@@ -84,8 +83,6 @@ def drafts_from_logits(
     positions = masked_in_blocks(state, draft_blocks(state, n))
     if positions.size == 0:
         raise ValueError("state has no masked positions to draft for")
-    if rows is None:
-        rows = np.arange(len(logits))
     found = np.searchsorted(rows, positions)
     if found[-1] >= len(rows) or not np.array_equal(rows[found], positions):
         raise ValueError("logits do not cover the drafted blocks")
@@ -229,7 +226,7 @@ def batch_verify(model: MaskedModel, tree: VerificationTree, n: int) -> VerifyRe
     turn.  When no child matches (or none exists), the node's own choice is
     accepted as the final token of the round, which guarantees progress of
     at least one token.  The walk reads each node it visits once and no
-    other node, so a backend that gathers a node's rows on read copies only
+    other node, so a backend that computes a node's rows on read scores only
     the accepted path.
     """
     nodes = tree.nodes

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from selfspec import (
@@ -49,7 +50,7 @@ def replay_dual_rounds(model, state, n):
     """Walk the greedy-strategy decode trajectory; at every full verification
     round build both tree shapes on identical (state, drafts) inputs and
     record the pair of accepted counts."""
-    drafts = drafts_from_logits(state, full_logits(model, state), n=n)
+    drafts = drafts_from_logits(state, full_logits(model, state), n=n, rows=np.arange(len(state.tokens)))
     rounds = []
     while current_block(state) is not None:
         cands = select_candidates(state, drafts, n)

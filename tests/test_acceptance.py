@@ -8,6 +8,7 @@ worlds.  Every tolerance is stated inline; exact laws use zero tolerance.
 import json
 import time
 
+import numpy as np
 import pytest
 
 from selfspec import (
@@ -120,7 +121,8 @@ def test_criterion_2_tree_size_laws():
     k-ary sizes equal the geometric sum for k in {1,2,3}, N in 1..6."""
     model = SyntheticModel(SynthModelConfig(seed=2, vocab_size=16, context_window=2))
     state = initial_state(prompt=(), gen_len=12, mask_id=16, block_len=12)
-    drafts = drafts_from_logits(state, full_logits(model, state), 3, n=6)  # the only block, whatever n
+    # the only block, whatever n
+    drafts = drafts_from_logits(state, full_logits(model, state), 3, n=6, rows=np.arange(12))
 
     for n, greedy_size, mix_size in ((3, 4, 6), (4, 5, 8), (5, 6, 10)):
         cands = select_candidates(state, drafts, n)

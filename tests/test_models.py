@@ -36,7 +36,7 @@ from conftest import CountingModel, all_masked_state, full_logits, full_window
 def predict(row):
     """(token, confidence) that drafting assigns to a single logit row."""
     state = all_masked_state(gen_len=1, vocab=len(row), block_len=1)
-    drafts = drafts_from_logits(state, np.array([row], dtype=np.float64), n=1)
+    drafts = drafts_from_logits(state, np.array([row], dtype=np.float64), n=1, rows=np.arange(1))
     return int(drafts.tokens[0, 0]), float(drafts.confidences[0])
 
 
@@ -162,67 +162,81 @@ def test_forward_batch_matches_singles_and_permutation():
         assert np.array_equal(got, want)
 
 
-def distinct_seeds(batch, cw):
-    """How many distinct row seeds a batch holds: by the documented hash, a
-    row's seed is a function of its position and its in-window non-mask
-    (offset, token) pairs."""
-    return len({
-        (i, tuple((d, s.tokens[i + d]) for d in range(-cw, cw + 1)
-                  if d and 0 <= i + d < len(s.tokens) and s.tokens[i + d] != s.mask_id))
-        for s, rows in batch for i in rows
-    })
-
-
-def check_distinct_row_law(model, batch, cw, monkeypatch):
-    """A batched forward hashes each distinct row seed once, in chunks of at
-    most max(2**16, V) cells, and still hands every pair a writable matrix of
-    its own that is bit-equal to the singleton call."""
-    cell_calls = []
+def spy_mix64(monkeypatch, width):
+    """Patch models._mix64 to record the shape of each call on a (rows,
+    width) array; returns the list it appends to."""
+    shapes = []
+    mix64 = models._mix64
 
     def counting_mix64(x):
-        if x.ndim == 2:  # the (rows, V) cell hash, not a per-row seed hash
-            cell_calls.append(x.shape)
+        if x.shape[1:] == (width,):
+            shapes.append(x.shape)
         return mix64(x)
 
-    mix64 = models._mix64
     monkeypatch.setattr(models, "_mix64", counting_mix64)
+    return shapes
+
+
+def check_read_law(model, batch, monkeypatch):
+    """forward hashes no cells; reading pair i hashes exactly its
+    len(positions) rows, in chunks of at most max(2**16, V) cells; and reads
+    in any order, repeated or not, are bit-equal to the singleton calls,
+    writable, and share no memory."""
+    singles = [model.forward([pair])[0] for pair in batch]
+    cell_calls = spy_mix64(monkeypatch, model.vocab_size)  # the cell hash; 2 * cw != V here
     out = model.forward(batch)
-    monkeypatch.undo()
-    assert sum(rows for rows, _ in cell_calls) == distinct_seeds(batch, cw)
-    assert max(rows * cols for rows, cols in cell_calls) <= max(2**16, model.vocab_size)
-    for pair, got in zip(batch, out):
-        assert got.tobytes() == model.forward([pair])[0].tobytes()
+    assert cell_calls == []
+    reads = []
+    for i in [*reversed(range(len(batch))), *range(len(batch))]:  # every pair twice
+        got = out[i]
+        assert sum(rows for rows, _ in cell_calls) == len(batch[i][1])
+        assert all(rows * cols <= max(2**16, model.vocab_size) for rows, cols in cell_calls)
+        cell_calls.clear()
+        assert got.shape == singles[i].shape and got.tobytes() == singles[i].tobytes()
         assert got.flags.writeable
-    for i, a in enumerate(out):
-        assert not any(np.shares_memory(a, b) for b in out[i + 1 :])
+        reads.append(got)
+    monkeypatch.undo()
+    for i, a in enumerate(reads):
+        assert not any(np.shares_memory(a, b) for b in reads[i + 1 :])
 
 
 def test_same_state_twice_in_one_batch(monkeypatch):
     model = synth(seed=2)
     state = all_masked_state(gen_len=4)
-    batch = full_window(state, state)
-    assert distinct_seeds(batch, 2) == 4
-    check_distinct_row_law(model, batch, 2, monkeypatch)
+    check_read_law(model, [*full_window(state, state), (state, [])], monkeypatch)
 
 
 @pytest.mark.parametrize("shape", ["greedy", "mix_order"])
 @pytest.mark.parametrize("cw", range(5))
-def test_verification_batch_hashes_each_distinct_row_once(shape, cw, monkeypatch):
+def test_verification_batch_hashes_a_pair_when_read(shape, cw, monkeypatch):
     """The batch batch_verify sends for a real tree: its nodes share most
-    rows, and V is wide enough that one unchunked table would pass 2**16
+    rows, and V is wide enough that one unchunked node would pass 2**16
     cells."""
     vocab, n = 4096, 4
     model = synth(seed=cw, vocab=vocab, cw=cw)
     state = all_masked_state(prompt_len=3, gen_len=24, vocab=vocab, block_len=8)
     state = place_token(place_token(state, 4, 7), 6, 9)
-    drafts = drafts_from_logits(state, full_logits(model, state), n=n)
+    drafts = drafts_from_logits(state, full_logits(model, state), n=n,
+                                rows=np.arange(len(state.tokens)))
     tree = build_tree(state, select_candidates(state, drafts, n), drafts, shape)
     spy = CountingModel(model)
     batch_verify(spy, tree, n)
     (batch,) = spy.batches
     assert len(batch) == len(tree.nodes)
-    assert distinct_seeds(batch, cw) < sum(len(rows) for _, rows in batch)
-    check_distinct_row_law(model, batch, cw, monkeypatch)
+    assert max(len(rows) for _, rows in batch) * vocab > 2**16
+    check_read_law(model, batch, monkeypatch)
+
+
+@pytest.mark.parametrize("backend", ["synthetic", "table", "recording"])
+def test_forward_freezes_the_positions_it_is_given(backend):
+    """Changing the positions array after forward changes no later read."""
+    state = all_masked_state(prompt_len=1, gen_len=6, vocab=6)
+    model = position_backends(0, 6, 2, state)[backend]
+    positions = np.array([1, 2, 4], dtype=np.intp)
+    want = model.forward([(state, positions)])[0].tobytes()
+    out = model.forward([(state, positions), (state, positions)])
+    positions[:] = [0, 5, 6]
+    assert [m.tobytes() for m in out] == [want, want]
 
 
 def test_context_free_model_ignores_placements():
@@ -332,6 +346,22 @@ def test_synthetic_forward_is_the_documented_hash_cell_for_cell(seed, vocab, cw,
         assert got.tobytes() == reference_logits(config, state, positions).tobytes()
 
 
+def test_wide_context_window_is_hashed_in_bounded_chunks(monkeypatch):
+    """At cw = 2**10 the (rows, 2 * cw) neighbour terms of 40 rows take two
+    chunks of at most 2**16 cells and still give the reference hash."""
+    cw = 2**10
+    config = SynthModelConfig(seed=3, vocab_size=3, context_window=cw)
+    state = all_masked_state(prompt_len=3, gen_len=60, vocab=3)
+    for pos in (7, 20, 33, 50):
+        state = place_token(state, pos, pos % 3)
+    positions = [p for p in range(len(state.tokens)) if state.is_masked(p)][:40]
+    shapes = spy_mix64(monkeypatch, 2 * cw)
+    (got,) = SyntheticModel(config).forward([(state, positions)])
+    monkeypatch.undo()
+    assert shapes == [(32, 2 * cw), (8, 2 * cw)]
+    assert got.tobytes() == reference_logits(config, state, positions).tobytes()
+
+
 # --- position sets ---------------------------------------------------------
 
 
@@ -398,10 +428,10 @@ def test_bad_positions_raise_and_empty_ones_answer_no_rows(backend):
         model.forward([])
 
 
-def test_batched_synthetic_forward_gathers_each_pair_on_read():
-    """A batch of several pairs answers with a sequence whose items are
-    gathered when read: each read is a fresh writable matrix, slices and
-    negative indices work, and an index past the end raises IndexError."""
+def test_batched_synthetic_forward_computes_each_pair_on_read():
+    """A forward answers with a sequence whose items are computed when
+    read: each read is a fresh writable matrix, slices and negative indices
+    work, and an index past the end raises IndexError."""
     model = synth(seed=5, vocab=8)
     base = all_masked_state(prompt_len=1, gen_len=6, vocab=8)
     batch = [(base, [1, 2, 3]), (place_token(base, 2, 4), [1, 3, 4]), (base, [])]

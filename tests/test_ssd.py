@@ -60,7 +60,8 @@ def manual_drafts(entries):
 
 
 def draft(model, state, k=1, n=1):
-    return drafts_from_logits(state, full_logits(model, state), k, n=n)
+    return drafts_from_logits(state, full_logits(model, state), k, n=n,
+                              rows=np.arange(len(state.tokens)))
 
 
 # --- drafts_from_logits ----------------------------------------------------
@@ -131,9 +132,9 @@ def test_top1_draft_is_independent_of_width():
         logits[1, [2, 5]] = logits[1].max() + 1.0  # duplicated maximum
         logits[2] = 0.0
         logits[2, 3] = 1000.0  # saturated one-hot
-        top1 = drafts_from_logits(state, logits, 1, n=7)
+        top1 = drafts_from_logits(state, logits, 1, n=7, rows=np.arange(12))
         for k in (1, 3, vocab):
-            drafts = drafts_from_logits(state, logits, k, n=7)
+            drafts = drafts_from_logits(state, logits, k, n=7, rows=np.arange(12))
             assert drafts.tokens.shape == (12, k)
             assert drafts.tokens[:, 0].tobytes() == top1.tokens[:, 0].tobytes()
             assert drafts.confidences.tobytes() == top1.confidences.tobytes()
@@ -143,7 +144,7 @@ def test_top1_draft_is_independent_of_width():
         assert abs(top1.confidences[2] - 1.0) < 1e-12
     # frozen closed form: softmax([2, 0, 0])[0] = e^2 / (e^2 + 2)
     one = all_masked_state(gen_len=1, vocab=3, block_len=1)
-    closed = drafts_from_logits(one, np.array([[2.0, 0.0, 0.0]]), n=1)
+    closed = drafts_from_logits(one, np.array([[2.0, 0.0, 0.0]]), n=1, rows=np.arange(1))
     assert closed.tokens[0, 0] == 0
     want = math.exp(2) / (math.exp(2) + 2)
     assert closed.confidences[0] == pytest.approx(want, abs=1e-12)
@@ -196,7 +197,8 @@ def test_top_candidate_is_the_stepwise_choice(data, prompt_len, gen_len, block_l
     rows = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=vocab, max_size=vocab),
                               min_size=prompt_len + gen_len, max_size=prompt_len + gen_len))
     logits = np.array(rows, dtype=np.float64)
-    top = select_candidates(state, drafts_from_logits(state, logits, n=1), 1)[0]
+    drafts = drafts_from_logits(state, logits, n=1, rows=np.arange(len(logits)))
+    top = select_candidates(state, drafts, 1)[0]
     positions = masked_in_blocks(state, 1)
     assert top == choose_step(positions, softmax_matrix(logits)[positions])[:2]
 
@@ -392,7 +394,8 @@ def test_refresh_reads_the_leafs_next_but_one_block():
     assert masked_in_blocks(state, 2).tolist() == [3, 4]
     refreshed = drafts_from_logits(state, result.leaf_logits, n=2, rows=result.leaf_positions)
     assert np.array_equal(refreshed.positions, [3, 4])
-    stale = drafts_from_logits(state, full_logits(model, tree.nodes[2].state), n=2)
+    stale = drafts_from_logits(state, full_logits(model, tree.nodes[2].state), n=2,
+                               rows=np.arange(len(state.tokens)))
     assert np.array_equal(refreshed.tokens, stale.tokens)
     assert np.array_equal(refreshed.confidences, stale.confidences)
     with pytest.raises(ValueError, match="do not cover"):
