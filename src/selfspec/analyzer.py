@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .ssd import MAX_DRAFT_LEN
 from .stepwise import DecodeTrace, StepRecord
 
 
@@ -135,7 +136,7 @@ def reduction_grid(
     """Measure reductions for every (draft length, k) pair on one trace."""
     if not draft_lengths or not topk_values:
         raise ValueError("need at least one draft length and one k")
-    if not all(1 <= n <= 2**8 for n in draft_lengths):  # the bound RunConfig puts on draft_len
+    if not all(1 <= n <= MAX_DRAFT_LEN for n in draft_lengths):
         raise ValueError("draft lengths must be in [1, 2**8]")
     ks = tuple(sorted(set(topk_values)))
     rows = []

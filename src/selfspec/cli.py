@@ -15,9 +15,9 @@ from dataclasses import fields
 from .analyzer import format_grid, reduction_grid
 from .jsonl import dumps
 from .models import FixtureMissError, MaskedModel, SyntheticModel, load_table_fixture
-from .reporting import Report, RunConfig, _result, merge_config, render_report
+from .reporting import STRATEGIES, Report, RunConfig, _result, merge_config, render_report
 from .sequence import SequenceState, initial_state
-from .ssd import SsdResult, ssd_decode
+from .ssd import DECODE_SHAPES, SsdResult, ssd_decode
 from .stepwise import DecodeTrace, read_trace, stepwise_decode, write_trace
 
 
@@ -125,7 +125,7 @@ def _add_config_flags(sub: argparse.ArgumentParser, with_strategy: bool = True) 
     sub.add_argument("--block-length", type=int, dest="block_len")
     sub.add_argument("--draft-length", type=int, dest="draft_len")
     if with_strategy:
-        sub.add_argument("--strategy", choices=("stepwise", "greedy", "mix_order"))
+        sub.add_argument("--strategy", choices=STRATEGIES)
     sub.add_argument("--topk", type=int)
     sub.add_argument("--out", help="write the report here instead of stdout")
 
@@ -190,7 +190,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not draft_lengths or not strategies:
         raise ValueError("sweep needs at least one draft length and one strategy")
     for strategy in strategies:
-        if strategy not in ("greedy", "mix_order"):
+        if strategy not in DECODE_SHAPES:
             raise ValueError(f"sweep strategies must be speculative, got {strategy!r}")
     lines = [dumps({"kind": "sweep", "version": 1}), dumps({"config": config.to_dict()})]
     for strategy in strategies:

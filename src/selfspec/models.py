@@ -1,10 +1,14 @@
 """Masked-model forward contract and two deterministic desk-scale backends.
 
-A masked model maps a batch of (sequence state, positions) pairs to one logit
-row of length ``vocab_size`` per asked position; the decoders ask only for
-the masked positions they read.  Every backend here is a pure function of its
-input: the same batch always yields bit-identical logits, which is what makes
-the stepwise oracle and the speculative decoder exactly comparable.
+A masked model's forward takes a batch of sequence states and returns one
+row reader per state; reading positions from a state's reader gives one
+logit row of length ``vocab_size`` per position.  The decoders read only the
+masked positions they need, when they know them: the verify walk reads each
+node it visits once, for its current block's masks, and no other node.  A
+batched backend does its batch work in ``forward`` and runs only the output
+head per read.  Every backend here is a pure function of its input: the
+same state and positions always yield bit-identical logits, which is what
+makes the stepwise oracle and the speculative decoder exactly comparable.
 
 Backends:
 
@@ -12,9 +16,8 @@ Backends:
   hash of the non-mask tokens near that position, so placing a token changes
   the predictions of its neighbours.  This reproduces the dynamics real
   denoisers show (context improves predictions; decode order can shuffle)
-  without any learned weights.  A forward only checks the positions; each
-  pair's rows are hashed when the caller reads that pair, so a pair nobody
-  reads costs nothing.
+  without any learned weights.  Its forward does no work; a reader hashes
+  the rows it is asked for, so a state nobody reads costs nothing.
 * ``TableModel`` replays logits from an explicit fixture keyed by the exact
   token sequence, for hand-checkable unit tests.
 
@@ -27,16 +30,14 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .jsonl import dumps, integer, number, read_lines
 from .sequence import SequenceState
-
-
-Batch = list[tuple[SequenceState, Sequence[int]]]  # (state, positions) pairs
 
 
 class FixtureMissError(Exception):
@@ -46,12 +47,12 @@ class FixtureMissError(Exception):
 class MaskedModel(ABC):
     """Forward interface every decoder in this package runs against.
 
-    Implementations must be deterministic (identical batch, bit-identical
-    logits), per-sequence independent (a batch equals the concatenation of
-    singleton batches), position-exact (row i of a call that asks for
-    ``positions`` equals row ``positions[i]`` of the full ``range(L)`` call,
-    bit for bit), and immutable after construction so concurrent forward
-    calls are safe.
+    Implementations must be deterministic (the same state and positions,
+    bit-identical logits), per-sequence independent (a reader's rows do not
+    depend on the other states of its batch), position-exact (row i of a
+    read of ``positions`` equals row ``positions[i]`` of a read of
+    ``range(L)``, bit for bit), and immutable after construction so
+    concurrent forward calls and reads are safe.
     """
 
     @property
@@ -59,32 +60,32 @@ class MaskedModel(ABC):
     def vocab_size(self) -> int: ...
 
     @abstractmethod
-    def forward(self, batch: Batch) -> Sequence[np.ndarray]:
-        """One (len(positions), vocab_size) float64 logit matrix per (state,
-        positions) pair, in input order; positions ascend without repeats
-        inside [0, L) and may be empty."""
+    def forward(
+        self, states: Sequence[SequenceState]
+    ) -> list[Callable[[Sequence[int]], np.ndarray]]:
+        """One row reader per state of a non-empty batch, in input order.
+        reader(positions) is a fresh (len(positions), vocab_size) float64
+        logit matrix; positions ascend without repeats inside [0, L), may be
+        empty, and are checked by check_positions when read."""
 
 
-def check_positions(batch: Batch) -> list[np.ndarray]:
-    """Every pair's positions as a read-only intp copy, so a later change to
-    the caller's array cannot reach a lazy read; ValueError unless the batch
-    is non-empty and each positions ascends without repeats inside [0, L)."""
-    if not batch:
+def check_positions(length: int, positions: Sequence[int]) -> np.ndarray:
+    """positions as an intp array; ValueError unless they are a 1-d integer
+    sequence that ascends without repeats inside [0, length)."""
+    pos = np.asarray(positions)
+    if pos.ndim != 1 or (pos.size and pos.dtype.kind not in "iu"):
+        raise ValueError(f"positions {positions!r} are not a 1-d integer sequence")
+    pos = pos.astype(np.intp, copy=False)
+    if len(pos) and not (0 <= pos[0] and pos[-1] < length and (pos[1:] > pos[:-1]).all()):
+        raise ValueError(f"positions {positions!r} do not ascend inside [0, {length})")
+    return pos
+
+
+def _batch(states: Sequence[SequenceState]) -> Sequence[SequenceState]:
+    """states, unless the batch is empty."""
+    if not states:
         raise ValueError("forward requires a non-empty batch")
-    arrays = []
-    for state, positions in batch:
-        pos = np.asarray(positions)
-        if pos.ndim != 1 or (pos.size and pos.dtype.kind not in "iu"):
-            raise ValueError(f"positions {positions!r} are not a 1-d integer sequence")
-        pos = pos.astype(np.intp)
-        pos.setflags(write=False)
-        if len(pos) and not (0 <= pos[0] and pos[-1] < len(state.tokens)
-                             and (pos[1:] > pos[:-1]).all()):
-            raise ValueError(
-                f"positions {positions!r} do not ascend inside [0, {len(state.tokens)})"
-            )
-        arrays.append(pos)
-    return arrays
+    return states
 
 
 def softmax_matrix(mat: np.ndarray) -> np.ndarray:
@@ -97,17 +98,15 @@ def softmax_matrix(mat: np.ndarray) -> np.ndarray:
 
 
 def _read_only(rows: np.ndarray) -> np.ndarray:
-    """A float64 copy of rows that can be handed out without copying again."""
+    """A read-only float64 copy of rows, so no caller can change a store."""
     arr = np.array(rows, dtype=np.float64)
     arr.setflags(write=False)
     return arr
 
 
-def _serve(rows: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """The stored rows at positions, read-only like the store they came from."""
-    out = rows[positions]
-    out.setflags(write=False)
-    return out
+def _serve(rows: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """A fresh copy of the stored rows at positions."""
+    return rows[check_positions(len(rows), positions)]
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +169,9 @@ class SyntheticModel(MaskedModel):
     row = mix(mix((i + 1) * G + seed * G + 0x9E) ^ acc).  Column c then
     holds sharpness * (float(mix(row + (c + 1) * C) >> 11) * 2**-53), the
     two float products in that order.  A row's logits depend on its row
-    seed alone, so any position set gives the same rows as the full call;
-    and a batch is its singleton calls, run when each pair is read, so it is
-    batch-invariant by construction.
+    seed alone, so any position set gives the same rows as the full read;
+    and a reader hashes its own state alone, so a batch is batch-invariant
+    by construction.
     """
 
     def __init__(self, config: SynthModelConfig):
@@ -188,12 +187,12 @@ class SyntheticModel(MaskedModel):
     def vocab_size(self) -> int:
         return self._config.vocab_size
 
-    def forward(self, batch: Batch) -> Sequence[np.ndarray]:
-        asked = check_positions(batch)
-        return LazyLogits(self._logits, [(s, pos) for (s, _), pos in zip(batch, asked)])
+    def forward(self, states: Sequence[SequenceState]) -> list[partial]:
+        return [partial(self._logits, state) for state in _batch(states)]
 
-    def _logits(self, state: SequenceState, positions: np.ndarray) -> np.ndarray:
-        """The (len(positions), V) logits of one pair, in a fresh array."""
+    def _logits(self, state: SequenceState, positions: Sequence[int]) -> np.ndarray:
+        """The (len(positions), V) logits of state at positions, in a fresh array."""
+        positions = check_positions(len(state.tokens), positions)
         # Commutative accumulation over in-window (offset, token) pairs.  The
         # strip holds the covering range, from the first to the last position,
         # with cw cells on each side; padding with the mask id makes
@@ -230,24 +229,6 @@ class SyntheticModel(MaskedModel):
         return logits
 
 
-class LazyLogits(Sequence):
-    """The per-pair logit matrices of a forward, each computed when read:
-    a pair nobody reads costs nothing, and every read is a fresh, writable
-    matrix that shares memory with no other read."""
-
-    def __init__(self, logits, pairs: list[tuple[SequenceState, np.ndarray]]):
-        self._logits = logits  # (state, positions) -> matrix
-        self._pairs = pairs
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return LazyLogits(self._logits, self._pairs[i])
-        return self._logits(*self._pairs[i])
-
-
 # ---------------------------------------------------------------------------
 # Table backend
 # ---------------------------------------------------------------------------
@@ -259,8 +240,8 @@ class TableModel(MaskedModel):
     The fingerprint is the exact token tuple; querying a state the table
     does not list raises FixtureMissError, which indicates a broken test
     fixture rather than a runtime condition.  Rows are stored read-only, one
-    full (L, vocab) matrix per state, and the asked rows are served as
-    read-only copies.
+    full (L, vocab) matrix per state; forward looks each state up, and a
+    read copies out the asked rows.
     """
 
     def __init__(self, table: dict[tuple[int, ...], np.ndarray]):
@@ -295,9 +276,8 @@ class TableModel(MaskedModel):
             raise FixtureMissError(f"no fixture rows for state {tokens}")
         return self._table[tokens]
 
-    def forward(self, batch: Batch) -> Sequence[np.ndarray]:
-        asked = check_positions(batch)
-        return tuple(_serve(self.rows_for(s.tokens), pos) for (s, _), pos in zip(batch, asked))
+    def forward(self, states: Sequence[SequenceState]) -> list[partial]:
+        return [partial(_serve, self.rows_for(state.tokens)) for state in _batch(states)]
 
 
 def dump_table_fixture(table: dict[tuple[int, ...], np.ndarray], path: str) -> None:
@@ -321,13 +301,13 @@ def load_table_fixture(path: str) -> TableModel:
 
 class RecordingModel(MaskedModel):
     """Wraps a model and records every (state -> rows) pair it serves; the
-    inner model is always asked for every row, so fixtures stay full-shape.
+    inner model is always read for every row, so fixtures stay full-shape.
 
     Running a decode through a RecordingModel and dumping the recording
     produces a table fixture that replays that decode exactly.  Repeat
     states, within one batch or across calls, are served from the recording
     rather than recomputed, so the wrapper also works as a memo when several
-    decodes share a model; served rows are read-only arrays.
+    decodes share a model.
     """
 
     def __init__(self, inner: MaskedModel):
@@ -338,17 +318,15 @@ class RecordingModel(MaskedModel):
     def vocab_size(self) -> int:
         return self._inner.vocab_size
 
-    def forward(self, batch: Batch) -> Sequence[np.ndarray]:
-        asked = check_positions(batch)
+    def forward(self, states: Sequence[SequenceState]) -> list[partial]:
         missing: dict[tuple[int, ...], SequenceState] = {}
-        for state, _ in batch:  # each unrecorded state once, first seen first
+        for state in _batch(states):  # each unrecorded state once, first seen first
             if state.tokens not in self.recorded:
                 missing.setdefault(state.tokens, state)
         if missing:
-            full = [(state, range(len(state.tokens))) for state in missing.values()]
-            for tokens, rows in zip(missing, self._inner.forward(full)):
-                self.recorded[tokens] = _read_only(rows)
-        return tuple(_serve(self.recorded[s.tokens], pos) for (s, _), pos in zip(batch, asked))
+            for tokens, read in zip(missing, self._inner.forward(list(missing.values()))):
+                self.recorded[tokens] = _read_only(read(range(len(tokens))))
+        return [partial(_serve, self.recorded[state.tokens]) for state in states]
 
     def dump(self, path: str) -> None:
         dump_table_fixture(self.recorded, path)

@@ -14,9 +14,9 @@ from typing import Iterable
 
 from .jsonl import dumps, integer, number, read_lines
 from .models import SynthModelConfig
-from .ssd import RoundStats
+from .ssd import DECODE_SHAPES, MAX_DRAFT_LEN, RoundStats
 
-STRATEGIES = ("stepwise", "greedy", "mix_order")
+STRATEGIES = ("stepwise", *DECODE_SHAPES)
 BACKENDS = ("synthetic", "table")
 
 DISCLAIMER = (
@@ -61,7 +61,7 @@ class RunConfig:
             raise ValueError("table backend requires table_path")
         # upper bounds keep positions inside int64 arrays and trees at most 512 nodes
         if not (1 <= self.gen_len <= 2**20 and 1 <= self.block_len <= 2**20
-                and 1 <= self.draft_len <= 2**8):
+                and 1 <= self.draft_len <= MAX_DRAFT_LEN):
             raise ValueError("gen_len and block_len must be in [1, 2**20], draft_len in [1, 2**8]")
         if self.topk < 0:
             raise ValueError("topk must be >= 0")

@@ -5,14 +5,16 @@ position of the current block, and of the next block too when the current
 one holds fewer than N masks.  The highest-confidence positions, current
 block first, become an ordered candidate list, and a verification tree
 materializes the states that would exist if successive candidates were
-accepted.  A single batched forward then scores the masks of every node's
-current block, plus those of the two after it when that block holds N masks
-or fewer (only then can a draft refresh from the node reach them), and a
-walk from the root accepts a candidate exactly when the parent node's own
-stepwise choice matches it; it reads only the nodes it visits.
-The deepest validated node contributes one further token (its own stepwise
-choice), so a draft of length N can yield N+1 tokens per round while the
-output stays token-identical to plain stepwise decoding.
+accepted.  One batched forward takes every node of the tree, and a walk
+from the root reads each node it visits for its current block's masks,
+accepting a candidate exactly when the parent node's own stepwise choice
+matches it; no other node is read.  The deepest validated node contributes
+one further token (its own stepwise choice), so a draft of length N can
+yield N+1 tokens per round while the output stays token-identical to plain
+stepwise decoding.  The next drafts come from the rows the walk read at that
+leaf when the drafted masks lie in its current block, and otherwise from
+one more read of the leaf for exactly those masks, so no forward is spent
+on drafting after the first.
 
 Tree shapes:
 
@@ -29,6 +31,7 @@ Tree shapes:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,9 @@ from .sequence import SequenceState, current_block, masked_in_blocks, place_toke
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
 from .stepwise import DecodeTrace, StepRecord, choose_step, decode_remaining
 
-TREE_SHAPES = ("greedy", "mix_order", "kary")
+DECODE_SHAPES = ("greedy", "mix_order")  # the tree shapes ssd_decode runs
+TREE_SHAPES = (*DECODE_SHAPES, "kary")
+MAX_DRAFT_LEN = 2**8  # keeps a decode tree at most 2 * 2**8 nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,38 +217,34 @@ class VerifyResult:
     """Outcome of one verification round."""
 
     accepted: tuple[tuple[int, int, float], ...]  # (position, token, confidence)
-    leaf_logits: np.ndarray  # the deepest validated node's logit rows
-    leaf_positions: np.ndarray  # the ascending positions of those rows
+    leaf_logits: np.ndarray  # the rows the walk read at the deepest validated node
+    leaf_positions: np.ndarray  # their positions: the masks of the leaf's current block
+    read_leaf: Callable[[Sequence[int]], np.ndarray]  # the leaf's row reader
     leaf_index: int
 
 
-def batch_verify(model: MaskedModel, tree: VerificationTree, n: int) -> VerifyResult:
-    """Score every node in one batched forward and walk the tree; n is the
-    candidate count the leaf's logits will be drafted for.
+def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
+    """Send every node to one batched forward and walk the tree.
 
     At each validated node the stepwise choice is computed from that node's
     own logits; a child whose expectation equals the choice is validated in
     turn.  When no child matches (or none exists), the node's own choice is
     accepted as the final token of the round, which guarantees progress of
-    at least one token.  The walk reads each node it visits once and no
-    other node, so a backend that computes a node's rows on read scores only
-    the accepted path.
+    at least one token; a fully decoded node chooses nothing.  The walk
+    reads each node it visits once, for exactly its current block's masks,
+    and no other node, so a backend that computes a node's rows on read
+    scores only the accepted path.
     """
     nodes = tree.nodes
-    masks = [masked_in_blocks(node.state, 1) for node in nodes]
-    # The walk reads the current block's masks, the first rows of a node.  A
-    # leaf's bonus token leaves m - 1 of them, so the refresh needs the masks
-    # of the next two blocks only if m - 1 < n.
-    asked = [m if len(m) > n else masked_in_blocks(node.state, 3) for node, m in zip(nodes, masks)]
-    batch = model.forward(list(zip((node.state for node in nodes), asked)))
-
+    readers = model.forward([node.state for node in nodes])
     accepted: list[tuple[int, int, float]] = []
     cur = 0
-    logits = batch[cur]
-    # Stop once every position is decoded: nothing further to choose.
-    while masks[cur].size:
-        positions = masks[cur]
-        pos, tok, conf = choose_step(positions, softmax_matrix(logits[: len(positions)]))
+    while True:
+        positions = masked_in_blocks(nodes[cur].state, 1)
+        logits = readers[cur](positions)
+        if not positions.size:  # every position decoded: nothing to choose
+            break
+        pos, tok, conf = choose_step(positions, softmax_matrix(logits))
         accepted.append((pos, tok, conf))
         matched = next(
             (i for i, node in enumerate(nodes)
@@ -253,8 +254,18 @@ def batch_verify(model: MaskedModel, tree: VerificationTree, n: int) -> VerifyRe
         if matched is None:
             break
         cur = matched
-        logits = batch[cur]
-    return VerifyResult(tuple(accepted), logits, asked[cur], cur)
+    return VerifyResult(tuple(accepted), logits, positions, readers[cur], cur)
+
+
+def refresh_drafts(state: SequenceState, result: VerifyResult, n: int) -> Drafts:
+    """The drafts of state, the leaf of result with its bonus token placed:
+    from the rows the walk read at the leaf when the drafted masks lie in
+    its current block, and otherwise from one more read of the leaf for
+    exactly those masks."""
+    rows = masked_in_blocks(state, draft_blocks(state, n))
+    if rows[-1] <= result.leaf_positions[-1]:
+        return drafts_from_logits(state, result.leaf_logits, n=n, rows=result.leaf_positions)
+    return drafts_from_logits(state, result.read_leaf(rows), n=n, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +301,19 @@ def ssd_decode(
     Each round costs one batched forward pass and accepts between 1 and n+1
     tokens.  When fewer than n candidate positions remain in scope the loop
     falls back to plain stepwise decoding for the remainder.  Draft refresh
-    after a round reuses the deepest accepted node's logits, so no extra
+    after a round reads the deepest accepted node's rows, so no extra
     forward is spent on drafting after the first.
     """
     if n < 1:
         raise ValueError("draft length must be >= 1")
-    if shape not in ("greedy", "mix_order"):
+    if shape not in DECODE_SHAPES:
         raise ValueError(f"decode supports shapes 'greedy' and 'mix_order', not {shape!r}")
     if current_block(state) is None:
         raise ValueError("state has no masked positions to decode")
 
     start = state
     rows = masked_in_blocks(state, draft_blocks(state, n))
-    drafts = drafts_from_logits(state, model.forward([(state, rows)])[0], n=n, rows=rows)
+    drafts = drafts_from_logits(state, model.forward([state])[0](rows), n=n, rows=rows)
     forwards = 1
     records: list[StepRecord] = []
     rounds: list[RoundStats] = []
@@ -317,7 +328,7 @@ def ssd_decode(
             fallback_steps = len(tail)
             break
         tree = build_tree(state, candidates, drafts, shape)
-        result = batch_verify(model, tree, n)
+        result = batch_verify(model, tree)
         forwards += 1
         for pos, tok, conf in result.accepted:
             state = place_token(state, pos, tok)
@@ -331,7 +342,7 @@ def ssd_decode(
             )
         )
         if current_block(state) is not None:
-            drafts = drafts_from_logits(state, result.leaf_logits, n=n, rows=result.leaf_positions)
+            drafts = refresh_drafts(state, result, n)
 
     trace = DecodeTrace(
         decoder="ssd",

@@ -96,13 +96,13 @@ def decode_remaining(
     model: MaskedModel, state: SequenceState, topk: int
 ) -> tuple[SequenceState, list[StepRecord]]:
     """Run stepwise steps (one forward each) until no masks remain.  Each
-    scores the masks of its current block, or every mask when it records a
+    reads the masks of its current block, or every mask when it records a
     top-k snapshot; the current block's masks come first either way."""
     records: list[StepRecord] = []
     while current_block(state) is not None:
         positions = masked_in_blocks(state, 1)
         asked = masked_in_blocks(state, state.gen_len) if topk > 0 else positions
-        probs = softmax_matrix(model.forward([(state, asked)])[0])
+        probs = softmax_matrix(model.forward([state])[0](asked))
         snapshot = candidate_snapshot(asked, probs, topk) if topk > 0 else None
         pos, tok, conf = choose_step(positions, probs[: len(positions)])
         state = place_token(state, pos, tok)

@@ -16,6 +16,7 @@ from selfspec import (
     place_token,
     select_candidates,
 )
+from selfspec.ssd import refresh_drafts
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -36,14 +37,9 @@ def all_masked_state(prompt_len=0, gen_len=8, vocab=16, block_len=8):
     )
 
 
-def full_window(*states):
-    """(state, every position) pairs: a forward batch that scores whole states."""
-    return [(state, range(len(state.tokens))) for state in states]
-
-
 def full_logits(model, state):
     """The full (L, vocab) logit matrix of one state."""
-    return model.forward(full_window(state))[0]
+    return model.forward([state])[0](range(len(state.tokens)))
 
 
 def replay_dual_rounds(model, state, n):
@@ -56,13 +52,13 @@ def replay_dual_rounds(model, state, n):
         cands = select_candidates(state, drafts, n)
         if len(cands) < n:
             break
-        g = batch_verify(model, build_tree(state, cands, drafts, "greedy"), n)
-        m = batch_verify(model, build_tree(state, cands, drafts, "mix_order"), n)
+        g = batch_verify(model, build_tree(state, cands, drafts, "greedy"))
+        m = batch_verify(model, build_tree(state, cands, drafts, "mix_order"))
         rounds.append((len(g.accepted), len(m.accepted)))
         for pos, tok, _ in g.accepted:
             state = place_token(state, pos, tok)
         if current_block(state) is not None:
-            drafts = drafts_from_logits(state, g.leaf_logits, n=n, rows=g.leaf_positions)
+            drafts = refresh_drafts(state, g, n)
     return rounds
 
 
@@ -84,20 +80,30 @@ def check_block_order(positions, prompt_len, gen_len, block_len):
 
 
 class CountingModel(MaskedModel):
-    """Passes forwards through to a model, counting calls and rows and
-    keeping every batch of (state, positions) pairs it is asked for."""
+    """Passes forwards through to a model, counting calls and rows, keeping
+    each call's states in batches and logging every read to reads as
+    (call, index in the call, positions)."""
 
     def __init__(self, inner):
         self._inner = inner
         self.calls = self.rows = 0
         self.batches = []
+        self.reads = []
 
     @property
     def vocab_size(self):
         return self._inner.vocab_size
 
-    def forward(self, batch):
+    def forward(self, states):
         self.calls += 1
-        self.rows += len(batch)
-        self.batches.append(batch)
-        return self._inner.forward(batch)
+        self.rows += len(states)
+        self.batches.append(list(states))
+        readers = self._inner.forward(states)
+        return [self._logged(self.calls - 1, i, read) for i, read in enumerate(readers)]
+
+    def _logged(self, call, index, read):
+        def logged(positions):
+            self.reads.append((call, index, np.asarray(positions).tolist()))
+            return read(positions)
+
+        return logged

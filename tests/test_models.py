@@ -27,7 +27,7 @@ from selfspec import (
 from selfspec import models
 from selfspec.stepwise import candidate_snapshot
 
-from conftest import CountingModel, all_masked_state, full_logits, full_window
+from conftest import CountingModel, all_masked_state, full_logits
 
 
 # --- top-1 prediction rule --------------------------------------------------
@@ -153,13 +153,12 @@ def test_forward_batch_matches_singles_and_permutation():
     model = synth(seed=4)
     base = all_masked_state(prompt_len=2, gen_len=6)
     states = [base, place_token(base, 3, 5), place_token(base, 2, 1)]
-    batch = model.forward(full_window(*states))
+    full = range(len(base.tokens))
     singles = [full_logits(model, s) for s in states]
-    for got, want in zip(batch, singles):
-        assert np.array_equal(got, want)
-    permuted = model.forward(full_window(*states[::-1]))
-    for got, want in zip(permuted, singles[::-1]):
-        assert np.array_equal(got, want)
+    for read, want in zip(model.forward(states), singles):
+        assert np.array_equal(read(full), want)
+    for read, want in zip(model.forward(states[::-1]), singles[::-1]):
+        assert np.array_equal(read(full), want)
 
 
 def spy_mix64(monkeypatch, width):
@@ -177,19 +176,24 @@ def spy_mix64(monkeypatch, width):
     return shapes
 
 
-def check_read_law(model, batch, monkeypatch):
-    """forward hashes no cells; reading pair i hashes exactly its
-    len(positions) rows, in chunks of at most max(2**16, V) cells; and reads
-    in any order, repeated or not, are bit-equal to the singleton calls,
-    writable, and share no memory."""
-    singles = [model.forward([pair])[0] for pair in batch]
+def full_read(model, state, positions):
+    """The rows at positions of state, from a forward of state alone."""
+    return model.forward([state])[0](positions)
+
+
+def check_read_law(model, pairs, monkeypatch):
+    """forward hashes no cells; reading state i's reader at positions i
+    hashes exactly len(positions) rows, in chunks of at most max(2**16, V)
+    cells; and reads in any order, repeated or not, are bit-equal to the
+    singleton calls, writable, and share no memory."""
+    singles = [full_read(model, state, positions) for state, positions in pairs]
     cell_calls = spy_mix64(monkeypatch, model.vocab_size)  # the cell hash; 2 * cw != V here
-    out = model.forward(batch)
+    readers = model.forward([state for state, _ in pairs])
     assert cell_calls == []
     reads = []
-    for i in [*reversed(range(len(batch))), *range(len(batch))]:  # every pair twice
-        got = out[i]
-        assert sum(rows for rows, _ in cell_calls) == len(batch[i][1])
+    for i in [*reversed(range(len(pairs))), *range(len(pairs))]:  # every reader twice
+        got = readers[i](pairs[i][1])
+        assert sum(rows for rows, _ in cell_calls) == len(pairs[i][1])
         assert all(rows * cols <= max(2**16, model.vocab_size) for rows, cols in cell_calls)
         cell_calls.clear()
         assert got.shape == singles[i].shape and got.tobytes() == singles[i].tobytes()
@@ -203,15 +207,15 @@ def check_read_law(model, batch, monkeypatch):
 def test_same_state_twice_in_one_batch(monkeypatch):
     model = synth(seed=2)
     state = all_masked_state(gen_len=4)
-    check_read_law(model, [*full_window(state, state), (state, [])], monkeypatch)
+    check_read_law(model, [(state, range(4)), (state, range(4)), (state, [])], monkeypatch)
 
 
 @pytest.mark.parametrize("shape", ["greedy", "mix_order"])
 @pytest.mark.parametrize("cw", range(5))
 def test_verification_batch_hashes_a_pair_when_read(shape, cw, monkeypatch):
-    """The batch batch_verify sends for a real tree: its nodes share most
-    rows, and V is wide enough that one unchunked node would pass 2**16
-    cells."""
+    """The states batch_verify sends for a real tree, each read for every
+    mask as a stepwise snapshot step reads it: the nodes share most rows,
+    and V is wide enough that one unchunked read would pass 2**16 cells."""
     vocab, n = 4096, 4
     model = synth(seed=cw, vocab=vocab, cw=cw)
     state = all_masked_state(prompt_len=3, gen_len=24, vocab=vocab, block_len=8)
@@ -220,23 +224,12 @@ def test_verification_batch_hashes_a_pair_when_read(shape, cw, monkeypatch):
                                 rows=np.arange(len(state.tokens)))
     tree = build_tree(state, select_candidates(state, drafts, n), drafts, shape)
     spy = CountingModel(model)
-    batch_verify(spy, tree, n)
-    (batch,) = spy.batches
-    assert len(batch) == len(tree.nodes)
-    assert max(len(rows) for _, rows in batch) * vocab > 2**16
-    check_read_law(model, batch, monkeypatch)
-
-
-@pytest.mark.parametrize("backend", ["synthetic", "table", "recording"])
-def test_forward_freezes_the_positions_it_is_given(backend):
-    """Changing the positions array after forward changes no later read."""
-    state = all_masked_state(prompt_len=1, gen_len=6, vocab=6)
-    model = position_backends(0, 6, 2, state)[backend]
-    positions = np.array([1, 2, 4], dtype=np.intp)
-    want = model.forward([(state, positions)])[0].tobytes()
-    out = model.forward([(state, positions), (state, positions)])
-    positions[:] = [0, 5, 6]
-    assert [m.tobytes() for m in out] == [want, want]
+    batch_verify(spy, tree)
+    (states,) = spy.batches
+    assert states == [node.state for node in tree.nodes]
+    pairs = [(s, [p for p in range(len(s.tokens)) if s.is_masked(p)]) for s in states]
+    assert max(len(rows) for _, rows in pairs) * vocab > 2**16
+    check_read_law(model, pairs, monkeypatch)
 
 
 def test_context_free_model_ignores_placements():
@@ -342,8 +335,9 @@ def test_synthetic_forward_is_the_documented_hash_cell_for_cell(seed, vocab, cw,
                               gen_len=len(gen), mask_id=mask_id, block_len=3)
         positions = data.draw(st.sets(st.integers(0, len(state.tokens) - 1)))
         batch.append((state, sorted(positions)))
-    for (state, positions), got in zip(batch, SyntheticModel(config).forward(batch)):
-        assert got.tobytes() == reference_logits(config, state, positions).tobytes()
+    readers = SyntheticModel(config).forward([state for state, _ in batch])
+    for (state, positions), read in zip(batch, readers):
+        assert read(positions).tobytes() == reference_logits(config, state, positions).tobytes()
 
 
 def test_wide_context_window_is_hashed_in_bounded_chunks(monkeypatch):
@@ -356,7 +350,7 @@ def test_wide_context_window_is_hashed_in_bounded_chunks(monkeypatch):
         state = place_token(state, pos, pos % 3)
     positions = [p for p in range(len(state.tokens)) if state.is_masked(p)][:40]
     shapes = spy_mix64(monkeypatch, 2 * cw)
-    (got,) = SyntheticModel(config).forward([(state, positions)])
+    got = full_read(SyntheticModel(config), state, positions)
     monkeypatch.undo()
     assert shapes == [(32, 2 * cw), (8, 2 * cw)]
     assert got.tobytes() == reference_logits(config, state, positions).tobytes()
@@ -385,10 +379,10 @@ def position_backends(seed, vocab, cw, state):
 )
 @settings(max_examples=40, deadline=None)
 def test_every_position_set_is_the_full_rows_bit_for_bit(seed, prompt_len, gen_len, cw, data):
-    """On a partially decoded state, any ascending position set returns
-    those rows of the full-range call on every backend: empty sets,
+    """On a partially decoded state, any ascending position set reads
+    those rows of the full-range read on every backend: empty sets,
     non-contiguous ones and ones nearer an edge than the context window
-    included, and a batch of pairs equals its singletons."""
+    included, and the reads of a batch equal the singleton reads."""
     vocab = 6
     state = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, vocab=vocab)
     length = len(state.tokens)
@@ -401,54 +395,55 @@ def test_every_position_set_is_the_full_rows_bit_for_bit(seed, prompt_len, gen_l
     for name, model in position_backends(seed, vocab, cw, state).items():
         full = full_logits(model, state)
         assert full.shape == (length, vocab), name
-        singles = [model.forward([(state, np.array(pos, dtype=np.intp))])[0] for pos in subsets]
+        singles = [full_read(model, state, np.array(pos, dtype=np.intp)) for pos in subsets]
         for pos, got in zip(subsets, singles):
             assert got.shape == (len(pos), vocab), (name, pos)
             assert np.array_equal(got, full[pos]), (name, pos)
-        batch = model.forward([(state, pos) for pos in subsets])
-        assert len(batch) == len(subsets)
-        assert all(np.array_equal(a, b) for a, b in zip(batch, singles)), name
+        readers = model.forward([state] * len(subsets))
+        assert len(readers) == len(subsets)
+        assert all(np.array_equal(read(pos), b)
+                   for read, pos, b in zip(readers, subsets, singles)), name
 
 
 @pytest.mark.parametrize("backend", ["synthetic", "table", "recording"])
 def test_bad_positions_raise_and_empty_ones_answer_no_rows(backend):
     """Empty position sets are valid; non-ascending, duplicate, out-of-range,
-    non-integer and non-1-d ones raise, as does an empty batch."""
+    non-integer and non-1-d ones raise when read, and the reader still
+    answers good positions afterwards; an empty batch raises at forward."""
     state = all_masked_state(prompt_len=1, gen_len=4, vocab=6)
     model = position_backends(0, 6, 2, state)[backend]
     for empty in ([], (), range(2, 2), np.empty(0, dtype=np.intp)):
-        assert model.forward([(state, empty)])[0].shape == (0, 6)
+        assert full_read(model, state, empty).shape == (0, 6)
+    alone, (_, beside) = model.forward([state]), model.forward([state, state])
     for bad in ([3, 1], [2, 2], [0, 2, 2, 4], [-1, 2], [0, 5], [5], range(0, 6), range(3, 1, -1),
                 [[0, 1]], [0.0, 1.0], [True], slice(0, 2), 3):
-        with pytest.raises(ValueError):
-            model.forward([(state, bad)])
-        with pytest.raises(ValueError):
-            model.forward([(state, [0]), (state, bad)])
+        for read in (alone[0], beside):
+            with pytest.raises(ValueError):
+                read(bad)
+    assert np.array_equal(beside([0, 4]), full_logits(model, state)[[0, 4]])
     with pytest.raises(ValueError):
         model.forward([])
 
 
-def test_batched_synthetic_forward_computes_each_pair_on_read():
-    """A forward answers with a sequence whose items are computed when
-    read: each read is a fresh writable matrix, slices and negative indices
-    work, and an index past the end raises IndexError."""
-    model = synth(seed=5, vocab=8)
+@pytest.mark.parametrize("backend", ["synthetic", "table", "recording"])
+def test_forward_returns_one_reader_per_state(backend):
+    """A forward answers with one reader per state, in input order; each
+    read is a fresh writable matrix, so writing into one changes no later
+    read, and readers of the same state agree."""
     base = all_masked_state(prompt_len=1, gen_len=6, vocab=8)
-    batch = [(base, [1, 2, 3]), (place_token(base, 2, 4), [1, 3, 4]), (base, [])]
-    out = model.forward(batch)
-    assert len(out) == 3
-    first, again = out[0], out[0]
+    other = place_token(base, 2, 4)
+    inner = synth(seed=5, vocab=8)
+    model = {"synthetic": inner, "recording": RecordingModel(inner),
+             "table": TableModel({s.tokens: full_logits(inner, s) for s in (base, other)})}[backend]
+    readers = model.forward([base, other, base])
+    assert len(readers) == 3
+    first, again = readers[0]([1, 2, 3]), readers[0]([1, 2, 3])
     assert np.array_equal(first, again) and not np.shares_memory(first, again)
     first[:] = 0.0  # writable, and the next read is untouched
-    assert np.array_equal(out[0], model.forward(batch[:1])[0])
-    assert np.array_equal(out[-2], out[1]) and out[-1].shape == (0, 8)
-    assert [m.shape for m in out[1:]] == [(3, 8), (0, 8)]
-    assert [m.shape for m in out[::-2]] == [(0, 8), (3, 8)]
-    assert [m.shape for m in out] == [(3, 8), (3, 8), (0, 8)]
-    with pytest.raises(IndexError):
-        out[3]
-    with pytest.raises(IndexError):
-        out[-4]
+    assert np.array_equal(readers[0]([1, 2, 3]), full_read(model, base, [1, 2, 3]))
+    assert np.array_equal(readers[2]([1, 2, 3]), again)
+    assert np.array_equal(readers[1]([1, 3, 4]), full_logits(model, other)[[1, 3, 4]])
+    assert [read([]).shape for read in readers] == [(0, 8)] * 3
 
 
 # --- table model -----------------------------------------------------------
@@ -467,13 +462,19 @@ def test_table_returns_rows_verbatim():
     assert model.vocab_size == 4
 
 
-def test_served_rows_are_read_only():
+def test_stored_rows_are_read_only():
+    """The rows a table or recording stores cannot be written, and a read
+    copies them out."""
     state, table = tiny_table()
     recording = RecordingModel(synth(seed=3, vocab=4))
-    for model in (table, recording):
-        row = full_logits(model, state)
+    full_logits(recording, state)
+    for store in (table.rows_for(state.tokens), recording.recorded[state.tokens]):
         with pytest.raises(ValueError):
-            row[0, 0] = 1.0
+            store[0, 0] = 1.0
+    for model in (table, recording):
+        read = full_logits(model, state)
+        read[0, 0] += 1.0
+        assert not np.array_equal(read, full_logits(model, state))
 
 
 def test_table_misses_on_unknown_state():
@@ -546,13 +547,15 @@ def test_recording_model_serves_memoized_rows():
     rec = RecordingModel(inner)
     state = all_masked_state(gen_len=4, vocab=10)
     first = full_logits(rec, state)
-    second = rec.forward(full_window(state, state))
-    assert np.array_equal(first, second[0])
-    assert np.array_equal(first, second[1])
+    second = rec.forward([state, state])
+    assert np.array_equal(first, second[0](range(4)))
+    assert np.array_equal(first, second[1](range(4)))
     assert state.tokens in rec.recorded
-    # the inner model sees each unrecorded state once, first seen first
+    # the inner model sees each unrecorded state once, first seen first,
+    # and is read for every row of it
     a, b = place_token(state, 0, 1), place_token(state, 1, 2)
-    third = rec.forward([(b, [0, 1]), (a, range(4)), (b, [2, 3]), (state, range(4))])
-    asked = [[s.tokens for s, _ in batch] for batch in inner.batches]
-    assert asked == [[state.tokens], [b.tokens, a.tokens]]
-    assert np.array_equal(np.vstack([third[0], third[2]]), full_logits(inner, b))
+    third = rec.forward([b, a, b, state])
+    assert [[s.tokens for s in batch] for batch in inner.batches] == [[state.tokens],
+                                                                      [b.tokens, a.tokens]]
+    assert inner.reads == [(0, 0, [0, 1, 2, 3]), (1, 0, [0, 1, 2, 3]), (1, 1, [0, 1, 2, 3])]
+    assert np.array_equal(np.vstack([third[0]([0, 1]), third[2]([2, 3])]), full_logits(inner, b))

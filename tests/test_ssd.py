@@ -1,7 +1,7 @@
 """Speculative decoding: drafting, trees, batch verification, the full loop."""
 
 import math
-from collections.abc import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from selfspec import (
     Drafts,
-    MaskedModel,
     RecordingModel,
     SynthModelConfig,
     SyntheticModel,
@@ -29,7 +28,8 @@ from selfspec import (
     stepwise_decode,
 )
 from selfspec.sequence import masked_in_blocks
-from selfspec.ssd import draft_blocks
+import selfspec.ssd as ssd_mod
+from selfspec.ssd import draft_blocks, refresh_drafts
 from selfspec.stepwise import choose_step
 
 from conftest import (
@@ -371,67 +371,69 @@ def test_full_match_accepts_n_plus_one():
     model = synth(seed=1, cw=0)
     drafts = draft(model, state)
     cands = select_candidates(state, drafts, 3)
-    result = batch_verify(model, build_tree(state, cands, drafts, "greedy"), 3)
+    result = batch_verify(model, build_tree(state, cands, drafts, "greedy"))
     assert len(result.accepted) == 4
     assert [(p, t) for p, t, _ in result.accepted[:3]] == list(cands)
     assert result.leaf_index == 3
 
 
 def test_refresh_reads_the_leafs_next_but_one_block():
-    """block_len 1 and n = 2: the bonus token completes the leaf's block,
-    and one mask is short of n, so the refreshed drafts need the masks of
-    the leaf's next and next-but-one block, which a two-block node would
-    not ask for; the refresh finds them past the bonus token's row."""
-    model = synth(seed=1, cw=0)
+    """block_len 1 and n = 2: the bonus token completes the leaf's block, and
+    one mask is short of n, so the refreshed drafts need the masks of the
+    leaf's next and next-but-one block, which the walk did not read; the
+    refresh reads the leaf once more for exactly those masks."""
+    model = CountingModel(synth(seed=1, cw=0))
     state = all_masked_state(gen_len=8, block_len=1)
     drafts = draft(model, state, n=2)
     tree = build_tree(state, select_candidates(state, drafts, 2), drafts)
-    result = batch_verify(model, tree, 2)
-    assert result.leaf_index == 2 and result.leaf_positions.tolist() == [2, 3, 4]
-    assert np.array_equal(result.leaf_logits, full_logits(model, tree.nodes[2].state)[2:5])
+    result = batch_verify(model, tree)
+    assert result.leaf_index == 2 and result.leaf_positions.tolist() == [2]
+    leaf_rows = full_logits(synth(seed=1, cw=0), tree.nodes[2].state)
+    assert np.array_equal(result.leaf_logits, leaf_rows[[2]])
     for pos, tok, _ in result.accepted:
         state = place_token(state, pos, tok)
     assert masked_in_blocks(state, 2).tolist() == [3, 4]
-    refreshed = drafts_from_logits(state, result.leaf_logits, n=2, rows=result.leaf_positions)
+    del model.reads[:]
+    refreshed = refresh_drafts(state, result, 2)
+    assert model.reads == [(1, 2, [3, 4])]
     assert np.array_equal(refreshed.positions, [3, 4])
-    stale = drafts_from_logits(state, full_logits(model, tree.nodes[2].state), n=2,
-                               rows=np.arange(len(state.tokens)))
+    stale = drafts_from_logits(state, leaf_rows, n=2, rows=np.arange(len(state.tokens)))
     assert np.array_equal(refreshed.tokens, stale.tokens)
     assert np.array_equal(refreshed.confidences, stale.confidences)
     with pytest.raises(ValueError, match="do not cover"):
-        drafts_from_logits(state, result.leaf_logits[:2], n=2, rows=result.leaf_positions[:2])
+        drafts_from_logits(state, result.leaf_logits, n=2, rows=result.leaf_positions)
 
 
-def test_node_scores_one_block_only_above_n_masks():
-    """n = 3 in blocks of 4: the root holds n + 1 masks, so its refresh can
-    read only its own block and it asks for that block's masks; every
-    deeper chain node holds n masks or fewer and asks for the masks of
-    three blocks."""
+def test_walk_reads_each_node_for_its_current_block_alone():
+    """n = 3 in blocks of 4, context-free so the whole chain validates: the
+    walk reads every chain node once, in order, for its current block's
+    masks alone, however few of them are left for a refresh; the refresh
+    then drafts from the leaf's rows without reading it again."""
     model = CountingModel(synth(seed=1, cw=0))
     state = all_masked_state(gen_len=16, block_len=4)
     drafts = draft(model, state, n=3)
     tree = build_tree(state, select_candidates(state, drafts, 3), drafts)
-    batch_verify(model, tree, 3)
-    asked = [pos.tolist() for _, pos in model.batches[-1]]
-    assert asked[0] == [0, 1, 2, 3]
-    assert [len(pos) for pos in asked] == [4, 11, 10, 9]
-    for node, pos in zip(tree.nodes[1:], asked[1:]):
-        assert pos == [p for p in range(12) if node.state.is_masked(p)]
+    result = batch_verify(model, tree)
+    assert result.leaf_index == 3
+    walk = [(i, [p for p in range(4) if node.state.is_masked(p)])
+            for i, node in enumerate(tree.nodes)]
+    assert model.reads[1:] == [(1, i, pos) for i, pos in walk]
+    assert [len(pos) for _, pos in walk] == [4, 3, 2, 1]
 
 
 def test_fully_decoded_node_asks_for_no_rows():
-    """A chain whose last candidate fills the last mask: that node asks for
-    an empty position set, and every backend answers it with a (0, V)
-    matrix, alone or beside other pairs."""
+    """A chain whose last candidate fills the last mask: the walk reads that
+    node for an empty position set, and every backend answers it with a
+    (0, V) matrix, alone or beside other states."""
     model = CountingModel(synth(seed=3, cw=0))  # context-free: the whole chain validates
     state = all_masked_state(gen_len=4, block_len=2)
     for pos in (0, 1):
         state = place_token(state, pos, 5)
     drafts = draft(model, state, n=2)
     tree = build_tree(state, select_candidates(state, drafts, 2), drafts)
-    result = batch_verify(model, tree, 2)
-    asked = [pos.tolist() for _, pos in model.batches[-1]]
-    assert asked == [[2, 3], [p for p in (2, 3) if tree.nodes[1].state.is_masked(p)], []]
+    result = batch_verify(model, tree)
+    walk = [[2, 3], [p for p in (2, 3) if tree.nodes[1].state.is_masked(p)], []]
+    assert model.reads[1:] == [(1, i, pos) for i, pos in enumerate(walk)]
     decoded = tree.nodes[2].state
     assert masked_in_blocks(decoded, 3).size == 0
     recording = RecordingModel(synth(seed=3))
@@ -442,10 +444,10 @@ def test_fully_decoded_node_asks_for_no_rows():
         "recording": recording,
     }
     for name, backend in backends.items():
-        (alone,) = backend.forward([(decoded, [])])
-        beside = backend.forward([(decoded, np.empty(0, dtype=np.intp)), (state, [2, 3])])
-        assert alone.shape == beside[0].shape == (0, 16), name
-        assert np.array_equal(beside[1], full_logits(backend, state)[2:]), name
+        alone = backend.forward([decoded])[0]([])
+        beside = backend.forward([decoded, state])
+        assert alone.shape == beside[0](np.empty(0, dtype=np.intp)).shape == (0, 16), name
+        assert np.array_equal(beside[1]([2, 3]), full_logits(backend, state)[2:]), name
     assert result.leaf_index == 2 and len(result.accepted) == 2
     assert result.leaf_logits.shape == (0, 16) and result.leaf_positions.size == 0
 
@@ -464,7 +466,7 @@ def test_root_mismatch_accepts_exactly_one():
     stale = manual_drafts({0: (1, 0.9), 1: (1, 0.8)})  # wrong token at pos 0
     cands = select_candidates(state, stale, 2)
     assert cands == ((0, 1), (1, 1))
-    result = batch_verify(model, build_tree(state, cands, stale, "greedy"), 2)
+    result = batch_verify(model, build_tree(state, cands, stale, "greedy"))
     assert [(p, t) for p, t, _ in result.accepted] == [(0, 2)]
     assert result.leaf_index == 0
 
@@ -555,8 +557,6 @@ def test_ssd_softmaxes_at_most_two_blocks_of_rows(monkeypatch, shape):
     """Drafting reads the current and the next block and the walk only the
     current one, so on a sequence six blocks long no softmax in the
     speculative loop sees more than two blocks of rows."""
-    import selfspec.ssd as ssd_mod
-
     rows = []
 
     def counting_softmax(mat):
@@ -652,98 +652,60 @@ def all_masks(state):
     shape=st.sampled_from(["greedy", "mix_order"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_forwards_ask_only_for_the_masks_of_the_scoped_blocks(
-    seed, prompt_len, gen_len, block_len, n, shape
-):
-    """The first draft asks for the masks of the blocks it drafts, every
-    tree node for those of its current block when that holds more than n
-    masks and otherwise of the two after it too, each stepwise fallback
-    step for its current block's, and a stepwise step that snapshots for
-    every mask, so no forward scores a decoded row."""
+def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_len, n, shape):
+    """Every read asks for ascending masked positions of its own state.  The
+    first draft reads the masks it drafts.  Each round reads the nodes on the
+    path from the root to its leaf once each, in walk order, for exactly
+    their current block's masks, and no other node; then it reads the leaf
+    at most once more, only when the drafted masks pass the leaf's current
+    block, and then for exactly those masks.  Each stepwise fallback step
+    reads its current block's masks, and a stepwise step that snapshots
+    reads every mask.  Calls and batch sizes still add up to the forward
+    count and the round sizes."""
     model = CountingModel(synth(seed=seed, vocab=12))
-    state = all_masked_state(
-        prompt_len=prompt_len, gen_len=gen_len, vocab=12, block_len=block_len
-    )
-    res = ssd_decode(model, state, n=n, shape=shape)
-    first, *rounds = model.batches[: 1 + len(res.rounds)]
-    fallback = model.batches[1 + len(res.rounds) :]
-    [(root, asked)] = first
-    assert root is state
-    assert asked.tolist() == masked_in_blocks(state, draft_blocks(state, n)).tolist()
-    for batch in rounds:
-        for node, asked in batch:
-            blocks = 1 if len(masked_in_blocks(node, 1)) > n else 3
-            assert asked.tolist() == masked_in_blocks(node, blocks).tolist()
-            assert all(node.is_masked(p) for p in asked)
-    assert len(fallback) == res.fallback_steps
-    for [(step, asked)] in fallback:
-        assert asked.tolist() == masked_in_blocks(step, 1).tolist()
-    snapshots = CountingModel(synth(seed=seed, vocab=12))
-    stepwise_decode(snapshots, state, topk=2)
-    for [(step, asked)] in snapshots.batches:
-        assert asked.tolist() == all_masks(step)
+    start = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, vocab=12, block_len=block_len)
+    verified = []
 
+    def recording_verify(model, tree):
+        verified.append((tree, batch_verify(model, tree)))
+        return verified[-1][1]
 
-class CountedReads(Sequence):
-    """A forward result that appends the index of every read to reads."""
+    with mock.patch.object(ssd_mod, "batch_verify", recording_verify):
+        res = ssd_decode(model, start, n=n, shape=shape)
+    assert model.calls == res.forward_count
+    assert model.rows == 1 + sum(r.batch_size for r in res.rounds) + res.fallback_steps
+    reads = [[] for _ in model.batches]
+    for call, i, pos in model.reads:
+        assert pos == sorted(set(pos)) and all(model.batches[call][i].is_masked(p) for p in pos)
+        reads[call].append((i, pos))
+    assert reads[0] == [(0, masked_in_blocks(start, draft_blocks(start, n)).tolist())]
 
-    def __init__(self, out, reads):
-        self._out, self.reads = out, reads
-
-    def __len__(self):
-        return len(self._out)
-
-    def __getitem__(self, i):
-        self.reads.append(i)
-        return self._out[i]
-
-
-class ReadCountingModel(MaskedModel):
-    """Passes forwards through and records, per forward, which pairs of the
-    result the caller reads, one entry per read."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.reads = []
-
-    @property
-    def vocab_size(self):
-        return self._inner.vocab_size
-
-    def forward(self, batch):
-        self.reads.append([])
-        return CountedReads(self._inner.forward(batch), self.reads[-1])
-
-
-@given(
-    seed=st.integers(0, 40),
-    gen_len=st.integers(2, 20),
-    block_len=st.integers(1, 8),
-    n=st.integers(1, 5),
-    shape=st.sampled_from(["greedy", "mix_order"]),
-)
-@settings(max_examples=40, deadline=None)
-def test_verify_reads_only_the_nodes_its_walk_visits(seed, gen_len, block_len, n, shape):
-    """Every round reads each node on the path from the root to its leaf
-    once, in walk order, and no other node's matrix."""
-    model = ReadCountingModel(synth(seed=seed, vocab=12, sharpness=3.0))
-    state = all_masked_state(gen_len=gen_len, vocab=12, block_len=block_len)
-    drafts = draft(model, state, n=n)
-    while current_block(state) is not None:
-        candidates = select_candidates(state, drafts, n)
-        if len(candidates) < n:
-            break
-        tree = build_tree(state, candidates, drafts, shape)
-        result = batch_verify(model, tree, n)
+    state = start
+    for call, (tree, result) in enumerate(verified, start=1):
+        assert model.batches[call] == [node.state for node in tree.nodes]
         path = [result.leaf_index]
         while tree.nodes[path[-1]].parent is not None:
             path.append(tree.nodes[path[-1]].parent)
-        assert model.reads[-1] == path[::-1]
-        for pos, tok, _ in result.accepted:
+        path.reverse()
+        accepted = [(pos, tok) for pos, tok, _ in result.accepted]
+        assert [tree.nodes[i].expectation for i in path[1:]] == accepted[: len(path) - 1]
+        walk = [(i, masked_in_blocks(tree.nodes[i].state, 1).tolist()) for i in path]
+        for pos, tok in accepted:
             state = place_token(state, pos, tok)
-        if current_block(state) is None:
-            break
-        drafts = drafts_from_logits(state, result.leaf_logits, n=n, rows=result.leaf_positions)
+        leaf = tree.nodes[result.leaf_index].state
+        if current_block(state) is not None:
+            drafted = masked_in_blocks(state, draft_blocks(state, n)).tolist()
+            if (drafted[-1] - leaf.prompt_len) // leaf.block_len > current_block(leaf):
+                walk.append((result.leaf_index, drafted))
+        assert reads[call] == walk
+
+    fallback = model.batches[1 + len(verified) :]
+    assert len(fallback) == res.fallback_steps
+    for call, [step] in enumerate(fallback, start=1 + len(verified)):
+        assert reads[call] == [(0, masked_in_blocks(step, 1).tolist())]
+    snapshots = CountingModel(synth(seed=seed, vocab=12))
+    stepwise_decode(snapshots, start, topk=2)
+    assert [pos for _, _, pos in snapshots.reads] == [all_masks(s) for [s] in snapshots.batches]
 
 
 @given(seed=st.integers(0, 30), n=st.integers(2, 5))
