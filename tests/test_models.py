@@ -446,6 +446,28 @@ def test_forward_returns_one_reader_per_state(backend):
     assert [read([]).shape for read in readers] == [(0, 8)] * 3
 
 
+@pytest.mark.parametrize("backend", ["synthetic", "table", "recording"])
+def test_a_reader_is_unchanged_by_later_forwards(backend):
+    """Later forwards on the model, which grow a recording, and changes to
+    the positions array after a read change neither that read nor a later
+    read of the same reader."""
+    state = all_masked_state(prompt_len=1, gen_len=6, vocab=6)
+    states = [state, place_token(state, 2, 4), place_token(state, 3, 1)]
+    inner = synth(seed=0, vocab=6, cw=2)
+    model = {"synthetic": inner, "recording": RecordingModel(inner),
+             "table": TableModel({s.tokens: full_logits(inner, s) for s in states})}[backend]
+    positions = np.array([1, 2, 4], dtype=np.intp)
+    want = full_logits(inner, state)[positions].tobytes()
+    early = model.forward([state])[0]
+    first = early(positions)
+    model.forward(states[1:])
+    for later in model.forward(states[::-1]):
+        later(range(len(state.tokens)))
+    positions[:] = [0, 5, 6]
+    assert first.tobytes() == want
+    assert early([1, 2, 4]).tobytes() == want
+
+
 # --- table model -----------------------------------------------------------
 
 
