@@ -58,15 +58,17 @@ def _ssd_report(config: RunConfig, result: SsdResult, compared: bool = False) ->
     )
 
 
-def run_decode(config: RunConfig) -> tuple[Report, DecodeTrace]:
+def run_decode(config: RunConfig, *, trace: bool = False) -> tuple[Report, DecodeTrace | None]:
+    """The report of a decode, and its trace only when trace is true: only then
+    does stepwise take the config.topk snapshot, which no report byte depends on."""
     config.validate()
     model = build_model(config)
     state = start_state(config)
     if config.strategy == "stepwise":
-        final, trace = stepwise_decode(model, state, topk=config.topk)
-        return Report(config, final.tokens, actual_forwards=config.gen_len), trace
+        final, steps = stepwise_decode(model, state, topk=config.topk if trace else 0)
+        return Report(config, final.tokens, config.gen_len), steps if trace else None
     result = ssd_decode(model, state, n=config.draft_len, shape=config.strategy)
-    return _ssd_report(config, result), result.trace
+    return _ssd_report(config, result), result.trace if trace else None
 
 
 def run_compare(config: RunConfig) -> Report:
@@ -158,7 +160,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    report, trace = run_decode(config)
+    report, trace = run_decode(config, trace=bool(args.trace_out))
     if args.trace_out:
         write_trace(trace, args.trace_out)
     _emit(render_report(report), args.out)

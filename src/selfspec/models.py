@@ -64,9 +64,9 @@ class MaskedModel(ABC):
         self, states: Sequence[SequenceState]
     ) -> list[Callable[[Sequence[int]], np.ndarray]]:
         """One row reader per state of a non-empty batch, in input order.
-        reader(positions) is a fresh (len(positions), vocab_size) float64
-        logit matrix; positions ascend without repeats inside [0, L), may be
-        empty, and are checked by check_positions when read."""
+        reader(positions) is a fresh (len(positions), vocab_size) float64 logit
+        matrix the caller owns; positions ascend without repeats inside [0, L),
+        may be empty, and are checked by check_positions when read."""
 
 
 def check_positions(length: int, positions: Sequence[int]) -> np.ndarray:
@@ -89,12 +89,12 @@ def _batch(states: Sequence[SequenceState]) -> Sequence[SequenceState]:
 
 
 def softmax_matrix(mat: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax of a (positions, vocab) logit matrix.  Only
-    the shifted copy is allocated: exp and the division run in place on it."""
-    e = mat - mat.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    """Row-wise stable softmax of a float64 (positions, vocab) logit matrix,
+    in place: mat is overwritten and returned, so pass a fresh read or gather."""
+    mat -= mat.max(axis=1, keepdims=True)
+    np.exp(mat, out=mat)
+    mat /= mat.sum(axis=1, keepdims=True)
+    return mat
 
 
 def _read_only(rows: np.ndarray) -> np.ndarray:
@@ -116,16 +116,16 @@ def _serve(rows: np.ndarray, positions: Sequence[int]) -> np.ndarray:
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _PAIR_C = 0xC2B2AE3D27D4EB4F
-_CHUNK_CELLS = 2**16  # cells hashed per step, so temporaries stay small at any V or cw
+_CHUNK_CELLS = 2**14  # cells hashed per step, so temporaries stay small at any V or cw
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, in place over a uint64 array (wraps modulo 2**64)."""
-    x ^= x >> np.uint64(30)
+def _mix64(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer in place over uint64 x (mod 2**64), shifting into t."""
+    x ^= np.right_shift(x, np.uint64(30), out=t)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=t)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
     return x
 
 
@@ -209,22 +209,26 @@ class SyntheticModel(MaskedModel):
             step = max(1, _CHUNK_CELLS // (2 * cw))
             for a in range(0, len(positions), step):
                 neigh = positions[a : a + step, None] - first + self._offsets  # strip indices
-                terms = _mix64(key[neigh] + self._offset_keys)
+                terms = _mix64(key[neigh] + self._offset_keys, np.empty(neigh.shape, np.uint64))
                 terms *= nonmask[neigh]
                 terms.sum(axis=1, out=acc[a : a + step])
 
-        pos = (positions + 1).astype(np.uint64)
-        return self._hash_rows(_mix64(_mix64(pos * np.uint64(_GOLDEN) + self._seed_base) ^ acc))
+        seeds = (positions + 1).astype(np.uint64) * np.uint64(_GOLDEN) + self._seed_base
+        scratch = np.empty_like(seeds)
+        return self._hash_rows(_mix64(_mix64(seeds, scratch) ^ acc, scratch))
 
     def _hash_rows(self, seeds: np.ndarray) -> np.ndarray:
-        """The (len(seeds), V) logits of the given row seeds, with the cells
-        hashed in place a bounded number at a time."""
+        """The (len(seeds), V) logits of the given row seeds, hashed a bounded
+        number of cells at a time; the output rows hold the shifts until written."""
         step = max(1, _CHUNK_CELLS // self._config.vocab_size)
         logits = np.empty((len(seeds), self._config.vocab_size))
+        cells = np.empty((min(step, len(seeds)), self._config.vocab_size), dtype=np.uint64)
         for a in range(0, len(seeds), step):
-            cells = _mix64(seeds[a : a + step, None] + self._cols)
-            cells >>= np.uint64(11)
-            np.multiply(cells, 2.0**-53, out=logits[a : a + step])
+            x = np.add(seeds[a : a + step, None], self._cols, out=cells[: len(seeds) - a])
+            _mix64(x, logits[a : a + step].view(np.uint64))
+            x >>= np.uint64(11)
+            logits[a : a + step] = x
+        logits *= 2.0**-53
         logits *= self._config.sharpness  # after the 2**-53 scale: a fused scale can be subnormal
         return logits
 

@@ -11,10 +11,10 @@ accepting a candidate exactly when the parent node's own stepwise choice
 matches it; no other node is read.  The deepest validated node contributes
 one further token (its own stepwise choice), so a draft of length N can
 yield N+1 tokens per round while the output stays token-identical to plain
-stepwise decoding.  The next drafts come from the rows the walk read at that
-leaf when the drafted masks lie in its current block, and otherwise from
-one more read of the leaf for exactly those masks, so no forward is spent
-on drafting after the first.
+stepwise decoding.  The next drafts come from the probabilities the walk
+computed at that leaf when the drafted masks lie in its current block, and
+otherwise from one more read of the leaf for exactly those masks, so no
+forward is spent on drafting after the first.
 
 Tree shapes:
 
@@ -48,8 +48,8 @@ MAX_DRAFT_LEN = 2**8  # keeps a decode tree at most 2 * 2**8 nodes
 
 @dataclass(frozen=True, eq=False)
 class Drafts:
-    """Drafts for the masked positions of one state's draft_blocks(state, n)
-    blocks, as parallel arrays.
+    """Drafts for the masked positions draft_masks(state, n) of one state,
+    as parallel arrays.
 
     ``positions`` (P,) holds those positions, ascending; ``tokens`` (P, k)
     their top-k draft tokens, highest probability first, so column 0 is the
@@ -64,39 +64,46 @@ class Drafts:
         return len(self.positions)
 
 
-def draft_blocks(state: SequenceState, n: int) -> int:
-    """How many blocks the drafts of state cover for n candidates: the
-    current block, and the next one too when the current block holds fewer
-    than n masks."""
-    return 1 if len(masked_in_blocks(state, 1)) >= n else 2
+def draft_masks(state: SequenceState, n: int) -> np.ndarray:
+    """The masked positions drafted for n candidates, ascending, from one
+    scan: those of the current block, and of the next block too when the
+    current block holds fewer than n masks."""
+    masks = masked_in_blocks(state, 2)
+    blocks = (masks - state.prompt_len) // state.block_len
+    cut = np.count_nonzero(blocks == blocks[:1])  # the current block's masks
+    return masks[:cut] if cut >= n else masks
 
 
 def drafts_from_logits(
-    state: SequenceState, logits: np.ndarray, k: int = 1, *, n: int, rows: np.ndarray
+    state: SequenceState, logits: np.ndarray, k: int = 1, *, n: int, rows: np.ndarray,
+    probs: bool = False,
 ) -> Drafts:
-    """Extract top-k drafts for the masked positions of state's
-    draft_blocks(state, n) blocks from a logit matrix whose row i belongs to
-    the ascending position rows[i]; no other position can be a candidate.
+    """Extract top-k drafts for the masked positions draft_masks(state, n)
+    from a logit matrix whose row i belongs to the ascending position
+    rows[i]; no other position can be a candidate.  With probs the rows are
+    probabilities already; otherwise the drafted rows are softmaxed in a copy.
 
     Used both for fresh drafting (logits from a forward on state itself) and
-    for the free refresh after a verification round, where the logits come
+    for the free refresh after a verification round, where the rows come
     from the deepest accepted node and may be slightly stale; staleness only
     costs acceptance rate because every draft is re-verified before use.
     Column 0 and the confidences do not depend on k: the stable sort puts
     the first maximum first, exactly as argmax picks it.
     """
-    positions = masked_in_blocks(state, draft_blocks(state, n))
+    positions = draft_masks(state, n)
     if positions.size == 0:
         raise ValueError("state has no masked positions to draft for")
     found = np.searchsorted(rows, positions)
     if found[-1] >= len(rows) or not np.array_equal(rows[found], positions):
         raise ValueError("logits do not cover the drafted blocks")
-    probs = softmax_matrix(np.asarray(logits, dtype=np.float64)[found])
-    if k == 1:
-        tokens = np.argmax(probs, axis=1)[:, None]  # first max, lowest-id tie-break
+    if not probs:
+        logits = softmax_matrix(np.asarray(logits, dtype=np.float64)[found])
+        found = np.arange(len(positions))
+    if k == 1:  # argmax over every row, so no rows are copied out
+        tokens = np.argmax(logits, axis=1)[found, None]  # first max, lowest-id tie-break
     else:
-        tokens = np.argsort(-probs, axis=1, kind="stable")[:, :k]
-    confidences = probs[np.arange(len(positions)), tokens[:, 0]]
+        tokens = np.argsort(-logits[found], axis=1, kind="stable")[:, :k]
+    confidences = logits[found, tokens[:, 0]]
     return Drafts(positions=positions, tokens=tokens, confidences=confidences)
 
 
@@ -110,12 +117,12 @@ def select_candidates(
     next-block positions by the same rule.  May return fewer than n entries
     when the current and next block together hold fewer masked positions;
     the decode loop treats that as the signal to fall back to stepwise
-    decoding.  The drafts must cover exactly the masked positions of
-    draft_blocks(state, n) blocks.
+    decoding.  The drafts must cover exactly the masked positions
+    draft_masks(state, n).
     """
     if n < 1:
         raise ValueError("candidate count must be >= 1")
-    positions = masked_in_blocks(state, draft_blocks(state, n))
+    positions = draft_masks(state, n)
     if positions.size == 0:
         return ()
     if not np.array_equal(drafts.positions, positions):
@@ -217,7 +224,7 @@ class VerifyResult:
     """Outcome of one verification round."""
 
     accepted: tuple[tuple[int, int, float], ...]  # (position, token, confidence)
-    leaf_logits: np.ndarray  # the rows the walk read at the deepest validated node
+    leaf_probs: np.ndarray  # the softmaxed rows the walk read at the deepest validated node
     leaf_positions: np.ndarray  # their positions: the masks of the leaf's current block
     read_leaf: Callable[[Sequence[int]], np.ndarray]  # the leaf's row reader
     leaf_index: int
@@ -241,10 +248,10 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
     cur = 0
     while True:
         positions = masked_in_blocks(nodes[cur].state, 1)
-        logits = readers[cur](positions)
+        probs = softmax_matrix(readers[cur](positions))
         if not positions.size:  # every position decoded: nothing to choose
             break
-        pos, tok, conf = choose_step(positions, softmax_matrix(logits))
+        pos, tok, conf = choose_step(positions, probs)
         accepted.append((pos, tok, conf))
         matched = next(
             (i for i, node in enumerate(nodes)
@@ -254,18 +261,20 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
         if matched is None:
             break
         cur = matched
-    return VerifyResult(tuple(accepted), logits, positions, readers[cur], cur)
+    return VerifyResult(tuple(accepted), probs, positions, readers[cur], cur)
 
 
 def refresh_drafts(state: SequenceState, result: VerifyResult, n: int) -> Drafts:
     """The drafts of state, the leaf of result with its bonus token placed:
-    from the rows the walk read at the leaf when the drafted masks lie in
-    its current block, and otherwise from one more read of the leaf for
-    exactly those masks."""
-    rows = masked_in_blocks(state, draft_blocks(state, n))
+    from the probabilities the walk computed at the leaf when the drafted
+    masks lie in its current block, and otherwise from one more read of the
+    leaf for exactly those masks."""
+    rows = draft_masks(state, n)
     if rows[-1] <= result.leaf_positions[-1]:
-        return drafts_from_logits(state, result.leaf_logits, n=n, rows=result.leaf_positions)
-    return drafts_from_logits(state, result.read_leaf(rows), n=n, rows=rows)
+        probs, rows = result.leaf_probs, result.leaf_positions
+    else:
+        probs = softmax_matrix(result.read_leaf(rows))
+    return drafts_from_logits(state, probs, n=n, rows=rows, probs=True)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +321,7 @@ def ssd_decode(
         raise ValueError("state has no masked positions to decode")
 
     start = state
-    rows = masked_in_blocks(state, draft_blocks(state, n))
+    rows = draft_masks(state, n)
     drafts = drafts_from_logits(state, model.forward([state])[0](rows), n=n, rows=rows)
     forwards = 1
     records: list[StepRecord] = []

@@ -22,6 +22,7 @@ from selfspec import (
     trace_to_lines,
 )
 from selfspec.cli import LosslessnessError, build_model, main, run_compare, run_decode, start_state
+import selfspec.stepwise as stepwise_mod
 from selfspec.jsonl import dumps
 
 
@@ -379,13 +380,46 @@ def test_run_decode_matches_cli_output(capsys):
     """The Python entry point and the CLI produce the same report."""
     config = RunConfig(seed=3, vocab_size=24, gen_len=16, block_len=8,
                        draft_len=3, strategy="greedy", topk=5)
-    report, trace = run_decode(config)
+    report, trace = run_decode(config, trace=True)
     code, out, _ = run_main(
         capsys, ["decode", *BASE, "--strategy", "greedy", "--draft-length", "3"]
     )
     assert code == 0
     assert report_from_lines(out.splitlines()) == report
     assert len(trace.records) == 16
+
+
+def _no_snapshot(*args):
+    raise AssertionError("a decode without a trace took a top-k snapshot")
+
+
+@pytest.mark.parametrize("strategy", ["stepwise", "greedy", "mix_order"])
+def test_run_decode_takes_no_snapshot_without_a_trace(monkeypatch, strategy):
+    """Without trace, no decode takes a top-k snapshot and none returns a
+    trace, yet every report byte equals that of the traced decode, whose
+    stepwise snapshot holds config.topk candidates."""
+    for topk in (0, 1, 5, 8):
+        config = RunConfig(seed=3, vocab_size=24, gen_len=16, block_len=8,
+                           strategy=strategy, topk=topk)
+        traced, trace = run_decode(config, trace=True)
+        assert trace.topk == (topk if strategy == "stepwise" else 0)
+        with monkeypatch.context() as patched:
+            patched.setattr(stepwise_mod, "candidate_snapshot", _no_snapshot)
+            plain, none = run_decode(config)
+        assert none is None
+        assert render_report(plain) == render_report(traced)
+
+
+@pytest.mark.parametrize("strategy", ["stepwise", "greedy"])
+def test_decode_trace_out_writes_the_traced_decode(capsys, tmp_path, strategy):
+    trace_path = tmp_path / "trace.jsonl"
+    code, _, _ = run_main(capsys, ["decode", *BASE, "--strategy", strategy, "--topk", "3",
+                                   "--trace-out", str(trace_path)])
+    assert code == 0
+    config = RunConfig(seed=3, vocab_size=24, gen_len=16, block_len=8,
+                       strategy=strategy, topk=3)
+    want = trace_to_lines(run_decode(config, trace=True)[1])
+    assert trace_path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
 
 # --- fuzzing ---------------------------------------------------------------
@@ -557,7 +591,7 @@ def test_fuzz_analyze_trace_lines(tmp_path_factory, data, run, draft_lengths, to
     """A recorded stepwise trace with up to two lines corrupted: a field
     replaced or dropped, or the whole line replaced by another JSON value."""
     config = RunConfig(**{**run, "strategy": "stepwise", "gen_len": min(run["gen_len"], 8)})
-    lines = [json.loads(line) for line in trace_to_lines(run_decode(config)[1])]
+    lines = [json.loads(line) for line in trace_to_lines(run_decode(config, trace=True)[1])]
     for _ in range(data.draw(st.integers(0, 2), label="corrupted lines")):
         i = data.draw(st.integers(0, len(lines) - 1), label="line")
         if data.draw(st.booleans(), label="whole line"):

@@ -29,7 +29,7 @@ from selfspec import (
 )
 from selfspec.sequence import masked_in_blocks
 import selfspec.ssd as ssd_mod
-from selfspec.ssd import draft_blocks, refresh_drafts
+from selfspec.ssd import draft_masks, refresh_drafts
 from selfspec.stepwise import choose_step
 
 from conftest import (
@@ -84,7 +84,8 @@ def test_drafts_cover_the_next_block_only_when_the_current_one_is_short():
     state = all_masked_state(prompt_len=2, gen_len=12, block_len=3)
     for pos in (2, 3, 4, 6, 9):
         state = place_token(state, pos, 1)
-    assert draft_blocks(state, 2) == 1 and draft_blocks(state, 3) == 2
+    assert draft_masks(state, 2).tolist() == [5, 7]
+    assert draft_masks(state, 3).tolist() == [5, 7, 8, 10]
     assert draft(synth(), state, k=2, n=2).positions.tolist() == [5, 7]
     drafts = draft(synth(), state, k=2, n=3)
     assert drafts.positions.tolist() == [5, 7, 8, 10]
@@ -92,6 +93,28 @@ def test_drafts_cover_the_next_block_only_when_the_current_one_is_short():
     for pos in (5, 7, 8, 10, 11):
         state = place_token(state, pos, 1)
     assert draft(synth(), state, n=3).positions.tolist() == [12, 13]
+
+
+@given(
+    prompt_len=st.integers(0, 3),
+    gen_len=st.integers(1, 14),
+    block_len=st.integers(1, 5),
+    n=st.integers(0, 6),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_draft_masks_are_one_or_two_blocks_by_the_current_blocks_count(
+    prompt_len, gen_len, block_len, n, data
+):
+    """draft_masks scans once and gives what two scans give: the current
+    block's masks when they number at least n, else those of two blocks."""
+    state = all_masked_state(prompt_len, gen_len, block_len=block_len)
+    filled = data.draw(st.sets(st.integers(prompt_len, prompt_len + gen_len - 1)))
+    for pos in sorted(filled):
+        state = place_token(state, pos, 1)
+    current = masked_in_blocks(state, 1)
+    want = current if len(current) >= n else masked_in_blocks(state, 2)
+    assert draft_masks(state, n).tolist() == want.tolist()
 
 
 def test_draft_requires_masks():
@@ -389,7 +412,7 @@ def test_refresh_reads_the_leafs_next_but_one_block():
     result = batch_verify(model, tree)
     assert result.leaf_index == 2 and result.leaf_positions.tolist() == [2]
     leaf_rows = full_logits(synth(seed=1, cw=0), tree.nodes[2].state)
-    assert np.array_equal(result.leaf_logits, leaf_rows[[2]])
+    assert np.array_equal(result.leaf_probs, softmax_matrix(leaf_rows[[2]]))
     for pos, tok, _ in result.accepted:
         state = place_token(state, pos, tok)
     assert masked_in_blocks(state, 2).tolist() == [3, 4]
@@ -401,7 +424,7 @@ def test_refresh_reads_the_leafs_next_but_one_block():
     assert np.array_equal(refreshed.tokens, stale.tokens)
     assert np.array_equal(refreshed.confidences, stale.confidences)
     with pytest.raises(ValueError, match="do not cover"):
-        drafts_from_logits(state, result.leaf_logits, n=2, rows=result.leaf_positions)
+        drafts_from_logits(state, result.leaf_probs, n=2, rows=result.leaf_positions, probs=True)
 
 
 def test_walk_reads_each_node_for_its_current_block_alone():
@@ -449,7 +472,7 @@ def test_fully_decoded_node_asks_for_no_rows():
         assert alone.shape == beside[0](np.empty(0, dtype=np.intp)).shape == (0, 16), name
         assert np.array_equal(beside[1]([2, 3]), full_logits(backend, state)[2:]), name
     assert result.leaf_index == 2 and len(result.accepted) == 2
-    assert result.leaf_logits.shape == (0, 16) and result.leaf_positions.size == 0
+    assert result.leaf_probs.shape == (0, 16) and result.leaf_positions.size == 0
 
 
 def test_root_mismatch_accepts_exactly_one():
@@ -678,7 +701,7 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
     for call, i, pos in model.reads:
         assert pos == sorted(set(pos)) and all(model.batches[call][i].is_masked(p) for p in pos)
         reads[call].append((i, pos))
-    assert reads[0] == [(0, masked_in_blocks(start, draft_blocks(start, n)).tolist())]
+    assert reads[0] == [(0, draft_masks(start, n).tolist())]
 
     state = start
     for call, (tree, result) in enumerate(verified, start=1):
@@ -694,7 +717,7 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
             state = place_token(state, pos, tok)
         leaf = tree.nodes[result.leaf_index].state
         if current_block(state) is not None:
-            drafted = masked_in_blocks(state, draft_blocks(state, n)).tolist()
+            drafted = draft_masks(state, n).tolist()
             if (drafted[-1] - leaf.prompt_len) // leaf.block_len > current_block(leaf):
                 walk.append((result.leaf_index, drafted))
         assert reads[call] == walk
