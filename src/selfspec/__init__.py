@@ -9,13 +9,10 @@ stepwise decoding.
 
 from .analyzer import (
     ReductionGrid,
-    RoundWindow,
-    exact_reduction_at_full_match,
     format_grid,
     kary_tree_size,
     reduction_grid,
     topk_match_reduction,
-    trace_windows,
     upper_bound,
 )
 from .models import (
@@ -80,7 +77,6 @@ __all__ = [
     "ReductionGrid",
     "Report",
     "RoundStats",
-    "RoundWindow",
     "RunConfig",
     "SequenceState",
     "SsdResult",
@@ -97,7 +93,6 @@ __all__ = [
     "current_block",
     "drafts_from_logits",
     "dump_table_fixture",
-    "exact_reduction_at_full_match",
     "format_grid",
     "initial_state",
     "kary_tree_size",
@@ -116,7 +111,6 @@ __all__ = [
     "topk_match_reduction",
     "trace_from_lines",
     "trace_to_lines",
-    "trace_windows",
     "upper_bound",
     "write_trace",
 ]

@@ -17,33 +17,37 @@ have changed the model's predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ssd import MAX_DRAFT_LEN
-from .stepwise import DecodeTrace, StepRecord
+from .stepwise import DecodeTrace
 
 
-@dataclass(frozen=True)
-class RoundWindow:
-    """A consecutive run of n+1 stepwise steps (the last window of a trace
-    may be shorter) plus the top-K snapshot taken at the window's start."""
-
-    start: int
-    steps: tuple[StepRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def trace_windows(trace: DecodeTrace, n: int) -> tuple[RoundWindow, ...]:
-    """Tile the trace with windows of n+1 steps, in order."""
+def _ranks(trace: DecodeTrace, n: int) -> list[int]:
+    """For each step that does not start its window of n+1 steps, the rank of
+    its token among the candidates the window's first step recorded for its
+    position, or trace.topk when the position or the token is absent there.
+    A step is saved at k exactly when its rank is below k."""
+    if not trace.records:
+        raise ValueError("trace has no steps")
     if n < 1:
         raise ValueError("draft length must be >= 1")
     records = trace.records
-    return tuple(
-        RoundWindow(start=start, steps=records[start : start + n + 1])
-        for start in range(0, len(records), n + 1)
-    )
+    ranks = []
+    for start in range(0, len(records), n + 1):
+        snapshot = records[start].topk
+        if snapshot is None:
+            raise ValueError(f"step at trace index {start} lacks a candidate snapshot")
+        for step in records[start + 1 : start + n + 1]:
+            tokens = [tok for tok, _ in snapshot.get(step.position, ())]
+            ranks.append(tokens.index(step.token) if step.token in tokens else trace.topk)
+    return ranks
+
+
+def _check_k(trace: DecodeTrace, k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > trace.topk:
+        raise ValueError(f"k={k} exceeds the trace's recorded top-{trace.topk} candidates")
 
 
 def topk_match_reduction(trace: DecodeTrace, n: int, k: int) -> float:
@@ -53,28 +57,8 @@ def topk_match_reduction(trace: DecodeTrace, n: int, k: int) -> float:
     is not the first of its window and its token appears among the top-k
     candidates recorded for its position when the window started.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > trace.topk:
-        raise ValueError(
-            f"k={k} exceeds the trace's recorded top-{trace.topk} candidates"
-        )
-    if not trace.records:
-        raise ValueError("trace has no steps")
-    saved = 0
-    for window in trace_windows(trace, n):
-        snapshot = window.steps[0].topk
-        if snapshot is None:
-            raise ValueError(
-                f"step at trace index {window.start} lacks a candidate snapshot"
-            )
-        for step in window.steps[1:]:
-            candidates = snapshot.get(step.position)
-            if candidates is None:
-                continue  # not masked at window start; cannot have been drafted
-            if any(tok == step.token for tok, _ in candidates[:k]):
-                saved += 1
-    return saved / len(trace.records)
+    _check_k(trace, k)
+    return sum(rank < k for rank in _ranks(trace, n)) / len(trace.records)
 
 
 def upper_bound(n: int) -> float:
@@ -83,20 +67,6 @@ def upper_bound(n: int) -> float:
     if n < 1:
         raise ValueError("draft length must be >= 1")
     return n / (n + 1)
-
-
-def exact_reduction_at_full_match(total_steps: int, n: int) -> Fraction:
-    """Reduction when every non-initial step of every window matches: one
-    mandatory forward per window, so (total - ceil(total/(n+1))) / total.
-
-    Equals n/(n+1) exactly iff (n+1) divides total_steps.
-    """
-    if n < 1:
-        raise ValueError("draft length must be >= 1")
-    if total_steps < 1:
-        raise ValueError("total_steps must be >= 1")
-    windows = -(-total_steps // (n + 1))
-    return Fraction(total_steps - windows, total_steps)
 
 
 def kary_tree_size(k: int, n: int) -> int:
@@ -119,7 +89,6 @@ def kary_tree_size(k: int, n: int) -> int:
 class GridRow:
     draft_len: int
     reductions: tuple[float, ...]  # one per requested k, ascending k order
-    upper: float
 
 
 @dataclass(frozen=True)
@@ -133,16 +102,22 @@ def reduction_grid(
     draft_lengths: tuple[int, ...],
     topk_values: tuple[int, ...],
 ) -> ReductionGrid:
-    """Measure reductions for every (draft length, k) pair on one trace."""
+    """Measure reductions for every (draft length, k) pair on one trace,
+    ranking it once per draft length."""
     if not draft_lengths or not topk_values:
         raise ValueError("need at least one draft length and one k")
     if not all(1 <= n <= MAX_DRAFT_LEN for n in draft_lengths):
         raise ValueError("draft lengths must be in [1, 2**8]")
     ks = tuple(sorted(set(topk_values)))
+    # errors come in the order topk_match_reduction over ascending k raises them
+    _check_k(trace, ks[0])
     rows = []
     for n in sorted(set(draft_lengths)):
-        reductions = tuple(topk_match_reduction(trace, n, k) for k in ks)
-        rows.append(GridRow(draft_len=n, reductions=reductions, upper=upper_bound(n)))
+        ranks = _ranks(trace, n)
+        for k in ks:
+            _check_k(trace, k)
+        reductions = tuple(sum(rank < k for rank in ranks) / len(trace.records) for k in ks)
+        rows.append(GridRow(draft_len=n, reductions=reductions))
     return ReductionGrid(topk_values=ks, rows=tuple(rows))
 
 
@@ -155,7 +130,7 @@ def format_grid(grid: ReductionGrid) -> str:
 
     headers = ["draft_len"] + [f"top-{k}" for k in grid.topk_values] + ["upper_bound"]
     body = [
-        [str(row.draft_len)] + [pct(r) for r in row.reductions] + [pct(row.upper)]
+        [str(row.draft_len)] + [pct(r) for r in row.reductions] + [pct(upper_bound(row.draft_len))]
         for row in grid.rows
     ]
     widths = [

@@ -266,8 +266,8 @@ def main(argv: list[str] | None = None) -> int:
     except LosslessnessError as exc:
         print(f"selfspec: losslessness violation: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, FixtureMissError) as exc:
-        print(f"selfspec: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, FixtureMissError, MemoryError) as exc:
+        print(f"selfspec: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -328,7 +328,7 @@ def ssd_decode(
     rounds: list[RoundStats] = []
     fallback_steps = 0
 
-    while current_block(state) is not None:
+    while True:
         candidates = select_candidates(state, drafts, n)
         if len(candidates) < n:
             state, tail = decode_remaining(model, state, topk=0)
@@ -350,8 +350,9 @@ def ssd_decode(
                 cumulative_forwards=forwards,
             )
         )
-        if current_block(state) is not None:
-            drafts = refresh_drafts(state, result, n)
+        if current_block(state) is None:
+            break
+        drafts = refresh_drafts(state, result, n)
 
     trace = DecodeTrace(
         decoder="ssd",

@@ -22,6 +22,7 @@ from selfspec import (
     trace_to_lines,
 )
 from selfspec.cli import LosslessnessError, build_model, main, run_compare, run_decode, start_state
+import selfspec.cli as cli_mod
 import selfspec.stepwise as stepwise_mod
 from selfspec.jsonl import dumps
 
@@ -214,6 +215,24 @@ def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run_main(capsys, argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [MemoryError("Unable to allocate 8.00 TiB for an array with shape (1048576, 1048576) "
+                 "and data type float64"), MemoryError()],
+)
+def test_refused_allocation_exits_one_with_one_line(capsys, monkeypatch, error):
+    """A valid config whose reads the allocator refuses fails like a bad one."""
+
+    def refuse(config):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "build_model", refuse)
+    code, out, err = run_main(capsys, ["decode", *BASE, "--strategy", "stepwise"])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("selfspec: error: "), err
+    assert err.strip() != "selfspec: error:", err
 
 
 TABLE_ROW = '{"tokens": [2, 2], "logits": [[0.0, 1.0], [1.0, 0.0]]}'
