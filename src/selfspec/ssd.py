@@ -224,6 +224,7 @@ class VerifyResult:
     """Outcome of one verification round."""
 
     accepted: tuple[tuple[int, int, float], ...]  # (position, token, confidence)
+    state: SequenceState  # the round's next state: the base with accepted placed
     leaf_probs: np.ndarray  # the softmaxed rows the walk read at the deepest validated node
     leaf_positions: np.ndarray  # their positions: the masks of the leaf's current block
     read_leaf: Callable[[Sequence[int]], np.ndarray]  # the leaf's row reader
@@ -240,14 +241,16 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
     at least one token; a fully decoded node chooses nothing.  The walk
     reads each node it visits once, for exactly its current block's masks,
     and no other node, so a backend that computes a node's rows on read
-    scores only the accepted path.
+    scores only the accepted path.  The leaf already holds every accepted
+    token but its own choice, so the next state costs one placement at most.
     """
     nodes = tree.nodes
     readers = model.forward([node.state for node in nodes])
     accepted: list[tuple[int, int, float]] = []
     cur = 0
     while True:
-        positions = masked_in_blocks(nodes[cur].state, 1)
+        state = nodes[cur].state
+        positions = masked_in_blocks(state, 1)
         probs = softmax_matrix(readers[cur](positions))
         if not positions.size:  # every position decoded: nothing to choose
             break
@@ -259,16 +262,18 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
             None,
         )
         if matched is None:
+            state = place_token(state, pos, tok)
             break
         cur = matched
-    return VerifyResult(tuple(accepted), probs, positions, readers[cur], cur)
+    return VerifyResult(tuple(accepted), state, probs, positions, readers[cur], cur)
 
 
-def refresh_drafts(state: SequenceState, result: VerifyResult, n: int) -> Drafts:
-    """The drafts of state, the leaf of result with its bonus token placed:
+def refresh_drafts(result: VerifyResult, n: int) -> Drafts:
+    """The drafts of result.state, the leaf with its bonus token placed:
     from the probabilities the walk computed at the leaf when the drafted
     masks lie in its current block, and otherwise from one more read of the
     leaf for exactly those masks."""
+    state = result.state
     rows = draft_masks(state, n)
     if rows[-1] <= result.leaf_positions[-1]:
         probs, rows = result.leaf_probs, result.leaf_positions
@@ -339,9 +344,8 @@ def ssd_decode(
         tree = build_tree(state, candidates, drafts, shape)
         result = batch_verify(model, tree)
         forwards += 1
-        for pos, tok, conf in result.accepted:
-            state = place_token(state, pos, tok)
-            records.append(StepRecord(position=pos, token=tok, confidence=conf))
+        state = result.state
+        records.extend(StepRecord(pos, tok, conf) for pos, tok, conf in result.accepted)
         rounds.append(
             RoundStats(
                 iteration=len(rounds),
@@ -352,21 +356,12 @@ def ssd_decode(
         )
         if current_block(state) is None:
             break
-        drafts = refresh_drafts(state, result, n)
+        drafts = refresh_drafts(result, n)
 
-    trace = DecodeTrace(
-        decoder="ssd",
-        prompt_len=start.prompt_len,
-        gen_len=start.gen_len,
-        block_len=start.block_len,
-        mask_id=start.mask_id,
-        topk=0,
-        records=tuple(records),
-    )
     return SsdResult(
         state=state,
         rounds=tuple(rounds),
-        trace=trace,
+        trace=DecodeTrace.of("ssd", start, 0, records),
         forward_count=forwards,
         fallback_steps=fallback_steps,
     )

@@ -54,6 +54,14 @@ class DecodeTrace:
     topk: int
     records: tuple[StepRecord, ...]
 
+    @classmethod
+    def of(
+        cls, decoder: str, start: SequenceState, topk: int, records: list[StepRecord]
+    ) -> DecodeTrace:
+        """The trace of a decode from start that recorded records."""
+        return cls(decoder, start.prompt_len, start.gen_len, start.block_len,
+                   start.mask_id, topk, tuple(records))
+
     def positions(self) -> tuple[int, ...]:
         return tuple(r.position for r in self.records)
 
@@ -99,8 +107,7 @@ def decode_remaining(
     reads the masks of its current block, or every mask when it records a
     top-k snapshot; the current block's masks come first either way."""
     records: list[StepRecord] = []
-    while current_block(state) is not None:
-        positions = masked_in_blocks(state, 1)
+    while (positions := masked_in_blocks(state, 1)).size:
         asked = masked_in_blocks(state, state.gen_len) if topk > 0 else positions
         probs = softmax_matrix(model.forward([state])[0](asked))
         snapshot = candidate_snapshot(asked, probs, topk) if topk > 0 else None
@@ -124,16 +131,7 @@ def stepwise_decode(
         raise ValueError("state has no masked positions to decode")
     effective_k = min(topk, model.vocab_size) if topk > 0 else 0
     final, records = decode_remaining(model, state, effective_k)
-    trace = DecodeTrace(
-        decoder="stepwise",
-        prompt_len=state.prompt_len,
-        gen_len=state.gen_len,
-        block_len=state.block_len,
-        mask_id=state.mask_id,
-        topk=effective_k,
-        records=tuple(records),
-    )
-    return final, trace
+    return final, DecodeTrace.of("stepwise", state, effective_k, records)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from selfspec import (
     current_block,
     drafts_from_logits,
     initial_state,
-    place_token,
     select_candidates,
 )
 from selfspec.ssd import refresh_drafts
@@ -55,10 +54,9 @@ def replay_dual_rounds(model, state, n):
         g = batch_verify(model, build_tree(state, cands, drafts, "greedy"))
         m = batch_verify(model, build_tree(state, cands, drafts, "mix_order"))
         rounds.append((len(g.accepted), len(m.accepted)))
-        for pos, tok, _ in g.accepted:
-            state = place_token(state, pos, tok)
+        state = g.state
         if current_block(state) is not None:
-            drafts = refresh_drafts(state, g, n)
+            drafts = refresh_drafts(g, n)
     return rounds
 
 

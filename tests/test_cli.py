@@ -615,7 +615,7 @@ def test_fuzz_analyze_trace_lines(tmp_path_factory, data, run, draft_lengths, to
         i = data.draw(st.integers(0, len(lines) - 1), label="line")
         if data.draw(st.booleans(), label="whole line"):
             lines[i] = data.draw(JSON_ODD, label="line value")
-        elif isinstance(lines[i], dict):
+        elif isinstance(lines[i], dict) and lines[i]:  # {} has no field to corrupt
             lines[i] = _corrupt(data, lines[i], JSON_ODD)
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
     path.write_text("\n".join(json.dumps(line) for line in lines) + "\n", encoding="utf-8")

@@ -413,11 +413,10 @@ def test_refresh_reads_the_leafs_next_but_one_block():
     assert result.leaf_index == 2 and result.leaf_positions.tolist() == [2]
     leaf_rows = full_logits(synth(seed=1, cw=0), tree.nodes[2].state)
     assert np.array_equal(result.leaf_probs, softmax_matrix(leaf_rows[[2]]))
-    for pos, tok, _ in result.accepted:
-        state = place_token(state, pos, tok)
+    state = result.state
     assert masked_in_blocks(state, 2).tolist() == [3, 4]
     del model.reads[:]
-    refreshed = refresh_drafts(state, result, 2)
+    refreshed = refresh_drafts(result, 2)
     assert model.reads == [(1, 2, [3, 4])]
     assert np.array_equal(refreshed.positions, [3, 4])
     stale = drafts_from_logits(state, leaf_rows, n=2, rows=np.arange(len(state.tokens)))
@@ -472,6 +471,7 @@ def test_fully_decoded_node_asks_for_no_rows():
         assert alone.shape == beside[0](np.empty(0, dtype=np.intp)).shape == (0, 16), name
         assert np.array_equal(beside[1]([2, 3]), full_logits(backend, state)[2:]), name
     assert result.leaf_index == 2 and len(result.accepted) == 2
+    assert result.state is decoded  # the decoded leaf chooses no bonus token
     assert result.leaf_probs.shape == (0, 16) and result.leaf_positions.size == 0
 
 
@@ -684,16 +684,26 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
     block, and then for exactly those masks.  Each stepwise fallback step
     reads its current block's masks, and a stepwise step that snapshots
     reads every mask.  Calls and batch sizes still add up to the forward
-    count and the round sizes."""
+    count and the round sizes.  Each round's next state is its base with
+    the accepted tokens placed in order, yet the round places len(tree) - 1
+    tokens to build the tree and at most one more in the walk."""
     model = CountingModel(synth(seed=seed, vocab=12))
     start = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, vocab=12, block_len=block_len)
     verified = []
+    placed = []  # one entry per ssd.place_token call
+
+    def counting_place(state, pos, tok):
+        placed.append((pos, tok))
+        return place_token(state, pos, tok)
 
     def recording_verify(model, tree):
-        verified.append((tree, batch_verify(model, tree)))
-        return verified[-1][1]
+        before = len(placed)
+        result = batch_verify(model, tree)
+        verified.append((tree, result, before, len(placed)))
+        return result
 
-    with mock.patch.object(ssd_mod, "batch_verify", recording_verify):
+    with mock.patch.object(ssd_mod, "batch_verify", recording_verify), \
+            mock.patch.object(ssd_mod, "place_token", counting_place):
         res = ssd_decode(model, start, n=n, shape=shape)
     assert model.calls == res.forward_count
     assert model.rows == 1 + sum(r.batch_size for r in res.rounds) + res.fallback_steps
@@ -703,8 +713,10 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
         reads[call].append((i, pos))
     assert reads[0] == [(0, draft_masks(start, n).tolist())]
 
-    state = start
-    for call, (tree, result) in enumerate(verified, start=1):
+    walked = 0  # place_token calls up to the end of the previous walk
+    for call, (tree, result, before, after) in enumerate(verified, start=1):
+        assert before - walked == len(tree) - 1 and after - before <= 1
+        walked = after
         assert model.batches[call] == [node.state for node in tree.nodes]
         path = [result.leaf_index]
         while tree.nodes[path[-1]].parent is not None:
@@ -713,14 +725,17 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
         accepted = [(pos, tok) for pos, tok, _ in result.accepted]
         assert [tree.nodes[i].expectation for i in path[1:]] == accepted[: len(path) - 1]
         walk = [(i, masked_in_blocks(tree.nodes[i].state, 1).tolist()) for i in path]
+        state = tree.nodes[0].state
         for pos, tok in accepted:
             state = place_token(state, pos, tok)
+        assert result.state == state
         leaf = tree.nodes[result.leaf_index].state
         if current_block(state) is not None:
             drafted = draft_masks(state, n).tolist()
             if (drafted[-1] - leaf.prompt_len) // leaf.block_len > current_block(leaf):
                 walk.append((result.leaf_index, drafted))
         assert reads[call] == walk
+    assert len(placed) == walked
 
     fallback = model.batches[1 + len(verified) :]
     assert len(fallback) == res.fallback_steps
