@@ -156,14 +156,20 @@ def report_to_lines(report: Report) -> list[str]:
         dumps({"config": report.config.to_dict()}),
         dumps({"result": _result(report)}),
     ]
-    lines.extend(dumps({"round": asdict(r)}) for r in report.rounds)
+    # a round's index and the forwards run by its end (the drafting forward
+    # and one per round so far) follow from its place in the report
+    lines.extend(
+        dumps({"round": {**asdict(r), "iteration": i, "cumulative_forwards": i + 2}})
+        for i, r in enumerate(report.rounds)
+    )
     return lines
 
 
 def report_from_lines(lines: Iterable[str]) -> Report:
     """Read the fields a Report holds, then accept the lines only if the
     report renders back to exactly them, which checks every derived value
-    (kind, baseline, ratios, disclaimer, the compare mark)."""
+    (kind, baseline, ratios, disclaimer, the compare mark, each round's
+    iteration and cumulative_forwards)."""
     entries = read_lines(lines, "report", dict)
     try:
         header, config, result, *rounds = entries
@@ -175,7 +181,8 @@ def report_from_lines(lines: Iterable[str]) -> Report:
             actual_forwards=integer(result[actual_key], actual_key),
             fallback_steps=integer(result["fallback_steps"], "fallback_steps"),
             rounds=tuple(
-                RoundStats(**{k: integer(v, k) for k, v in dict(r["round"]).items()})
+                RoundStats(**{f.name: integer(r["round"][f.name], f.name)
+                              for f in fields(RoundStats)})
                 for r in rounds
             ),
             compared=compared,

@@ -11,10 +11,12 @@ accepting a candidate exactly when the parent node's own stepwise choice
 matches it; no other node is read.  The deepest validated node contributes
 one further token (its own stepwise choice), so a draft of length N can
 yield N+1 tokens per round while the output stays token-identical to plain
-stepwise decoding.  The next drafts come from the probabilities the walk
-computed at that leaf when the drafted masks lie in its current block, and
-otherwise from one more read of the leaf for exactly those masks, so no
-forward is spent on drafting after the first.
+stepwise decoding.  Every round drafts the same way, from the softmaxed
+rows at hand, reading its forward for the drafted masks only when those
+rows miss one: the first round reads the drafting forward; each later
+round takes the rows the walk read at the previous leaf, its current
+block, and reads that leaf once more only when the drafts run past that
+block.  So no forward is spent on drafting after the first.
 
 Tree shapes:
 
@@ -83,10 +85,11 @@ def drafts_from_logits(
     rows[i]; no other position can be a candidate.  With probs the rows are
     probabilities already; otherwise the drafted rows are softmaxed in a copy.
 
-    Used both for fresh drafting (logits from a forward on state itself) and
-    for the free refresh after a verification round, where the rows come
-    from the deepest accepted node and may be slightly stale; staleness only
-    costs acceptance rate because every draft is re-verified before use.
+    The decode loop passes probabilities: on its first round those of the
+    drafting forward on state itself, on every later round those of the
+    previous round's leaf, which lacks the leaf's own bonus token and so
+    may be slightly stale; staleness only costs acceptance rate because
+    every draft is re-verified before use.
     Column 0 and the confidences do not depend on k: the stable sort puts
     the first maximum first, exactly as argmax picks it.
     """
@@ -268,20 +271,6 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
     return VerifyResult(tuple(accepted), state, probs, positions, readers[cur], cur)
 
 
-def refresh_drafts(result: VerifyResult, n: int) -> Drafts:
-    """The drafts of result.state, the leaf with its bonus token placed:
-    from the probabilities the walk computed at the leaf when the drafted
-    masks lie in its current block, and otherwise from one more read of the
-    leaf for exactly those masks."""
-    state = result.state
-    rows = draft_masks(state, n)
-    if rows[-1] <= result.leaf_positions[-1]:
-        probs, rows = result.leaf_probs, result.leaf_positions
-    else:
-        probs = softmax_matrix(result.read_leaf(rows))
-    return drafts_from_logits(state, probs, n=n, rows=rows, probs=True)
-
-
 # ---------------------------------------------------------------------------
 # Full decode loop
 # ---------------------------------------------------------------------------
@@ -289,10 +278,8 @@ def refresh_drafts(result: VerifyResult, n: int) -> Drafts:
 
 @dataclass(frozen=True)
 class RoundStats:
-    iteration: int
     batch_size: int
     accepted: int
-    cumulative_forwards: int
 
 
 @dataclass(frozen=True)
@@ -300,8 +287,12 @@ class SsdResult:
     state: SequenceState
     rounds: tuple[RoundStats, ...]
     trace: DecodeTrace
-    forward_count: int
     fallback_steps: int
+
+    @property
+    def forward_count(self) -> int:
+        """The drafting forward, one per round and one per fallback step."""
+        return 1 + len(self.rounds) + self.fallback_steps
 
 
 def ssd_decode(
@@ -310,13 +301,16 @@ def ssd_decode(
     n: int,
     shape: str = "greedy",
 ) -> SsdResult:
-    """Decode with self-speculation: draft once, then verify rounds.
+    """Decode with self-speculation: one drafting forward, then verify rounds.
 
-    Each round costs one batched forward pass and accepts between 1 and n+1
-    tokens.  When fewer than n candidate positions remain in scope the loop
-    falls back to plain stepwise decoding for the remainder.  Draft refresh
-    after a round reads the deepest accepted node's rows, so no extra
-    forward is spent on drafting after the first.
+    Each round drafts from the rows at hand, reading the forward it has for
+    the drafted masks only when those rows miss one: the drafting forward
+    on the first round, the leaf the walk stopped at on every later round,
+    whose rows the walk already read for the leaf's current block.  Each
+    round costs one batched forward pass and accepts between 1 and n+1
+    tokens, so no forward is spent on drafting after the first.  When fewer
+    than n candidate positions remain in scope the loop falls back to plain
+    stepwise decoding for the remainder.
     """
     if n < 1:
         raise ValueError("draft length must be >= 1")
@@ -326,42 +320,35 @@ def ssd_decode(
         raise ValueError("state has no masked positions to decode")
 
     start = state
-    rows = draft_masks(state, n)
-    drafts = drafts_from_logits(state, model.forward([state])[0](rows), n=n, rows=rows)
-    forwards = 1
+    read = model.forward([state])[0]  # the drafting forward
+    rows = np.empty(0, dtype=np.intp)  # the positions of the softmaxed rows at hand: none yet
     records: list[StepRecord] = []
     rounds: list[RoundStats] = []
     fallback_steps = 0
 
-    while True:
+    while (masks := draft_masks(state, n)).size:
+        # a leaf's rows cover its whole current block, so they miss a
+        # drafted mask exactly when the drafts run past that block
+        if not rows.size or masks[-1] > rows[-1]:
+            probs, rows = softmax_matrix(read(masks)), masks
+        drafts = drafts_from_logits(state, probs, n=n, rows=rows, probs=True)
+        del probs  # a fresh read held through the verify doubled wide_vocab's page faults
         candidates = select_candidates(state, drafts, n)
         if len(candidates) < n:
             state, tail = decode_remaining(model, state, topk=0)
             records.extend(tail)
-            forwards += len(tail)
             fallback_steps = len(tail)
             break
         tree = build_tree(state, candidates, drafts, shape)
         result = batch_verify(model, tree)
-        forwards += 1
-        state = result.state
         records.extend(StepRecord(pos, tok, conf) for pos, tok, conf in result.accepted)
-        rounds.append(
-            RoundStats(
-                iteration=len(rounds),
-                batch_size=len(tree),
-                accepted=len(result.accepted),
-                cumulative_forwards=forwards,
-            )
-        )
-        if current_block(state) is None:
-            break
-        drafts = refresh_drafts(result, n)
+        rounds.append(RoundStats(batch_size=len(tree), accepted=len(result.accepted)))
+        state, read = result.state, result.read_leaf
+        probs, rows = result.leaf_probs, result.leaf_positions
 
     return SsdResult(
         state=state,
         rounds=tuple(rounds),
         trace=DecodeTrace.of("ssd", start, 0, records),
-        forward_count=forwards,
         fallback_steps=fallback_steps,
     )

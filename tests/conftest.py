@@ -5,17 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import selfspec.ssd as ssd_mod
 from selfspec import (
     MaskedModel,
     batch_verify,
     block_partition,
     build_tree,
-    current_block,
-    drafts_from_logits,
     initial_state,
-    select_candidates,
+    ssd_decode,
 )
-from selfspec.ssd import refresh_drafts
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -42,22 +40,25 @@ def full_logits(model, state):
 
 
 def replay_dual_rounds(model, state, n):
-    """Walk the greedy-strategy decode trajectory; at every full verification
-    round build both tree shapes on identical (state, drafts) inputs and
-    record the pair of accepted counts."""
-    drafts = drafts_from_logits(state, full_logits(model, state), n=n, rows=np.arange(len(state.tokens)))
-    rounds = []
-    while current_block(state) is not None:
-        cands = select_candidates(state, drafts, n)
-        if len(cands) < n:
-            break
-        g = batch_verify(model, build_tree(state, cands, drafts, "greedy"))
-        m = batch_verify(model, build_tree(state, cands, drafts, "mix_order"))
-        rounds.append((len(g.accepted), len(m.accepted)))
-        state = g.state
-        if current_block(state) is not None:
-            drafts = refresh_drafts(g, n)
-    return rounds
+    """Run the greedy-strategy decode, recording the (state, candidates,
+    drafts) of every round it verifies; then build both tree shapes on each
+    round's inputs and return the pairs of accepted counts."""
+    inputs = []
+
+    def recording_build(base, candidates, drafts, *shape):
+        inputs.append((base, candidates, drafts))
+        return build_tree(base, candidates, drafts, *shape)
+
+    ssd_mod.build_tree = recording_build
+    try:
+        ssd_decode(model, state, n, "greedy")
+    finally:
+        ssd_mod.build_tree = build_tree
+    return [
+        tuple(len(batch_verify(model, build_tree(*args, shape)).accepted)
+              for shape in ("greedy", "mix_order"))
+        for args in inputs
+    ]
 
 
 def check_block_order(positions, prompt_len, gen_len, block_len):

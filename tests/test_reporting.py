@@ -43,8 +43,8 @@ def sample_report():
         actual_forwards=7,
         fallback_steps=1,
         rounds=(
-            RoundStats(iteration=0, batch_size=4, accepted=4, cumulative_forwards=2),
-            RoundStats(iteration=1, batch_size=4, accepted=3, cumulative_forwards=3),
+            RoundStats(batch_size=4, accepted=4),
+            RoundStats(batch_size=4, accepted=3),
         ),
     )
 
@@ -127,7 +127,7 @@ def test_compare_report_round_trip_and_invariant():
         tokens=tuple(range(19)),
         actual_forwards=6,
         fallback_steps=0,
-        rounds=(RoundStats(0, 6, 4, 2),),
+        rounds=(RoundStats(batch_size=6, accepted=4),),
         compared=True,
     )
     lines = report_to_lines(report)
@@ -174,6 +174,9 @@ INCONSISTENT_EDITS = [
     (False, 3, lambda o: o["round"].update(depth=2)),
     (False, 3, lambda o: o.update(round=[0, 4, 4, 2])),
     (False, 3, lambda o: o.update(rounds=o.pop("round"))),
+    # a round's index and forward count follow from its place in the report
+    (False, 4, lambda o: o["round"].update(iteration=0)),
+    (False, 3, lambda o: o["round"].update(cumulative_forwards=3)),
     # derived values and constants that disagree with the fields they follow from
     (False, 2, lambda o: o["result"].update(reduction=0.5)),
     (True, 2, lambda o: o["result"].update(speedup=3.0)),

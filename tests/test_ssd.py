@@ -29,7 +29,7 @@ from selfspec import (
 )
 from selfspec.sequence import masked_in_blocks
 import selfspec.ssd as ssd_mod
-from selfspec.ssd import draft_masks, refresh_drafts
+from selfspec.ssd import draft_masks
 from selfspec.stepwise import choose_step
 
 from conftest import (
@@ -401,29 +401,32 @@ def test_full_match_accepts_n_plus_one():
 
 
 def test_refresh_reads_the_leafs_next_but_one_block():
-    """block_len 1 and n = 2: the bonus token completes the leaf's block, and
-    one mask is short of n, so the refreshed drafts need the masks of the
-    leaf's next and next-but-one block, which the walk did not read; the
-    refresh reads the leaf once more for exactly those masks."""
+    """block_len 1 and n = 2: round 1 validates its whole chain, the bonus
+    token completes the leaf's block, and one mask is short of n, so round
+    2 drafts for the masks of the leaf's next and next-but-one block, which
+    the walk did not read; the loop reads the leaf once more for exactly
+    those masks and drafts as from the leaf's full rows."""
     model = CountingModel(synth(seed=1, cw=0))
-    state = all_masked_state(gen_len=8, block_len=1)
-    drafts = draft(model, state, n=2)
-    tree = build_tree(state, select_candidates(state, drafts, 2), drafts)
-    result = batch_verify(model, tree)
-    assert result.leaf_index == 2 and result.leaf_positions.tolist() == [2]
-    leaf_rows = full_logits(synth(seed=1, cw=0), tree.nodes[2].state)
-    assert np.array_equal(result.leaf_probs, softmax_matrix(leaf_rows[[2]]))
-    state = result.state
-    assert masked_in_blocks(state, 2).tolist() == [3, 4]
-    del model.reads[:]
-    refreshed = refresh_drafts(result, 2)
-    assert model.reads == [(1, 2, [3, 4])]
+    drafted = []
+
+    def recording_select(state, drafts, n):
+        drafted.append((state, drafts))
+        return select_candidates(state, drafts, n)
+
+    with mock.patch.object(ssd_mod, "select_candidates", recording_select):
+        res = ssd_decode(model, all_masked_state(gen_len=8, block_len=1), n=2)
+    assert res.rounds[0].accepted == 3
+    assert [(i, pos) for call, i, pos in model.reads if call == 1] == [
+        (0, [0]), (1, [1]), (2, [2]), (2, [3, 4])
+    ]
+    state, refreshed = drafted[1]
     assert np.array_equal(refreshed.positions, [3, 4])
+    leaf_rows = full_logits(synth(seed=1, cw=0), model.batches[1][2])
     stale = drafts_from_logits(state, leaf_rows, n=2, rows=np.arange(len(state.tokens)))
     assert np.array_equal(refreshed.tokens, stale.tokens)
     assert np.array_equal(refreshed.confidences, stale.confidences)
     with pytest.raises(ValueError, match="do not cover"):
-        drafts_from_logits(state, result.leaf_probs, n=2, rows=result.leaf_positions, probs=True)
+        drafts_from_logits(state, softmax_matrix(leaf_rows[[2]]), n=2, rows=np.array([2]), probs=True)
 
 
 def test_walk_reads_each_node_for_its_current_block_alone():
