@@ -119,6 +119,14 @@ def masked_in_blocks(state: SequenceState, count: int) -> np.ndarray:
     return np.array([p for p in range(start, stop) if tokens[p] == mask], dtype=np.intp)
 
 
+def masks_after(state: SequenceState, masks: np.ndarray, pos: int) -> np.ndarray:
+    """The current block's masks of state, made by placing a token at pos,
+    one of masks, the current block's masks of the state it was placed on:
+    masks less pos, or one scan when pos was the block's last mask."""
+    rest = masks[masks != pos]
+    return rest if rest.size else masked_in_blocks(state, 1)
+
+
 def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:
     """New state with tok written at pos.  The write-once rule is enforced:
     pos must currently be masked, and tok may not be the mask token."""

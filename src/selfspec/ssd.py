@@ -8,15 +8,16 @@ materializes the states that would exist if successive candidates were
 accepted.  One batched forward takes every node of the tree, and a walk
 from the root reads each node it visits for its current block's masks,
 accepting a candidate exactly when the parent node's own stepwise choice
-matches it; no other node is read.  The deepest validated node contributes
-one further token (its own stepwise choice), so a draft of length N can
-yield N+1 tokens per round while the output stays token-identical to plain
-stepwise decoding.  Every round drafts the same way, from the softmaxed
-rows at hand, reading its forward for the drafted masks only when those
-rows miss one: the first round reads the drafting forward; each later
-round takes the rows the walk read at the previous leaf, its current
-block, and reads that leaf once more only when the drafts run past that
-block.  So no forward is spent on drafting after the first.
+matches it; no other node is read.  A node's masks are its parent's less
+that choice, and a scan runs only when a block runs out.  The deepest
+validated node contributes one further token (its own stepwise choice), so
+a draft of length N can yield N+1 tokens per round while the output stays
+token-identical to plain stepwise decoding.  Every round drafts from the
+softmaxed rows at hand, reading its forward for the drafted masks only
+when those rows miss one: the first round reads the drafting forward; each
+later round takes the rows the walk read at the previous leaf, and reads
+that leaf once more only when the drafts run past its current block.  So
+no forward is spent on drafting after the first.
 
 Tree shapes:
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import MaskedModel, softmax_matrix
-from .sequence import SequenceState, current_block, masked_in_blocks, place_token
+from .sequence import SequenceState, current_block, masked_in_blocks, masks_after, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
 from .stepwise import DecodeTrace, StepRecord, choose_step, decode_remaining
 
@@ -50,8 +51,8 @@ MAX_DRAFT_LEN = 2**8  # keeps a decode tree at most 2 * 2**8 nodes
 
 @dataclass(frozen=True, eq=False)
 class Drafts:
-    """Drafts for the masked positions draft_masks(state, n) of one state,
-    as parallel arrays.
+    """Drafts for the masked positions draft_masks(state, masks, n) of one
+    state, as parallel arrays.
 
     ``positions`` (P,) holds those positions, ascending; ``tokens`` (P, k)
     their top-k draft tokens, highest probability first, so column 0 is the
@@ -66,34 +67,30 @@ class Drafts:
         return len(self.positions)
 
 
-def draft_masks(state: SequenceState, n: int) -> np.ndarray:
-    """The masked positions drafted for n candidates, ascending, from one
-    scan: those of the current block, and of the next block too when the
-    current block holds fewer than n masks."""
-    masks = masked_in_blocks(state, 2)
-    blocks = (masks - state.prompt_len) // state.block_len
-    cut = np.count_nonzero(blocks == blocks[:1])  # the current block's masks
-    return masks[:cut] if cut >= n else masks
+def draft_masks(state: SequenceState, masks: np.ndarray, n: int) -> np.ndarray:
+    """The masks drafted for n candidates, ascending: masks, the current
+    block's, when they number at least n, else two blocks' masks from a scan."""
+    return masks if len(masks) >= n else masked_in_blocks(state, 2)
 
 
 def drafts_from_logits(
-    state: SequenceState, logits: np.ndarray, k: int = 1, *, n: int, rows: np.ndarray,
+    logits: np.ndarray, k: int = 1, *, positions: np.ndarray, rows: np.ndarray,
     probs: bool = False,
 ) -> Drafts:
-    """Extract top-k drafts for the masked positions draft_masks(state, n)
-    from a logit matrix whose row i belongs to the ascending position
-    rows[i]; no other position can be a candidate.  With probs the rows are
-    probabilities already; otherwise the drafted rows are softmaxed in a copy.
+    """Extract top-k drafts for positions, a state's drafted masks in
+    ascending order, from a logit matrix whose row i belongs to the
+    ascending position rows[i]; no other position can be a candidate.  With
+    probs the rows are probabilities already; otherwise the drafted rows
+    are softmaxed in a copy.
 
     The decode loop passes probabilities: on its first round those of the
-    drafting forward on state itself, on every later round those of the
+    drafting forward on the start state, on every later round those of the
     previous round's leaf, which lacks the leaf's own bonus token and so
     may be slightly stale; staleness only costs acceptance rate because
     every draft is re-verified before use.
     Column 0 and the confidences do not depend on k: the stable sort puts
     the first maximum first, exactly as argmax picks it.
     """
-    positions = draft_masks(state, n)
     if positions.size == 0:
         raise ValueError("state has no masked positions to draft for")
     found = np.searchsorted(rows, positions)
@@ -121,16 +118,23 @@ def select_candidates(
     when the current and next block together hold fewer masked positions;
     the decode loop treats that as the signal to fall back to stepwise
     decoding.  The drafts must cover exactly the masked positions
-    draft_masks(state, n).
+    draft_masks(state, masks, n), which is checked with C-level counts, not
+    a scan: the positions ascend, each is masked, no mask lies before their
+    first block, and they are as many as the masks of the drafted blocks.
     """
     if n < 1:
         raise ValueError("candidate count must be >= 1")
-    positions = draft_masks(state, n)
-    if positions.size == 0:
-        return ()
-    if not np.array_equal(drafts.positions, positions):
+    positions, tokens, mask = drafts.positions, state.tokens, state.mask_id
+    listed, start, size = positions.tolist(), state.prompt_len, state.block_len
+    lo = start + (listed[0] - start) // size * size if listed else len(tokens)
+    hi = min(lo + (size if tokens[lo : lo + size].count(mask) >= n else 2 * size), len(tokens))
+    if not (start <= lo and mask not in tokens[start:lo] and listed == sorted(set(listed))
+            and (not listed or listed[-1] < hi) and tokens[lo:hi].count(mask) == len(listed)
+            == list(map(tokens.__getitem__, listed)).count(mask)):
         raise ValueError("drafts do not cover exactly the masked positions of the drafted blocks")
-    blocks = (positions - state.prompt_len) // state.block_len
+    if not listed:
+        return ()
+    blocks = (positions - start) // size
     order = np.lexsort((positions, -drafts.confidences, blocks))[:n]
     return tuple(zip(positions[order].tolist(), drafts.tokens[order, 0].tolist()))
 
@@ -228,14 +232,16 @@ class VerifyResult:
 
     accepted: tuple[tuple[int, int, float], ...]  # (position, token, confidence)
     state: SequenceState  # the round's next state: the base with accepted placed
+    masks: np.ndarray  # the next state's current-block masks
     leaf_probs: np.ndarray  # the softmaxed rows the walk read at the deepest validated node
     leaf_positions: np.ndarray  # their positions: the masks of the leaf's current block
     read_leaf: Callable[[Sequence[int]], np.ndarray]  # the leaf's row reader
     leaf_index: int
 
 
-def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
-    """Send every node to one batched forward and walk the tree.
+def batch_verify(model: MaskedModel, tree: VerificationTree, masks: np.ndarray) -> VerifyResult:
+    """Send every node to one batched forward and walk the tree from the
+    root, whose current block's masks are masks.
 
     At each validated node the stepwise choice is computed from that node's
     own logits; a child whose expectation equals the choice is validated in
@@ -244,16 +250,17 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
     at least one token; a fully decoded node chooses nothing.  The walk
     reads each node it visits once, for exactly its current block's masks,
     and no other node, so a backend that computes a node's rows on read
-    scores only the accepted path.  The leaf already holds every accepted
-    token but its own choice, so the next state costs one placement at most.
+    scores only the accepted path; a child's masks, and the next state's,
+    are its parent's less the chosen position, scanned for only when that
+    empties a block.  The leaf holds every accepted token but its own
+    choice, so the next state costs one placement at most.
     """
     nodes = tree.nodes
     readers = model.forward([node.state for node in nodes])
     accepted: list[tuple[int, int, float]] = []
-    cur = 0
+    cur, state = 0, nodes[0].state
     while True:
-        state = nodes[cur].state
-        positions = masked_in_blocks(state, 1)
+        positions = masks
         probs = softmax_matrix(readers[cur](positions))
         if not positions.size:  # every position decoded: nothing to choose
             break
@@ -264,11 +271,12 @@ def batch_verify(model: MaskedModel, tree: VerificationTree) -> VerifyResult:
              if node.parent == cur and node.expectation == (pos, tok)),
             None,
         )
+        state = place_token(state, pos, tok) if matched is None else nodes[matched].state
+        masks = masks_after(state, positions, pos)
         if matched is None:
-            state = place_token(state, pos, tok)
             break
         cur = matched
-    return VerifyResult(tuple(accepted), state, probs, positions, readers[cur], cur)
+    return VerifyResult(tuple(accepted), state, masks, probs, positions, readers[cur], cur)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +311,14 @@ def ssd_decode(
 ) -> SsdResult:
     """Decode with self-speculation: one drafting forward, then verify rounds.
 
-    Each round drafts from the rows at hand, reading the forward it has for
-    the drafted masks only when those rows miss one: the drafting forward
-    on the first round, the leaf the walk stopped at on every later round,
-    whose rows the walk already read for the leaf's current block.  Each
+    Each round drafts from the current block's masks, carried from round
+    to round, and scans the next block only when they number fewer than n.
+    It reads the forward it has for the drafted masks only when the rows at
+    hand miss one: the drafting forward on the first round, else the leaf
+    the walk stopped at, whose current block the walk already read.  Each
     round costs one batched forward pass and accepts between 1 and n+1
-    tokens, so no forward is spent on drafting after the first.  When fewer
-    than n candidate positions remain in scope the loop falls back to plain
-    stepwise decoding for the remainder.
+    tokens.  When fewer than n candidate positions remain in scope the loop
+    falls back to plain stepwise decoding for the remainder.
     """
     if n < 1:
         raise ValueError("draft length must be >= 1")
@@ -320,18 +328,20 @@ def ssd_decode(
         raise ValueError("state has no masked positions to decode")
 
     start = state
+    masks = masked_in_blocks(state, 1)
     read = model.forward([state])[0]  # the drafting forward
     rows = np.empty(0, dtype=np.intp)  # the positions of the softmaxed rows at hand: none yet
     records: list[StepRecord] = []
     rounds: list[RoundStats] = []
     fallback_steps = 0
 
-    while (masks := draft_masks(state, n)).size:
+    while masks.size:
+        drafted = draft_masks(state, masks, n)
         # a leaf's rows cover its whole current block, so they miss a
         # drafted mask exactly when the drafts run past that block
-        if not rows.size or masks[-1] > rows[-1]:
-            probs, rows = softmax_matrix(read(masks)), masks
-        drafts = drafts_from_logits(state, probs, n=n, rows=rows, probs=True)
+        if not rows.size or drafted[-1] > rows[-1]:
+            probs, rows = softmax_matrix(read(drafted)), drafted
+        drafts = drafts_from_logits(probs, positions=drafted, rows=rows, probs=True)
         del probs  # a fresh read held through the verify doubled wide_vocab's page faults
         candidates = select_candidates(state, drafts, n)
         if len(candidates) < n:
@@ -340,10 +350,10 @@ def ssd_decode(
             fallback_steps = len(tail)
             break
         tree = build_tree(state, candidates, drafts, shape)
-        result = batch_verify(model, tree)
+        result = batch_verify(model, tree, masks)
         records.extend(StepRecord(pos, tok, conf) for pos, tok, conf in result.accepted)
         rounds.append(RoundStats(batch_size=len(tree), accepted=len(result.accepted)))
-        state, read = result.state, result.read_leaf
+        state, masks, read = result.state, result.masks, result.read_leaf
         probs, rows = result.leaf_probs, result.leaf_positions
 
     return SsdResult(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .jsonl import dumps, integer, number, read_lines
 from .models import MaskedModel, softmax_matrix
-from .sequence import SequenceState, current_block, masked_in_blocks, place_token
+from .sequence import SequenceState, current_block, masked_in_blocks, masks_after, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
 
 Candidates = tuple[tuple[int, float], ...]
@@ -107,7 +107,8 @@ def decode_remaining(
     reads the masks of its current block, or every mask when it records a
     top-k snapshot; the current block's masks come first either way."""
     records: list[StepRecord] = []
-    while (positions := masked_in_blocks(state, 1)).size:
+    positions = masked_in_blocks(state, 1)
+    while positions.size:
         asked = masked_in_blocks(state, state.gen_len) if topk > 0 else positions
         probs = softmax_matrix(model.forward([state])[0](asked))
         snapshot = candidate_snapshot(asked, probs, topk) if topk > 0 else None
@@ -116,6 +117,7 @@ def decode_remaining(
         records.append(
             StepRecord(position=pos, token=tok, confidence=conf, topk=snapshot)
         )
+        positions = masks_after(state, positions, pos)
     return state, records
 
 

@@ -2,16 +2,22 @@
 
 Criterion 1's 1,026-case grid is computed once in a module-scoped fixture
 and reused by criteria 3 and 6; the other criteria build their own smaller
-worlds.  Every tolerance is stated inline; exact laws use zero tolerance.
+worlds.  Beside the grid, a hypothesis law runs the same losslessness check
+on tie-heavy logits.  Every tolerance is stated inline; exact laws use zero
+tolerance.
 """
 
 import json
 import time
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfspec import (
+    MaskedModel,
     RecordingModel,
     SynthModelConfig,
     SyntheticModel,
@@ -28,7 +34,13 @@ from selfspec import (
 )
 from selfspec.cli import main
 
-from conftest import FIXTURES, check_block_order, full_logits, replay_dual_rounds
+from conftest import (
+    FIXTURES,
+    CountingModel,
+    check_block_order,
+    full_logits,
+    replay_dual_rounds,
+)
 
 GRID_SEEDS = tuple(range(19))  # prompt lengths seed % 17 cover 0..16
 GRID_VOCAB = 48
@@ -116,13 +128,63 @@ def test_criterion_1_losslessness_suite(grid):
     assert grid["elapsed"] < 60.0, f"grid took {grid['elapsed']:.1f}s"
 
 
+class FlooredModel(MaskedModel):
+    """Another model's logits floored to integers.  Synthetic logits at
+    sharpness s lie in [0, s), so with s = 2..4 they take 2-4 distinct
+    values and exact confidence ties, across positions and tokens, are
+    common."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    @property
+    def vocab_size(self):
+        return self._inner.vocab_size
+
+    def forward(self, states):
+        return [partial(self._floored, read) for read in self._inner.forward(states)]
+
+    @staticmethod
+    def _floored(read, positions):
+        return np.floor(read(positions))
+
+
+@given(
+    seed=st.integers(0, 5),
+    vocab=st.sampled_from((2, 3, 8)),
+    levels=st.integers(2, 4),
+    context_window=st.integers(0, 2),
+    gen_len=st.sampled_from((13, 40)),
+    block_len=st.sampled_from((1, 3, 8)),
+    n=st.sampled_from((1, 2, 4)),
+)
+@settings(max_examples=100, deadline=None)
+def test_tie_heavy_losslessness(seed, vocab, levels, context_window, gen_len, block_len, n):
+    """Beside the grid, whose continuous logits almost never tie: on logits
+    with 2-4 distinct values, which tie all the time, the tie rules of the
+    stepwise choice, of candidate selection and of the walk's expectation
+    match still make greedy and mix_order equal stepwise token for token,
+    in at most gen_len + 1 forwards."""
+    config = SynthModelConfig(seed=seed, vocab_size=vocab, sharpness=float(levels),
+                              context_window=context_window)
+    model = FlooredModel(SyntheticModel(config))
+    state = initial_state(prompt=(), gen_len=gen_len, mask_id=vocab, block_len=block_len)
+    want, _ = stepwise_decode(model, state, topk=0)
+    for shape in GRID_SHAPES:
+        counted = CountingModel(model)
+        res = ssd_decode(counted, state, n=n, shape=shape)
+        assert res.state.tokens == want.tokens
+        assert counted.calls == res.forward_count <= gen_len + 1
+
+
 def test_criterion_2_tree_size_laws():
     """Exact node counts: greedy 4/5/6 and mix-order 6/8/10 for N=3/4/5;
     k-ary sizes equal the geometric sum for k in {1,2,3}, N in 1..6."""
     model = SyntheticModel(SynthModelConfig(seed=2, vocab_size=16, context_window=2))
     state = initial_state(prompt=(), gen_len=12, mask_id=16, block_len=12)
     # the only block, whatever n
-    drafts = drafts_from_logits(state, full_logits(model, state), 3, n=6, rows=np.arange(12))
+    drafts = drafts_from_logits(full_logits(model, state), 3, positions=np.arange(12),
+                                rows=np.arange(12))
 
     for n, greedy_size, mix_size in ((3, 4, 6), (4, 5, 8), (5, 6, 10)):
         cands = select_candidates(state, drafts, n)

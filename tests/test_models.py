@@ -15,7 +15,6 @@ from selfspec import (
     SynthModelConfig,
     SyntheticModel,
     TableModel,
-    batch_verify,
     build_tree,
     drafts_from_logits,
     dump_table_fixture,
@@ -28,7 +27,7 @@ from selfspec import (
 from selfspec import models
 from selfspec.stepwise import candidate_snapshot
 
-from conftest import CountingModel, all_masked_state, full_logits
+from conftest import CountingModel, all_masked_state, drafted, full_logits, verify
 
 
 # --- top-1 prediction rule --------------------------------------------------
@@ -36,8 +35,8 @@ from conftest import CountingModel, all_masked_state, full_logits
 
 def predict(row):
     """(token, confidence) that drafting assigns to a single logit row."""
-    state = all_masked_state(gen_len=1, vocab=len(row), block_len=1)
-    drafts = drafts_from_logits(state, np.array([row], dtype=np.float64), n=1, rows=np.arange(1))
+    drafts = drafts_from_logits(np.array([row], dtype=np.float64), positions=np.arange(1),
+                                rows=np.arange(1))
     return int(drafts.tokens[0, 0]), float(drafts.confidences[0])
 
 
@@ -242,11 +241,11 @@ def test_verification_batch_hashes_a_pair_when_read(shape, cw, monkeypatch):
     model = synth(seed=cw, vocab=vocab, cw=cw)
     state = all_masked_state(prompt_len=3, gen_len=24, vocab=vocab, block_len=8)
     state = place_token(place_token(state, 4, 7), 6, 9)
-    drafts = drafts_from_logits(state, full_logits(model, state), n=n,
+    drafts = drafts_from_logits(full_logits(model, state), positions=drafted(state, n),
                                 rows=np.arange(len(state.tokens)))
     tree = build_tree(state, select_candidates(state, drafts, n), drafts, shape)
     spy = CountingModel(model)
-    batch_verify(spy, tree)
+    verify(spy, tree)
     (states,) = spy.batches
     assert states == [node.state for node in tree.nodes]
     pairs = [(s, [p for p in range(len(s.tokens)) if s.is_masked(p)]) for s in states]

@@ -36,8 +36,10 @@ from conftest import (
     CountingModel,
     all_masked_state,
     check_block_order,
+    drafted,
     full_logits,
     replay_dual_rounds,
+    verify,
 )
 
 
@@ -60,7 +62,7 @@ def manual_drafts(entries):
 
 
 def draft(model, state, k=1, n=1):
-    return drafts_from_logits(state, full_logits(model, state), k, n=n,
+    return drafts_from_logits(full_logits(model, state), k, positions=drafted(state, n),
                               rows=np.arange(len(state.tokens)))
 
 
@@ -84,8 +86,8 @@ def test_drafts_cover_the_next_block_only_when_the_current_one_is_short():
     state = all_masked_state(prompt_len=2, gen_len=12, block_len=3)
     for pos in (2, 3, 4, 6, 9):
         state = place_token(state, pos, 1)
-    assert draft_masks(state, 2).tolist() == [5, 7]
-    assert draft_masks(state, 3).tolist() == [5, 7, 8, 10]
+    assert drafted(state, 2).tolist() == [5, 7]
+    assert drafted(state, 3).tolist() == [5, 7, 8, 10]
     assert draft(synth(), state, k=2, n=2).positions.tolist() == [5, 7]
     drafts = draft(synth(), state, k=2, n=3)
     assert drafts.positions.tolist() == [5, 7, 8, 10]
@@ -106,15 +108,18 @@ def test_drafts_cover_the_next_block_only_when_the_current_one_is_short():
 def test_draft_masks_are_one_or_two_blocks_by_the_current_blocks_count(
     prompt_len, gen_len, block_len, n, data
 ):
-    """draft_masks scans once and gives what two scans give: the current
-    block's masks when they number at least n, else those of two blocks."""
+    """Given the current block's masks, draft_masks gives them alone when
+    they number at least n, else every mask of the current and the next
+    block, whether or not the next block holds any."""
     state = all_masked_state(prompt_len, gen_len, block_len=block_len)
     filled = data.draw(st.sets(st.integers(prompt_len, prompt_len + gen_len - 1)))
     for pos in sorted(filled):
         state = place_token(state, pos, 1)
-    current = masked_in_blocks(state, 1)
-    want = current if len(current) >= n else masked_in_blocks(state, 2)
-    assert draft_masks(state, n).tolist() == want.tolist()
+    block = {p: (p - prompt_len) // block_len for p in all_masks(state)}
+    first = min(block.values(), default=0)
+    current = [p for p, b in block.items() if b == first]
+    want = current if len(current) >= n else [p for p, b in block.items() if b <= first + 1]
+    assert draft_masks(state, np.array(current, dtype=np.intp), n).tolist() == want
 
 
 def test_draft_requires_masks():
@@ -155,9 +160,9 @@ def test_top1_draft_is_independent_of_width():
         logits[1, [2, 5]] = logits[1].max() + 1.0  # duplicated maximum
         logits[2] = 0.0
         logits[2, 3] = 1000.0  # saturated one-hot
-        top1 = drafts_from_logits(state, logits, 1, n=7, rows=np.arange(12))
+        top1 = drafts_from_logits(logits, 1, positions=np.arange(12), rows=np.arange(12))
         for k in (1, 3, vocab):
-            drafts = drafts_from_logits(state, logits, k, n=7, rows=np.arange(12))
+            drafts = drafts_from_logits(logits, k, positions=np.arange(12), rows=np.arange(12))
             assert drafts.tokens.shape == (12, k)
             assert drafts.tokens[:, 0].tobytes() == top1.tokens[:, 0].tobytes()
             assert drafts.confidences.tobytes() == top1.confidences.tobytes()
@@ -166,8 +171,8 @@ def test_top1_draft_is_independent_of_width():
         assert top1.confidences[0] == pytest.approx(1.0 / vocab, abs=1e-12)
         assert abs(top1.confidences[2] - 1.0) < 1e-12
     # frozen closed form: softmax([2, 0, 0])[0] = e^2 / (e^2 + 2)
-    one = all_masked_state(gen_len=1, vocab=3, block_len=1)
-    closed = drafts_from_logits(one, np.array([[2.0, 0.0, 0.0]]), n=1, rows=np.arange(1))
+    closed = drafts_from_logits(np.array([[2.0, 0.0, 0.0]]), positions=np.arange(1),
+                                rows=np.arange(1))
     assert closed.tokens[0, 0] == 0
     want = math.exp(2) / (math.exp(2) + 2)
     assert closed.confidences[0] == pytest.approx(want, abs=1e-12)
@@ -220,7 +225,7 @@ def test_top_candidate_is_the_stepwise_choice(data, prompt_len, gen_len, block_l
     rows = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=vocab, max_size=vocab),
                               min_size=prompt_len + gen_len, max_size=prompt_len + gen_len))
     logits = np.array(rows, dtype=np.float64)
-    drafts = drafts_from_logits(state, logits, n=1, rows=np.arange(len(logits)))
+    drafts = drafts_from_logits(logits, positions=drafted(state, 1), rows=np.arange(len(logits)))
     top = select_candidates(state, drafts, 1)[0]
     positions = masked_in_blocks(state, 1)
     assert top == choose_step(positions, softmax_matrix(logits)[positions])[:2]
@@ -246,6 +251,26 @@ def test_select_requires_draft_coverage():
     state = all_masked_state(gen_len=4, block_len=4)
     drafts = manual_drafts({0: (1, 0.5)})
     with pytest.raises(ValueError):
+        select_candidates(state, drafts, 2)
+
+
+@pytest.mark.parametrize("placed,positions", [
+    ((0, 1, 2), [4, 5, 6, 7]),  # block 1 while block 0 still holds position 3
+    ((0, 2), [1, 2]),  # position 2 is decoded, 3 is missed
+    ((0, 2), [1, 1, 3]),  # a repeat
+    ((0, 2), [3, 1]),  # descending
+    ((0, 2), [1, 5]),  # block 1's 5 for block 0's 3, with two masks enough for n = 2
+])
+def test_select_rejects_drafts_that_are_not_the_drafted_masks(placed, positions):
+    """Each position masked, ascending without repeats, none before the
+    current block or past the drafted blocks, and as many as their masks:
+    drafts that break any one of these, as many as the masks, are refused."""
+    state = all_masked_state(gen_len=8, block_len=4)
+    for pos in placed:
+        state = place_token(state, pos, 1)
+    drafts = Drafts(positions=np.array(positions), tokens=np.ones((len(positions), 1), int),
+                    confidences=np.full(len(positions), 0.5))
+    with pytest.raises(ValueError, match="do not cover"):
         select_candidates(state, drafts, 2)
 
 
@@ -394,7 +419,7 @@ def test_full_match_accepts_n_plus_one():
     model = synth(seed=1, cw=0)
     drafts = draft(model, state)
     cands = select_candidates(state, drafts, 3)
-    result = batch_verify(model, build_tree(state, cands, drafts, "greedy"))
+    result = verify(model, build_tree(state, cands, drafts, "greedy"))
     assert len(result.accepted) == 4
     assert [(p, t) for p, t, _ in result.accepted[:3]] == list(cands)
     assert result.leaf_index == 3
@@ -407,10 +432,10 @@ def test_refresh_reads_the_leafs_next_but_one_block():
     the walk did not read; the loop reads the leaf once more for exactly
     those masks and drafts as from the leaf's full rows."""
     model = CountingModel(synth(seed=1, cw=0))
-    drafted = []
+    selected = []
 
     def recording_select(state, drafts, n):
-        drafted.append((state, drafts))
+        selected.append((state, drafts))
         return select_candidates(state, drafts, n)
 
     with mock.patch.object(ssd_mod, "select_candidates", recording_select):
@@ -419,14 +444,16 @@ def test_refresh_reads_the_leafs_next_but_one_block():
     assert [(i, pos) for call, i, pos in model.reads if call == 1] == [
         (0, [0]), (1, [1]), (2, [2]), (2, [3, 4])
     ]
-    state, refreshed = drafted[1]
+    state, refreshed = selected[1]
     assert np.array_equal(refreshed.positions, [3, 4])
     leaf_rows = full_logits(synth(seed=1, cw=0), model.batches[1][2])
-    stale = drafts_from_logits(state, leaf_rows, n=2, rows=np.arange(len(state.tokens)))
+    stale = drafts_from_logits(leaf_rows, positions=drafted(state, 2),
+                               rows=np.arange(len(state.tokens)))
     assert np.array_equal(refreshed.tokens, stale.tokens)
     assert np.array_equal(refreshed.confidences, stale.confidences)
     with pytest.raises(ValueError, match="do not cover"):
-        drafts_from_logits(state, softmax_matrix(leaf_rows[[2]]), n=2, rows=np.array([2]), probs=True)
+        drafts_from_logits(softmax_matrix(leaf_rows[[2]]), positions=drafted(state, 2),
+                           rows=np.array([2]), probs=True)
 
 
 def test_walk_reads_each_node_for_its_current_block_alone():
@@ -438,7 +465,7 @@ def test_walk_reads_each_node_for_its_current_block_alone():
     state = all_masked_state(gen_len=16, block_len=4)
     drafts = draft(model, state, n=3)
     tree = build_tree(state, select_candidates(state, drafts, 3), drafts)
-    result = batch_verify(model, tree)
+    result = verify(model, tree)
     assert result.leaf_index == 3
     walk = [(i, [p for p in range(4) if node.state.is_masked(p)])
             for i, node in enumerate(tree.nodes)]
@@ -456,7 +483,7 @@ def test_fully_decoded_node_asks_for_no_rows():
         state = place_token(state, pos, 5)
     drafts = draft(model, state, n=2)
     tree = build_tree(state, select_candidates(state, drafts, 2), drafts)
-    result = batch_verify(model, tree)
+    result = verify(model, tree)
     walk = [[2, 3], [p for p in (2, 3) if tree.nodes[1].state.is_masked(p)], []]
     assert model.reads[1:] == [(1, i, pos) for i, pos in enumerate(walk)]
     decoded = tree.nodes[2].state
@@ -492,7 +519,7 @@ def test_root_mismatch_accepts_exactly_one():
     stale = manual_drafts({0: (1, 0.9), 1: (1, 0.8)})  # wrong token at pos 0
     cands = select_candidates(state, stale, 2)
     assert cands == ((0, 1), (1, 1))
-    result = batch_verify(model, build_tree(state, cands, stale, "greedy"))
+    result = verify(model, build_tree(state, cands, stale, "greedy"))
     assert [(p, t) for p, t, _ in result.accepted] == [(0, 2)]
     assert result.leaf_index == 0
 
@@ -639,6 +666,44 @@ def test_losslessness_property(seed, prompt_len, gen_len, block_len, n, shape):
     assert all(r.batch_size == expected_batch for r in res.rounds)
 
 
+def fresh_scan_stepwise(model, state):
+    """The stepwise rule with a fresh scan for the current block's masks at
+    every step: the reference the carried masks must reproduce."""
+    while (positions := masked_in_blocks(state, 1)).size:
+        probs = softmax_matrix(model.forward([state])[0](positions))
+        pos, tok, _ = choose_step(positions, probs)
+        state = place_token(state, pos, tok)
+    return state
+
+
+@given(
+    seed=st.integers(0, 40),
+    prompt_len=st.integers(0, 3),
+    gen_len=st.integers(1, 30),
+    block_len=st.integers(1, 8),
+    n=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_partly_decoded_starts_are_lossless(seed, prompt_len, gen_len, block_len, n, data):
+    """Start states with random positions already decoded, in later blocks
+    too, so a block can be full before the decode reaches it and the masks
+    carried past a block's end must come from a scan that skips it:
+    stepwise, with or without snapshots, equals the fresh-scan reference,
+    and greedy and mix_order equal stepwise."""
+    model = synth(seed=seed, vocab=12)
+    state = all_masked_state(prompt_len, gen_len, 12, block_len)
+    placed = data.draw(st.sets(st.integers(prompt_len, prompt_len + gen_len - 1),
+                               max_size=gen_len - 1))
+    for pos in sorted(placed):
+        state = place_token(state, pos, data.draw(st.integers(0, 11)))
+    want = fresh_scan_stepwise(model, state).tokens
+    assert stepwise_decode(model, state, topk=0)[0].tokens == want
+    assert stepwise_decode(model, state, topk=2)[0].tokens == want
+    for shape in ("greedy", "mix_order"):
+        assert ssd_decode(model, state, n=n, shape=shape).state.tokens == want
+
+
 @given(
     seed=st.integers(0, 40),
     prompt_len=st.integers(0, 4),
@@ -688,24 +753,32 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
     reads its current block's masks, and a stepwise step that snapshots
     reads every mask.  Calls and batch sizes still add up to the forward
     count and the round sizes.  Each round's next state is its base with
-    the accepted tokens placed in order, yet the round places len(tree) - 1
-    tokens to build the tree and at most one more in the walk."""
+    the accepted tokens placed in order, with its current block's masks,
+    yet the round places len(tree) - 1 tokens to build the tree and at most
+    one more in the walk.  Every round drafts the masks a fresh scan of its
+    state drafts."""
     model = CountingModel(synth(seed=seed, vocab=12))
     start = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, vocab=12, block_len=block_len)
     verified = []
+    selected = []  # (state, drafted positions) of every select_candidates call
     placed = []  # one entry per ssd.place_token call
 
     def counting_place(state, pos, tok):
         placed.append((pos, tok))
         return place_token(state, pos, tok)
 
-    def recording_verify(model, tree):
+    def recording_verify(model, tree, masks):
         before = len(placed)
-        result = batch_verify(model, tree)
+        result = batch_verify(model, tree, masks)
         verified.append((tree, result, before, len(placed)))
         return result
 
+    def recording_select(state, drafts, n):
+        selected.append((state, drafts.positions.tolist()))
+        return select_candidates(state, drafts, n)
+
     with mock.patch.object(ssd_mod, "batch_verify", recording_verify), \
+            mock.patch.object(ssd_mod, "select_candidates", recording_select), \
             mock.patch.object(ssd_mod, "place_token", counting_place):
         res = ssd_decode(model, start, n=n, shape=shape)
     assert model.calls == res.forward_count
@@ -714,7 +787,12 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
     for call, i, pos in model.reads:
         assert pos == sorted(set(pos)) and all(model.batches[call][i].is_masked(p) for p in pos)
         reads[call].append((i, pos))
-    assert reads[0] == [(0, draft_masks(start, n).tolist())]
+    assert reads[0] == [(0, drafted(start, n).tolist())]
+    # every round drafts exactly what a fresh scan of its own state drafts,
+    # on the start and on each verify's next state that still holds a mask
+    drafted_on = [start] + [r.state for _, r, _, _ in verified if current_block(r.state) is not None]
+    assert [state for state, _ in selected] == drafted_on
+    assert [pos for _, pos in selected] == [drafted(state, n).tolist() for state in drafted_on]
 
     walked = 0  # place_token calls up to the end of the previous walk
     for call, (tree, result, before, after) in enumerate(verified, start=1):
@@ -732,11 +810,12 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
         for pos, tok in accepted:
             state = place_token(state, pos, tok)
         assert result.state == state
+        assert result.masks.tolist() == masked_in_blocks(state, 1).tolist()
         leaf = tree.nodes[result.leaf_index].state
         if current_block(state) is not None:
-            drafted = draft_masks(state, n).tolist()
-            if (drafted[-1] - leaf.prompt_len) // leaf.block_len > current_block(leaf):
-                walk.append((result.leaf_index, drafted))
+            masks = drafted(state, n).tolist()
+            if (masks[-1] - leaf.prompt_len) // leaf.block_len > current_block(leaf):
+                walk.append((result.leaf_index, masks))
         assert reads[call] == walk
     assert len(placed) == walked
 
