@@ -4,11 +4,13 @@ A masked model's forward takes a batch of sequence states and returns one
 row reader per state; reading positions from a state's reader gives one
 logit row of length ``vocab_size`` per position.  The decoders read only the
 masked positions they need, when they know them: the verify walk reads each
-node it visits once, for its current block's masks, and no other node.  A
-batched backend does its batch work in ``forward`` and runs only the output
-head per read.  Every backend here is a pure function of its input: the
-same state and positions always yield bit-identical logits, which is what
-makes the stepwise oracle and the speculative decoder exactly comparable.
+node it visits once, for its current block's masks, and no other node, so a
+backend that looks a state up only when it reads never has the others
+built.  A batched backend does its batch work in ``forward`` and runs only
+the output head per read.  Every backend here is a pure function of its
+input: the same state and positions always yield bit-identical logits,
+which is what makes the stepwise oracle and the speculative decoder exactly
+comparable.
 
 Backends:
 
@@ -16,8 +18,9 @@ Backends:
   hash of the non-mask tokens near that position, so placing a token changes
   the predictions of its neighbours.  This reproduces the dynamics real
   denoisers show (context improves predictions; decode order can shuffle)
-  without any learned weights.  Its forward does no work; a reader hashes
-  the rows it is asked for, so a state nobody reads costs nothing.
+  without any learned weights.  Its forward does no work; a reader looks
+  its state up and hashes the rows it is asked for, so a state nobody
+  reads costs nothing, not even its building.
 * ``TableModel`` replays logits from an explicit fixture keyed by the exact
   token sequence, for hand-checkable unit tests.
 
@@ -63,10 +66,13 @@ class MaskedModel(ABC):
     def forward(
         self, states: Sequence[SequenceState]
     ) -> list[Callable[[Sequence[int]], np.ndarray]]:
-        """One row reader per state of a non-empty batch, in input order.
-        reader(positions) is a fresh (len(positions), vocab_size) float64 logit
-        matrix the caller owns; positions ascend without repeats inside [0, L),
-        may be empty, and are checked by check_positions when read."""
+        """One row reader per state of a non-empty batch, any Sequence of
+        states, in input order.  reader(positions) is a fresh
+        (len(positions), vocab_size) float64 logit matrix the caller owns;
+        positions ascend without repeats inside [0, L), may be empty, and
+        are checked by check_positions when read.  A backend may look a
+        state up in the batch only when its reader reads, so a state whose
+        reader is never called need never exist (see VerificationTree)."""
 
 
 def check_positions(length: int, positions: Sequence[int]) -> np.ndarray:
@@ -188,10 +194,13 @@ class SyntheticModel(MaskedModel):
         return self._config.vocab_size
 
     def forward(self, states: Sequence[SequenceState]) -> list[partial]:
-        return [partial(self._logits, state) for state in _batch(states)]
+        return [partial(self._logits, states, i) for i in range(len(_batch(states)))]
 
-    def _logits(self, state: SequenceState, positions: Sequence[int]) -> np.ndarray:
-        """The (len(positions), V) logits of state at positions, in a fresh array."""
+    def _logits(self, states: Sequence[SequenceState], i: int,
+                positions: Sequence[int]) -> np.ndarray:
+        """The (len(positions), V) logits of states[i], looked up only now,
+        at positions, in a fresh array."""
+        state = states[i]
         positions = check_positions(len(state.tokens), positions)
         # Commutative accumulation over in-window (offset, token) pairs.  The
         # strip holds the covering range, from the first to the last position,

@@ -95,15 +95,20 @@ def schedule_for(state: SequenceState) -> tuple[range, ...]:
     return block_partition(state.prompt_len, state.gen_len, state.block_len)
 
 
+def first_mask(state: SequenceState) -> int:
+    """The lowest masked position; len(state.tokens) once fully decoded."""
+    try:
+        return state.tokens.index(state.mask_id, state.prompt_len)
+    except ValueError:
+        return len(state.tokens)
+
+
 def current_block(state: SequenceState) -> int | None:
     """Index of the block holding the lowest masked position; None once
     fully decoded.  Blocks are ordered by position, so this is the lowest
     block with a masked position."""
-    try:
-        first = state.tokens.index(state.mask_id, state.prompt_len)
-    except ValueError:
-        return None
-    return (first - state.prompt_len) // state.block_len
+    first = first_mask(state)
+    return None if first == len(state.tokens) else (first - state.prompt_len) // state.block_len
 
 
 def masked_in_blocks(state: SequenceState, count: int) -> np.ndarray:
@@ -127,9 +132,9 @@ def masks_after(state: SequenceState, masks: np.ndarray, pos: int) -> np.ndarray
     return rest if rest.size else masked_in_blocks(state, 1)
 
 
-def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:
-    """New state with tok written at pos.  The write-once rule is enforced:
-    pos must currently be masked, and tok may not be the mask token."""
+def check_write(state: SequenceState, pos: int, tok: int) -> None:
+    """The write-once rule: ValueError when tok is the mask token,
+    IllegalWriteError unless pos is a masked position of state."""
     if tok == state.mask_id:
         raise ValueError(f"cannot place the mask token {tok}")
     if pos < 0 or pos >= len(state.tokens):
@@ -137,6 +142,11 @@ def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:
     if not state.is_masked(pos):
         region = "prompt" if pos < state.prompt_len else "already-decoded"
         raise IllegalWriteError(f"position {pos} is {region}, not masked")
+
+
+def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:
+    """New state with tok written at pos, which check_write allows."""
+    check_write(state, pos, tok)
     # Built without __post_init__: unmasking one generation position keeps
     # the length and the prompt, so every invariant it checks still holds.
     tokens = state.tokens[:pos] + (tok,) + state.tokens[pos + 1 :]

@@ -4,15 +4,16 @@ One forward pass drafts a greedy (token, confidence) pair for every masked
 position of the current block, and of the next block too when the current
 one holds fewer than N masks.  The highest-confidence positions, current
 block first, become an ordered candidate list, and a verification tree
-materializes the states that would exist if successive candidates were
-accepted.  One batched forward takes every node of the tree, and a walk
-from the root reads each node it visits for its current block's masks,
-accepting a candidate exactly when the parent node's own stepwise choice
-matches it; no other node is read.  A node's masks are its parent's less
-that choice, and a scan runs only when a block runs out.  The deepest
-validated node contributes one further token (its own stepwise choice), so
-a draft of length N can yield N+1 tokens per round while the output stays
-token-identical to plain stepwise decoding.  Every round drafts from the
+lays out the states that would exist if successive candidates were
+accepted; a node's state is built, by one placement on its parent's, only
+when something asks for it.  One batched forward takes the whole tree, and
+a walk from the root reads each node it visits for its current block's
+masks, accepting a candidate exactly when the parent node's own stepwise
+choice matches it; no other node is read or built.  A node's masks are its
+parent's less that choice, and a scan runs only when a block runs out.
+The deepest validated node contributes one further token (its own stepwise
+choice), so a draft of length N can yield N+1 tokens per round while the
+output stays token-identical to plain stepwise decoding.  Every round drafts from the
 softmaxed rows at hand, reading its forward for the drafted masks only
 when those rows miss one: the first round reads the drafting forward; each
 later round takes the rows the walk read at the previous leaf, and reads
@@ -36,11 +37,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .models import MaskedModel, softmax_matrix
-from .sequence import SequenceState, current_block, masked_in_blocks, masks_after, place_token
+from .sequence import IllegalWriteError, SequenceState, check_write, current_block, first_mask
+from .sequence import masked_in_blocks, masks_after, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
 from .stepwise import DecodeTrace, StepRecord, choose_step, decode_remaining
 
@@ -128,7 +131,7 @@ def select_candidates(
     listed, start, size = positions.tolist(), state.prompt_len, state.block_len
     lo = start + (listed[0] - start) // size * size if listed else len(tokens)
     hi = min(lo + (size if tokens[lo : lo + size].count(mask) >= n else 2 * size), len(tokens))
-    if not (start <= lo and mask not in tokens[start:lo] and listed == sorted(set(listed))
+    if not (start <= lo <= first_mask(state) and listed == sorted(set(listed))
             and (not listed or listed[-1] < hi) and tokens[lo:hi].count(mask) == len(listed)
             == list(map(tokens.__getitem__, listed)).count(mask)):
         raise ValueError("drafts do not cover exactly the masked positions of the drafted blocks")
@@ -144,23 +147,38 @@ def select_candidates(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     parent: int | None
     depth: int
-    state: SequenceState
     # The (position, token) the parent's stepwise choice must equal for this
     # node to be validated; None for the root.
     expectation: tuple[int, int] | None
     is_branch: bool = False
 
 
-@dataclass(frozen=True)
-class VerificationTree:
-    nodes: tuple[TreeNode, ...]  # the root first; a node's index is its batch row
+class VerificationTree(Sequence[SequenceState]):
+    """One verify round's batch: tree[i] is node i's state, its parent's
+    state with its expectation placed.  Only the root's, base, exists up
+    front; any other node's state is built by one placement when something
+    first asks for it, and kept, so a node nobody asks for costs nothing.
+    nodes holds the layout, the root first; a node's index is its batch
+    row.  children maps (parent, position, token) to the index of the
+    parent's child expecting that (position, token)."""
+
+    def __init__(self, base: SequenceState, nodes: tuple[TreeNode, ...],
+                 children: dict[tuple[int, int, int], int]):
+        self.base, self.nodes, self.children = base, nodes, children
+        self._states: list[SequenceState | None] = [base] + [None] * (len(nodes) - 1)
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    def __getitem__(self, i: int) -> SequenceState:
+        state = self._states[i]
+        if state is None:
+            parent, _, (pos, tok), _ = self.nodes[i]
+            state = self._states[i] = place_token(self[parent], pos, tok)
+        return state
 
 
 def build_tree(
@@ -170,7 +188,7 @@ def build_tree(
     shape: str = "greedy",
     k: int = 2,
 ) -> VerificationTree:
-    """Materialize the verification tree for one round.
+    """Lay out the verification tree for one round.
 
     Node counts are exact laws of the shape: N+1 for greedy, 2N for
     mix_order, and sum(k^i for i in 0..N) for kary.  Chain node at depth d
@@ -178,22 +196,15 @@ def build_tree(
     holds candidates 1..d plus candidate d+2's token, skipping d+1.  Node
     order is batch order: the chain 0..N, then the branches by depth; kary
     nodes breadth-first, parents in frontier order, tokens in draft order.
+    Every placement a node's state can need is checked here, once, against
+    base: each candidate position is a masked position of base, no two are
+    equal, and no token is the mask token; a breach raises what place_token
+    would raise for it.
     """
     if not candidates:
         raise ValueError("cannot build a verification tree from zero candidates")
     if shape not in TREE_SHAPES:
         raise ValueError(f"unknown tree shape {shape!r}")
-
-    nodes = [TreeNode(parent=None, depth=0, state=base, expectation=None)]
-
-    def grow(parent: int, pos: int, tok: int, is_branch: bool = False) -> int:
-        """Append the node that places tok at pos on top of parent."""
-        nodes.append(
-            TreeNode(parent=parent, depth=nodes[parent].depth + 1,
-                     state=place_token(nodes[parent].state, pos, tok),
-                     expectation=(pos, tok), is_branch=is_branch)
-        )
-        return len(nodes) - 1
 
     if shape == "kary":
         if k < 1:
@@ -204,9 +215,29 @@ def build_tree(
                 f"drafts record only {drafts.tokens.shape[1]}"
             )
         rows = np.searchsorted(drafts.positions, [pos for pos, _ in candidates])
+        levels = [(pos, drafts.tokens[row, :k].tolist()) for (pos, _), row in zip(candidates, rows)]
+    else:
+        levels = [(pos, (tok,)) for pos, tok in candidates]
+    placed: set[int] = set()
+    for pos, tokens in levels:
+        for tok in tokens:
+            check_write(base, pos, tok)
+        if pos in placed:
+            raise IllegalWriteError(f"position {pos} is already-decoded, not masked")
+        placed.add(pos)
+
+    nodes = [TreeNode(parent=None, depth=0, expectation=None)]
+    children: dict[tuple[int, int, int], int] = {}
+
+    def grow(parent: int, pos: int, tok: int, is_branch: bool = False) -> int:
+        """Append the node that places tok at pos on top of parent."""
+        children.setdefault((parent, pos, tok), len(nodes))
+        nodes.append(TreeNode(parent, nodes[parent].depth + 1, (pos, tok), is_branch))
+        return len(nodes) - 1
+
+    if shape == "kary":
         frontier = [0]
-        for (pos, _), row in zip(candidates, rows):
-            tokens = drafts.tokens[row, :k].tolist()
+        for pos, tokens in levels:
             frontier = [grow(parent, pos, tok) for parent in frontier for tok in tokens]
     else:
         for d, (pos, tok) in enumerate(candidates):
@@ -218,7 +249,7 @@ def build_tree(
             for d, (pos, tok) in enumerate(candidates[1:]):
                 grow(d, pos, tok, is_branch=True)
 
-    return VerificationTree(nodes=tuple(nodes))
+    return VerificationTree(base, tuple(nodes), children)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +271,8 @@ class VerifyResult:
 
 
 def batch_verify(model: MaskedModel, tree: VerificationTree, masks: np.ndarray) -> VerifyResult:
-    """Send every node to one batched forward and walk the tree from the
-    root, whose current block's masks are masks.
+    """Send the tree to one batched forward and walk it from the root,
+    whose current block's masks are masks.
 
     At each validated node the stepwise choice is computed from that node's
     own logits; a child whose expectation equals the choice is validated in
@@ -249,16 +280,16 @@ def batch_verify(model: MaskedModel, tree: VerificationTree, masks: np.ndarray) 
     accepted as the final token of the round, which guarantees progress of
     at least one token; a fully decoded node chooses nothing.  The walk
     reads each node it visits once, for exactly its current block's masks,
-    and no other node, so a backend that computes a node's rows on read
-    scores only the accepted path; a child's masks, and the next state's,
-    are its parent's less the chosen position, scanned for only when that
-    empties a block.  The leaf holds every accepted token but its own
-    choice, so the next state costs one placement at most.
+    and no other node, so a backend that looks a state up on read builds
+    and scores only the accepted path; a child's masks, and the next
+    state's, are its parent's less the chosen position, scanned for only
+    when that empties a block.  Each validated child costs one placement,
+    and the leaf's own choice one more, so a round places exactly the
+    tokens it accepts.
     """
-    nodes = tree.nodes
-    readers = model.forward([node.state for node in nodes])
+    readers = model.forward(tree)
     accepted: list[tuple[int, int, float]] = []
-    cur, state = 0, nodes[0].state
+    cur, state = 0, tree.base
     while True:
         positions = masks
         probs = softmax_matrix(readers[cur](positions))
@@ -266,12 +297,8 @@ def batch_verify(model: MaskedModel, tree: VerificationTree, masks: np.ndarray) 
             break
         pos, tok, conf = choose_step(positions, probs)
         accepted.append((pos, tok, conf))
-        matched = next(
-            (i for i, node in enumerate(nodes)
-             if node.parent == cur and node.expectation == (pos, tok)),
-            None,
-        )
-        state = place_token(state, pos, tok) if matched is None else nodes[matched].state
+        matched = tree.children.get((cur, pos, tok))
+        state = place_token(state, pos, tok) if matched is None else tree[matched]
         masks = masks_after(state, positions, pos)
         if matched is None:
             break

@@ -105,11 +105,12 @@ def decode_remaining(
 ) -> tuple[SequenceState, list[StepRecord]]:
     """Run stepwise steps (one forward each) until no masks remain.  Each
     reads the masks of its current block, or every mask when it records a
-    top-k snapshot; the current block's masks come first either way."""
+    top-k snapshot; the current block's masks come first either way.  Both
+    are carried from step to step, less the position each step places."""
     records: list[StepRecord] = []
     positions = masked_in_blocks(state, 1)
+    asked = masked_in_blocks(state, state.gen_len) if topk > 0 else positions
     while positions.size:
-        asked = masked_in_blocks(state, state.gen_len) if topk > 0 else positions
         probs = softmax_matrix(model.forward([state])[0](asked))
         snapshot = candidate_snapshot(asked, probs, topk) if topk > 0 else None
         pos, tok, conf = choose_step(positions, probs[: len(positions)])
@@ -118,6 +119,7 @@ def decode_remaining(
             StepRecord(position=pos, token=tok, confidence=conf, topk=snapshot)
         )
         positions = masks_after(state, positions, pos)
+        asked = asked[asked != pos] if topk > 0 else positions
     return state, records
 
 

@@ -50,7 +50,7 @@ def drafted(state, n):
 def verify(model, tree):
     """batch_verify on tree, the root's current-block masks taken from a
     fresh scan."""
-    return batch_verify(model, tree, masked_in_blocks(tree.nodes[0].state, 1))
+    return batch_verify(model, tree, masked_in_blocks(tree.base, 1))
 
 
 def replay_dual_rounds(model, state, n):
@@ -94,7 +94,8 @@ def check_block_order(positions, prompt_len, gen_len, block_len):
 
 class CountingModel(MaskedModel):
     """Passes forwards through to a model, counting calls and rows, keeping
-    each call's states in batches and logging every read to reads as
+    each call's batch in batches, as passed, so no state is looked up that
+    the inner model would not look up, and logging every read to reads as
     (call, index in the call, positions)."""
 
     def __init__(self, inner):
@@ -110,7 +111,7 @@ class CountingModel(MaskedModel):
     def forward(self, states):
         self.calls += 1
         self.rows += len(states)
-        self.batches.append(list(states))
+        self.batches.append(states)
         readers = self._inner.forward(states)
         return [self._logged(self.calls - 1, i, read) for i, read in enumerate(readers)]
 

@@ -247,7 +247,7 @@ def test_verification_batch_hashes_a_pair_when_read(shape, cw, monkeypatch):
     spy = CountingModel(model)
     verify(spy, tree)
     (states,) = spy.batches
-    assert states == [node.state for node in tree.nodes]
+    assert states is tree
     pairs = [(s, [p for p in range(len(s.tokens)) if s.is_masked(p)]) for s in states]
     assert max(len(rows) for _, rows in pairs) * vocab > 2**16
     check_read_law(model, pairs, monkeypatch)

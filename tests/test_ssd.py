@@ -1,6 +1,7 @@
 """Speculative decoding: drafting, trees, batch verification, the full loop."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,8 @@ from selfspec import (
 )
 from selfspec.sequence import masked_in_blocks
 import selfspec.ssd as ssd_mod
-from selfspec.ssd import draft_masks
+import selfspec.stepwise as stepwise_mod
+from selfspec.ssd import MAX_DRAFT_LEN, draft_masks
 from selfspec.stepwise import choose_step
 
 from conftest import (
@@ -313,7 +315,7 @@ def test_chain_states_materialize_candidate_prefixes():
         expect_tokens = list(state.tokens)
         for pos, tok in cands[:d]:
             expect_tokens[pos] = tok
-        assert node.state.tokens == tuple(expect_tokens)
+        assert tree[d].tokens == tuple(expect_tokens)
         if d > 0:
             assert node.expectation == cands[d - 1]
             assert not node.is_branch
@@ -331,10 +333,10 @@ def test_branch_nodes_skip_exactly_one_candidate():
         skipped_pos, _ = cands[d]
         jumped_pos, jumped_tok = cands[d + 1]
         assert node.expectation == (jumped_pos, jumped_tok)
-        assert node.state.is_masked(skipped_pos)
-        assert node.state.tokens[jumped_pos] == jumped_tok
+        assert tree[i].is_masked(skipped_pos)
+        assert tree[i].tokens[jumped_pos] == jumped_tok
         for pos, tok in cands[:d]:
-            assert node.state.tokens[pos] == tok
+            assert tree[i].tokens[pos] == tok
         assert all(other.parent != i for other in tree.nodes)  # leaves by construction
 
 
@@ -343,7 +345,7 @@ def test_node_layout_of_every_shape():
     0..N, then the mix_order branches by depth; kary breadth-first, parents
     in frontier order and tokens in draft order.  Rows are (parent, depth,
     expectation, is_branch); the root holds the base state, and every other
-    node's state is its parent's state plus its expectation."""
+    node's state, tree[i], is its parent's state plus its expectation."""
     _, state, drafts, cands = drafted_round(n=3, k=2)
     (p1, t1), (p2, t2), (p3, t3) = cands
     top2 = dict(zip(drafts.positions.tolist(), drafts.tokens.tolist()))
@@ -377,9 +379,9 @@ def test_node_layout_of_every_shape():
     for tree, layout in cases:
         nodes = tree.nodes
         assert [(n.parent, n.depth, n.expectation, n.is_branch) for n in nodes] == layout
-        assert nodes[0].state == state
-        for node in nodes[1:]:
-            assert node.state == place_token(nodes[node.parent].state, *node.expectation)
+        assert tree.base is tree[0] is state
+        for i, node in enumerate(nodes[1:], start=1):
+            assert tree[i] == place_token(tree[node.parent], *node.expectation)
 
 
 def test_build_tree_rejects_empty_candidates():
@@ -398,6 +400,76 @@ def test_kary_requires_enough_candidate_tokens():
     _, state, drafts, cands = drafted_round(k=2)
     with pytest.raises(ValueError):
         build_tree(state, cands, drafts, "kary", k=3)
+
+
+def placing_error(state, cands):
+    """What placing cands in turn on state raises: the reference build_tree's
+    one check of the candidates must reproduce."""
+    with pytest.raises(Exception) as caught:
+        for pos, tok in cands:
+            state = place_token(state, pos, tok)
+    return caught.value
+
+
+@pytest.mark.parametrize("shape", ["greedy", "mix_order"])
+@pytest.mark.parametrize("bad", [(3, 1), (1, 1), (4, 2), (5, 16), (10, 1)],
+                         ids=["decoded", "prompt", "duplicate", "mask-token", "out-of-range"])
+def test_build_tree_rejects_each_bad_candidate(shape, bad):
+    """A candidate at a decoded or prompt position, at the position of an
+    earlier candidate, holding the mask token or out of range: build_tree
+    raises, before any state is built, the exception placing the candidates
+    in turn raises."""
+    state = place_token(all_masked_state(prompt_len=2, gen_len=8, block_len=8), 3, 5)
+    cands = ((4, 1), bad)
+    want = placing_error(state, cands)
+    with pytest.raises(type(want), match=re.escape(str(want))):
+        build_tree(state, cands, manual_drafts({4: (1, 0.9)}), shape)
+
+
+@pytest.mark.parametrize("shape", ["greedy", "mix_order"])
+@pytest.mark.parametrize("seed", range(6))
+def test_a_round_builds_only_the_states_its_walk_visits(shape, seed, monkeypatch):
+    """Building a tree places no token.  On the synthetic backend the walk
+    builds each node it validates, by one placement on its parent's state,
+    and places the leaf's own choice: so a round places exactly the tokens
+    it accepts, in order.  Every node off the path is still unbuilt after
+    the walk, and costs one placement when first asked for."""
+    model, state, drafts, cands = drafted_round(gen_len=12, n=4, seed=seed)
+    placed = []
+
+    def counting_place(state, pos, tok):
+        placed.append((pos, tok))
+        return place_token(state, pos, tok)
+
+    monkeypatch.setattr(ssd_mod, "place_token", counting_place)
+    tree = build_tree(state, cands, drafts, shape)
+    assert placed == []
+    result = verify(model, tree)
+    assert placed == [(pos, tok) for pos, tok, _ in result.accepted]
+    path, i = set(), result.leaf_index
+    while i is not None:
+        path.add(i)
+        i = tree.nodes[i].parent
+    built = []
+    for i in range(len(tree)):  # parents precede children, so each asks for itself alone
+        before = len(placed)
+        tree[i]
+        built.append(len(placed) - before)
+    assert built == [int(i not in path) for i in range(len(tree))]
+
+
+@pytest.mark.parametrize("shape", ["greedy", "mix_order"])
+def test_longest_draft_validates_its_whole_chain_in_one_round(shape):
+    """A context-free model at draft length MAX_DRAFT_LEN, in one block that
+    holds the chain and its bonus token: stepwise order is draft order, so
+    the first round accepts all 257 tokens, through a tree of 257 or 512
+    nodes, and the output equals stepwise."""
+    model = synth(seed=5, cw=0)
+    state = all_masked_state(gen_len=MAX_DRAFT_LEN + 1, block_len=MAX_DRAFT_LEN + 1)
+    res = ssd_decode(model, state, n=MAX_DRAFT_LEN, shape=shape)
+    assert res.state.tokens == stepwise_decode(model, state, topk=0)[0].tokens
+    assert [r.accepted for r in res.rounds] == [MAX_DRAFT_LEN + 1]
+    assert res.fallback_steps == 0
 
 
 def test_tree_spanning_blocks_builds_and_verifies():
@@ -467,8 +539,7 @@ def test_walk_reads_each_node_for_its_current_block_alone():
     tree = build_tree(state, select_candidates(state, drafts, 3), drafts)
     result = verify(model, tree)
     assert result.leaf_index == 3
-    walk = [(i, [p for p in range(4) if node.state.is_masked(p)])
-            for i, node in enumerate(tree.nodes)]
+    walk = [(i, [p for p in range(4) if tree[i].is_masked(p)]) for i in range(len(tree))]
     assert model.reads[1:] == [(1, i, pos) for i, pos in walk]
     assert [len(pos) for _, pos in walk] == [4, 3, 2, 1]
 
@@ -484,9 +555,9 @@ def test_fully_decoded_node_asks_for_no_rows():
     drafts = draft(model, state, n=2)
     tree = build_tree(state, select_candidates(state, drafts, 2), drafts)
     result = verify(model, tree)
-    walk = [[2, 3], [p for p in (2, 3) if tree.nodes[1].state.is_masked(p)], []]
+    walk = [[2, 3], [p for p in (2, 3) if tree[1].is_masked(p)], []]
     assert model.reads[1:] == [(1, i, pos) for i, pos in enumerate(walk)]
-    decoded = tree.nodes[2].state
+    decoded = tree[2]
     assert masked_in_blocks(decoded, 3).size == 0
     recording = RecordingModel(synth(seed=3))
     backends = {
@@ -754,14 +825,15 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
     reads every mask.  Calls and batch sizes still add up to the forward
     count and the round sizes.  Each round's next state is its base with
     the accepted tokens placed in order, with its current block's masks,
-    yet the round places len(tree) - 1 tokens to build the tree and at most
-    one more in the walk.  Every round drafts the masks a fresh scan of its
-    state drafts."""
+    yet no token is placed before the walk, the walk places exactly the
+    tokens it accepts, and the whole decode places gen_len tokens, as
+    stepwise does.  Every round drafts the masks a fresh scan of its state
+    drafts."""
     model = CountingModel(synth(seed=seed, vocab=12))
     start = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, vocab=12, block_len=block_len)
     verified = []
     selected = []  # (state, drafted positions) of every select_candidates call
-    placed = []  # one entry per ssd.place_token call
+    placed = []  # one entry per place_token call of ssd or stepwise
 
     def counting_place(state, pos, tok):
         placed.append((pos, tok))
@@ -779,8 +851,10 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
 
     with mock.patch.object(ssd_mod, "batch_verify", recording_verify), \
             mock.patch.object(ssd_mod, "select_candidates", recording_select), \
-            mock.patch.object(ssd_mod, "place_token", counting_place):
+            mock.patch.object(ssd_mod, "place_token", counting_place), \
+            mock.patch.object(stepwise_mod, "place_token", counting_place):
         res = ssd_decode(model, start, n=n, shape=shape)
+    assert len(placed) == gen_len
     assert model.calls == res.forward_count
     assert model.rows == 1 + sum(r.batch_size for r in res.rounds) + res.fallback_steps
     reads = [[] for _ in model.batches]
@@ -796,28 +870,28 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
 
     walked = 0  # place_token calls up to the end of the previous walk
     for call, (tree, result, before, after) in enumerate(verified, start=1):
-        assert before - walked == len(tree) - 1 and after - before <= 1
+        assert before == walked and after - before == len(result.accepted)
         walked = after
-        assert model.batches[call] == [node.state for node in tree.nodes]
+        assert model.batches[call] is tree
         path = [result.leaf_index]
         while tree.nodes[path[-1]].parent is not None:
             path.append(tree.nodes[path[-1]].parent)
         path.reverse()
         accepted = [(pos, tok) for pos, tok, _ in result.accepted]
         assert [tree.nodes[i].expectation for i in path[1:]] == accepted[: len(path) - 1]
-        walk = [(i, masked_in_blocks(tree.nodes[i].state, 1).tolist()) for i in path]
-        state = tree.nodes[0].state
+        walk = [(i, masked_in_blocks(tree[i], 1).tolist()) for i in path]
+        state = tree.base
         for pos, tok in accepted:
             state = place_token(state, pos, tok)
         assert result.state == state
         assert result.masks.tolist() == masked_in_blocks(state, 1).tolist()
-        leaf = tree.nodes[result.leaf_index].state
+        leaf = tree[result.leaf_index]
         if current_block(state) is not None:
             masks = drafted(state, n).tolist()
             if (masks[-1] - leaf.prompt_len) // leaf.block_len > current_block(leaf):
                 walk.append((result.leaf_index, masks))
         assert reads[call] == walk
-    assert len(placed) == walked
+    assert len(placed) - walked == res.fallback_steps
 
     fallback = model.batches[1 + len(verified) :]
     assert len(fallback) == res.fallback_steps
