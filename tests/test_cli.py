@@ -395,6 +395,25 @@ def test_output_bytes_match_golden_file(capsys, name, argv):
     assert out == (FIXTURES / "golden" / f"{name}.jsonl").read_text(encoding="utf-8")
 
 
+GOLDEN_TRACE = ["--seed", "0", "--gen-length", "24", "--block-length", "8", "--topk", "3"]
+
+
+def test_trace_and_analyze_bytes_match_golden_files(capsys, tmp_path):
+    """A stepwise trace with a top-3 snapshot, a mix_order trace without one,
+    and the analyze grid over the first are exactly the committed bytes."""
+    golden = FIXTURES / "golden"
+    for name, argv in (("trace_stepwise", ["--strategy", "stepwise"]),
+                       ("trace_mix_order", ["--strategy", "mix_order", "--draft-length", "3"])):
+        path = tmp_path / f"{name}.jsonl"
+        code, _, _ = run_main(capsys, ["decode", *GOLDEN_TRACE, *argv, "--trace-out", str(path)])
+        assert code == 0
+        assert path.read_bytes() == (golden / f"{name}.jsonl").read_bytes()
+    code, out, _ = run_main(capsys, ["analyze", "--trace", str(golden / "trace_stepwise.jsonl"),
+                                     "--draft-length", "1,3,4", "--topk", "1,2,3"])
+    assert code == 0
+    assert out == (golden / "analyze_stepwise.txt").read_text(encoding="utf-8")
+
+
 def test_run_decode_matches_cli_output(capsys):
     """The Python entry point and the CLI produce the same report."""
     config = RunConfig(seed=3, vocab_size=24, gen_len=16, block_len=8,
