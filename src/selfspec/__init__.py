@@ -57,7 +57,6 @@ from .ssd import (
 )
 from .stepwise import (
     DecodeTrace,
-    StepRecord,
     read_trace,
     stepwise_decode,
     trace_from_lines,
@@ -80,7 +79,6 @@ __all__ = [
     "RunConfig",
     "SequenceState",
     "SsdResult",
-    "StepRecord",
     "SynthModelConfig",
     "SyntheticModel",
     "TableModel",

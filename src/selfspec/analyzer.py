@@ -18,29 +18,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ssd import MAX_DRAFT_LEN
-from .stepwise import DecodeTrace
+from .stepwise import DecodeTrace, snapshot_rows
 
 
-def _ranks(trace: DecodeTrace, n: int) -> list[int]:
+def _ranks(trace: DecodeTrace, n: int) -> np.ndarray:
     """For each step that does not start its window of n+1 steps, the rank of
     its token among the candidates the window's first step recorded for its
-    position, or trace.topk when the position or the token is absent there.
-    A step is saved at k exactly when its rank is below k."""
-    if not trace.records:
+    position, or trace.topk when the token is absent there.  A step is saved
+    at k exactly when its rank is below k.  The first step's rows are its
+    masks, the positions of it and of every later step, ascending."""
+    steps = len(trace.positions)
+    if not steps:
         raise ValueError("trace has no steps")
     if n < 1:
         raise ValueError("draft length must be >= 1")
-    records = trace.records
     ranks = []
-    for start in range(0, len(records), n + 1):
-        snapshot = records[start].topk
-        if snapshot is None:
-            raise ValueError(f"step at trace index {start} lacks a candidate snapshot")
-        for step in records[start + 1 : start + n + 1]:
-            tokens = [tok for tok, _ in snapshot.get(step.position, ())]
-            ranks.append(tokens.index(step.token) if step.token in tokens else trace.topk)
-    return ranks
+    for start in range(0, steps, n + 1):
+        later, masks = slice(start + 1, start + n + 1), np.sort(trace.positions[start:])
+        rows = snapshot_rows(start, steps).start + np.searchsorted(masks, trace.positions[later])
+        hits = trace.snap_tokens[rows] == trace.tokens[later, None]
+        ranks.append(np.where(hits.any(axis=1), hits.argmax(axis=1), trace.topk))
+    return np.concatenate(ranks)
 
 
 def _check_k(trace: DecodeTrace, k: int) -> None:
@@ -58,7 +59,7 @@ def topk_match_reduction(trace: DecodeTrace, n: int, k: int) -> float:
     candidates recorded for its position when the window started.
     """
     _check_k(trace, k)
-    return sum(rank < k for rank in _ranks(trace, n)) / len(trace.records)
+    return np.count_nonzero(_ranks(trace, n) < k) / len(trace.positions)
 
 
 def upper_bound(n: int) -> float:
@@ -116,7 +117,7 @@ def reduction_grid(
         ranks = _ranks(trace, n)
         for k in ks:
             _check_k(trace, k)
-        reductions = tuple(sum(rank < k for rank in ranks) / len(trace.records) for k in ks)
+        reductions = tuple(np.count_nonzero(ranks < k) / len(trace.positions) for k in ks)
         rows.append(GridRow(draft_len=n, reductions=reductions))
     return ReductionGrid(topk_values=ks, rows=tuple(rows))
 

@@ -2,8 +2,10 @@
 this package reads or writes (reports, traces and table fixtures).
 
 Writing sorts keys and refuses NaN and Infinity, so equal objects give equal
-bytes.  Reading turns any malformed line into one ``ValueError`` that names
-the kind of file and the line, which the CLI prints as a one-line error.
+bytes (a trace's step lines are formatted to the same bytes without building
+the objects, see stepwise.trace_to_lines).  Reading turns any malformed line
+into one ``ValueError`` that names the kind of file and the line, which the
+CLI prints as a one-line error.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ def read_lines(lines, what: str, parse) -> list:
     in order.
 
     A line that is not a JSON object, a missing field (KeyError) and any
-    TypeError or ValueError raised while parsing become one ValueError that
-    names ``what`` and the line number.
+    TypeError, ValueError or OverflowError raised while parsing become one
+    ValueError that names ``what`` and the line number.
     """
     parsed = []
     for lineno, line in enumerate(lines, 1):
@@ -52,6 +54,6 @@ def read_lines(lines, what: str, parse) -> list:
             parsed.append(parse(obj))
         except KeyError as exc:
             raise ValueError(f"{what} line {lineno} lacks field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{what} line {lineno}: {exc}") from None
     return parsed

@@ -45,7 +45,7 @@ from .models import MaskedModel, softmax_matrix
 from .sequence import IllegalWriteError, SequenceState, check_write, current_block, first_mask
 from .sequence import masked_in_blocks, masks_after, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
-from .stepwise import DecodeTrace, StepRecord, choose_step, decode_remaining
+from .stepwise import DecodeTrace, choose_step, decode_remaining
 
 DECODE_SHAPES = ("greedy", "mix_order")  # the tree shapes ssd_decode runs
 TREE_SHAPES = (*DECODE_SHAPES, "kary")
@@ -358,7 +358,7 @@ def ssd_decode(
     masks = masked_in_blocks(state, 1)
     read = model.forward([state])[0]  # the drafting forward
     rows = np.empty(0, dtype=np.intp)  # the positions of the softmaxed rows at hand: none yet
-    records: list[StepRecord] = []
+    steps: list[tuple[int, int, float]] = []
     rounds: list[RoundStats] = []
     fallback_steps = 0
 
@@ -372,13 +372,13 @@ def ssd_decode(
         del probs  # a fresh read held through the verify doubled wide_vocab's page faults
         candidates = select_candidates(state, drafts, n)
         if len(candidates) < n:
-            state, tail = decode_remaining(model, state, topk=0)
-            records.extend(tail)
+            state, tail, _ = decode_remaining(model, state, topk=0)
+            steps.extend(tail)
             fallback_steps = len(tail)
             break
         tree = build_tree(state, candidates, drafts, shape)
         result = batch_verify(model, tree, masks)
-        records.extend(StepRecord(pos, tok, conf) for pos, tok, conf in result.accepted)
+        steps.extend(result.accepted)
         rounds.append(RoundStats(batch_size=len(tree), accepted=len(result.accepted)))
         state, masks, read = result.state, result.masks, result.read_leaf
         probs, rows = result.leaf_probs, result.leaf_positions
@@ -386,6 +386,6 @@ def ssd_decode(
     return SsdResult(
         state=state,
         rounds=tuple(rounds),
-        trace=DecodeTrace.of("ssd", start, 0, records),
+        trace=DecodeTrace.of("ssd", start, steps),
         fallback_steps=fallback_steps,
     )

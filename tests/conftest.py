@@ -121,3 +121,12 @@ class CountingModel(MaskedModel):
             return read(positions)
 
         return logged
+
+
+class ForwardFails(MaskedModel):
+    """A vocabulary-64 model whose forward fails the test that calls it."""
+
+    vocab_size = 64
+
+    def forward(self, states):
+        raise AssertionError("forward was called")

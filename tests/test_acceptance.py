@@ -91,7 +91,7 @@ def grid():
                 )
                 sw_final, sw_trace = stepwise_decode(model, state, topk=0)
                 stepwise_traces.append(
-                    (len(prompt), gen_len, block_len, sw_trace.positions())
+                    (len(prompt), gen_len, block_len, tuple(sw_trace.positions.tolist()))
                 )
                 for n in GRID_DRAFT_LENGTHS:
                     for shape in GRID_SHAPES:
@@ -107,7 +107,7 @@ def grid():
                                 "identical": res.state.tokens == sw_final.tokens,
                                 "forwards": res.forward_count,
                                 "rounds": res.rounds,
-                                "positions": res.trace.positions(),
+                                "positions": tuple(res.trace.positions.tolist()),
                             }
                         )
     elapsed = time.monotonic() - start

@@ -1,12 +1,12 @@
 """Acceptance-limit analysis: window matching, bounds, tree-size law."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfspec import (
     DecodeTrace,
-    StepRecord,
     SynthModelConfig,
     SyntheticModel,
     format_grid,
@@ -69,16 +69,16 @@ def test_kary_tree_size_rejects_bad_args():
 # --- topk_match_reduction --------------------------------------------------
 
 
-def hand_trace(records, topk):
-    return DecodeTrace(
-        decoder="stepwise",
-        prompt_len=0,
-        gen_len=len(records),
-        block_len=len(records),
-        mask_id=9,
-        topk=topk,
-        records=tuple(records),
-    )
+def hand_trace(steps, snapshots, topk):
+    """A stepwise trace of steps, (position, token) each, whose step i
+    recorded snapshots[i]: a dict from each of its masks (and maybe other
+    positions) to topk (token, probability) pairs."""
+    positions = [pos for pos, _ in steps]
+    pairs = np.array([snap[pos] for i, snap in enumerate(snapshots)
+                      for pos in sorted(positions[i:])]).reshape(-1, topk, 2)
+    return DecodeTrace("stepwise", 0, len(steps), len(steps), 9, topk, np.array(positions),
+                       np.array([tok for _, tok in steps]), np.full(len(steps), 0.5),
+                       pairs[..., 0].astype(np.intp), pairs[..., 1])
 
 
 def test_window_arithmetic_hand_case():
@@ -97,63 +97,57 @@ def test_window_arithmetic_hand_case():
         4: ((2, 0.6), (8, 0.2)),
     }
     filler = {p: ((0, 0.5), (1, 0.2)) for p in range(5)}
-    records = [
-        StepRecord(position=0, token=4, confidence=0.9, topk=snap0),
-        StepRecord(position=1, token=5, confidence=0.8, topk=filler),  # top-1 hit
-        StepRecord(position=2, token=6, confidence=0.7, topk=filler),  # top-2 hit
-        StepRecord(position=3, token=7, confidence=0.7, topk=snap3),
-        StepRecord(position=4, token=2, confidence=0.6, topk=filler),  # top-1 hit
+    steps = [
+        (0, 4),
+        (1, 5),  # top-1 hit
+        (2, 6),  # top-2 hit
+        (3, 7),
+        (4, 2),  # top-1 hit
     ]
-    trace = hand_trace(records, topk=2)
+    trace = hand_trace(steps, [snap0, filler, filler, snap3, filler], topk=2)
     assert topk_match_reduction(trace, 2, 1) == pytest.approx(2 / 5)
     assert topk_match_reduction(trace, 2, 2) == pytest.approx(3 / 5)
 
 
-def window_reduction(trace, n, k):
+def window_reduction(steps, snapshots, n, k):
     """The window definition, one step at a time: step i is saved iff it does
     not start its window of n+1 steps and its token is among the top-k
     candidates that the window's first step recorded for its position."""
     saved = 0
-    for i, step in enumerate(trace.records):
+    for i, (pos, tok) in enumerate(steps):
         start = i - i % (n + 1)
-        candidates = trace.records[start].topk.get(step.position, ())
-        saved += i != start and step.token in [tok for tok, _ in candidates[:k]]
-    return saved / len(trace.records)
+        saved += i != start and tok in [t for t, _ in snapshots[start][pos][:k]]
+    return saved / len(steps)
 
 
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_reductions_equal_the_window_definition(data):
-    """Random snapshots over few positions and tokens, so positions go
-    missing, tokens repeat within a list and lists run short of (or past)
-    the trace's top-K."""
+    """Random decode orders and snapshots over few tokens, so tokens repeat
+    within a list and a step's token is often missing from its window
+    start's list."""
     topk = data.draw(st.integers(1, 4), label="topk")
+    count = data.draw(st.integers(1, 12), label="steps")
+    order = data.draw(st.permutations(range(count)), label="order")
     tokens = st.integers(0, 4)
-    candidates = st.lists(st.tuples(tokens, st.floats(0, 1)), max_size=topk + 1).map(tuple)
-    step = st.builds(
-        StepRecord,
-        position=st.integers(0, 5),
-        token=tokens,
-        confidence=st.just(0.5),
-        topk=st.dictionaries(st.integers(0, 5), candidates, max_size=6),
-    )
-    trace = hand_trace(data.draw(st.lists(step, min_size=1, max_size=12), label="steps"), topk)
+    steps = [(pos, data.draw(tokens, label="token")) for pos in order]
+    candidates = st.lists(st.tuples(tokens, st.floats(0, 1)), min_size=topk, max_size=topk)
+    snapshots = [{pos: data.draw(candidates, label="candidates") for pos in order[i:]}
+                 for i in range(count)]
+    trace = hand_trace(steps, snapshots, topk)
     draft_lengths = data.draw(st.lists(st.integers(1, 13), min_size=1, max_size=3), label="n")
     ks = data.draw(st.lists(st.integers(1, topk), min_size=1, max_size=3), label="k")
     grid = reduction_grid(trace, tuple(draft_lengths), tuple(ks))
     for row in grid.rows:
         for k, got in zip(grid.topk_values, row.reductions):
-            want = window_reduction(trace, row.draft_len, k)
+            want = window_reduction(steps, snapshots, row.draft_len, k)
             assert got == want == topk_match_reduction(trace, row.draft_len, k)
 
 
 def test_unmatched_steps_save_nothing():
     snap = {0: ((1, 0.9),), 1: ((2, 0.8),)}
-    records = [
-        StepRecord(position=0, token=1, confidence=0.9, topk=snap),
-        StepRecord(position=1, token=7, confidence=0.5, topk=snap),  # miss
-    ]
-    assert topk_match_reduction(hand_trace(records, 1), 1, 1) == 0.0
+    steps = [(0, 1), (1, 7)]  # step 1 misses
+    assert topk_match_reduction(hand_trace(steps, [snap, snap], 1), 1, 1) == 0.0
 
 
 def test_k_equal_vocab_hits_bound_on_divisible_trace():
@@ -197,11 +191,9 @@ def test_reduction_validates_arguments():
         topk_match_reduction(trace, 3, 0)
     with pytest.raises(ValueError):
         topk_match_reduction(trace, 0, 1)
-    bare = hand_trace(
-        [StepRecord(position=0, token=1, confidence=0.5, topk=None)], topk=1
-    )
-    with pytest.raises(ValueError):
-        topk_match_reduction(bare, 1, 1)
+    ssd = DecodeTrace("ssd", 0, 1, 1, 9, 0, np.array([0]), np.array([1]), np.array([0.5]))
+    with pytest.raises(ValueError, match="exceeds"):
+        topk_match_reduction(ssd, 1, 1)  # a trace without a snapshot has topk 0
 
 
 # --- grid report -----------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import FIXTURES
+from conftest import FIXTURES, ForwardFails
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +19,7 @@ from selfspec import (
     report_from_lines,
     ssd_decode,
     stepwise_decode,
+    trace_from_lines,
     trace_to_lines,
 )
 from selfspec.cli import LosslessnessError, build_model, main, run_compare, run_decode, start_state
@@ -64,7 +65,7 @@ def test_decode_speculative_report_and_trace(capsys, tmp_path):
     assert report.rounds
     assert all(r.batch_size == 6 for r in report.rounds)
     trace = read_trace(str(trace_path))
-    assert trace.decoder == "ssd" and len(trace.records) == 16
+    assert trace.decoder == "ssd" and len(trace.positions) == 16
 
 
 def test_decode_writes_report_file(capsys, tmp_path):
@@ -152,6 +153,31 @@ def test_analyze_rejects_k_beyond_recorded(capsys, tmp_path):
     )
     assert code == 1
     assert "exceeds" in err
+
+
+def test_analyze_rejects_a_trace_that_would_not_write_back(capsys, tmp_path):
+    """A snapshot that repeats a position, lists a non-mask, holds more
+    candidates than the header's topk, or is missing: one error line."""
+    header = dumps({"kind": "trace", "decoder": "stepwise", "prompt_len": 0, "gen_len": 1,
+                    "block_len": 1, "mask_id": 2, "topk": 1})
+    path = tmp_path / "trace.jsonl"
+    for topk in ("[[0, [[1, 0.5]]], [0, [[1, 0.5]]]]", "[[0, [[1, 0.5]]], [99, [[1, 0.5]]]]",
+                 "[[0, [[1, 0.5], [0, 0.25]]]]", "null"):
+        record = '{"confidence": 0.5, "position": 0, "token": 1, "topk": %s}' % topk
+        path.write_text(f"{header}\n{record}\n", encoding="utf-8")
+        code, out, err = run_main(capsys, ["analyze", "--trace", str(path), "--topk", "1"])
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert "trace line 2" in err
+
+
+def test_decode_trace_too_large_exits_one_before_any_forward(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli_mod, "build_model", lambda config: ForwardFails())
+    trace_path = tmp_path / "trace.jsonl"
+    code, out, err = run_main(capsys, ["decode", "--strategy", "stepwise", "--vocab-size", "64",
+                                       "--gen-length", "1048576", "--topk", "5",
+                                       "--trace-out", str(trace_path)])
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert "allocate" in err and not trace_path.exists()
 
 
 # --- sweep -----------------------------------------------------------------
@@ -424,7 +450,7 @@ def test_run_decode_matches_cli_output(capsys):
     )
     assert code == 0
     assert report_from_lines(out.splitlines()) == report
-    assert len(trace.records) == 16
+    assert len(trace.positions) == 16
 
 
 def _no_snapshot(*args):
@@ -640,3 +666,19 @@ def test_fuzz_analyze_trace_lines(tmp_path_factory, data, run, draft_lengths, to
     path.write_text("\n".join(json.dumps(line) for line in lines) + "\n", encoding="utf-8")
     _check_outcome(["analyze", "--trace", str(path), "--draft-length", draft_lengths,
                     "--topk", topk], grid=True)
+
+
+@given(data=st.data(), run=st.fixed_dictionaries({**RUN_FIELDS, "topk": st.integers(1, 45)}))
+@settings(max_examples=100, deadline=None)
+def test_fuzz_parsed_trace_writes_back_what_it_read(data, run):
+    """A recorded stepwise trace with one element of one snapshot replaced at
+    some depth either fails to parse or writes back the values it read."""
+    config = RunConfig(**{**run, "strategy": "stepwise", "gen_len": min(run["gen_len"], 8)})
+    lines = [json.loads(line) for line in trace_to_lines(run_decode(config, trace=True)[1])]
+    i = data.draw(st.integers(1, len(lines) - 1), label="line")
+    lines[i] = {**lines[i], "topk": _corrupt_nested(data, lines[i]["topk"])}
+    try:
+        back = trace_from_lines([json.dumps(line) for line in lines])
+    except ValueError:
+        return
+    assert [json.loads(line) for line in trace_to_lines(back)] == lines

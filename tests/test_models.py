@@ -23,6 +23,7 @@ from selfspec import (
     select_candidates,
     softmax_matrix,
     stepwise_decode,
+    trace_to_lines,
 )
 from selfspec import models
 from selfspec.stepwise import candidate_snapshot
@@ -102,8 +103,8 @@ def test_softmax_matrix_is_bit_equal_to_three_temporaries():
 
 def topk(row, k):
     """Top-k (token, probability) pairs of a single logit row."""
-    probs = softmax_matrix(np.array([row], dtype=np.float64))
-    return candidate_snapshot([0], probs, k)[0]
+    tokens, probs = candidate_snapshot(softmax_matrix(np.array([row], dtype=np.float64)), k)
+    return tuple(zip(tokens[0].tolist(), probs[0].tolist()))
 
 
 def test_topk_ordering_and_tie_break():
@@ -585,7 +586,7 @@ def test_recording_model_replays_decode(tmp_path):
     replay_model = load_table_fixture(str(path))
     replay_final, replay_trace = stepwise_decode(replay_model, state, topk=2)
     assert replay_final.tokens == final.tokens
-    assert replay_trace == trace
+    assert trace_to_lines(replay_trace) == trace_to_lines(trace)
 
 
 def test_recording_model_serves_memoized_rows():

@@ -670,10 +670,10 @@ def test_ssd_trace_is_acceptance_ordered_and_block_legal():
     state = all_masked_state(prompt_len=2, gen_len=12, block_len=4)
     res = ssd_decode(model, state, n=3, shape="mix_order")
     assert res.trace.decoder == "ssd"
-    assert len(res.trace.records) == 12
-    check_block_order(res.trace.positions(), 2, 12, 4)
-    for rec in res.trace.records:
-        assert res.state.tokens[rec.position] == rec.token
+    assert len(res.trace.positions) == 12
+    check_block_order(res.trace.positions.tolist(), 2, 12, 4)
+    for pos, tok in zip(res.trace.positions.tolist(), res.trace.tokens.tolist()):
+        assert res.state.tokens[pos] == tok
 
 
 @pytest.mark.parametrize("shape", ["greedy", "mix_order"])

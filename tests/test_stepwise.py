@@ -1,6 +1,7 @@
 """Stepwise baseline decoder: the oracle that defines losslessness."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from selfspec import (
     write_trace,
 )
 
-from selfspec.stepwise import candidate_snapshot
+from selfspec.jsonl import dumps
+from selfspec.stepwise import candidate_snapshot, snapshot_rows
 
-from conftest import all_masked_state, check_block_order, full_logits
+from conftest import ForwardFails, all_masked_state, check_block_order, full_logits
 
 
 def synth(seed=0, vocab=16, cw=2, sharpness=6.0):
@@ -37,15 +39,15 @@ def synth(seed=0, vocab=16, cw=2, sharpness=6.0):
 def test_forward_count_equals_gen_len():
     state = all_masked_state(prompt_len=3, gen_len=10, block_len=4)
     final, trace = stepwise_decode(synth(), state, topk=3)
-    assert len(trace.records) == 10
+    assert len(trace.positions) == 10
     assert final.mask_id not in final.tokens
 
 
 def test_single_token_single_step():
     state = all_masked_state(gen_len=1, block_len=1)
     final, trace = stepwise_decode(synth(), state, topk=0)
-    assert len(trace.records) == 1
-    assert final.tokens[0] == trace.records[0].token
+    assert len(trace.positions) == 1
+    assert final.tokens[0] == trace.tokens[0]
 
 
 def test_no_masks_is_invalid():
@@ -76,9 +78,9 @@ def test_monotone_fixture_decodes_in_position_order():
     model = TableModel({s: rows(s) for s in states})
     state = initial_state(prompt=(), gen_len=3, mask_id=4, block_len=3)
     final, trace = stepwise_decode(model, state, topk=2)
-    assert trace.positions() == (0, 1, 2)
+    assert trace.positions.tolist() == [0, 1, 2]
     assert final.tokens == (0, 1, 2)
-    confs = [r.confidence for r in trace.records]
+    confs = trace.confidences.tolist()
     assert confs == sorted(confs, reverse=True)
 
 
@@ -93,7 +95,7 @@ def test_context_free_output_is_per_position_argmax():
     probs = softmax_matrix(base_rows)
     conf = probs.max(axis=1)
     for block in (range(0, 4), range(4, 8)):
-        picked = [p for p in trace.positions() if p in block]
+        picked = [p for p in trace.positions.tolist() if p in block]
         want = sorted(block, key=lambda p: (-conf[p], p))
         assert picked == want
 
@@ -102,14 +104,14 @@ def test_block_order_invariant():
     for seed in range(4):
         state = all_masked_state(prompt_len=2, gen_len=12, block_len=5)
         _, trace = stepwise_decode(synth(seed=seed), state, topk=0)
-        assert check_block_order(trace.positions(), 2, 12, 5) == 12
+        assert check_block_order(trace.positions.tolist(), 2, 12, 5) == 12
 
 
 def test_positions_lie_in_then_current_block():
     state = all_masked_state(gen_len=9, block_len=3)
     _, trace = stepwise_decode(synth(seed=8), state, topk=0)
-    for i, rec in enumerate(trace.records):
-        assert rec.position // 3 == i // 3  # three steps per block, in order
+    for i, pos in enumerate(trace.positions.tolist()):
+        assert pos // 3 == i // 3  # three steps per block, in order
 
 
 def test_rerun_is_bit_identical():
@@ -117,61 +119,89 @@ def test_rerun_is_bit_identical():
     a_final, a_trace = stepwise_decode(synth(seed=13), state, topk=4)
     b_final, b_trace = stepwise_decode(synth(seed=13), state, topk=4)
     assert a_final == b_final
-    assert a_trace == b_trace
     assert trace_to_lines(a_trace) == trace_to_lines(b_trace)
 
 
-def test_snapshot_domain_is_masked_positions():
-    state = all_masked_state(gen_len=6, block_len=6)
-    _, trace = stepwise_decode(synth(seed=2), state, topk=3)
-    masked = set(range(6))
-    for rec in trace.records:
-        assert set(rec.topk) == masked
-        masked.discard(rec.position)
-        for cands in rec.topk.values():
-            assert len(cands) == 3
-            probs = [p for _, p in cands]
-            assert probs == sorted(probs, reverse=True)
-    # the keys are the given positions in order, each with its own row's top-k
+def test_snapshot_rows_are_each_steps_masks_ascending():
+    """The layout law: step i's rows are the top-k of its own state's rows at
+    its masks, which are the positions of steps i, i+1, ..., ascending, and
+    they follow step i-1's rows."""
+    model, state = synth(seed=2), all_masked_state(prompt_len=1, gen_len=7, block_len=3)
+    _, trace = stepwise_decode(model, state, topk=3)
+    assert trace.snap_tokens.shape == trace.snap_probs.shape == (7 * 8 // 2, 3)
+    assert [snapshot_rows(i, 7) for i in (0, 1, 6)] == [slice(0, 7), slice(7, 13), slice(27, 28)]
+    for i, (pos, tok) in enumerate(zip(trace.positions.tolist(), trace.tokens.tolist())):
+        masks = sorted(trace.positions[i:].tolist())
+        assert masks == [p for p in range(8) if state.is_masked(p)]
+        tokens, probs = candidate_snapshot(softmax_matrix(full_logits(model, state))[masks], 3)
+        rows = snapshot_rows(i, 7)
+        assert np.array_equal(trace.snap_tokens[rows], tokens)
+        assert np.array_equal(trace.snap_probs[rows], probs)
+        assert (np.diff(probs, axis=1) <= 0).all()
+        state = place_token(state, pos, tok)
+
+
+def test_snapshot_has_one_row_per_probability_row():
     state = place_token(all_masked_state(prompt_len=2, gen_len=6), 4, 3)
     probs = softmax_matrix(full_logits(synth(), state))
     masked = np.array([2, 3, 5, 6, 7])
-    snapshot = candidate_snapshot(masked, probs[masked], 2)
-    assert list(snapshot) == [2, 3, 5, 6, 7]
-    assert snapshot[5] == candidate_snapshot([5], probs[5:6], 2)[5]
-
-
-def test_snapshot_needs_one_row_per_position():
-    probs = softmax_matrix(full_logits(synth(), all_masked_state(gen_len=6)))
-    candidate_snapshot(range(6), probs, 2)
-    for positions in (range(5), range(7), []):
-        with pytest.raises(ValueError, match="probability rows"):
-            candidate_snapshot(positions, probs, 2)
+    tokens, top = candidate_snapshot(probs[masked], 2)
+    assert tokens.shape == top.shape == (5, 2)
+    # each row is its own probability row's top-k
+    one_tokens, one_top = candidate_snapshot(probs[5:6], 2)
+    assert np.array_equal(tokens[2:3], one_tokens) and np.array_equal(top[2:3], one_top)
+    assert np.array_equal(top, np.take_along_axis(probs[masked], tokens, axis=1))
 
 
 def test_snapshot_k_clamped_to_vocab():
     state = all_masked_state(gen_len=3, vocab=4, block_len=3)
     _, trace = stepwise_decode(synth(vocab=4), state, topk=99)
     assert trace.topk == 4
-    assert all(len(c) == 4 for r in trace.records for c in r.topk.values())
+    assert trace.snap_tokens.shape[1] == trace.snap_probs.shape[1] == 4
     # ties break to the lowest token id, and k beyond the vocabulary truncates
     probs = softmax_matrix(np.array([[1.0, 1.0, 0.0, 2.0]]))
-    assert [t for t, _ in candidate_snapshot([0], probs, 3)[0]] == [3, 0, 1]
-    assert [t for t, _ in candidate_snapshot([0], probs, 10)[0]] == [3, 0, 1, 2]
+    assert candidate_snapshot(probs, 3)[0].tolist() == [[3, 0, 1]]
+    assert candidate_snapshot(probs, 10)[0].tolist() == [[3, 0, 1, 2]]
     # a tie at the cut keeps the lowest ids, also among probabilities saturated to 0.0
     flat = softmax_matrix(np.zeros((1, 64)))
-    assert [t for t, _ in candidate_snapshot([0], flat, 3)[0]] == [0, 1, 2]
+    assert candidate_snapshot(flat, 3)[0].tolist() == [[0, 1, 2]]
     saturated = softmax_matrix(np.array([[0.0] * 63 + [1000.0]]))
-    assert [t for t, _ in candidate_snapshot([0], saturated, 3)[0]] == [63, 0, 1]
+    assert candidate_snapshot(saturated, 3)[0].tolist() == [[63, 0, 1]]
 
 
 def test_chosen_token_heads_its_own_snapshot():
     state = all_masked_state(gen_len=8, block_len=8)
     _, trace = stepwise_decode(synth(seed=6), state, topk=2)
-    for rec in trace.records:
-        top_tok, top_prob = rec.topk[rec.position][0]
-        assert top_tok == rec.token
-        assert top_prob == pytest.approx(rec.confidence, abs=0.0)
+    positions = trace.positions.tolist()
+    for i, (pos, tok, conf) in enumerate(zip(positions, trace.tokens, trace.confidences)):
+        row = snapshot_rows(i, len(positions)).start + sorted(positions[i:]).index(pos)
+        assert trace.snap_tokens[row, 0] == tok
+        assert trace.snap_probs[row, 0] == conf
+
+
+def test_snapshot_too_large_fails_before_any_forward():
+    """At gen_len 2**20 a top-5 snapshot needs 2**19 * (2**20 + 1) rows of 5
+    candidates, 20 TiB an array, so it raises MemoryError before the first
+    forward."""
+    state = initial_state(prompt=(), gen_len=2**20, mask_id=64, block_len=32)
+    with pytest.raises(MemoryError):
+        stepwise_decode(ForwardFails(), state, topk=5)
+
+
+def test_traced_decode_holds_arrays_not_objects():
+    """A traced decode at V=64, L=256, block 32, top-5 holds its snapshot as
+    two (32,896, 5) arrays, 2.5 MiB in all, not a Python object per
+    candidate."""
+    state = initial_state(prompt=(), gen_len=256, mask_id=64, block_len=32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = stepwise_decode(synth(vocab=64), state, topk=5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept[1].snap_tokens.shape == (256 * 257 // 2, 5)
+    assert held < 4 * 2**20
 
 
 # --- trace serialization ---------------------------------------------------
@@ -182,8 +212,8 @@ def test_chosen_token_heads_its_own_snapshot():
 def test_trace_line_round_trip(seed, topk):
     state = all_masked_state(gen_len=6, block_len=3)
     _, trace = stepwise_decode(synth(seed=seed), state, topk=topk)
-    back = trace_from_lines(trace_to_lines(trace))
-    assert back == trace
+    lines = trace_to_lines(trace)
+    assert trace_to_lines(trace_from_lines(lines)) == lines
 
 
 def test_trace_file_round_trip(tmp_path):
@@ -191,7 +221,10 @@ def test_trace_file_round_trip(tmp_path):
     _, trace = stepwise_decode(synth(seed=1), state, topk=5)
     path = tmp_path / "trace.jsonl"
     write_trace(trace, str(path))
-    assert read_trace(str(path)) == trace
+    back = read_trace(str(path))
+    assert trace_to_lines(back) == trace_to_lines(trace)
+    for name in ("positions", "tokens", "confidences", "snap_tokens", "snap_probs"):
+        assert np.array_equal(getattr(back, name), getattr(trace, name))
 
 
 def test_trace_from_garbage_rejected():
@@ -201,22 +234,23 @@ def test_trace_from_garbage_rejected():
         trace_from_lines(['{"kind": "trace"}'])
     header = (
         '{"kind": "trace", "decoder": "stepwise", "prompt_len": 0, "gen_len": 1,'
-        ' "block_len": 1, "mask_id": 2, "topk": 1}'
+        ' "block_len": 1, "mask_id": 2, "topk": 0}'
     )
+    top1 = header.replace('"topk": 0', '"topk": 1')
     record = '{"position": 0, "token": 1, "confidence": 0.5, "topk": %s}'
-    assert len(trace_from_lines([header, record % "[[0, [[1, 0.5]]]]"]).records) == 1
+    assert len(trace_from_lines([top1, record % "[[0, [[1, 0.5]]]]"]).positions) == 1
     with pytest.raises(ValueError, match="line 1"):
         trace_from_lines(["[1]"])
     with pytest.raises(ValueError, match="line 3"):
         trace_from_lines([header, "", "[1]"])
     with pytest.raises(ValueError, match="line 2"):
-        trace_from_lines([header, record % "5"])
+        trace_from_lines([top1, record % "5"])
     with pytest.raises(ValueError, match="line 2"):
-        trace_from_lines([header, record % "[[0, 5]]"])
+        trace_from_lines([top1, record % "[[0, 5]]"])
     with pytest.raises(ValueError, match="line 1.*gen_len"):
         trace_from_lines([header.replace('"gen_len": 1', '"gen_len": 2.9'), record % "null"])
     with pytest.raises(ValueError, match="line 1.*topk"):
-        trace_from_lines([header.replace('"topk": 1', '"topk": true')])
+        trace_from_lines([header.replace('"topk": 0', '"topk": true')])
     with pytest.raises(ValueError, match="line 2.*position"):
         trace_from_lines([header, (record % "null").replace('"position": 0', '"position": 0.7')])
     with pytest.raises(ValueError, match="line 2.*confidence"):
@@ -224,9 +258,9 @@ def test_trace_from_garbage_rejected():
     with pytest.raises(ValueError, match="line 2.*confidence"):
         trace_from_lines([header, (record % "null").replace("0.5", "NaN")])
     with pytest.raises(ValueError, match="line 2.*probability"):
-        trace_from_lines([header, record % "[[0, [[1, true]]]]"])
+        trace_from_lines([top1, record % "[[0, [[1, true]]]]"])
     with pytest.raises(ValueError, match="line 2.*probability"):
-        trace_from_lines([header, record % "[[0, [[1, Infinity]]]]"])
+        trace_from_lines([top1, record % "[[0, [[1, Infinity]]]]"])
     with pytest.raises(ValueError, match="line 1.*decoder"):
         trace_from_lines([header.replace('"stepwise"', "5")])
     with pytest.raises(ValueError, match="line 1.*decoder"):
@@ -237,7 +271,7 @@ def test_trace_from_garbage_rejected():
             trace_from_lines([json.dumps({**json.loads(header), field: bad}), record % "null"])
     two = header.replace('"gen_len": 1', '"gen_len": 2')
     one_of_two = (record % "null").replace('"position": 0', '"position": 1')
-    assert trace_from_lines([two, record % "null", one_of_two]).positions() == (0, 1)
+    assert trace_from_lines([two, record % "null", one_of_two]).positions.tolist() == [0, 1]
     for lines, line in (
         ([header, (record % "null").replace('"position": 0', '"position": 99')], 2),
         ([header, (record % "null").replace('"position": 0', '"position": -1')], 2),
@@ -256,3 +290,29 @@ def test_trace_from_garbage_rejected():
     with pytest.raises(ValueError, match="line 2"):
         trace_from_lines([header.replace('"prompt_len": 0', f'"prompt_len": {10**20}'),
                           record % "null"])
+    # a parsed trace writes back to its own lines: under a header topk of 0
+    # every snapshot is null; above 0 each lists exactly its step's masks,
+    # ascending, with topk candidates each
+    two1 = two.replace('"topk": 0', '"topk": 1')
+    first = record % "[[0, [[1, 0.5]]], [1, [[0, 0.25]]]]"
+    second = (record % "[[1, [[0, 0.25]]]]").replace('"position": 0', '"position": 1')
+    for good in ([two1, first, second], [two, record % "null", one_of_two]):
+        assert trace_to_lines(trace_from_lines(good)) == [dumps(json.loads(g)) for g in good]
+    for lines, line in (
+        ([top1, record % "[[0, [[1, 0.5]]], [0, [[1, 0.5]]]]"], 2),  # position 0 twice
+        ([top1, record % "[[0, [[1, 0.5]]], [99, [[1, 0.5]]]]"], 2),  # 99 is not a mask
+        ([top1, record % "[[0, [[1, 0.5], [0, 0.25]]]]"], 2),  # two candidates under topk 1
+        ([top1, record % "[[0, [[1, 0.5], [0, 0.25]]], [0, [[1, 0.5]]], [99, [[1, 0.5]]]]"], 2),
+        ([top1, record % "[[0, []]]"], 2),  # no candidate
+        ([top1, record % "null"], 2),  # no snapshot under topk 1
+        ([header, record % "[[0, [[1, 0.5]]]]"], 2),  # a snapshot under topk 0
+        ([two1, first.replace("[0, [[1, 0.5]]], ", ""), second], 2),  # mask 0 missing
+        ([two1, record % "[[1, [[0, 0.25]]], [0, [[1, 0.5]]]]", second], 2),  # descending
+        ([two1, first, second.replace("[[1, ", "[[0, ")], 3),  # lists decoded 0, not mask 1
+        ([two1, first, second.replace("[[1, [[0, 0.25]]]]", "null")], 3),
+        ([top1, record % f"[[0, [[{2**63}, 0.5]]]]"], 2),  # a token past int64
+        ([top1, record % f"[[0, [[1, {10**400}]]]]"], 2),  # a probability past the floats
+        ([header, (record % "null").replace('"token": 1', f'"token": {2**63}')], 2),
+    ):
+        with pytest.raises(ValueError, match=f"line {line}"):
+            trace_from_lines(lines)
