@@ -1,5 +1,7 @@
 """Shared fixtures and trace-replay helpers."""
 
+import contextlib
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -130,3 +132,18 @@ class ForwardFails(MaskedModel):
 
     def forward(self, states):
         raise AssertionError("forward was called")
+
+
+@contextlib.contextmanager
+def address_space_capped(limit=2**44):
+    """Cap this process's address space at limit bytes (16 TiB) while the
+    block runs, so an allocation past it raises MemoryError whatever the
+    kernel's overcommit policy; the limits are restored afterwards."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap if soft == resource.RLIM_INFINITY
+                                            else min(soft, cap), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

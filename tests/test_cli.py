@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import FIXTURES, ForwardFails
+from conftest import FIXTURES, ForwardFails, address_space_capped
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,9 +173,10 @@ def test_analyze_rejects_a_trace_that_would_not_write_back(capsys, tmp_path):
 def test_decode_trace_too_large_exits_one_before_any_forward(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli_mod, "build_model", lambda config: ForwardFails())
     trace_path = tmp_path / "trace.jsonl"
-    code, out, err = run_main(capsys, ["decode", "--strategy", "stepwise", "--vocab-size", "64",
-                                       "--gen-length", "1048576", "--topk", "5",
-                                       "--trace-out", str(trace_path)])
+    with address_space_capped():
+        code, out, err = run_main(capsys, ["decode", "--strategy", "stepwise", "--vocab-size",
+                                           "64", "--gen-length", "1048576", "--topk", "5",
+                                           "--trace-out", str(trace_path)])
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     assert "allocate" in err and not trace_path.exists()
 

@@ -25,7 +25,8 @@ from selfspec import (
 from selfspec.jsonl import dumps
 from selfspec.stepwise import candidate_snapshot, snapshot_rows
 
-from conftest import ForwardFails, all_masked_state, check_block_order, full_logits
+from conftest import (ForwardFails, address_space_capped, all_masked_state, check_block_order,
+                      full_logits)
 
 
 def synth(seed=0, vocab=16, cw=2, sharpness=6.0):
@@ -184,7 +185,7 @@ def test_snapshot_too_large_fails_before_any_forward():
     candidates, 20 TiB an array, so it raises MemoryError before the first
     forward."""
     state = initial_state(prompt=(), gen_len=2**20, mask_id=64, block_len=32)
-    with pytest.raises(MemoryError):
+    with address_space_capped(), pytest.raises(MemoryError):
         stepwise_decode(ForwardFails(), state, topk=5)
 
 
