@@ -26,18 +26,27 @@ def integer(value, name: str) -> int:
     return value
 
 
-def number(value, name: str) -> float:
-    """value as a float if it is a finite int or float (a bool is not one);
-    ValueError otherwise."""
+def number(value, name: str, kinds=(int, float)) -> float:
+    """value as a float if it is finite and of one of kinds, by default an
+    int or float (a bool is neither); ValueError otherwise."""
     # compares exactly, so it also rejects an int too large for a float
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+    if type(value) in kinds and abs(value) <= sys.float_info.max:
         return float(value)
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
+    kind = "/".join(k.__name__ for k in kinds)
+    raise ValueError(f"{name} must be a finite {kind}, got {value!r}")
 
 
-def read_lines(lines, what: str, parse) -> list:
+def exact_float(text: str) -> float:
+    """The float a JSON number's text names, if repr writes it back as that
+    text; ValueError otherwise (0.50, 1E-3 and 1e999 among them)."""
+    if repr(value := float(text)) != text:
+        raise ValueError(f"{text} does not write back as read, but as {value!r}")
+    return value
+
+
+def read_lines(lines, what: str, parse, parse_float=float) -> list:
     """parse(obj) for the JSON object obj on every non-blank line of lines,
-    in order.
+    in order, its float texts read by parse_float.
 
     A line that is not a JSON object, a missing field (KeyError) and any
     TypeError, ValueError or OverflowError raised while parsing become one
@@ -48,7 +57,7 @@ def read_lines(lines, what: str, parse) -> list:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, parse_float=parse_float)
             if not isinstance(obj, dict):
                 raise ValueError("not a JSON object")
             parsed.append(parse(obj))

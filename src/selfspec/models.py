@@ -32,6 +32,7 @@ so that an argmax over a logit row can never propose the mask itself.
 from __future__ import annotations
 
 import math
+import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -65,14 +66,15 @@ class MaskedModel(ABC):
     @abstractmethod
     def forward(
         self, states: Sequence[SequenceState]
-    ) -> list[Callable[[Sequence[int]], np.ndarray]]:
+    ) -> list[Callable[..., np.ndarray]]:
         """One row reader per state of a non-empty batch, any Sequence of
-        states, in input order.  reader(positions) is a fresh
-        (len(positions), vocab_size) float64 logit matrix the caller owns;
-        positions ascend without repeats inside [0, L), may be empty, and
-        are checked by check_positions when read.  A backend may look a
-        state up in the batch only when its reader reads, so a state whose
-        reader is never called need never exist (see VerificationTree)."""
+        states, in input order.  reader(positions, out=None) is the
+        (len(positions), vocab_size) float64 logit matrix: out[:len(positions)]
+        written in place when the caller passes a float64 buffer out, else a
+        fresh array; positions ascend without repeats inside [0, L), may be
+        empty, and are checked by check_positions when read.  A backend may
+        look a state up in the batch only when its reader reads, so a state
+        whose reader is never called need never exist (see VerificationTree)."""
 
 
 def check_positions(length: int, positions: Sequence[int]) -> np.ndarray:
@@ -110,9 +112,10 @@ def _read_only(rows: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _serve(rows: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """A fresh copy of the stored rows at positions."""
-    return rows[check_positions(len(rows), positions)]
+def _serve(rows: np.ndarray, positions: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
+    """A copy of the stored rows at positions, in out's first rows or a fresh array."""
+    positions = check_positions(len(rows), positions)
+    return np.take(rows, positions, axis=0, out=None if out is None else out[: len(positions)])
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +125,32 @@ def _serve(rows: np.ndarray, positions: Sequence[int]) -> np.ndarray:
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _PAIR_C = 0xC2B2AE3D27D4EB4F
-_CHUNK_CELLS = 2**14  # cells hashed per step, so temporaries stay small at any V or cw
+_CHUNK_CELLS = 2**15  # cells hashed per step, so temporaries stay small at any V or cw
+# the hash's uint64 operands, built once rather than by numpy on every operation
+_U11, _U27, _U30, _U31 = map(np.uint64, (11, 27, 30, 31))
+_UG, _UM1, _UM2 = map(np.uint64, (_GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+# each thread's hash cells, so concurrent reads share none; they carry nothing
+# from read to read, so one set per thread, not per model, stays warm across decodes
+_SCRATCH = threading.local()
 
 
 def _mix64(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer in place over uint64 x (mod 2**64), shifting into t."""
-    x ^= np.right_shift(x, np.uint64(30), out=t)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= np.right_shift(x, np.uint64(27), out=t)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= np.right_shift(x, np.uint64(31), out=t)
+    x ^= np.right_shift(x, _U30, out=t)
+    x *= _UM1
+    x ^= np.right_shift(x, _U27, out=t)
+    x *= _UM2
+    x ^= np.right_shift(x, _U31, out=t)
     return x
+
+
+def _cells(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) uint64 scratch from this thread's cache, grown when too
+    small and kept, so reads allocate none after a thread's first."""
+    flat = getattr(_SCRATCH, "cells", None)
+    if flat is None or flat.size < rows * cols:
+        flat = _SCRATCH.cells = np.empty(max(rows * cols, _CHUNK_CELLS), dtype=np.uint64)
+    return flat[: rows * cols].reshape(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -177,17 +195,25 @@ class SyntheticModel(MaskedModel):
     two float products in that order.  A row's logits depend on its row
     seed alone, so any position set gives the same rows as the full read;
     and a reader hashes its own state alone, so a batch is batch-invariant
-    by construction.
+    by construction.  A read hashes straight into its out rows, a bounded
+    number of cells at a time, in a uint64 scratch that each thread keeps
+    for its later reads; so concurrent reads share no scratch, and reads
+    into a caller's buffer allocate no (rows, V) array.
     """
 
     def __init__(self, config: SynthModelConfig):
         self._config = config
-        self._seed_base = np.uint64((config.seed * _GOLDEN + 0x9E) & _MASK64)
+        # (i + 1) * G + seed * G + 0x9E as one multiply-add of i
+        self._seed_base = np.uint64((config.seed * _GOLDEN + 0x9E + _GOLDEN) & _MASK64)
         self._cols = np.arange(1, config.vocab_size + 1, dtype=np.uint64) * np.uint64(_PAIR_C)
         self._cols.setflags(write=False)
         offsets = [d for d in range(-config.context_window, config.context_window + 1) if d]
         self._offsets = np.array(offsets, dtype=np.intp)
-        self._offset_keys = np.array([(d * _PAIR_C) & _MASK64 for d in offsets], dtype=np.uint64)
+        # a pair's key (t + 1) * G + d * C, as t * G plus the offset's G + d * C
+        keys = [(_GOLDEN + d * _PAIR_C) & _MASK64 for d in offsets]
+        self._offset_keys = np.array(keys, dtype=np.uint64)
+        scale = 2.0**-53 * config.sharpness  # when normal, exact: one product equals the two
+        self._scales = (scale,) if scale >= 2.0**-1022 else (2.0**-53, config.sharpness)
 
     @property
     def vocab_size(self) -> int:
@@ -196,50 +222,55 @@ class SyntheticModel(MaskedModel):
     def forward(self, states: Sequence[SequenceState]) -> list[partial]:
         return [partial(self._logits, states, i) for i in range(len(_batch(states)))]
 
-    def _logits(self, states: Sequence[SequenceState], i: int,
-                positions: Sequence[int]) -> np.ndarray:
+    def _logits(self, states: Sequence[SequenceState], i: int, positions: Sequence[int],
+                out: np.ndarray | None = None) -> np.ndarray:
         """The (len(positions), V) logits of states[i], looked up only now,
-        at positions, in a fresh array."""
+        at positions, in out's first rows or a fresh array."""
         state = states[i]
         positions = check_positions(len(state.tokens), positions)
-        # Commutative accumulation over in-window (offset, token) pairs.  The
-        # strip holds the covering range, from the first to the last position,
-        # with cw cells on each side; padding with the mask id makes
-        # out-of-range neighbours vanish.
-        acc = np.zeros(len(positions), dtype=np.uint64)
-        cw = self._config.context_window
-        if cw > 0 and len(positions):
+        n, cw = len(positions), self._config.context_window
+        seeds = positions.astype(np.uint64)  # a copy: positions may be the caller's array
+        seeds *= _UG
+        seeds += self._seed_base
+        scratch = np.empty_like(seeds)
+        _mix64(seeds, scratch)
+        if cw and n:
+            # Commutative accumulation over in-window (offset, token) pairs.  The
+            # strip holds the covering range, from the first to the last position,
+            # with cw cells on each side; padding with the mask id makes
+            # out-of-range neighbours vanish.
             first, stop = int(positions[0]) - cw, int(positions[-1]) + 1 + cw
             lo, hi = max(first, 0), min(stop, len(state.tokens))
             tokens = np.full(stop - first, state.mask_id, dtype=np.int64)
             tokens[lo - first : hi - first] = state.tokens[lo:hi]
-            nonmask = (tokens != state.mask_id).astype(np.uint64)
-            key = (tokens.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
+            nonmask = tokens != state.mask_id
+            key = tokens.view(np.uint64)  # t * G in place, once the mask test is done
+            key *= _UG
             step = max(1, _CHUNK_CELLS // (2 * cw))
-            for a in range(0, len(positions), step):
+            for a in range(0, n, step):
                 neigh = positions[a : a + step, None] - first + self._offsets  # strip indices
-                terms = _mix64(key[neigh] + self._offset_keys, np.empty(neigh.shape, np.uint64))
-                terms *= nonmask[neigh]
-                terms.sum(axis=1, out=acc[a : a + step])
-
-        seeds = (positions + 1).astype(np.uint64) * np.uint64(_GOLDEN) + self._seed_base
-        scratch = np.empty_like(seeds)
-        return self._hash_rows(_mix64(_mix64(seeds, scratch) ^ acc, scratch))
-
-    def _hash_rows(self, seeds: np.ndarray) -> np.ndarray:
-        """The (len(seeds), V) logits of the given row seeds, hashed a bounded
-        number of cells at a time; the output rows hold the shifts until written."""
-        step = max(1, _CHUNK_CELLS // self._config.vocab_size)
-        logits = np.empty((len(seeds), self._config.vocab_size))
-        cells = np.empty((min(step, len(seeds)), self._config.vocab_size), dtype=np.uint64)
-        for a in range(0, len(seeds), step):
-            x = np.add(seeds[a : a + step, None], self._cols, out=cells[: len(seeds) - a])
-            _mix64(x, logits[a : a + step].view(np.uint64))
-            x >>= np.uint64(11)
-            logits[a : a + step] = x
-        logits *= 2.0**-53
-        logits *= self._config.sharpness  # after the 2**-53 scale: a fused scale can be subnormal
+                terms = key[neigh]
+                terms += self._offset_keys
+                _mix64(terms, _cells(*neigh.shape))
+                seeds[a : a + step] ^= np.add.reduce(terms, axis=1, where=nonmask[neigh])
+        logits = np.empty((n, self.vocab_size)) if out is None else out[:n]
+        self._hash_rows(_mix64(seeds, scratch), logits)
         return logits
+
+    def _hash_rows(self, seeds: np.ndarray, logits: np.ndarray) -> None:
+        """Write the logits of the given row seeds into the (len(seeds), V)
+        logits, hashing a bounded number of cells at a time in this thread's
+        scratch; the output rows hold the shifts until written."""
+        step = max(1, _CHUNK_CELLS // self.vocab_size)
+        cells = _cells(min(step, len(seeds)), self.vocab_size)
+        for a in range(0, len(seeds), step):
+            rows = logits[a : a + step]
+            x = np.add(seeds[a : a + step, None], self._cols, out=cells[: len(rows)])
+            _mix64(x, rows.view(np.uint64))
+            x >>= _U11
+            rows[...] = x.view(np.int64)  # below 2**53: exact, and faster than from uint64
+            for scale in self._scales:
+                rows *= scale
 
 
 # ---------------------------------------------------------------------------

@@ -266,13 +266,15 @@ class VerifyResult:
     masks: np.ndarray  # the next state's current-block masks
     leaf_probs: np.ndarray  # the softmaxed rows the walk read at the deepest validated node
     leaf_positions: np.ndarray  # their positions: the masks of the leaf's current block
-    read_leaf: Callable[[Sequence[int]], np.ndarray]  # the leaf's row reader
+    read_leaf: Callable[..., np.ndarray]  # the leaf's row reader
     leaf_index: int
 
 
-def batch_verify(model: MaskedModel, tree: VerificationTree, masks: np.ndarray) -> VerifyResult:
+def batch_verify(model: MaskedModel, tree: VerificationTree, masks: np.ndarray,
+                 out: np.ndarray | None = None) -> VerifyResult:
     """Send the tree to one batched forward and walk it from the root,
-    whose current block's masks are masks.
+    whose current block's masks are masks, reading each node into out (a
+    block's rows), so the leaf's rows are a view of it, or a fresh array.
 
     At each validated node the stepwise choice is computed from that node's
     own logits; a child whose expectation equals the choice is validated in
@@ -292,7 +294,7 @@ def batch_verify(model: MaskedModel, tree: VerificationTree, masks: np.ndarray) 
     cur, state = 0, tree.base
     while True:
         positions = masks
-        probs = softmax_matrix(readers[cur](positions))
+        probs = softmax_matrix(readers[cur](positions, out))
         if not positions.size:  # every position decoded: nothing to choose
             break
         pos, tok, conf = choose_step(positions, probs)
@@ -345,7 +347,10 @@ def ssd_decode(
     the walk stopped at, whose current block the walk already read.  Each
     round costs one batched forward pass and accepts between 1 and n+1
     tokens.  When fewer than n candidate positions remain in scope the loop
-    falls back to plain stepwise decoding for the remainder.
+    falls back to plain stepwise decoding for the remainder.  Reads go to
+    two buffers sized up front by the block, as the fallback may start
+    partway through one: two blocks' rows for drafting, and one block's for
+    the walk and the fallback, so the leaf's rows outlive the next drafting.
     """
     if n < 1:
         raise ValueError("draft length must be >= 1")
@@ -356,6 +361,8 @@ def ssd_decode(
 
     start = state
     masks = masked_in_blocks(state, 1)
+    draft_out = np.empty((min(2 * state.block_len, state.gen_len), model.vocab_size))
+    walk_out = np.empty((min(state.block_len, state.gen_len), model.vocab_size))
     read = model.forward([state])[0]  # the drafting forward
     rows = np.empty(0, dtype=np.intp)  # the positions of the softmaxed rows at hand: none yet
     steps: list[tuple[int, int, float]] = []
@@ -367,17 +374,16 @@ def ssd_decode(
         # a leaf's rows cover its whole current block, so they miss a
         # drafted mask exactly when the drafts run past that block
         if not rows.size or drafted[-1] > rows[-1]:
-            probs, rows = softmax_matrix(read(drafted)), drafted
+            probs, rows = softmax_matrix(read(drafted, draft_out)), drafted
         drafts = drafts_from_logits(probs, positions=drafted, rows=rows, probs=True)
-        del probs  # a fresh read held through the verify doubled wide_vocab's page faults
         candidates = select_candidates(state, drafts, n)
         if len(candidates) < n:
-            state, tail, _ = decode_remaining(model, state, topk=0)
+            state, tail, _ = decode_remaining(model, state, topk=0, out=walk_out)
             steps.extend(tail)
             fallback_steps = len(tail)
             break
         tree = build_tree(state, candidates, drafts, shape)
-        result = batch_verify(model, tree, masks)
+        result = batch_verify(model, tree, masks, walk_out)
         steps.extend(result.accepted)
         rounds.append(RoundStats(batch_size=len(tree), accepted=len(result.accepted)))
         state, masks, read = result.state, result.masks, result.read_leaf

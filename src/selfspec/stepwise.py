@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonl import dumps, integer, number, read_lines
+from .jsonl import dumps, exact_float, integer, number, read_lines
 from .models import MaskedModel, softmax_matrix
 from .sequence import SequenceState, current_block, masked_in_blocks, masks_after, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
@@ -97,22 +97,26 @@ def candidate_snapshot(probs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
 
 
 def decode_remaining(
-    model: MaskedModel, state: SequenceState, topk: int
+    model: MaskedModel, state: SequenceState, topk: int, out: np.ndarray | None = None
 ) -> tuple[SequenceState, list[tuple[int, int, float]], tuple[np.ndarray, np.ndarray] | None]:
     """Run stepwise steps (one forward each) until no masks remain: the final
     state, each step's (position, token, confidence) and, when topk > 0, the
     top-k snapshot in the trace layout, allocated before the first forward.
     Each step reads the masks of its current block, or every mask when it
     takes a snapshot; the current block's masks come first either way.  Both
-    are carried from step to step, less the position each step places."""
+    are carried from step to step, less the position each step places.
+    Every step reads into out, rows enough for any step, or else into one
+    buffer allocated up front: a row per mask with a snapshot, else a block's."""
     steps: list[tuple[int, int, float]] = []
     positions = masked_in_blocks(state, 1)
     asked = masked_in_blocks(state, state.gen_len) if topk > 0 else positions
     total = len(asked)  # the steps to come, when taking a snapshot
     shape = (snapshot_rows(total, total).start, topk)  # the rows of every step
     snapshot = (np.empty(shape, dtype=np.intp), np.empty(shape)) if topk > 0 else None
+    if out is None:
+        out = np.empty((total if topk else min(state.block_len, state.gen_len), model.vocab_size))
     while positions.size:
-        probs = softmax_matrix(model.forward([state])[0](asked))
+        probs = softmax_matrix(model.forward([state])[0](asked, out))
         if snapshot is not None:
             rows = snapshot_rows(len(steps), total)
             snapshot[0][rows], snapshot[1][rows] = candidate_snapshot(probs, topk)
@@ -192,8 +196,8 @@ def _snapshot_from_obj(
     tokens = [tok for cands in candidates for tok, _ in cands]
     probs = [p for cands in candidates for _, p in cands]
     if (set(map(len, candidates)) != {header.topk} or set(map(type, tokens)) != {int}
-            or not set(map(type, probs)) <= {int, float}):
-        raise ValueError(f"topk lists must hold {header.topk} [integer, probability] pairs")
+            or set(map(type, probs)) != {float}):
+        raise ValueError(f"topk lists must hold {header.topk} [integer, float probability] pairs")
     # an int past int64 or past the float range raises OverflowError
     tokens, probs = np.array(tokens, dtype=np.intp), np.array(probs, dtype=float)
     if not np.isfinite(probs).all():
@@ -206,7 +210,8 @@ def trace_from_lines(lines: list[str]) -> DecodeTrace:
     header's block schedule: each must decode a new generation position of
     the then-current block, and together every generation position.  Under a
     header topk of 0 every snapshot is null; above 0 each lists its step's
-    masks, topk candidates each, so the trace writes back to the same lines.
+    masks, topk candidates each.  Confidences and probabilities are floats
+    written as repr writes them, so the trace writes back to the same lines.
     Only the decoded positions are kept, so the file, not the header, bounds
     the memory.  Any bad line is a ValueError naming its line number."""
     header = None
@@ -218,7 +223,7 @@ def trace_from_lines(lines: list[str]) -> DecodeTrace:
             header = _header_from_obj(obj)
             return header
         pos, tok = integer(obj["position"], "position"), integer(obj["token"], "token")
-        conf, snapshot = number(obj["confidence"], "confidence"), obj["topk"]
+        conf, snapshot = number(obj["confidence"], "confidence", (float,)), obj["topk"]
         # blocks fill in order, so the decoded count names the current block
         lo = header.prompt_len + len(decoded) // header.block_len * header.block_len
         hi = min(lo + header.block_len, header.prompt_len + header.gen_len)
@@ -232,7 +237,7 @@ def trace_from_lines(lines: list[str]) -> DecodeTrace:
         decoded.add(pos)
         return (np.intp(pos), np.intp(tok), conf), snapshot  # OverflowError past int64
 
-    parsed = read_lines(lines, "trace", parse)
+    parsed = read_lines(lines, "trace", parse, exact_float)
     if header is None:
         raise ValueError("empty trace")
     if len(decoded) != header.gen_len:

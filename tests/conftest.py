@@ -118,9 +118,9 @@ class CountingModel(MaskedModel):
         return [self._logged(self.calls - 1, i, read) for i, read in enumerate(readers)]
 
     def _logged(self, call, index, read):
-        def logged(positions):
+        def logged(positions, out=None):
             self.reads.append((call, index, np.asarray(positions).tolist()))
-            return read(positions)
+            return read(positions, out)
 
         return logged
 

@@ -145,8 +145,9 @@ class FlooredModel(MaskedModel):
         return [partial(self._floored, read) for read in self._inner.forward(states)]
 
     @staticmethod
-    def _floored(read, positions):
-        return np.floor(read(positions))
+    def _floored(read, positions, out=None):
+        rows = read(positions, out)
+        return np.floor(rows, out=rows)
 
 
 @given(

@@ -1,7 +1,12 @@
 """Model backends: prediction rule, synthetic hashing, table fixtures."""
 
+import hashlib
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from selfspec import (
     build_tree,
     drafts_from_logits,
     dump_table_fixture,
+    initial_state,
     load_table_fixture,
     place_token,
     select_candidates,
@@ -178,24 +184,34 @@ def spy_mix64(monkeypatch, width):
     return shapes
 
 
-def test_a_read_and_its_softmax_allocate_little_beyond_the_result():
-    """One synthetic read of 8 rows at V = 4096 and one softmax of it peak at
-    no more than the returned matrix, two (_CHUNK_CELLS // V, V) hash
-    scratches and a small slack: neither makes a V-wide copy of the rows,
-    which a heap that returns large blocks to the system faults in anew on
-    every read."""
-    vocab = 4096
+def test_a_read_allocates_no_rows_beyond_a_fresh_result():
+    """After its thread's first read, a synthetic read of 8 rows at V = 4096
+    allocates less than one row (32 KiB) into a caller's out, and beside
+    that only the matrix it returns when it has no out: the hash cells come
+    from the thread's scratch, and the shifts go through the output rows.
+    Its in-place softmax adds at most the buffer numpy's iterator takes for
+    a broadcast (np.getbufsize() float64 values)."""
+    vocab, slack = 4096, 16 * 1024
     read = synth(vocab=vocab).forward([all_masked_state(prompt_len=2, gen_len=16, vocab=vocab)])[0]
-    read(range(2, 10))
+    out = read(range(2, 10))  # allocates the thread's scratch
+    peaks = []
     tracemalloc.start()
     try:
-        probs = softmax_matrix(read(range(2, 10)))
-        peak = tracemalloc.get_traced_memory()[1]
+        for target in (out, None):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rows = read(range(2, 10), target)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            softmax_matrix(rows)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
-    scratch = models._CHUNK_CELLS // vocab * vocab * np.dtype(np.uint64).itemsize
-    assert probs.shape == (8, vocab)
-    assert peak <= probs.nbytes + 2 * scratch + 16 * 1024
+    assert rows.shape == (8, vocab) and not np.shares_memory(rows, out)
+    buffered = np.getbufsize() * rows.itemsize
+    assert peaks[0] <= slack and peaks[2] <= rows.nbytes + slack, peaks
+    assert max(peaks[1], peaks[3]) <= buffered + slack, peaks
 
 
 def full_read(model, state, positions):
@@ -207,23 +223,27 @@ def check_read_law(model, pairs, monkeypatch):
     """forward hashes no cells; reading state i's reader at positions i
     hashes exactly len(positions) rows, in chunks of at most max(2**16, V)
     cells; and reads in any order, repeated or not, are bit-equal to the
-    singleton calls, writable, and share no memory."""
+    singleton calls: with no out, fresh writable arrays that share no
+    memory; with one, the view of its first rows, whatever they held."""
     singles = [full_read(model, state, positions) for state, positions in pairs]
     cell_calls = spy_mix64(monkeypatch, model.vocab_size)  # the cell hash; 2 * cw != V here
     readers = model.forward([state for state, _ in pairs])
     assert cell_calls == []
+    out = np.full((max(len(positions) for _, positions in pairs), model.vocab_size), np.nan)
     reads = []
     for i in [*reversed(range(len(pairs))), *range(len(pairs))]:  # every reader twice
-        got = readers[i](pairs[i][1])
-        assert sum(rows for rows, _ in cell_calls) == len(pairs[i][1])
-        assert all(rows * cols <= max(2**16, model.vocab_size) for rows, cols in cell_calls)
-        cell_calls.clear()
-        assert got.shape == singles[i].shape and got.tobytes() == singles[i].tobytes()
-        assert got.flags.writeable
-        reads.append(got)
+        for target in (None, out):
+            got = readers[i](pairs[i][1], target)
+            assert sum(rows for rows, _ in cell_calls) == len(pairs[i][1])
+            assert all(rows * cols <= max(2**16, model.vocab_size) for rows, cols in cell_calls)
+            cell_calls.clear()
+            assert got.shape == singles[i].shape and got.tobytes() == singles[i].tobytes()
+            assert got.base is out if target is out else got.flags.writeable
+            if target is None:
+                reads.append(got)
     monkeypatch.undo()
     for i, a in enumerate(reads):
-        assert not any(np.shares_memory(a, b) for b in reads[i + 1 :])
+        assert not any(np.shares_memory(a, b) for b in reads[i + 1 :] + [out])
 
 
 def test_same_state_twice_in_one_batch(monkeypatch):
@@ -335,7 +355,7 @@ def reference_logits(config, state, rows):
 
 @given(
     seed=st.integers(0, 2**40),
-    vocab=st.integers(2, 9),
+    vocab=st.one_of(st.integers(2, 9), st.just(models._CHUNK_CELLS // 2 + 3)),
     cw=st.integers(0, 4),
     sharpness=st.sampled_from([6.0, 0.5, 12.0, 1e300, 1e-300, 5e-324]),
     data=st.data(),
@@ -345,21 +365,83 @@ def test_synthetic_forward_is_the_documented_hash_cell_for_cell(seed, vocab, cw,
     """A batch of states with different mask ids and position sets, empty,
     gapped or nearer an edge than the context window, gives, bit for bit,
     the scalar reference; tiny sharpness pins the order of the two scale
-    multiplies."""
+    multiplies, and the wide vocabulary hashes a read of a few rows in
+    several _CHUNK_CELLS chunks."""
     config = SynthModelConfig(seed=seed, vocab_size=vocab, sharpness=sharpness,
                               context_window=cw)
     batch = []
-    for _ in range(data.draw(st.integers(1, 4))):
+    wide = vocab > models._CHUNK_CELLS // 2  # one state, two or three rows, a chunk each
+    for _ in range(data.draw(st.integers(1, 1 if wide else 4))):
         mask_id = vocab + data.draw(st.integers(0, 3))
         prompt = data.draw(st.lists(st.integers(0, vocab - 1), max_size=2))
         gen = data.draw(st.lists(st.sampled_from([mask_id, *range(vocab)]), min_size=1, max_size=8))
         state = SequenceState(tokens=tuple(prompt + gen), prompt_len=len(prompt),
                               gen_len=len(gen), mask_id=mask_id, block_len=3)
-        positions = data.draw(st.sets(st.integers(0, len(state.tokens) - 1)))
+        rows = (min(2, len(state.tokens)), 3) if wide else (0, None)
+        positions = data.draw(st.sets(st.integers(0, len(state.tokens) - 1), min_size=rows[0],
+                                      max_size=rows[1]))
         batch.append((state, sorted(positions)))
     readers = SyntheticModel(config).forward([state for state, _ in batch])
     for (state, positions), read in zip(batch, readers):
         assert read(positions).tobytes() == reference_logits(config, state, positions).tobytes()
+
+
+GOLDEN_LOGITS_SHA256 = "5a3c689ea93f7d0122338add152d82e5d99528b84a60092da5028cca3c96b05e"
+
+
+def test_synthetic_reads_match_the_golden_digest():
+    """One sha256 over the reads of a fixed grid pins the kernel to the bit:
+    V 2, 64, 4096 and 2**14 + 3 (a read spans several hash chunks), cw 0, 2,
+    40 and 2**10, sharpness 6, 1e-300 and 5e-324, two seeds, and an empty, a
+    gapped and an edge position set on a partly decoded state."""
+    digest = hashlib.sha256()
+    for vocab in (2, 64, 4096, 2**14 + 3):
+        state = initial_state(prompt=(1, 0, 1), gen_len=45, mask_id=vocab, block_len=8)
+        for pos in (3, 4, 10, 21, 22, 23, 40, 47):
+            state = place_token(state, pos, pos * 7 % vocab)
+        length = len(state.tokens)
+        sets = ([], [0, 2, 5, 6, 9, 20, 30, 31, 44, 46], [0, 1, length - 2, length - 1])
+        for cw, sharpness, seed in itertools.product((0, 2, 40, 2**10), (6.0, 1e-300, 5e-324),
+                                                     (3, 2**63 + 5)):
+            read = synth(seed=seed, vocab=vocab, sharpness=sharpness, cw=cw).forward([state])[0]
+            for positions in sets:
+                rows = read(positions)
+                assert rows.shape == (len(positions), vocab)
+                digest.update(rows.tobytes())
+    assert digest.hexdigest() == GOLDEN_LOGITS_SHA256
+
+
+def test_concurrent_reads_into_own_buffers_are_the_single_threaded_reads():
+    """Four threads read one SyntheticModel over and over, each into its own
+    out and through its own reader or a shared one, at a width where numpy
+    releases the GIL inside the hash and with a short switch interval: every
+    read is the single-threaded read bit for bit, so no hash scratch is
+    shared between threads."""
+    vocab, threads = 4096, 4
+    model = synth(seed=6, vocab=vocab, cw=3)
+    state = all_masked_state(prompt_len=2, gen_len=30, vocab=vocab, block_len=8)
+    for pos in (3, 9, 10, 20):
+        state = place_token(state, pos, pos)
+    length = len(state.tokens)
+    sets = [list(range(length)), list(range(2, 12)), [0, 5, 17, 31], [4], list(range(1, length, 3))]
+    want = [full_read(model, state, positions).tobytes() for positions in sets]
+    shared = model.forward([state])[0]
+    barrier = threading.Barrier(threads)
+
+    def work(k):
+        read, out = (shared, model.forward([state])[0])[k % 2], np.empty((length, vocab))
+        barrier.wait(timeout=60)
+        return [read(sets[i % len(sets)], out).tobytes() == want[i % len(sets)]
+                for i in range(k, k + 30)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(work, k) for k in range(threads)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[True] * 30] * threads
 
 
 def test_wide_context_window_is_hashed_in_bounded_chunks(monkeypatch):
@@ -454,7 +536,8 @@ def test_bad_positions_raise_and_empty_ones_answer_no_rows(backend):
 def test_forward_returns_one_reader_per_state(backend):
     """A forward answers with one reader per state, in input order; each
     read is a fresh writable matrix, so writing into one changes no later
-    read, and readers of the same state agree."""
+    read, or the first rows of the out it is given; and readers of the same
+    state agree."""
     base = all_masked_state(prompt_len=1, gen_len=6, vocab=8)
     other = place_token(base, 2, 4)
     inner = synth(seed=5, vocab=8)
@@ -468,6 +551,10 @@ def test_forward_returns_one_reader_per_state(backend):
     assert np.array_equal(readers[0]([1, 2, 3]), full_read(model, base, [1, 2, 3]))
     assert np.array_equal(readers[2]([1, 2, 3]), again)
     assert np.array_equal(readers[1]([1, 3, 4]), full_logits(model, other)[[1, 3, 4]])
+    out = np.full((4, 8), np.nan)
+    into = readers[1]([1, 3, 4], out)
+    assert into.base is out and np.array_equal(out[:3], full_logits(model, other)[[1, 3, 4]])
+    assert np.isnan(out[3]).all()
     assert [read([]).shape for read in readers] == [(0, 8)] * 3
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -695,6 +696,75 @@ def test_ssd_softmaxes_at_most_two_blocks_of_rows(monkeypatch, shape):
     assert max(rows) <= 2 * 4
 
 
+@pytest.mark.parametrize("strategy", ["stepwise", "greedy", "mix_order"])
+def test_a_decode_allocates_no_vocabulary_wide_row_after_its_first_round(monkeypatch, strategy):
+    """Every read of a decode lands in a buffer the decode allocates up
+    front: from the end of its first round, or stepwise step, no stretch up
+    to the next, drafting, the walk and the stepwise fallback included,
+    grows the traced heap by one logit row.  V = 2**14 puts a row (128 KiB)
+    past the 64 KiB at most that numpy's iterator buffers for a broadcast,
+    as in the softmax's subtraction and division of each row's constant."""
+    vocab = 2**14
+    model = synth(seed=1, vocab=vocab)
+    state = all_masked_state(prompt_len=2, gen_len=64, vocab=vocab, block_len=8)
+    growths, base = [], []
+
+    def marked(fn):
+        def mark(*args):
+            result = fn(*args)
+            current, peak = tracemalloc.get_traced_memory()
+            growths.extend(peak - b for b in base)
+            base[:] = [current]
+            tracemalloc.reset_peak()
+            return result
+        return mark
+
+    monkeypatch.setattr(stepwise_mod, "choose_step", marked(choose_step))  # each stepwise step
+    monkeypatch.setattr(ssd_mod, "batch_verify", marked(batch_verify))  # each round
+    tracemalloc.start()
+    try:
+        res = None if strategy == "stepwise" else ssd_decode(model, state, n=3, shape=strategy)
+        final = stepwise_decode(model, state, topk=0)[0] if res is None else res.state
+    finally:
+        tracemalloc.stop()
+    assert res is None or res.fallback_steps > 0  # the law covers the fallback too
+    assert final.tokens == stepwise_decode(synth(seed=1, vocab=vocab), state, topk=0)[0].tokens
+    assert len(growths) >= 10 and max(growths) < vocab * 8, growths
+
+
+@pytest.mark.parametrize("shape", ["greedy", "mix_order"])
+def test_a_rounds_leaf_rows_survive_the_next_drafting(monkeypatch, shape):
+    """The leaf rows a round hands back are the leaf's own softmaxed rows,
+    read into a buffer of the decode, and keep their values through the
+    next round's drafting, both when it drafts from them and when it
+    re-reads the leaf for the next block."""
+    model = synth(seed=2, vocab=64)
+    state = all_masked_state(prompt_len=1, gen_len=48, vocab=64, block_len=6)
+    handed = []  # (result, a copy of its leaf rows) of every round
+    reread = []  # per later round, whether its drafting re-read the previous leaf
+
+    def recording_verify(model, tree, masks, out):
+        result = batch_verify(model, tree, masks, out)
+        assert np.shares_memory(result.leaf_probs, out)
+        fresh = softmax_matrix(result.read_leaf(result.leaf_positions))
+        assert result.leaf_probs.tobytes() == fresh.tobytes()
+        handed.append((result, fresh))
+        return result
+
+    def checking_select(state, drafts, n):
+        if handed:
+            result, rows = handed[-1]
+            assert result.leaf_probs.tobytes() == rows.tobytes()
+            reread.append(bool(drafts.positions[-1] > result.leaf_positions[-1]))
+        return select_candidates(state, drafts, n)
+
+    monkeypatch.setattr(ssd_mod, "batch_verify", recording_verify)
+    monkeypatch.setattr(ssd_mod, "select_candidates", checking_select)
+    res = ssd_decode(model, state, n=4, shape=shape)
+    assert res.state.tokens == stepwise_decode(model, state, topk=0)[0].tokens
+    assert True in reread and False in reread
+
+
 def test_ssd_rejects_bad_arguments():
     model = synth()
     state = all_masked_state(gen_len=4, block_len=4)
@@ -839,9 +909,9 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
         placed.append((pos, tok))
         return place_token(state, pos, tok)
 
-    def recording_verify(model, tree, masks):
+    def recording_verify(model, tree, masks, out):
         before = len(placed)
-        result = batch_verify(model, tree, masks)
+        result = batch_verify(model, tree, masks, out)
         verified.append((tree, result, before, len(placed)))
         return result
 

@@ -258,6 +258,16 @@ def test_trace_from_garbage_rejected():
         trace_from_lines([header, (record % "null").replace("0.5", '"0.5"')])
     with pytest.raises(ValueError, match="line 2.*confidence"):
         trace_from_lines([header, (record % "null").replace("0.5", "NaN")])
+    # numbers that would not write back as read: an integer for a float, or
+    # a float written other than as repr writes it
+    with pytest.raises(ValueError, match="line 2.*confidence"):
+        trace_from_lines([header, (record % "null").replace("0.5", "1")])
+    for odd in ("0.50", "5e-1", "5E-1", "1e999"):
+        with pytest.raises(ValueError, match="line 2.*write back"):
+            trace_from_lines([header, (record % "null").replace("0.5", odd)])
+    for snapshot in ("[[0, [[1, 1]]]]", "[[0, [[1, 0.50]]]]", "[[0, [[1, 1.0e0]]]]"):
+        with pytest.raises(ValueError, match="line 2"):
+            trace_from_lines([top1, record % snapshot])
     with pytest.raises(ValueError, match="line 2.*probability"):
         trace_from_lines([top1, record % "[[0, [[1, true]]]]"])
     with pytest.raises(ValueError, match="line 2.*probability"):
