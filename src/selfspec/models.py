@@ -312,9 +312,6 @@ class TableModel(MaskedModel):
     def vocab_size(self) -> int:
         return self._vocab
 
-    def __len__(self) -> int:
-        return len(self._table)
-
     def rows_for(self, tokens: tuple[int, ...]) -> np.ndarray:
         if tokens not in self._table:
             raise FixtureMissError(f"no fixture rows for state {tokens}")

@@ -12,12 +12,14 @@ j before writing anything into block j+1.  All positions in this package are
 
 States are value-semantic snapshots: ``place_token`` returns a new state and
 never mutates, so many divergent copies of a base state can be held at once
-(verification trees rely on this).
+(verification trees rely on this).  A state knows its current block's masks:
+``place_token`` takes them from the parent's, less the placed position, and
+scans the tokens only when that empties the block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +34,9 @@ class SequenceState:
 
     tokens holds prompt and generation ids; generation positions equal to
     ``mask_id`` are still undecided.  ``block_len`` is the schedule the
-    decoders must respect for this sequence.
+    decoders must respect for this sequence.  ``masks`` is derived, not
+    compared: the current block's masked positions, ascending, as a
+    read-only array, empty once the state is fully decoded.
     """
 
     tokens: tuple[int, ...]
@@ -40,6 +44,7 @@ class SequenceState:
     gen_len: int
     mask_id: int
     block_len: int
+    masks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.prompt_len < 0 or self.gen_len < 1 or self.block_len < 1:
@@ -53,6 +58,9 @@ class SequenceState:
             )
         if any(t == self.mask_id for t in self.tokens[: self.prompt_len]):
             raise ValueError("prompt positions may not hold the mask token")
+        masks = masked_in_blocks(self, 1)
+        masks.setflags(write=False)
+        object.__setattr__(self, "masks", masks)
 
     def is_masked(self, pos: int) -> bool:
         return self.tokens[pos] == self.mask_id
@@ -95,41 +103,27 @@ def schedule_for(state: SequenceState) -> tuple[range, ...]:
     return block_partition(state.prompt_len, state.gen_len, state.block_len)
 
 
-def first_mask(state: SequenceState) -> int:
-    """The lowest masked position; len(state.tokens) once fully decoded."""
-    try:
-        return state.tokens.index(state.mask_id, state.prompt_len)
-    except ValueError:
-        return len(state.tokens)
-
-
 def current_block(state: SequenceState) -> int | None:
     """Index of the block holding the lowest masked position; None once
     fully decoded.  Blocks are ordered by position, so this is the lowest
     block with a masked position."""
-    first = first_mask(state)
-    return None if first == len(state.tokens) else (first - state.prompt_len) // state.block_len
+    masks = state.masks
+    return int(masks[0] - state.prompt_len) // state.block_len if masks.size else None
 
 
 def masked_in_blocks(state: SequenceState, count: int) -> np.ndarray:
     """The masked positions of the current block and the next count - 1,
-    ascending; empty once the state is fully decoded.  Every mask lies in
-    or after the current block, so count >= the block count gives them all."""
-    block = current_block(state)
-    if block is None:
+    ascending, by a scan of the tokens; empty once the state is fully
+    decoded.  Every mask lies in or after the current block, so count >= the
+    block count gives them all."""
+    tokens, mask, prompt_len = state.tokens, state.mask_id, state.prompt_len
+    try:
+        first = tokens.index(mask, prompt_len)
+    except ValueError:
         return np.empty(0, dtype=np.intp)
-    start = state.prompt_len + block * state.block_len
-    stop = min(start + count * state.block_len, len(state.tokens))
-    tokens, mask = state.tokens, state.mask_id
-    return np.array([p for p in range(start, stop) if tokens[p] == mask], dtype=np.intp)
-
-
-def masks_after(state: SequenceState, masks: np.ndarray, pos: int) -> np.ndarray:
-    """The current block's masks of state, made by placing a token at pos,
-    one of masks, the current block's masks of the state it was placed on:
-    masks less pos, or one scan when pos was the block's last mask."""
-    rest = masks[masks != pos]
-    return rest if rest.size else masked_in_blocks(state, 1)
+    stop = min(first - (first - prompt_len) % state.block_len + count * state.block_len,
+               len(tokens))
+    return np.array([p for p in range(first, stop) if tokens[p] == mask], dtype=np.intp)
 
 
 def check_write(state: SequenceState, pos: int, tok: int) -> None:
@@ -148,8 +142,14 @@ def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:
     """New state with tok written at pos, which check_write allows."""
     check_write(state, pos, tok)
     # Built without __post_init__: unmasking one generation position keeps
-    # the length and the prompt, so every invariant it checks still holds.
+    # the length and the prompt, so every invariant it checks still holds,
+    # and the masks are the parent's less pos, scanned for only when that
+    # empties the block.
     tokens = state.tokens[:pos] + (tok,) + state.tokens[pos + 1 :]
+    masks = state.masks[state.masks != pos]
     placed = object.__new__(SequenceState)
-    placed.__dict__.update(state.__dict__, tokens=tokens)
+    placed.__dict__.update(state.__dict__, tokens=tokens, masks=masks)
+    if not masks.size:
+        placed.__dict__["masks"] = masks = masked_in_blocks(placed, 1)
+    masks.setflags(write=False)
     return placed

@@ -8,13 +8,12 @@ lays out the states that would exist if successive candidates were
 accepted; a node's state is built, by one placement on its parent's, only
 when something asks for it.  One batched forward takes the whole tree, and
 a walk from the root reads each node it visits for its current block's
-masks, accepting a candidate exactly when the parent node's own stepwise
-choice matches it; no other node is read or built.  A node's masks are its
-parent's less that choice, and a scan runs only when a block runs out.
-The deepest validated node contributes one further token (its own stepwise
-choice), so a draft of length N can yield N+1 tokens per round while the
-output stays token-identical to plain stepwise decoding.  Every round drafts from the
-softmaxed rows at hand, reading its forward for the drafted masks only
+masks, which every state knows, accepting a candidate exactly when the
+parent node's own stepwise choice matches it; no other node is read or
+built.  The deepest validated node contributes one further token (its own
+stepwise choice), so a draft of length N can yield N+1 tokens per round
+while the output stays token-identical to plain stepwise decoding.  Every
+round drafts from the softmaxed rows at hand, reading its forward for the drafted masks only
 when those rows miss one: the first round reads the drafting forward; each
 later round takes the rows the walk read at the previous leaf, and reads
 that leaf once more only when the drafts run past its current block.  So
@@ -42,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import MaskedModel, softmax_matrix
-from .sequence import IllegalWriteError, SequenceState, check_write, current_block, first_mask
-from .sequence import masked_in_blocks, masks_after, place_token
+from .sequence import IllegalWriteError, SequenceState, check_write, current_block
+from .sequence import masked_in_blocks, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
 from .stepwise import DecodeTrace, choose_step, decode_remaining
 
@@ -54,8 +53,8 @@ MAX_DRAFT_LEN = 2**8  # keeps a decode tree at most 2 * 2**8 nodes
 
 @dataclass(frozen=True, eq=False)
 class Drafts:
-    """Drafts for the masked positions draft_masks(state, masks, n) of one
-    state, as parallel arrays.
+    """Drafts for the masked positions draft_masks(state, n) of one state,
+    as parallel arrays.
 
     ``positions`` (P,) holds those positions, ascending; ``tokens`` (P, k)
     their top-k draft tokens, highest probability first, so column 0 is the
@@ -70,25 +69,22 @@ class Drafts:
         return len(self.positions)
 
 
-def draft_masks(state: SequenceState, masks: np.ndarray, n: int) -> np.ndarray:
-    """The masks drafted for n candidates, ascending: masks, the current
-    block's, when they number at least n, else two blocks' masks from a scan."""
-    return masks if len(masks) >= n else masked_in_blocks(state, 2)
+def draft_masks(state: SequenceState, n: int) -> np.ndarray:
+    """The masks drafted for n candidates, ascending: the current block's
+    when they number at least n, else two blocks' masks from a scan."""
+    return state.masks if len(state.masks) >= n else masked_in_blocks(state, 2)
 
 
 def drafts_from_logits(
-    logits: np.ndarray, k: int = 1, *, positions: np.ndarray, rows: np.ndarray,
-    probs: bool = False,
+    probs: np.ndarray, k: int = 1, *, positions: np.ndarray, rows: np.ndarray
 ) -> Drafts:
     """Extract top-k drafts for positions, a state's drafted masks in
-    ascending order, from a logit matrix whose row i belongs to the
-    ascending position rows[i]; no other position can be a candidate.  With
-    probs the rows are probabilities already; otherwise the drafted rows
-    are softmaxed in a copy.
+    ascending order, from a probability matrix whose row i belongs to the
+    ascending position rows[i]; no other position can be a candidate.
 
-    The decode loop passes probabilities: on its first round those of the
-    drafting forward on the start state, on every later round those of the
-    previous round's leaf, which lacks the leaf's own bonus token and so
+    The decode loop drafts on its first round from the probabilities of the
+    drafting forward on the start state, on every later round from those of
+    the previous round's leaf, which lacks the leaf's own bonus token and so
     may be slightly stale; staleness only costs acceptance rate because
     every draft is re-verified before use.
     Column 0 and the confidences do not depend on k: the stable sort puts
@@ -98,15 +94,12 @@ def drafts_from_logits(
         raise ValueError("state has no masked positions to draft for")
     found = np.searchsorted(rows, positions)
     if found[-1] >= len(rows) or not np.array_equal(rows[found], positions):
-        raise ValueError("logits do not cover the drafted blocks")
-    if not probs:
-        logits = softmax_matrix(np.asarray(logits, dtype=np.float64)[found])
-        found = np.arange(len(positions))
+        raise ValueError("probabilities do not cover the drafted blocks")
     if k == 1:  # argmax over every row, so no rows are copied out
-        tokens = np.argmax(logits, axis=1)[found, None]  # first max, lowest-id tie-break
+        tokens = np.argmax(probs, axis=1)[found, None]  # first max, lowest-id tie-break
     else:
-        tokens = np.argsort(-logits[found], axis=1, kind="stable")[:, :k]
-    confidences = logits[found, tokens[:, 0]]
+        tokens = np.argsort(-probs[found], axis=1, kind="stable")[:, :k]
+    confidences = probs[found, tokens[:, 0]]
     return Drafts(positions=positions, tokens=tokens, confidences=confidences)
 
 
@@ -121,23 +114,16 @@ def select_candidates(
     when the current and next block together hold fewer masked positions;
     the decode loop treats that as the signal to fall back to stepwise
     decoding.  The drafts must cover exactly the masked positions
-    draft_masks(state, masks, n), which is checked with C-level counts, not
-    a scan: the positions ascend, each is masked, no mask lies before their
-    first block, and they are as many as the masks of the drafted blocks.
+    draft_masks(state, n).
     """
     if n < 1:
         raise ValueError("candidate count must be >= 1")
-    positions, tokens, mask = drafts.positions, state.tokens, state.mask_id
-    listed, start, size = positions.tolist(), state.prompt_len, state.block_len
-    lo = start + (listed[0] - start) // size * size if listed else len(tokens)
-    hi = min(lo + (size if tokens[lo : lo + size].count(mask) >= n else 2 * size), len(tokens))
-    if not (start <= lo <= first_mask(state) and listed == sorted(set(listed))
-            and (not listed or listed[-1] < hi) and tokens[lo:hi].count(mask) == len(listed)
-            == list(map(tokens.__getitem__, listed)).count(mask)):
+    positions = drafts.positions
+    if not np.array_equal(positions, draft_masks(state, n)):
         raise ValueError("drafts do not cover exactly the masked positions of the drafted blocks")
-    if not listed:
+    if not positions.size:
         return ()
-    blocks = (positions - start) // size
+    blocks = (positions - state.prompt_len) // state.block_len
     order = np.lexsort((positions, -drafts.confidences, blocks))[:n]
     return tuple(zip(positions[order].tolist(), drafts.tokens[order, 0].tolist()))
 
@@ -263,18 +249,17 @@ class VerifyResult:
 
     accepted: tuple[tuple[int, int, float], ...]  # (position, token, confidence)
     state: SequenceState  # the round's next state: the base with accepted placed
-    masks: np.ndarray  # the next state's current-block masks
     leaf_probs: np.ndarray  # the softmaxed rows the walk read at the deepest validated node
-    leaf_positions: np.ndarray  # their positions: the masks of the leaf's current block
     read_leaf: Callable[..., np.ndarray]  # the leaf's row reader
     leaf_index: int
 
 
-def batch_verify(model: MaskedModel, tree: VerificationTree, masks: np.ndarray,
+def batch_verify(model: MaskedModel, tree: VerificationTree,
                  out: np.ndarray | None = None) -> VerifyResult:
     """Send the tree to one batched forward and walk it from the root,
-    whose current block's masks are masks, reading each node into out (a
-    block's rows), so the leaf's rows are a view of it, or a fresh array.
+    reading each node into out (a block's rows), so the leaf's rows are a
+    view of it, or a fresh array.  The leaf's rows belong to its current
+    block's masks, tree[result.leaf_index].masks.
 
     At each validated node the stepwise choice is computed from that node's
     own logits; a child whose expectation equals the choice is validated in
@@ -282,30 +267,26 @@ def batch_verify(model: MaskedModel, tree: VerificationTree, masks: np.ndarray,
     accepted as the final token of the round, which guarantees progress of
     at least one token; a fully decoded node chooses nothing.  The walk
     reads each node it visits once, for exactly its current block's masks,
-    and no other node, so a backend that looks a state up on read builds
-    and scores only the accepted path; a child's masks, and the next
-    state's, are its parent's less the chosen position, scanned for only
-    when that empties a block.  Each validated child costs one placement,
-    and the leaf's own choice one more, so a round places exactly the
-    tokens it accepts.
+    which the node's state knows, and no other node, so a backend that
+    looks a state up on read builds and scores only the accepted path.
+    Each validated child costs one placement, and the leaf's own choice one
+    more, so a round places exactly the tokens it accepts.
     """
     readers = model.forward(tree)
     accepted: list[tuple[int, int, float]] = []
     cur, state = 0, tree.base
-    while True:
-        positions = masks
-        probs = softmax_matrix(readers[cur](positions, out))
-        if not positions.size:  # every position decoded: nothing to choose
+    while True:  # state is tree[cur]
+        probs = softmax_matrix(readers[cur](state.masks, out))
+        if not state.masks.size:  # every position decoded: nothing to choose
             break
-        pos, tok, conf = choose_step(positions, probs)
+        pos, tok, conf = choose_step(state.masks, probs)
         accepted.append((pos, tok, conf))
         matched = tree.children.get((cur, pos, tok))
-        state = place_token(state, pos, tok) if matched is None else tree[matched]
-        masks = masks_after(state, positions, pos)
         if matched is None:
+            state = place_token(state, pos, tok)
             break
-        cur = matched
-    return VerifyResult(tuple(accepted), state, masks, probs, positions, readers[cur], cur)
+        cur, state = matched, tree[matched]
+    return VerifyResult(tuple(accepted), state, probs, readers[cur], cur)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +321,8 @@ def ssd_decode(
 ) -> SsdResult:
     """Decode with self-speculation: one drafting forward, then verify rounds.
 
-    Each round drafts from the current block's masks, carried from round
-    to round, and scans the next block only when they number fewer than n.
+    Each round drafts from the current block's masks, which its state
+    knows, and scans the next block only when they number fewer than n.
     It reads the forward it has for the drafted masks only when the rows at
     hand miss one: the drafting forward on the first round, else the leaf
     the walk stopped at, whose current block the walk already read.  Each
@@ -360,7 +341,6 @@ def ssd_decode(
         raise ValueError("state has no masked positions to decode")
 
     start = state
-    masks = masked_in_blocks(state, 1)
     draft_out = np.empty((min(2 * state.block_len, state.gen_len), model.vocab_size))
     walk_out = np.empty((min(state.block_len, state.gen_len), model.vocab_size))
     read = model.forward([state])[0]  # the drafting forward
@@ -369,13 +349,13 @@ def ssd_decode(
     rounds: list[RoundStats] = []
     fallback_steps = 0
 
-    while masks.size:
-        drafted = draft_masks(state, masks, n)
+    while state.masks.size:
+        drafted = draft_masks(state, n)
         # a leaf's rows cover its whole current block, so they miss a
         # drafted mask exactly when the drafts run past that block
         if not rows.size or drafted[-1] > rows[-1]:
             probs, rows = softmax_matrix(read(drafted, draft_out)), drafted
-        drafts = drafts_from_logits(probs, positions=drafted, rows=rows, probs=True)
+        drafts = drafts_from_logits(probs, positions=drafted, rows=rows)
         candidates = select_candidates(state, drafts, n)
         if len(candidates) < n:
             state, tail, _ = decode_remaining(model, state, topk=0, out=walk_out)
@@ -383,11 +363,11 @@ def ssd_decode(
             fallback_steps = len(tail)
             break
         tree = build_tree(state, candidates, drafts, shape)
-        result = batch_verify(model, tree, masks, walk_out)
+        result = batch_verify(model, tree, walk_out)
         steps.extend(result.accepted)
         rounds.append(RoundStats(batch_size=len(tree), accepted=len(result.accepted)))
-        state, masks, read = result.state, result.masks, result.read_leaf
-        probs, rows = result.leaf_probs, result.leaf_positions
+        state, read = result.state, result.read_leaf
+        probs, rows = result.leaf_probs, tree[result.leaf_index].masks
 
     return SsdResult(
         state=state,

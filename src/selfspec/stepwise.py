@@ -16,6 +16,7 @@ after step i-1's rows (see snapshot_rows); S steps take S(S+1)/2 rows.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .jsonl import dumps, exact_float, integer, number, read_lines
 from .models import MaskedModel, softmax_matrix
-from .sequence import SequenceState, current_block, masked_in_blocks, masks_after, place_token
+from .sequence import SequenceState, current_block, masked_in_blocks, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
 
 HEADER = ("decoder", "prompt_len", "gen_len", "block_len", "mask_id", "topk")
@@ -96,26 +97,36 @@ def candidate_snapshot(probs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     return top, probs[rows, top]
 
 
+def physical_memory() -> int:
+    """This machine's physical memory in bytes."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def decode_remaining(
     model: MaskedModel, state: SequenceState, topk: int, out: np.ndarray | None = None
 ) -> tuple[SequenceState, list[tuple[int, int, float]], tuple[np.ndarray, np.ndarray] | None]:
     """Run stepwise steps (one forward each) until no masks remain: the final
     state, each step's (position, token, confidence) and, when topk > 0, the
-    top-k snapshot in the trace layout, allocated before the first forward.
-    Each step reads the masks of its current block, or every mask when it
-    takes a snapshot; the current block's masks come first either way.  Both
-    are carried from step to step, less the position each step places.
-    Every step reads into out, rows enough for any step, or else into one
-    buffer allocated up front: a row per mask with a snapshot, else a block's."""
+    top-k snapshot in the trace layout, allocated before the first forward;
+    a snapshot larger than the machine's physical memory raises MemoryError
+    instead.  Each step reads the masks of its current block, which its
+    state knows, or every mask when it takes a snapshot, carried from step
+    to step less the position each step places; the current block's masks
+    come first either way.  Every step reads into out, rows enough for any
+    step, or else into one buffer allocated up front: a row per mask with a
+    snapshot, else a block's."""
     steps: list[tuple[int, int, float]] = []
-    positions = masked_in_blocks(state, 1)
-    asked = masked_in_blocks(state, state.gen_len) if topk > 0 else positions
+    asked = masked_in_blocks(state, state.gen_len) if topk > 0 else state.masks
     total = len(asked)  # the steps to come, when taking a snapshot
     shape = (snapshot_rows(total, total).start, topk)  # the rows of every step
+    size = shape[0] * topk * (np.dtype(np.intp).itemsize + np.dtype(float).itemsize)
+    if size > (memory := physical_memory()):
+        raise MemoryError(f"cannot allocate a top-{topk} snapshot of {size:,} bytes, "
+                          f"more than the {memory:,} bytes of physical memory")
     snapshot = (np.empty(shape, dtype=np.intp), np.empty(shape)) if topk > 0 else None
     if out is None:
         out = np.empty((total if topk else min(state.block_len, state.gen_len), model.vocab_size))
-    while positions.size:
+    while (positions := state.masks).size:
         probs = softmax_matrix(model.forward([state])[0](asked, out))
         if snapshot is not None:
             rows = snapshot_rows(len(steps), total)
@@ -123,8 +134,7 @@ def decode_remaining(
         pos, tok, conf = choose_step(positions, probs[: len(positions)])
         state = place_token(state, pos, tok)
         steps.append((pos, tok, conf))
-        positions = masks_after(state, positions, pos)
-        asked = asked[asked != pos] if topk > 0 else positions
+        asked = asked[asked != pos] if topk > 0 else state.masks
     return state, steps, snapshot
 
 

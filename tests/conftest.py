@@ -16,8 +16,6 @@ from selfspec import (
     initial_state,
     ssd_decode,
 )
-from selfspec.sequence import masked_in_blocks
-from selfspec.ssd import draft_masks
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -43,18 +41,6 @@ def full_logits(model, state):
     return model.forward([state])[0](range(len(state.tokens)))
 
 
-def drafted(state, n):
-    """The masks drafted for n candidates on state, its current block's
-    masks taken from a fresh scan."""
-    return draft_masks(state, masked_in_blocks(state, 1), n)
-
-
-def verify(model, tree):
-    """batch_verify on tree, the root's current-block masks taken from a
-    fresh scan."""
-    return batch_verify(model, tree, masked_in_blocks(tree.base, 1))
-
-
 def replay_dual_rounds(model, state, n):
     """Run the greedy-strategy decode, recording the (state, candidates,
     drafts) of every round it verifies; then build both tree shapes on each
@@ -71,7 +57,7 @@ def replay_dual_rounds(model, state, n):
     finally:
         ssd_mod.build_tree = build_tree
     return [
-        tuple(len(verify(model, build_tree(*args, shape)).accepted)
+        tuple(len(batch_verify(model, build_tree(*args, shape)).accepted)
               for shape in ("greedy", "mix_order"))
         for args in inputs
     ]

@@ -20,6 +20,7 @@ from selfspec import (
     SynthModelConfig,
     SyntheticModel,
     TableModel,
+    batch_verify,
     build_tree,
     drafts_from_logits,
     dump_table_fixture,
@@ -32,9 +33,10 @@ from selfspec import (
     trace_to_lines,
 )
 from selfspec import models
+from selfspec.ssd import draft_masks
 from selfspec.stepwise import candidate_snapshot
 
-from conftest import CountingModel, all_masked_state, drafted, full_logits, verify
+from conftest import CountingModel, all_masked_state, full_logits
 
 
 # --- top-1 prediction rule --------------------------------------------------
@@ -42,8 +44,8 @@ from conftest import CountingModel, all_masked_state, drafted, full_logits, veri
 
 def predict(row):
     """(token, confidence) that drafting assigns to a single logit row."""
-    drafts = drafts_from_logits(np.array([row], dtype=np.float64), positions=np.arange(1),
-                                rows=np.arange(1))
+    drafts = drafts_from_logits(softmax_matrix(np.array([row], dtype=np.float64)),
+                                positions=np.arange(1), rows=np.arange(1))
     return int(drafts.tokens[0, 0]), float(drafts.confidences[0])
 
 
@@ -262,11 +264,11 @@ def test_verification_batch_hashes_a_pair_when_read(shape, cw, monkeypatch):
     model = synth(seed=cw, vocab=vocab, cw=cw)
     state = all_masked_state(prompt_len=3, gen_len=24, vocab=vocab, block_len=8)
     state = place_token(place_token(state, 4, 7), 6, 9)
-    drafts = drafts_from_logits(full_logits(model, state), positions=drafted(state, n),
-                                rows=np.arange(len(state.tokens)))
+    drafts = drafts_from_logits(softmax_matrix(full_logits(model, state)),
+                                positions=draft_masks(state, n), rows=np.arange(len(state.tokens)))
     tree = build_tree(state, select_candidates(state, drafts, n), drafts, shape)
     spy = CountingModel(model)
-    verify(spy, tree)
+    batch_verify(spy, tree)
     (states,) = spy.batches
     assert states is tree
     pairs = [(s, [p for p in range(len(s.tokens)) if s.is_masked(p)]) for s in states]
@@ -628,7 +630,6 @@ def test_table_fixture_round_trip_exact(tmp_path):
     dump_table_fixture(table, str(path))
     assert path.read_text().startswith('{"logits": ')  # sorted keys
     loaded = load_table_fixture(str(path))
-    assert len(loaded) == len(table)
     for key, rows in table.items():
         assert np.array_equal(loaded.rows_for(key), rows)
     path.write_text('{"logits": [[0.0, 1.0]]}\n')

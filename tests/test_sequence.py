@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,7 +215,7 @@ def test_place_token_frame_property(prompt_len, gen_len, pos_seed, tok):
 def test_placed_state_equals_a_constructed_one(prompt_len, gen_len, block_len, data):
     """place_token skips the constructor's checks, yet every placement order
     gives the state the constructor builds from the same fields: equal,
-    equally hashed and still frozen."""
+    equally hashed, with the same derived masks, and still frozen."""
     state = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, block_len=block_len)
     order = data.draw(st.permutations(range(prompt_len, prompt_len + gen_len)))
     for pos in order[: data.draw(st.integers(1, gen_len))]:
@@ -222,9 +223,49 @@ def test_placed_state_equals_a_constructed_one(prompt_len, gen_len, block_len, d
         built = SequenceState(tokens=state.tokens, prompt_len=prompt_len, gen_len=gen_len,
                               mask_id=16, block_len=block_len)
         assert state == built and hash(state) == hash(built)
-        assert type(state) is SequenceState and vars(state) == vars(built)
+        fields, built_fields = dict(vars(state)), dict(vars(built))
+        assert np.array_equal(fields.pop("masks"), built_fields.pop("masks"))
+        assert type(state) is SequenceState and fields == built_fields
     with pytest.raises(dataclasses.FrozenInstanceError):
         state.tokens = ()
+
+
+def scanned_masks(state):
+    """The current block's masks, by a scan of every token: the masked
+    generation positions that share the first one's block."""
+    masked = [p for p in range(state.prompt_len, len(state.tokens)) if state.is_masked(p)]
+    block = [(p - state.prompt_len) // state.block_len for p in masked]
+    return [p for p, b in zip(masked, block) if b == block[0]]
+
+
+@given(
+    prompt_len=st.integers(0, 6),
+    gen_len=st.integers(1, 24),
+    block_len=st.integers(1, 8),
+    data=st.data(),
+)
+@settings(max_examples=150)
+def test_a_state_knows_its_current_blocks_masks(prompt_len, gen_len, block_len, data):
+    """Placements in any order, into later blocks before the current one
+    empties too, leave every state, the earlier ones included, with masks
+    equal to a scan of its tokens: read-only intp, empty once decoded.
+    dataclasses.replace computes them afresh for the new fields."""
+    state = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, block_len=block_len)
+    states = [state]
+    order = data.draw(st.permutations(range(prompt_len, prompt_len + gen_len)))
+    for pos in order[: data.draw(st.integers(0, gen_len))]:
+        states.append(state := place_token(state, pos, data.draw(st.integers(0, 15))))
+    for state in states:
+        assert state.masks.dtype == np.intp and state.masks.tolist() == scanned_masks(state)
+        assert not state.masks.flags.writeable
+        with pytest.raises(ValueError):
+            state.masks[:] = 0
+        want = (scanned_masks(state)[0] - prompt_len) // block_len if state.masks.size else None
+        assert current_block(state) == want
+        for changes in ({"block_len": data.draw(st.integers(1, 8))},
+                        {"tokens": state.tokens[:prompt_len] + (16,) * gen_len}):
+            replaced = dataclasses.replace(state, **changes)
+            assert replaced.masks.tolist() == scanned_masks(replaced)
 
 
 def test_states_are_value_snapshots():

@@ -18,7 +18,6 @@ from selfspec import (
     TableModel,
     batch_verify,
     build_tree,
-    current_block,
     drafts_from_logits,
     initial_state,
     kary_tree_size,
@@ -39,10 +38,8 @@ from conftest import (
     CountingModel,
     all_masked_state,
     check_block_order,
-    drafted,
     full_logits,
     replay_dual_rounds,
-    verify,
 )
 
 
@@ -65,8 +62,8 @@ def manual_drafts(entries):
 
 
 def draft(model, state, k=1, n=1):
-    return drafts_from_logits(full_logits(model, state), k, positions=drafted(state, n),
-                              rows=np.arange(len(state.tokens)))
+    return drafts_from_logits(softmax_matrix(full_logits(model, state)), k,
+                              positions=draft_masks(state, n), rows=np.arange(len(state.tokens)))
 
 
 # --- drafts_from_logits ----------------------------------------------------
@@ -89,8 +86,8 @@ def test_drafts_cover_the_next_block_only_when_the_current_one_is_short():
     state = all_masked_state(prompt_len=2, gen_len=12, block_len=3)
     for pos in (2, 3, 4, 6, 9):
         state = place_token(state, pos, 1)
-    assert drafted(state, 2).tolist() == [5, 7]
-    assert drafted(state, 3).tolist() == [5, 7, 8, 10]
+    assert draft_masks(state, 2).tolist() == [5, 7]
+    assert draft_masks(state, 3).tolist() == [5, 7, 8, 10]
     assert draft(synth(), state, k=2, n=2).positions.tolist() == [5, 7]
     drafts = draft(synth(), state, k=2, n=3)
     assert drafts.positions.tolist() == [5, 7, 8, 10]
@@ -111,9 +108,9 @@ def test_drafts_cover_the_next_block_only_when_the_current_one_is_short():
 def test_draft_masks_are_one_or_two_blocks_by_the_current_blocks_count(
     prompt_len, gen_len, block_len, n, data
 ):
-    """Given the current block's masks, draft_masks gives them alone when
-    they number at least n, else every mask of the current and the next
-    block, whether or not the next block holds any."""
+    """draft_masks gives the current block's masks alone when they number
+    at least n, else every mask of the current and the next block, whether
+    or not the next block holds any."""
     state = all_masked_state(prompt_len, gen_len, block_len=block_len)
     filled = data.draw(st.sets(st.integers(prompt_len, prompt_len + gen_len - 1)))
     for pos in sorted(filled):
@@ -122,7 +119,7 @@ def test_draft_masks_are_one_or_two_blocks_by_the_current_blocks_count(
     first = min(block.values(), default=0)
     current = [p for p, b in block.items() if b == first]
     want = current if len(current) >= n else [p for p, b in block.items() if b <= first + 1]
-    assert draft_masks(state, np.array(current, dtype=np.intp), n).tolist() == want
+    assert draft_masks(state, n).tolist() == want
 
 
 def test_draft_requires_masks():
@@ -163,9 +160,10 @@ def test_top1_draft_is_independent_of_width():
         logits[1, [2, 5]] = logits[1].max() + 1.0  # duplicated maximum
         logits[2] = 0.0
         logits[2, 3] = 1000.0  # saturated one-hot
-        top1 = drafts_from_logits(logits, 1, positions=np.arange(12), rows=np.arange(12))
+        probs = softmax_matrix(logits.copy())
+        top1 = drafts_from_logits(probs, 1, positions=np.arange(12), rows=np.arange(12))
         for k in (1, 3, vocab):
-            drafts = drafts_from_logits(logits, k, positions=np.arange(12), rows=np.arange(12))
+            drafts = drafts_from_logits(probs, k, positions=np.arange(12), rows=np.arange(12))
             assert drafts.tokens.shape == (12, k)
             assert drafts.tokens[:, 0].tobytes() == top1.tokens[:, 0].tobytes()
             assert drafts.confidences.tobytes() == top1.confidences.tobytes()
@@ -174,8 +172,8 @@ def test_top1_draft_is_independent_of_width():
         assert top1.confidences[0] == pytest.approx(1.0 / vocab, abs=1e-12)
         assert abs(top1.confidences[2] - 1.0) < 1e-12
     # frozen closed form: softmax([2, 0, 0])[0] = e^2 / (e^2 + 2)
-    closed = drafts_from_logits(np.array([[2.0, 0.0, 0.0]]), positions=np.arange(1),
-                                rows=np.arange(1))
+    closed = drafts_from_logits(softmax_matrix(np.array([[2.0, 0.0, 0.0]])),
+                                positions=np.arange(1), rows=np.arange(1))
     assert closed.tokens[0, 0] == 0
     want = math.exp(2) / (math.exp(2) + 2)
     assert closed.confidences[0] == pytest.approx(want, abs=1e-12)
@@ -227,11 +225,11 @@ def test_top_candidate_is_the_stepwise_choice(data, prompt_len, gen_len, block_l
         state = place_token(state, pos, data.draw(st.integers(0, vocab - 1)))
     rows = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=vocab, max_size=vocab),
                               min_size=prompt_len + gen_len, max_size=prompt_len + gen_len))
-    logits = np.array(rows, dtype=np.float64)
-    drafts = drafts_from_logits(logits, positions=drafted(state, 1), rows=np.arange(len(logits)))
+    probs = softmax_matrix(np.array(rows, dtype=np.float64))
+    drafts = drafts_from_logits(probs, positions=draft_masks(state, 1), rows=np.arange(len(probs)))
     top = select_candidates(state, drafts, 1)[0]
     positions = masked_in_blocks(state, 1)
-    assert top == choose_step(positions, softmax_matrix(logits)[positions])[:2]
+    assert top == choose_step(positions, probs[positions])[:2]
 
 
 def test_select_returns_short_list_when_scope_exhausted():
@@ -445,7 +443,7 @@ def test_a_round_builds_only_the_states_its_walk_visits(shape, seed, monkeypatch
     monkeypatch.setattr(ssd_mod, "place_token", counting_place)
     tree = build_tree(state, cands, drafts, shape)
     assert placed == []
-    result = verify(model, tree)
+    result = batch_verify(model, tree)
     assert placed == [(pos, tok) for pos, tok, _ in result.accepted]
     path, i = set(), result.leaf_index
     while i is not None:
@@ -492,7 +490,7 @@ def test_full_match_accepts_n_plus_one():
     model = synth(seed=1, cw=0)
     drafts = draft(model, state)
     cands = select_candidates(state, drafts, 3)
-    result = verify(model, build_tree(state, cands, drafts, "greedy"))
+    result = batch_verify(model, build_tree(state, cands, drafts, "greedy"))
     assert len(result.accepted) == 4
     assert [(p, t) for p, t, _ in result.accepted[:3]] == list(cands)
     assert result.leaf_index == 3
@@ -519,14 +517,13 @@ def test_refresh_reads_the_leafs_next_but_one_block():
     ]
     state, refreshed = selected[1]
     assert np.array_equal(refreshed.positions, [3, 4])
-    leaf_rows = full_logits(synth(seed=1, cw=0), model.batches[1][2])
-    stale = drafts_from_logits(leaf_rows, positions=drafted(state, 2),
+    leaf_rows = softmax_matrix(full_logits(synth(seed=1, cw=0), model.batches[1][2]))
+    stale = drafts_from_logits(leaf_rows, positions=draft_masks(state, 2),
                                rows=np.arange(len(state.tokens)))
     assert np.array_equal(refreshed.tokens, stale.tokens)
     assert np.array_equal(refreshed.confidences, stale.confidences)
     with pytest.raises(ValueError, match="do not cover"):
-        drafts_from_logits(softmax_matrix(leaf_rows[[2]]), positions=drafted(state, 2),
-                           rows=np.array([2]), probs=True)
+        drafts_from_logits(leaf_rows[[2]], positions=draft_masks(state, 2), rows=np.array([2]))
 
 
 def test_walk_reads_each_node_for_its_current_block_alone():
@@ -538,7 +535,7 @@ def test_walk_reads_each_node_for_its_current_block_alone():
     state = all_masked_state(gen_len=16, block_len=4)
     drafts = draft(model, state, n=3)
     tree = build_tree(state, select_candidates(state, drafts, 3), drafts)
-    result = verify(model, tree)
+    result = batch_verify(model, tree)
     assert result.leaf_index == 3
     walk = [(i, [p for p in range(4) if tree[i].is_masked(p)]) for i in range(len(tree))]
     assert model.reads[1:] == [(1, i, pos) for i, pos in walk]
@@ -555,7 +552,7 @@ def test_fully_decoded_node_asks_for_no_rows():
         state = place_token(state, pos, 5)
     drafts = draft(model, state, n=2)
     tree = build_tree(state, select_candidates(state, drafts, 2), drafts)
-    result = verify(model, tree)
+    result = batch_verify(model, tree)
     walk = [[2, 3], [p for p in (2, 3) if tree[1].is_masked(p)], []]
     assert model.reads[1:] == [(1, i, pos) for i, pos in enumerate(walk)]
     decoded = tree[2]
@@ -574,7 +571,7 @@ def test_fully_decoded_node_asks_for_no_rows():
         assert np.array_equal(beside[1]([2, 3]), full_logits(backend, state)[2:]), name
     assert result.leaf_index == 2 and len(result.accepted) == 2
     assert result.state is decoded  # the decoded leaf chooses no bonus token
-    assert result.leaf_probs.shape == (0, 16) and result.leaf_positions.size == 0
+    assert result.leaf_probs.shape == (0, 16) and tree[result.leaf_index].masks.size == 0
 
 
 def test_root_mismatch_accepts_exactly_one():
@@ -591,7 +588,7 @@ def test_root_mismatch_accepts_exactly_one():
     stale = manual_drafts({0: (1, 0.9), 1: (1, 0.8)})  # wrong token at pos 0
     cands = select_candidates(state, stale, 2)
     assert cands == ((0, 1), (1, 1))
-    result = verify(model, build_tree(state, cands, stale, "greedy"))
+    result = batch_verify(model, build_tree(state, cands, stale, "greedy"))
     assert [(p, t) for p, t, _ in result.accepted] == [(0, 2)]
     assert result.leaf_index == 0
 
@@ -743,19 +740,20 @@ def test_a_rounds_leaf_rows_survive_the_next_drafting(monkeypatch, shape):
     handed = []  # (result, a copy of its leaf rows) of every round
     reread = []  # per later round, whether its drafting re-read the previous leaf
 
-    def recording_verify(model, tree, masks, out):
-        result = batch_verify(model, tree, masks, out)
+    def recording_verify(model, tree, out):
+        result = batch_verify(model, tree, out)
         assert np.shares_memory(result.leaf_probs, out)
-        fresh = softmax_matrix(result.read_leaf(result.leaf_positions))
+        leaf_masks = tree[result.leaf_index].masks
+        fresh = softmax_matrix(result.read_leaf(leaf_masks))
         assert result.leaf_probs.tobytes() == fresh.tobytes()
-        handed.append((result, fresh))
+        handed.append((result, fresh, leaf_masks))
         return result
 
     def checking_select(state, drafts, n):
         if handed:
-            result, rows = handed[-1]
+            result, rows, leaf_masks = handed[-1]
             assert result.leaf_probs.tobytes() == rows.tobytes()
-            reread.append(bool(drafts.positions[-1] > result.leaf_positions[-1]))
+            reread.append(bool(drafts.positions[-1] > leaf_masks[-1]))
         return select_candidates(state, drafts, n)
 
     monkeypatch.setattr(ssd_mod, "batch_verify", recording_verify)
@@ -875,6 +873,12 @@ def all_masks(state):
     return [p for p in range(len(state.tokens)) if state.is_masked(p)]
 
 
+def scanned_draft(state, n):
+    """The masks drafted for n candidates on state, by a fresh scan."""
+    current = masked_in_blocks(state, 1)
+    return (current if len(current) >= n else masked_in_blocks(state, 2)).tolist()
+
+
 @given(
     seed=st.integers(0, 40),
     prompt_len=st.integers(0, 4),
@@ -909,9 +913,9 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
         placed.append((pos, tok))
         return place_token(state, pos, tok)
 
-    def recording_verify(model, tree, masks, out):
+    def recording_verify(model, tree, out):
         before = len(placed)
-        result = batch_verify(model, tree, masks, out)
+        result = batch_verify(model, tree, out)
         verified.append((tree, result, before, len(placed)))
         return result
 
@@ -931,12 +935,12 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
     for call, i, pos in model.reads:
         assert pos == sorted(set(pos)) and all(model.batches[call][i].is_masked(p) for p in pos)
         reads[call].append((i, pos))
-    assert reads[0] == [(0, drafted(start, n).tolist())]
+    assert reads[0] == [(0, scanned_draft(start, n))]
     # every round drafts exactly what a fresh scan of its own state drafts,
     # on the start and on each verify's next state that still holds a mask
-    drafted_on = [start] + [r.state for _, r, _, _ in verified if current_block(r.state) is not None]
+    drafted_on = [start] + [r.state for _, r, _, _ in verified if all_masks(r.state)]
     assert [state for state, _ in selected] == drafted_on
-    assert [pos for _, pos in selected] == [drafted(state, n).tolist() for state in drafted_on]
+    assert [pos for _, pos in selected] == [scanned_draft(state, n) for state in drafted_on]
 
     walked = 0  # place_token calls up to the end of the previous walk
     for call, (tree, result, before, after) in enumerate(verified, start=1):
@@ -954,11 +958,13 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
         for pos, tok in accepted:
             state = place_token(state, pos, tok)
         assert result.state == state
-        assert result.masks.tolist() == masked_in_blocks(state, 1).tolist()
+        assert result.state.masks.tolist() == masked_in_blocks(state, 1).tolist()
         leaf = tree[result.leaf_index]
-        if current_block(state) is not None:
-            masks = drafted(state, n).tolist()
-            if (masks[-1] - leaf.prompt_len) // leaf.block_len > current_block(leaf):
+        if all_masks(state):
+            masks = scanned_draft(state, n)
+            block = [(p - leaf.prompt_len) // leaf.block_len
+                     for p in (masks[-1], masked_in_blocks(leaf, 1)[0])]
+            if block[0] > block[1]:
                 walk.append((result.leaf_index, masks))
         assert reads[call] == walk
     assert len(placed) - walked == res.fallback_steps

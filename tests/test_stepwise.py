@@ -23,6 +23,7 @@ from selfspec import (
 )
 
 from selfspec.jsonl import dumps
+import selfspec.stepwise as stepwise_mod
 from selfspec.stepwise import candidate_snapshot, snapshot_rows
 
 from conftest import (ForwardFails, address_space_capped, all_masked_state, check_block_order,
@@ -186,6 +187,21 @@ def test_snapshot_too_large_fails_before_any_forward():
     forward."""
     state = initial_state(prompt=(), gen_len=2**20, mask_id=64, block_len=32)
     with address_space_capped(), pytest.raises(MemoryError):
+        stepwise_decode(ForwardFails(), state, topk=5)
+
+
+def test_snapshot_past_physical_memory_fails_before_any_forward(monkeypatch):
+    """A snapshot the allocator could grant but the machine cannot back
+    raises MemoryError naming its size before the first forward: at gen_len
+    64 a top-5 snapshot is 2,080 rows of 5 token ids and 5 probabilities,
+    166,400 bytes, against a reported physical memory one byte smaller.  At
+    exactly its size the decode goes on to the forward."""
+    state = initial_state(prompt=(), gen_len=64, mask_id=64, block_len=32)
+    monkeypatch.setattr(stepwise_mod, "physical_memory", lambda: 166_399)
+    with pytest.raises(MemoryError, match="top-5 snapshot of 166,400 bytes"):
+        stepwise_decode(ForwardFails(), state, topk=5)
+    monkeypatch.setattr(stepwise_mod, "physical_memory", lambda: 166_400)
+    with pytest.raises(AssertionError, match="forward was called"):
         stepwise_decode(ForwardFails(), state, topk=5)
 
 
