@@ -18,7 +18,6 @@ from .analyzer import (
 from .models import (
     FixtureMissError,
     MaskedModel,
-    RecordingModel,
     SynthModelConfig,
     SyntheticModel,
     TableModel,
@@ -72,7 +71,6 @@ __all__ = [
     "FixtureMissError",
     "IllegalWriteError",
     "MaskedModel",
-    "RecordingModel",
     "ReductionGrid",
     "Report",
     "RoundStats",

@@ -9,9 +9,12 @@ appears among the top-k candidates recorded for its position at window start.
 The first step of each window always costs a forward, so only matched steps
 past the first count as saved.
 
-This is an upper-bound estimate by construction: no re-drafting inside a
-window is simulated, and matching ignores whether earlier acceptances would
-have changed the model's predictions.
+This is an estimate, not a bound on any decoder: the next n steps are
+scored against one snapshot per fixed window of n+1 steps, no re-drafting
+inside a window is simulated, and matching ignores whether earlier
+acceptances would have changed the model's predictions.  The speculative
+decoder can save more than the estimate, because it re-drafts from the leaf
+every round and its windows start where the last round stopped.
 """
 
 from __future__ import annotations

@@ -105,13 +105,6 @@ def softmax_matrix(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _read_only(rows: np.ndarray) -> np.ndarray:
-    """A read-only float64 copy of rows, so no caller can change a store."""
-    arr = np.array(rows, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
-
-
 def _serve(rows: np.ndarray, positions: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
     """A copy of the stored rows at positions, in out's first rows or a fresh array."""
     positions = check_positions(len(rows), positions)
@@ -294,7 +287,8 @@ class TableModel(MaskedModel):
         self._table: dict[tuple[int, ...], np.ndarray] = {}
         vocab = None
         for tokens, rows in table.items():
-            arr = _read_only(rows)
+            arr = np.array(rows, dtype=np.float64)  # a copy, read-only: no caller changes it
+            arr.setflags(write=False)
             if arr.ndim != 2 or arr.shape[0] != len(tokens):
                 raise ValueError(
                     f"fixture rows for {tokens} must be (len(tokens), vocab)"
@@ -338,36 +332,3 @@ def _table_record(obj: dict) -> tuple[tuple[int, ...], np.ndarray]:
 def load_table_fixture(path: str) -> TableModel:
     with open(path, "r", encoding="utf-8") as fh:
         return TableModel(dict(read_lines(fh, "table fixture", _table_record)))
-
-
-class RecordingModel(MaskedModel):
-    """Wraps a model and records every (state -> rows) pair it serves; the
-    inner model is always read for every row, so fixtures stay full-shape.
-
-    Running a decode through a RecordingModel and dumping the recording
-    produces a table fixture that replays that decode exactly.  Repeat
-    states, within one batch or across calls, are served from the recording
-    rather than recomputed, so the wrapper also works as a memo when several
-    decodes share a model.
-    """
-
-    def __init__(self, inner: MaskedModel):
-        self._inner = inner
-        self.recorded: dict[tuple[int, ...], np.ndarray] = {}
-
-    @property
-    def vocab_size(self) -> int:
-        return self._inner.vocab_size
-
-    def forward(self, states: Sequence[SequenceState]) -> list[partial]:
-        missing: dict[tuple[int, ...], SequenceState] = {}
-        for state in _batch(states):  # each unrecorded state once, first seen first
-            if state.tokens not in self.recorded:
-                missing.setdefault(state.tokens, state)
-        if missing:
-            for tokens, read in zip(missing, self._inner.forward(list(missing.values()))):
-                self.recorded[tokens] = _read_only(read(range(len(tokens))))
-        return [partial(_serve, self.recorded[state.tokens]) for state in states]
-
-    def dump(self, path: str) -> None:
-        dump_table_fixture(self.recorded, path)

@@ -139,7 +139,7 @@ def decode_remaining(
 
 
 def stepwise_decode(
-    model: MaskedModel, state: SequenceState, topk: int = 5
+    model: MaskedModel, state: SequenceState, topk: int
 ) -> tuple[SequenceState, DecodeTrace]:
     """Decode every masked position, one token per forward pass: the final
     state and the trace.  The forward count always equals the number of

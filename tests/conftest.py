@@ -87,20 +87,20 @@ class CountingModel(MaskedModel):
     (call, index in the call, positions)."""
 
     def __init__(self, inner):
-        self._inner = inner
+        self.inner = inner
         self.calls = self.rows = 0
         self.batches = []
         self.reads = []
 
     @property
     def vocab_size(self):
-        return self._inner.vocab_size
+        return self.inner.vocab_size
 
     def forward(self, states):
         self.calls += 1
         self.rows += len(states)
         self.batches.append(states)
-        readers = self._inner.forward(states)
+        readers = self.inner.forward(states)
         return [self._logged(self.calls - 1, i, read) for i, read in enumerate(readers)]
 
     def _logged(self, call, index, read):
@@ -109,6 +109,18 @@ class CountingModel(MaskedModel):
             return read(positions, out)
 
         return logged
+
+
+def recorded_table(model):
+    """The table fixture that replays the decodes run through the
+    CountingModel model: every state of every batch it passed on, once,
+    first seen first, with the full rows of its inner model."""
+    table = {}
+    for batch in model.batches:
+        for state in batch:
+            if state.tokens not in table:
+                table[state.tokens] = full_logits(model.inner, state)
+    return table
 
 
 class ForwardFails(MaskedModel):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from selfspec import (
     MaskedModel,
-    RecordingModel,
     SynthModelConfig,
     SyntheticModel,
     build_tree,
@@ -78,10 +77,8 @@ def grid():
     start = time.monotonic()
     for seed in GRID_SEEDS:
         prompt = tuple(range(seed % 17))
-        model = RecordingModel(
-            SyntheticModel(
-                SynthModelConfig(seed=seed, vocab_size=GRID_VOCAB, context_window=2)
-            )
+        model = SyntheticModel(
+            SynthModelConfig(seed=seed, vocab_size=GRID_VOCAB, context_window=2)
         )
         for gen_len in GRID_GEN_LENGTHS:
             for block_len in (4, 8, gen_len):
@@ -309,11 +306,9 @@ def test_criterion_7_mix_order_gain():
         scenario_count += 1
 
     for seed, vocab, cw, gen_len, block_len, n in OUT_OF_ORDER_SCENARIOS:
-        model = RecordingModel(
-            SyntheticModel(
-                SynthModelConfig(
-                    seed=seed, vocab_size=vocab, sharpness=3.0, context_window=cw
-                )
+        model = SyntheticModel(
+            SynthModelConfig(
+                seed=seed, vocab_size=vocab, sharpness=3.0, context_window=cw
             )
         )
         state = initial_state(

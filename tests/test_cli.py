@@ -6,14 +6,14 @@ import json
 
 import numpy as np
 import pytest
-from conftest import FIXTURES, ForwardFails, address_space_capped
+from conftest import FIXTURES, CountingModel, ForwardFails, address_space_capped, recorded_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfspec import (
     MaskedModel,
-    RecordingModel,
     RunConfig,
+    dump_table_fixture,
     read_trace,
     render_report,
     report_from_lines,
@@ -618,11 +618,11 @@ def test_fuzz_table_fixture_lines(tmp_path_factory, data, run):
     """A fixture recorded from a stepwise and a greedy decode with up to two
     values corrupted: a token, a logit, a row, a field or a whole line."""
     config = RunConfig(**run)
-    model = RecordingModel(build_model(config))
+    model = CountingModel(build_model(config))
     stepwise_decode(model, start_state(config), topk=0)
     ssd_decode(model, start_state(config), n=config.draft_len, shape="greedy")
     path = tmp_path_factory.mktemp("table") / "table.jsonl"
-    model.dump(str(path))
+    dump_table_fixture(recorded_table(model), str(path))
     lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     for _ in range(data.draw(st.integers(0, 2), label="corruptions")):
         i = data.draw(st.integers(0, len(lines) - 1), label="line")

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from selfspec import (
     FixtureMissError,
-    RecordingModel,
     SequenceState,
     SynthModelConfig,
     SyntheticModel,
@@ -29,6 +28,7 @@ from selfspec import (
     place_token,
     select_candidates,
     softmax_matrix,
+    ssd_decode,
     stepwise_decode,
     trace_to_lines,
 )
@@ -36,7 +36,7 @@ from selfspec import models
 from selfspec.ssd import draft_masks
 from selfspec.stepwise import candidate_snapshot
 
-from conftest import CountingModel, all_masked_state, full_logits
+from conftest import CountingModel, all_masked_state, full_logits, recorded_table
 
 
 # --- top-1 prediction rule --------------------------------------------------
@@ -469,13 +469,12 @@ def test_wide_context_window_is_hashed_in_bounded_chunks(monkeypatch):
 
 
 def position_backends(seed, vocab, cw, state):
-    """The three backends, each able to score state: the table replays the
+    """The two backends, each able to score state: the table replays the
     synthetic model's full rows."""
     model = synth(seed=seed, vocab=vocab, cw=cw)
     return {
         "synthetic": model,
         "table": TableModel({state.tokens: full_logits(model, state)}),
-        "recording": RecordingModel(model),
     }
 
 
@@ -514,7 +513,7 @@ def test_every_position_set_is_the_full_rows_bit_for_bit(seed, prompt_len, gen_l
                    for read, pos, b in zip(readers, subsets, singles)), name
 
 
-@pytest.mark.parametrize("backend", ["synthetic", "table", "recording"])
+@pytest.mark.parametrize("backend", ["synthetic", "table"])
 def test_bad_positions_raise_and_empty_ones_answer_no_rows(backend):
     """Empty position sets are valid; non-ascending, duplicate, out-of-range,
     non-integer and non-1-d ones raise when read, and the reader still
@@ -534,7 +533,7 @@ def test_bad_positions_raise_and_empty_ones_answer_no_rows(backend):
         model.forward([])
 
 
-@pytest.mark.parametrize("backend", ["synthetic", "table", "recording"])
+@pytest.mark.parametrize("backend", ["synthetic", "table"])
 def test_forward_returns_one_reader_per_state(backend):
     """A forward answers with one reader per state, in input order; each
     read is a fresh writable matrix, so writing into one changes no later
@@ -543,7 +542,7 @@ def test_forward_returns_one_reader_per_state(backend):
     base = all_masked_state(prompt_len=1, gen_len=6, vocab=8)
     other = place_token(base, 2, 4)
     inner = synth(seed=5, vocab=8)
-    model = {"synthetic": inner, "recording": RecordingModel(inner),
+    model = {"synthetic": inner,
              "table": TableModel({s.tokens: full_logits(inner, s) for s in (base, other)})}[backend]
     readers = model.forward([base, other, base])
     assert len(readers) == 3
@@ -560,15 +559,14 @@ def test_forward_returns_one_reader_per_state(backend):
     assert [read([]).shape for read in readers] == [(0, 8)] * 3
 
 
-@pytest.mark.parametrize("backend", ["synthetic", "table", "recording"])
+@pytest.mark.parametrize("backend", ["synthetic", "table"])
 def test_a_reader_is_unchanged_by_later_forwards(backend):
-    """Later forwards on the model, which grow a recording, and changes to
-    the positions array after a read change neither that read nor a later
-    read of the same reader."""
+    """Later forwards on the model, and changes to the positions array after
+    a read, change neither that read nor a later read of the same reader."""
     state = all_masked_state(prompt_len=1, gen_len=6, vocab=6)
     states = [state, place_token(state, 2, 4), place_token(state, 3, 1)]
     inner = synth(seed=0, vocab=6, cw=2)
-    model = {"synthetic": inner, "recording": RecordingModel(inner),
+    model = {"synthetic": inner,
              "table": TableModel({s.tokens: full_logits(inner, s) for s in states})}[backend]
     positions = np.array([1, 2, 4], dtype=np.intp)
     want = full_logits(inner, state)[positions].tobytes()
@@ -599,18 +597,14 @@ def test_table_returns_rows_verbatim():
 
 
 def test_stored_rows_are_read_only():
-    """The rows a table or recording stores cannot be written, and a read
-    copies them out."""
+    """The rows a table stores cannot be written, and a read copies them
+    out."""
     state, table = tiny_table()
-    recording = RecordingModel(synth(seed=3, vocab=4))
-    full_logits(recording, state)
-    for store in (table.rows_for(state.tokens), recording.recorded[state.tokens]):
-        with pytest.raises(ValueError):
-            store[0, 0] = 1.0
-    for model in (table, recording):
-        read = full_logits(model, state)
-        read[0, 0] += 1.0
-        assert not np.array_equal(read, full_logits(model, state))
+    with pytest.raises(ValueError):
+        table.rows_for(state.tokens)[0, 0] = 1.0
+    read = full_logits(table, state)
+    read[0, 0] += 1.0
+    assert not np.array_equal(read, full_logits(table, state))
 
 
 def test_table_misses_on_unknown_state():
@@ -661,36 +655,49 @@ def test_table_rejects_ragged_or_non_finite():
         )
 
 
-# --- recording wrapper -----------------------------------------------------
+# --- recorded fixtures -----------------------------------------------------
 
 
 def test_recording_model_replays_decode(tmp_path):
-    inner = synth(seed=3, vocab=10)
-    rec = RecordingModel(inner)
+    """A table recorded from the batches a stepwise decode sends, and
+    written as a fixture file, replays that decode."""
+    model = CountingModel(synth(seed=3, vocab=10))
     state = all_masked_state(gen_len=6, vocab=10, block_len=3)
-    final, trace = stepwise_decode(rec, state, topk=2)
+    final, trace = stepwise_decode(model, state, topk=2)
     path = tmp_path / "replay.jsonl"
-    rec.dump(str(path))
+    dump_table_fixture(recorded_table(model), str(path))
     replay_model = load_table_fixture(str(path))
     replay_final, replay_trace = stepwise_decode(replay_model, state, topk=2)
     assert replay_final.tokens == final.tokens
     assert trace_to_lines(replay_trace) == trace_to_lines(trace)
 
 
-def test_recording_model_serves_memoized_rows():
-    inner = CountingModel(synth(seed=3, vocab=10))
-    rec = RecordingModel(inner)
-    state = all_masked_state(gen_len=4, vocab=10)
-    first = full_logits(rec, state)
-    second = rec.forward([state, state])
-    assert np.array_equal(first, second[0](range(4)))
-    assert np.array_equal(first, second[1](range(4)))
-    assert state.tokens in rec.recorded
-    # the inner model sees each unrecorded state once, first seen first,
-    # and is read for every row of it
-    a, b = place_token(state, 0, 1), place_token(state, 1, 2)
-    third = rec.forward([b, a, b, state])
-    assert [[s.tokens for s in batch] for batch in inner.batches] == [[state.tokens],
-                                                                      [b.tokens, a.tokens]]
-    assert inner.reads == [(0, 0, [0, 1, 2, 3]), (1, 0, [0, 1, 2, 3]), (1, 1, [0, 1, 2, 3])]
-    assert np.array_equal(np.vstack([third[0]([0, 1]), third[2]([2, 3])]), full_logits(inner, b))
+@given(
+    seed=st.integers(0, 50),
+    vocab=st.integers(2, 8),
+    cw=st.integers(0, 3),
+    prompt_len=st.integers(0, 3),
+    gen_len=st.integers(1, 12),
+    block_len=st.integers(1, 6),
+    n=st.integers(1, 4),
+)
+@settings(max_examples=25, deadline=None)
+def test_a_recorded_table_replays_every_decoder(seed, vocab, cw, prompt_len, gen_len,
+                                                block_len, n):
+    """A table recorded from the batches of a stepwise, a greedy or a
+    mix_order decode replays that decode on the table backend: the same
+    tokens, and for the speculative decoders the same forward count and
+    rounds."""
+    prompt = tuple(t % vocab for t in range(prompt_len))
+    state = initial_state(prompt=prompt, gen_len=gen_len, mask_id=vocab, block_len=block_len)
+    model = CountingModel(synth(seed=seed, vocab=vocab, cw=cw))
+    final, _ = stepwise_decode(model, state, topk=0)
+    replayed, _ = stepwise_decode(TableModel(recorded_table(model)), state, topk=0)
+    assert replayed.tokens == final.tokens
+    for shape in ("greedy", "mix_order"):
+        model = CountingModel(synth(seed=seed, vocab=vocab, cw=cw))
+        result = ssd_decode(model, state, n, shape)
+        replay = ssd_decode(TableModel(recorded_table(model)), state, n, shape)
+        assert replay.state.tokens == result.state.tokens == final.tokens, shape
+        assert replay.forward_count == result.forward_count, shape
+        assert replay.rounds == result.rounds, shape

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from selfspec import (
     Drafts,
-    RecordingModel,
     SynthModelConfig,
     SyntheticModel,
     TableModel,
@@ -557,12 +556,9 @@ def test_fully_decoded_node_asks_for_no_rows():
     assert model.reads[1:] == [(1, i, pos) for i, pos in enumerate(walk)]
     decoded = tree[2]
     assert masked_in_blocks(decoded, 3).size == 0
-    recording = RecordingModel(synth(seed=3))
     backends = {
         "synthetic": synth(seed=3),
-        "table": TableModel({decoded.tokens: full_logits(recording, decoded),
-                             state.tokens: full_logits(recording, state)}),
-        "recording": recording,
+        "table": TableModel({s.tokens: full_logits(synth(seed=3), s) for s in (decoded, state)}),
     }
     for name, backend in backends.items():
         alone = backend.forward([decoded])[0]([])
