@@ -12,6 +12,7 @@ from selfspec import (
     format_grid,
     kary_tree_size,
     reduction_grid,
+    ssd_decode,
     stepwise_decode,
     topk_match_reduction,
     upper_bound,
@@ -181,6 +182,20 @@ def test_reduction_monotone_in_k_and_bounded(seed, n):
     values = [topk_match_reduction(trace, n, k) for k in (1, 2, 3, 5)]
     assert values == sorted(values)
     assert all(0.0 <= v <= upper_bound(n) for v in values)
+
+
+def test_the_decoder_can_save_more_than_the_estimate():
+    """The estimate bounds no decoder: here the k=1 windows of the stepwise
+    trace match no step, yet the speculative decoder, re-drafting from the
+    leaf every round, saves 5 of 12 forwards with the same tokens."""
+    model = SyntheticModel(SynthModelConfig(seed=0, vocab_size=12, context_window=2))
+    state = all_masked_state(gen_len=12, vocab=12, block_len=6)
+    final, trace = stepwise_decode(model, state, topk=1)
+    assert topk_match_reduction(trace, 1, 1) == 0.0
+    for shape in ("greedy", "mix_order"):
+        result = ssd_decode(model, state, 1, shape)
+        assert result.state.tokens == final.tokens, shape
+        assert result.forward_count == 7, shape
 
 
 def test_reduction_validates_arguments():

@@ -672,6 +672,7 @@ def test_recording_model_replays_decode(tmp_path):
     assert trace_to_lines(replay_trace) == trace_to_lines(trace)
 
 
+@pytest.mark.parametrize("decoder", ["stepwise", "greedy", "mix_order"])
 @given(
     seed=st.integers(0, 50),
     vocab=st.integers(2, 8),
@@ -682,7 +683,7 @@ def test_recording_model_replays_decode(tmp_path):
     n=st.integers(1, 4),
 )
 @settings(max_examples=25, deadline=None)
-def test_a_recorded_table_replays_every_decoder(seed, vocab, cw, prompt_len, gen_len,
+def test_a_recorded_table_replays_every_decoder(decoder, seed, vocab, cw, prompt_len, gen_len,
                                                 block_len, n):
     """A table recorded from the batches of a stepwise, a greedy or a
     mix_order decode replays that decode on the table backend: the same
@@ -692,12 +693,13 @@ def test_a_recorded_table_replays_every_decoder(seed, vocab, cw, prompt_len, gen
     state = initial_state(prompt=prompt, gen_len=gen_len, mask_id=vocab, block_len=block_len)
     model = CountingModel(synth(seed=seed, vocab=vocab, cw=cw))
     final, _ = stepwise_decode(model, state, topk=0)
-    replayed, _ = stepwise_decode(TableModel(recorded_table(model)), state, topk=0)
-    assert replayed.tokens == final.tokens
-    for shape in ("greedy", "mix_order"):
-        model = CountingModel(synth(seed=seed, vocab=vocab, cw=cw))
-        result = ssd_decode(model, state, n, shape)
-        replay = ssd_decode(TableModel(recorded_table(model)), state, n, shape)
-        assert replay.state.tokens == result.state.tokens == final.tokens, shape
-        assert replay.forward_count == result.forward_count, shape
-        assert replay.rounds == result.rounds, shape
+    if decoder == "stepwise":
+        replayed, _ = stepwise_decode(TableModel(recorded_table(model)), state, topk=0)
+        assert replayed.tokens == final.tokens
+        return
+    model = CountingModel(synth(seed=seed, vocab=vocab, cw=cw))
+    result = ssd_decode(model, state, n, decoder)
+    replay = ssd_decode(TableModel(recorded_table(model)), state, n, decoder)
+    assert replay.state.tokens == result.state.tokens == final.tokens
+    assert replay.forward_count == result.forward_count
+    assert replay.rounds == result.rounds

@@ -26,8 +26,8 @@ from selfspec.jsonl import dumps
 import selfspec.stepwise as stepwise_mod
 from selfspec.stepwise import candidate_snapshot, snapshot_rows
 
-from conftest import (ForwardFails, address_space_capped, all_masked_state, check_block_order,
-                      full_logits)
+from conftest import (CountingModel, ForwardFails, address_space_capped, all_masked_state,
+                      check_block_order, full_logits)
 
 
 def synth(seed=0, vocab=16, cw=2, sharpness=6.0):
@@ -57,6 +57,15 @@ def test_no_masks_is_invalid():
     final, _ = stepwise_decode(synth(), state, topk=0)
     with pytest.raises(ValueError):
         stepwise_decode(synth(), final, topk=0)
+
+
+def test_topk_has_no_default():
+    """A caller chooses the snapshot width: leaving topk out raises before
+    any forward, instead of taking a top-5 snapshot nobody asked for."""
+    model = CountingModel(synth())
+    with pytest.raises(TypeError, match="topk"):
+        stepwise_decode(model, all_masked_state(gen_len=2))
+    assert model.calls == 0
 
 
 def test_monotone_fixture_decodes_in_position_order():
