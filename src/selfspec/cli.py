@@ -75,20 +75,30 @@ def run_compare(config: RunConfig) -> Report:
     """Run stepwise and then the configured speculative strategy on the same
     model and prompt; raise LosslessnessError when outputs differ, otherwise
     return the speculative report marked as compared."""
-    config.validate()
-    if config.strategy == "stepwise":
-        raise ValueError("compare needs a speculative strategy (greedy or mix_order)")
-    model = build_model(config)
-    state = start_state(config)
+    return _compare_all([config])[0]
+
+
+def _compare_all(configs: list[RunConfig]) -> list[Report]:
+    """run_compare of each config, configs that differ only in strategy and
+    draft length, on one model against one stepwise baseline."""
+    for config in configs:
+        config.validate()
+        if config.strategy == "stepwise":
+            raise ValueError("compare needs a speculative strategy (greedy or mix_order)")
+    model = build_model(configs[0])
+    state = start_state(configs[0])
     baseline, _ = stepwise_decode(model, state, topk=0)
-    result = ssd_decode(model, state, n=config.draft_len, shape=config.strategy)
-    if baseline.tokens != result.state.tokens:
-        raise LosslessnessError(
-            f"{config.strategy} output diverged from stepwise output "
-            f"(seed={config.seed}, gen_len={config.gen_len}, "
-            f"block_len={config.block_len}, draft_len={config.draft_len})"
-        )
-    return _ssd_report(config, result, compared=True)
+    reports = []
+    for config in configs:
+        result = ssd_decode(model, state, n=config.draft_len, shape=config.strategy)
+        if baseline.tokens != result.state.tokens:
+            raise LosslessnessError(
+                f"{config.strategy} output diverged from stepwise output "
+                f"(seed={config.seed}, gen_len={config.gen_len}, "
+                f"block_len={config.block_len}, draft_len={config.draft_len})"
+            )
+        reports.append(_ssd_report(config, result, compared=True))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +204,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for strategy in strategies:
         if strategy not in DECODE_SHAPES:
             raise ValueError(f"sweep strategies must be speculative, got {strategy!r}")
+    combos = [merge_config(config, {"strategy": strategy, "draft_len": n})
+              for strategy in strategies for n in draft_lengths]
     lines = [dumps({"kind": "sweep", "version": 1}), dumps({"config": config.to_dict()})]
-    for strategy in strategies:
-        for n in draft_lengths:
-            combo = merge_config(config, {"strategy": strategy, "draft_len": n})
-            result = _result(run_compare(combo))
-            del result["tokens"], result["disclaimer"]
-            lines.append(dumps({"sweep": {"strategy": strategy, "draft_len": n, **result}}))
+    for combo, report in zip(combos, _compare_all(combos)):
+        result = _result(report)
+        del result["tokens"], result["disclaimer"]
+        lines.append(dumps({"sweep": {"strategy": combo.strategy,
+                                      "draft_len": combo.draft_len, **result}}))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

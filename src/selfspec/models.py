@@ -22,11 +22,12 @@ Backends:
   its state up and hashes the rows it is asked for, so a state nobody
   reads costs nothing, not even its building.
 * ``TableModel`` replays logits from an explicit fixture keyed by the exact
-  token sequence, for hand-checkable unit tests.
+  token sequence, for hand-checkable unit tests.  Its readers look their
+  state up too, so a fixture needs only the states a decode reads.
 
-Token ids run from 0 to vocab_size - 1.  The mask id should be chosen
-outside that range (the conventional choice is ``mask_id == vocab_size``)
-so that an argmax over a logit row can never propose the mask itself.
+Token ids run from 0 to vocab_size - 1.  The command line sets ``mask_id ==
+vocab_size`` so no argmax proposes the mask.  A mask id in range is allowed:
+every decoder raises place_token's ValueError at the step stepwise chooses it.
 """
 
 from __future__ import annotations
@@ -103,12 +104,6 @@ def softmax_matrix(mat: np.ndarray) -> np.ndarray:
     np.exp(mat, out=mat)
     mat /= mat.sum(axis=1, keepdims=True)
     return mat
-
-
-def _serve(rows: np.ndarray, positions: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
-    """A copy of the stored rows at positions, in out's first rows or a fresh array."""
-    positions = check_positions(len(rows), positions)
-    return np.take(rows, positions, axis=0, out=None if out is None else out[: len(positions)])
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +272,8 @@ class TableModel(MaskedModel):
     The fingerprint is the exact token tuple; querying a state the table
     does not list raises FixtureMissError, which indicates a broken test
     fixture rather than a runtime condition.  Rows are stored read-only, one
-    full (L, vocab) matrix per state; forward looks each state up, and a
-    read copies out the asked rows.
+    full (L, vocab) matrix per state; forward does no work, and a reader
+    looks its state up only when it reads and copies out the asked rows.
     """
 
     def __init__(self, table: dict[tuple[int, ...], np.ndarray]):
@@ -312,7 +307,15 @@ class TableModel(MaskedModel):
         return self._table[tokens]
 
     def forward(self, states: Sequence[SequenceState]) -> list[partial]:
-        return [partial(_serve, self.rows_for(state.tokens)) for state in _batch(states)]
+        return [partial(self._rows, states, i) for i in range(len(_batch(states)))]
+
+    def _rows(self, states: Sequence[SequenceState], i: int, positions: Sequence[int],
+              out: np.ndarray | None = None) -> np.ndarray:
+        """A copy of the stored rows of states[i], looked up only now, at
+        positions, in out's first rows or a fresh array."""
+        rows = self.rows_for(states[i].tokens)
+        positions = check_positions(len(rows), positions)
+        return np.take(rows, positions, axis=0, out=None if out is None else out[: len(positions)])
 
 
 def dump_table_fixture(table: dict[tuple[int, ...], np.ndarray], path: str) -> None:

@@ -14,7 +14,8 @@ States are value-semantic snapshots: ``place_token`` returns a new state and
 never mutates, so many divergent copies of a base state can be held at once
 (verification trees rely on this).  A state knows its current block's masks:
 ``place_token`` takes them from the parent's, less the placed position, and
-scans the tokens only when that empties the block.
+scans the tokens only when that empties the block.  ``place_token`` is the
+only check of the write-once rule; a verification tree lays out unchecked.
 """
 
 from __future__ import annotations
@@ -126,9 +127,10 @@ def masked_in_blocks(state: SequenceState, count: int) -> np.ndarray:
     return np.array([p for p in range(first, stop) if tokens[p] == mask], dtype=np.intp)
 
 
-def check_write(state: SequenceState, pos: int, tok: int) -> None:
-    """The write-once rule: ValueError when tok is the mask token,
-    IllegalWriteError unless pos is a masked position of state."""
+def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:
+    """New state with tok written at pos, by the write-once rule: ValueError
+    when tok is the mask token, IllegalWriteError unless pos is a masked
+    position of state."""
     if tok == state.mask_id:
         raise ValueError(f"cannot place the mask token {tok}")
     if pos < 0 or pos >= len(state.tokens):
@@ -136,11 +138,6 @@ def check_write(state: SequenceState, pos: int, tok: int) -> None:
     if not state.is_masked(pos):
         region = "prompt" if pos < state.prompt_len else "already-decoded"
         raise IllegalWriteError(f"position {pos} is {region}, not masked")
-
-
-def place_token(state: SequenceState, pos: int, tok: int) -> SequenceState:
-    """New state with tok written at pos, which check_write allows."""
-    check_write(state, pos, tok)
     # Built without __post_init__: unmasking one generation position keeps
     # the length and the prompt, so every invariant it checks still holds,
     # and the masks are the parent's less pos, scanned for only when that

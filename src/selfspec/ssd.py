@@ -41,8 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import MaskedModel, softmax_matrix
-from .sequence import IllegalWriteError, SequenceState, check_write, current_block
-from .sequence import masked_in_blocks, place_token
+from .sequence import SequenceState, current_block, masked_in_blocks, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
 from .stepwise import DecodeTrace, choose_step, decode_remaining
 
@@ -113,14 +112,12 @@ def select_candidates(
     next-block positions by the same rule.  May return fewer than n entries
     when the current and next block together hold fewer masked positions;
     the decode loop treats that as the signal to fall back to stepwise
-    decoding.  The drafts must cover exactly the masked positions
-    draft_masks(state, n).
+    decoding.  The drafts are ranked as given, as the walk places no
+    candidate that is not the stepwise choice.
     """
     if n < 1:
         raise ValueError("candidate count must be >= 1")
     positions = drafts.positions
-    if not np.array_equal(positions, draft_masks(state, n)):
-        raise ValueError("drafts do not cover exactly the masked positions of the drafted blocks")
     if not positions.size:
         return ()
     blocks = (positions - state.prompt_len) // state.block_len
@@ -146,10 +143,11 @@ class VerificationTree(Sequence[SequenceState]):
     """One verify round's batch: tree[i] is node i's state, its parent's
     state with its expectation placed.  Only the root's, base, exists up
     front; any other node's state is built by one placement when something
-    first asks for it, and kept, so a node nobody asks for costs nothing.
-    nodes holds the layout, the root first; a node's index is its batch
-    row.  children maps (parent, position, token) to the index of the
-    parent's child expecting that (position, token)."""
+    first asks for it, and kept, so a node nobody asks for costs nothing,
+    not even place_token's check of its placement.  nodes holds the
+    layout, the root first; a node's index is its batch row.  children
+    maps (parent, position, token) to the index of the parent's child
+    expecting that (position, token)."""
 
     def __init__(self, base: SequenceState, nodes: tuple[TreeNode, ...],
                  children: dict[tuple[int, int, int], int]):
@@ -182,35 +180,14 @@ def build_tree(
     holds candidates 1..d plus candidate d+2's token, skipping d+1.  Node
     order is batch order: the chain 0..N, then the branches by depth; kary
     nodes breadth-first, parents in frontier order, tokens in draft order.
-    Every placement a node's state can need is checked here, once, against
-    base: each candidate position is a masked position of base, no two are
-    equal, and no token is the mask token; a breach raises what place_token
-    would raise for it.
+    Candidates are laid out unchecked: a bad one (a decoded, prompt or
+    repeated position, or the mask token) raises what place_token raises
+    when its node's state is built, which the walk never does.
     """
     if not candidates:
         raise ValueError("cannot build a verification tree from zero candidates")
     if shape not in TREE_SHAPES:
         raise ValueError(f"unknown tree shape {shape!r}")
-
-    if shape == "kary":
-        if k < 1:
-            raise ValueError("kary arity must be >= 1")
-        if drafts.tokens.shape[1] < k:
-            raise ValueError(
-                f"kary tree needs {k} candidate tokens per position, "
-                f"drafts record only {drafts.tokens.shape[1]}"
-            )
-        rows = np.searchsorted(drafts.positions, [pos for pos, _ in candidates])
-        levels = [(pos, drafts.tokens[row, :k].tolist()) for (pos, _), row in zip(candidates, rows)]
-    else:
-        levels = [(pos, (tok,)) for pos, tok in candidates]
-    placed: set[int] = set()
-    for pos, tokens in levels:
-        for tok in tokens:
-            check_write(base, pos, tok)
-        if pos in placed:
-            raise IllegalWriteError(f"position {pos} is already-decoded, not masked")
-        placed.add(pos)
 
     nodes = [TreeNode(parent=None, depth=0, expectation=None)]
     children: dict[tuple[int, int, int], int] = {}
@@ -222,8 +199,17 @@ def build_tree(
         return len(nodes) - 1
 
     if shape == "kary":
+        if k < 1:
+            raise ValueError("kary arity must be >= 1")
+        if drafts.tokens.shape[1] < k:
+            raise ValueError(
+                f"kary tree needs {k} candidate tokens per position, "
+                f"drafts record only {drafts.tokens.shape[1]}"
+            )
+        rows = np.searchsorted(drafts.positions, [pos for pos, _ in candidates])
         frontier = [0]
-        for pos, tokens in levels:
+        for (pos, _), row in zip(candidates, rows):
+            tokens = drafts.tokens[row, :k].tolist()
             frontier = [grow(parent, pos, tok) for parent in frontier for tok in tokens]
     else:
         for d, (pos, tok) in enumerate(candidates):

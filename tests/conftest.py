@@ -113,13 +113,13 @@ class CountingModel(MaskedModel):
 
 def recorded_table(model):
     """The table fixture that replays the decodes run through the
-    CountingModel model: every state of every batch it passed on, once,
-    first seen first, with the full rows of its inner model."""
+    CountingModel model: every state they read, once, first read first,
+    with the full rows of its inner model, and no state they only sent."""
     table = {}
-    for batch in model.batches:
-        for state in batch:
-            if state.tokens not in table:
-                table[state.tokens] = full_logits(model.inner, state)
+    for call, i, _ in model.reads:
+        state = model.batches[call][i]
+        if state.tokens not in table:
+            table[state.tokens] = full_logits(model.inner, state)
     return table
 
 

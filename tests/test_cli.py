@@ -514,6 +514,7 @@ def _run_quietly(argv):
 
 
 def _check_outcome(argv, grid=False, sweep=False):
+    """Run argv and check its outcome by the rule above; return its exit code."""
     code, out, err = _run_quietly(argv)
     if code == 0:
         if grid:
@@ -527,6 +528,7 @@ def _check_outcome(argv, grid=False, sweep=False):
     else:
         assert code == 1 and out == "", (argv, code, out, err)
         assert len(err.splitlines()) == 1, (argv, err)
+    return code
 
 
 def _corrupt(data, obj: dict, odd) -> dict:
@@ -615,21 +617,25 @@ def _corrupt_nested(data, value):
 )
 @settings(max_examples=100, deadline=None)
 def test_fuzz_table_fixture_lines(tmp_path_factory, data, run):
-    """A fixture recorded from a stepwise and a greedy decode with up to two
-    values corrupted: a token, a logit, a row, a field or a whole line."""
+    """A fixture recorded from a stepwise, a greedy and a mix_order decode,
+    the states they read and no other, with up to two values corrupted: a
+    token, a logit, a row, a field or a whole line.  Uncorrupted, it
+    decodes."""
     config = RunConfig(**run)
     model = CountingModel(build_model(config))
     stepwise_decode(model, start_state(config), topk=0)
-    ssd_decode(model, start_state(config), n=config.draft_len, shape="greedy")
+    for shape in ("greedy", "mix_order"):
+        ssd_decode(model, start_state(config), n=config.draft_len, shape=shape)
     path = tmp_path_factory.mktemp("table") / "table.jsonl"
     dump_table_fixture(recorded_table(model), str(path))
     lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    for _ in range(data.draw(st.integers(0, 2), label="corruptions")):
+    corruptions = data.draw(st.integers(0, 2), label="corruptions")
+    for _ in range(corruptions):
         i = data.draw(st.integers(0, len(lines) - 1), label="line")
         lines[i] = _corrupt_nested(data, lines[i])
     path.write_text("\n".join(json.dumps(line) for line in lines) + "\n", encoding="utf-8")
     run = {**run, "backend": "table", "table": str(path)}
-    _check_outcome(["decode", *_argv(run)])
+    assert _check_outcome(["decode", *_argv(run)]) == 0 or corruptions
 
 
 @given(

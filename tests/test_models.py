@@ -659,7 +659,7 @@ def test_table_rejects_ragged_or_non_finite():
 
 
 def test_recording_model_replays_decode(tmp_path):
-    """A table recorded from the batches a stepwise decode sends, and
+    """A table recorded from the states a stepwise decode reads, and
     written as a fixture file, replays that decode."""
     model = CountingModel(synth(seed=3, vocab=10))
     state = all_masked_state(gen_len=6, vocab=10, block_len=3)
@@ -685,10 +685,10 @@ def test_recording_model_replays_decode(tmp_path):
 @settings(max_examples=25, deadline=None)
 def test_a_recorded_table_replays_every_decoder(decoder, seed, vocab, cw, prompt_len, gen_len,
                                                 block_len, n):
-    """A table recorded from the batches of a stepwise, a greedy or a
-    mix_order decode replays that decode on the table backend: the same
-    tokens, and for the speculative decoders the same forward count and
-    rounds."""
+    """A table recorded from the states a stepwise, a greedy or a
+    mix_order decode reads, and no other, replays that decode on the table
+    backend: the same tokens, and for the speculative decoders the same
+    forward count and rounds."""
     prompt = tuple(t % vocab for t in range(prompt_len))
     state = initial_state(prompt=prompt, gen_len=gen_len, mask_id=vocab, block_len=block_len)
     model = CountingModel(synth(seed=seed, vocab=vocab, cw=cw))

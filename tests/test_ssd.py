@@ -38,6 +38,7 @@ from conftest import (
     all_masked_state,
     check_block_order,
     full_logits,
+    recorded_table,
     replay_dual_rounds,
 )
 
@@ -202,8 +203,6 @@ def test_select_spills_into_next_block_only_when_short():
     # no spill when the block suffices: the drafts for n = 2 hold block 0 alone
     full = select_candidates(state, manual_drafts({1: (5, 0.3), 3: (6, 0.4)}), 2)
     assert full == ((3, 6), (1, 5))
-    with pytest.raises(ValueError):
-        select_candidates(state, drafts, 2)
 
 
 @given(
@@ -245,33 +244,6 @@ def test_select_tie_breaks_to_lowest_position():
     drafts = manual_drafts({0: (1, 0.5), 1: (2, 0.5), 2: (3, 0.5), 3: (4, 0.9)})
     cands = select_candidates(state, drafts, 3)
     assert [p for p, _ in cands] == [3, 0, 1]
-
-
-def test_select_requires_draft_coverage():
-    state = all_masked_state(gen_len=4, block_len=4)
-    drafts = manual_drafts({0: (1, 0.5)})
-    with pytest.raises(ValueError):
-        select_candidates(state, drafts, 2)
-
-
-@pytest.mark.parametrize("placed,positions", [
-    ((0, 1, 2), [4, 5, 6, 7]),  # block 1 while block 0 still holds position 3
-    ((0, 2), [1, 2]),  # position 2 is decoded, 3 is missed
-    ((0, 2), [1, 1, 3]),  # a repeat
-    ((0, 2), [3, 1]),  # descending
-    ((0, 2), [1, 5]),  # block 1's 5 for block 0's 3, with two masks enough for n = 2
-])
-def test_select_rejects_drafts_that_are_not_the_drafted_masks(placed, positions):
-    """Each position masked, ascending without repeats, none before the
-    current block or past the drafted blocks, and as many as their masks:
-    drafts that break any one of these, as many as the masks, are refused."""
-    state = all_masked_state(gen_len=8, block_len=4)
-    for pos in placed:
-        state = place_token(state, pos, 1)
-    drafts = Drafts(positions=np.array(positions), tokens=np.ones((len(positions), 1), int),
-                    confidences=np.full(len(positions), 0.5))
-    with pytest.raises(ValueError, match="do not cover"):
-        select_candidates(state, drafts, 2)
 
 
 def test_select_rejects_nonpositive_n():
@@ -400,39 +372,65 @@ def test_kary_requires_enough_candidate_tokens():
         build_tree(state, cands, drafts, "kary", k=3)
 
 
-def placing_error(state, cands):
-    """What placing cands in turn on state raises: the reference build_tree's
-    one check of the candidates must reproduce."""
-    with pytest.raises(Exception) as caught:
+def placing(state, cands):
+    """The state placing cands in turn on state gives, or what it raises."""
+    try:
         for pos, tok in cands:
             state = place_token(state, pos, tok)
-    return caught.value
+    except Exception as exc:
+        return exc
+    return state
 
 
 @pytest.mark.parametrize("shape", ["greedy", "mix_order"])
 @pytest.mark.parametrize("bad", [(3, 1), (1, 1), (4, 2), (5, 16), (10, 1)],
                          ids=["decoded", "prompt", "duplicate", "mask-token", "out-of-range"])
-def test_build_tree_rejects_each_bad_candidate(shape, bad):
+def test_a_bad_candidate_raises_only_when_its_node_is_built(shape, bad):
     """A candidate at a decoded or prompt position, at the position of an
     earlier candidate, holding the mask token or out of range: build_tree
-    raises, before any state is built, the exception placing the candidates
-    in turn raises."""
+    lays the tree out anyway.  Each node's state, tree[i], is what placing
+    the expectations on its path in turn gives, or raises what that raises.
+    The walk never builds the bad node: it accepts exactly stepwise's
+    steps."""
+    model = synth(seed=6)
     state = place_token(all_masked_state(prompt_len=2, gen_len=8, block_len=8), 3, 5)
-    cands = ((4, 1), bad)
-    want = placing_error(state, cands)
-    with pytest.raises(type(want), match=re.escape(str(want))):
-        build_tree(state, cands, manual_drafts({4: (1, 0.9)}), shape)
+    _, trace = stepwise_decode(model, state, topk=0)
+    steps = list(zip(trace.positions.tolist(), trace.tokens.tolist()))
+    cands = ((4, 0), bad)
+    assert steps[0] == cands[0]  # the walk validates the first candidate
+    tree = build_tree(state, cands, manual_drafts({4: (0, 0.9)}), shape)
+    result = batch_verify(model, tree)
+    assert [(pos, tok) for pos, tok, _ in result.accepted] == steps[:2]
+    assert result.state == placing(state, steps[:2])
+    for i, node in enumerate(tree.nodes):
+        path = []
+        while node.parent is not None:
+            path.insert(0, node.expectation)
+            node = tree.nodes[node.parent]
+        want = placing(state, path)
+        if isinstance(want, Exception):
+            with pytest.raises(type(want), match=re.escape(str(want))):
+                tree[i]
+        else:
+            assert tree[i] == want
+    assert isinstance(placing(state, cands), Exception)
 
 
+@pytest.mark.parametrize("backend", ["synthetic", "table"])
 @pytest.mark.parametrize("shape", ["greedy", "mix_order"])
 @pytest.mark.parametrize("seed", range(6))
-def test_a_round_builds_only_the_states_its_walk_visits(shape, seed, monkeypatch):
-    """Building a tree places no token.  On the synthetic backend the walk
-    builds each node it validates, by one placement on its parent's state,
-    and places the leaf's own choice: so a round places exactly the tokens
-    it accepts, in order.  Every node off the path is still unbuilt after
-    the walk, and costs one placement when first asked for."""
+def test_a_round_builds_only_the_states_its_walk_visits(backend, shape, seed, monkeypatch):
+    """Building a tree places no token.  On either backend the walk builds
+    each node it validates, by one placement on its parent's state, and
+    places the leaf's own choice: so a round places exactly the tokens it
+    accepts, in order.  Every node off the path is still unbuilt after the
+    walk, and costs one placement when first asked for.  The table holds
+    only the states the same round read on the synthetic backend."""
     model, state, drafts, cands = drafted_round(gen_len=12, n=4, seed=seed)
+    if backend == "table":
+        counting = CountingModel(model)
+        batch_verify(counting, build_tree(state, cands, drafts, shape))
+        model = TableModel(recorded_table(counting))
     placed = []
 
     def counting_place(state, pos, tok):
@@ -799,6 +797,46 @@ def test_losslessness_property(seed, prompt_len, gen_len, block_len, n, shape):
     expected_batch = n + 1 if shape == "greedy" else max(2 * n, 2)
     assert all(r.accepted <= n + 1 for r in res.rounds)
     assert all(r.batch_size == expected_batch for r in res.rounds)
+
+
+def outcome(decode):
+    """The tokens decode() returns, or the type and message of the
+    ValueError it raises."""
+    try:
+        return decode()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("backend", ["synthetic", "table"])
+@given(
+    seed=st.integers(0, 299),
+    vocab_mask=st.sampled_from([(8, 3), (4, 0)]),
+    prompt_len=st.integers(0, 2),
+    gen_len=st.integers(1, 12),
+    block_len=st.integers(1, 6),
+    n=st.integers(1, 4),
+    shape=st.sampled_from(["greedy", "mix_order"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_an_in_vocabulary_mask_id_fails_where_stepwise_fails(backend, seed, vocab_mask,
+                                                             prompt_len, gen_len, block_len,
+                                                             n, shape):
+    """With a mask id the model can propose, a speculative decode returns
+    stepwise's tokens when stepwise succeeds, and raises stepwise's
+    exception, with its message, when stepwise raises: a draft of the mask
+    token, or of any other token the walk does not accept, is never placed.
+    The table holds only the states the synthetic decode read."""
+    vocab, mask_id = vocab_mask
+    model = synth(seed=seed, vocab=vocab)
+    state = initial_state(prompt=((mask_id + 1) % vocab,) * prompt_len, gen_len=gen_len,
+                          mask_id=mask_id, block_len=block_len)
+    want = outcome(lambda: stepwise_decode(model, state, topk=0)[0].tokens)
+    if backend == "table":
+        counting = CountingModel(model)
+        outcome(lambda: ssd_decode(counting, state, n, shape))
+        model = TableModel(recorded_table(counting))
+    assert outcome(lambda: ssd_decode(model, state, n, shape).state.tokens) == want
 
 
 def fresh_scan_stepwise(model, state):
