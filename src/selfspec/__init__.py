@@ -8,10 +8,8 @@ stepwise decoding.
 """
 
 from .analyzer import (
-    ReductionGrid,
     format_grid,
     kary_tree_size,
-    reduction_grid,
     topk_match_reduction,
     upper_bound,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "FixtureMissError",
     "IllegalWriteError",
     "MaskedModel",
-    "ReductionGrid",
     "Report",
     "RoundStats",
     "RunConfig",
@@ -95,7 +92,6 @@ __all__ = [
     "load_table_fixture",
     "place_token",
     "read_trace",
-    "reduction_grid",
     "render_report",
     "report_from_lines",
     "report_to_lines",

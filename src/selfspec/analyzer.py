@@ -19,8 +19,6 @@ every round and its windows start where the last round stopped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ssd import MAX_DRAFT_LEN
@@ -47,13 +45,6 @@ def _ranks(trace: DecodeTrace, n: int) -> np.ndarray:
     return np.concatenate(ranks)
 
 
-def _check_k(trace: DecodeTrace, k: int) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > trace.topk:
-        raise ValueError(f"k={k} exceeds the trace's recorded top-{trace.topk} candidates")
-
-
 def topk_match_reduction(trace: DecodeTrace, n: int, k: int) -> float:
     """Fraction of steps removable under idealized top-k draft acceptance.
 
@@ -61,7 +52,10 @@ def topk_match_reduction(trace: DecodeTrace, n: int, k: int) -> float:
     is not the first of its window and its token appears among the top-k
     candidates recorded for its position when the window started.
     """
-    _check_k(trace, k)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > trace.topk:
+        raise ValueError(f"k={k} exceeds the trace's recorded top-{trace.topk} candidates")
     return np.count_nonzero(_ranks(trace, n) < k) / len(trace.positions)
 
 
@@ -89,53 +83,25 @@ def kary_tree_size(k: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridRow:
-    draft_len: int
-    reductions: tuple[float, ...]  # one per requested k, ascending k order
-
-
-@dataclass(frozen=True)
-class ReductionGrid:
-    topk_values: tuple[int, ...]
-    rows: tuple[GridRow, ...]
-
-
-def reduction_grid(
-    trace: DecodeTrace,
-    draft_lengths: tuple[int, ...],
-    topk_values: tuple[int, ...],
-) -> ReductionGrid:
-    """Measure reductions for every (draft length, k) pair on one trace,
-    ranking it once per draft length."""
+def format_grid(
+    trace: DecodeTrace, draft_lengths: tuple[int, ...], topk_values: tuple[int, ...]
+) -> str:
+    """Fixed-width text table of topk_match_reduction on one trace: one row
+    per draft length, one column per k, both ascending without repeats, plus
+    the upper-bound column.  Percentages at one decimal."""
     if not draft_lengths or not topk_values:
         raise ValueError("need at least one draft length and one k")
     if not all(1 <= n <= MAX_DRAFT_LEN for n in draft_lengths):
         raise ValueError("draft lengths must be in [1, 2**8]")
-    ks = tuple(sorted(set(topk_values)))
-    # errors come in the order topk_match_reduction over ascending k raises them
-    _check_k(trace, ks[0])
-    rows = []
-    for n in sorted(set(draft_lengths)):
-        ranks = _ranks(trace, n)
-        for k in ks:
-            _check_k(trace, k)
-        reductions = tuple(np.count_nonzero(ranks < k) / len(trace.positions) for k in ks)
-        rows.append(GridRow(draft_len=n, reductions=reductions))
-    return ReductionGrid(topk_values=ks, rows=tuple(rows))
-
-
-def format_grid(grid: ReductionGrid) -> str:
-    """Fixed-width text table: one row per draft length, one column per k,
-    plus the upper-bound column.  Percentages at one decimal."""
 
     def pct(x: float) -> str:
         return f"{100.0 * x:.1f}%"
 
-    headers = ["draft_len"] + [f"top-{k}" for k in grid.topk_values] + ["upper_bound"]
+    ks = sorted(set(topk_values))
+    headers = ["draft_len"] + [f"top-{k}" for k in ks] + ["upper_bound"]
     body = [
-        [str(row.draft_len)] + [pct(r) for r in row.reductions] + [pct(upper_bound(row.draft_len))]
-        for row in grid.rows
+        [str(n)] + [pct(topk_match_reduction(trace, n, k)) for k in ks] + [pct(upper_bound(n))]
+        for n in sorted(set(draft_lengths))
     ]
     widths = [
         max(len(headers[c]), *(len(line[c]) for line in body))

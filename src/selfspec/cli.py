@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .analyzer import format_grid, reduction_grid
+from .analyzer import format_grid
 from .jsonl import dumps
 from .models import FixtureMissError, MaskedModel, SyntheticModel, load_table_fixture
 from .reporting import STRATEGIES, Report, RunConfig, _result, merge_config, render_report
@@ -71,16 +71,11 @@ def run_decode(config: RunConfig, *, trace: bool = False) -> tuple[Report, Decod
     return _ssd_report(config, result), result.trace if trace else None
 
 
-def run_compare(config: RunConfig) -> Report:
-    """Run stepwise and then the configured speculative strategy on the same
-    model and prompt; raise LosslessnessError when outputs differ, otherwise
-    return the speculative report marked as compared."""
-    return _compare_all([config])[0]
-
-
-def _compare_all(configs: list[RunConfig]) -> list[Report]:
-    """run_compare of each config, configs that differ only in strategy and
-    draft length, on one model against one stepwise baseline."""
+def run_compare(configs: list[RunConfig]) -> list[Report]:
+    """Run stepwise and then each config's speculative strategy on one model
+    and prompt, so configs may differ only in strategy and draft length; raise
+    LosslessnessError when an output differs, otherwise return the speculative
+    reports marked as compared."""
     for config in configs:
         config.validate()
         if config.strategy == "stepwise":
@@ -178,8 +173,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    report = run_compare(config)
+    report = run_compare([_config_from_args(args)])[0]
     _emit(render_report(report), args.out)
     return 0
 
@@ -190,8 +184,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(f"analyze needs a stepwise trace, got a {trace.decoder!r} trace")
     draft_lengths = _parse_ints(args.draft_length)
     topk_values = _parse_ints(args.topk)
-    grid = reduction_grid(trace, draft_lengths, topk_values)
-    _emit(format_grid(grid) + "\n", args.out)
+    _emit(format_grid(trace, draft_lengths, topk_values) + "\n", args.out)
     return 0
 
 
@@ -207,7 +200,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     combos = [merge_config(config, {"strategy": strategy, "draft_len": n})
               for strategy in strategies for n in draft_lengths]
     lines = [dumps({"kind": "sweep", "version": 1}), dumps({"config": config.to_dict()})]
-    for combo, report in zip(combos, _compare_all(combos)):
+    for combo, report in zip(combos, run_compare(combos)):
         result = _result(report)
         del result["tokens"], result["disclaimer"]
         lines.append(dumps({"sweep": {"strategy": combo.strategy,

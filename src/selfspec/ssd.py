@@ -79,7 +79,8 @@ def drafts_from_logits(
 ) -> Drafts:
     """Extract top-k drafts for positions, a state's drafted masks in
     ascending order, from a probability matrix whose row i belongs to the
-    ascending position rows[i]; no other position can be a candidate.
+    ascending position rows[i]; no other position can be a candidate.  The
+    rows must hold every drafted position; only one past the last row raises.
 
     The decode loop drafts on its first round from the probabilities of the
     drafting forward on the start state, on every later round from those of
@@ -92,7 +93,7 @@ def drafts_from_logits(
     if positions.size == 0:
         raise ValueError("state has no masked positions to draft for")
     found = np.searchsorted(rows, positions)
-    if found[-1] >= len(rows) or not np.array_equal(rows[found], positions):
+    if found[-1] >= len(rows):
         raise ValueError("probabilities do not cover the drafted blocks")
     if k == 1:  # argmax over every row, so no rows are copied out
         tokens = np.argmax(probs, axis=1)[found, None]  # first max, lowest-id tie-break

@@ -11,7 +11,6 @@ from selfspec import (
     SyntheticModel,
     format_grid,
     kary_tree_size,
-    reduction_grid,
     ssd_decode,
     stepwise_decode,
     topk_match_reduction,
@@ -138,11 +137,15 @@ def test_reductions_equal_the_window_definition(data):
     trace = hand_trace(steps, snapshots, topk)
     draft_lengths = data.draw(st.lists(st.integers(1, 13), min_size=1, max_size=3), label="n")
     ks = data.draw(st.lists(st.integers(1, topk), min_size=1, max_size=3), label="k")
-    grid = reduction_grid(trace, tuple(draft_lengths), tuple(ks))
-    for row in grid.rows:
-        for k, got in zip(grid.topk_values, row.reductions):
-            want = window_reduction(steps, snapshots, row.draft_len, k)
-            assert got == want == topk_match_reduction(trace, row.draft_len, k)
+    rows = [line.split() for line in format_grid(trace, draft_lengths, ks).splitlines()[2:]]
+    assert [row[0] for row in rows] == [str(n) for n in sorted(set(draft_lengths))]
+    for n, *cells, _bound in rows:
+        n = int(n)
+        assert len(cells) == len(set(ks))
+        for cell, k in zip(cells, sorted(set(ks))):
+            want = window_reduction(steps, snapshots, n, k)
+            assert topk_match_reduction(trace, n, k) == want
+            assert cell == f"{100.0 * want:.1f}%"
 
 
 def test_unmatched_steps_save_nothing():
@@ -214,33 +217,42 @@ def test_reduction_validates_arguments():
 # --- grid report -----------------------------------------------------------
 
 
-def test_reduction_grid_rows_and_columns():
+def test_format_grid_rows_and_columns():
     trace = synth_trace(seed=4, gen_len=24, block_len=8, topk=5)
-    grid = reduction_grid(trace, (4, 3, 5), (3, 1, 5))
-    assert grid.topk_values == (1, 3, 5)
-    assert [row.draft_len for row in grid.rows] == [3, 4, 5]
-    for row in grid.rows:
-        assert list(row.reductions) == sorted(row.reductions)
-        assert all(v <= upper_bound(row.draft_len) for v in row.reductions)
+    lines = format_grid(trace, (4, 3, 5, 3), (3, 1, 5, 1)).splitlines()
+    assert lines[0].split() == ["draft_len", "top-1", "top-3", "top-5", "upper_bound"]
+    assert [line.split()[0] for line in lines[2:]] == ["3", "4", "5"]
+    for line in lines[2:]:
+        n, *reductions, bound = line.split()
+        values = [float(r.rstrip("%")) for r in reductions]
+        assert values == sorted(values)
+        assert all(v <= float(bound.rstrip("%")) for v in values)
 
 
 def test_format_grid_shows_upper_bounds():
     trace = synth_trace(seed=4, gen_len=24, block_len=8, topk=5)
-    text = format_grid(reduction_grid(trace, (3, 4, 5), (1, 5)))
+    text = format_grid(trace, (3, 4, 5), (1, 5))
     lines = text.splitlines()
     assert "upper_bound" in lines[0]
     assert "75.0%" in text and "80.0%" in text and "83.3%" in text
 
 
-def test_reduction_grid_rejects_empty_axes():
+def test_format_grid_rejects_bad_axes():
     trace = synth_trace(topk=2)
-    with pytest.raises(ValueError):
-        reduction_grid(trace, (), (1,))
-    with pytest.raises(ValueError):
-        reduction_grid(trace, (3,), ())
+    with pytest.raises(ValueError, match="at least one"):
+        format_grid(trace, (), (1,))
+    with pytest.raises(ValueError, match="at least one"):
+        format_grid(trace, (3,), ())
     # draft lengths are bounded as decode bounds them, so the grid's first
     # column never outgrows its header
     for n in (0, 2**8 + 1, 10**20):
         with pytest.raises(ValueError, match="draft lengths"):
-            reduction_grid(trace, (3, n), (1,))
-    assert format_grid(reduction_grid(trace, (2**8,), (1,))).startswith("draft_len")
+            format_grid(trace, (3, n), (1,))
+        # the draft-length error comes before any k error
+        with pytest.raises(ValueError, match="draft lengths"):
+            format_grid(trace, (3, n), (0, 3))
+    with pytest.raises(ValueError, match="exceeds the trace's recorded top-2"):
+        format_grid(trace, (3,), (1, 3))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        format_grid(trace, (3,), (0, 3))
+    assert format_grid(trace, (2**8,), (1,)).startswith("draft_len")

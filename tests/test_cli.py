@@ -368,7 +368,7 @@ def test_contract_breaking_model_trips_losslessness_error(monkeypatch):
     config = RunConfig(seed=0, vocab_size=8, gen_len=4, block_len=4,
                        draft_len=2, strategy="greedy", topk=1)
     with pytest.raises(LosslessnessError):
-        run_compare(config)
+        run_compare([config])
 
 
 def test_losslessness_violation_exits_two(capsys, monkeypatch):
