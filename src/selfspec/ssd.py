@@ -12,12 +12,12 @@ masks, which every state knows, accepting a candidate exactly when the
 parent node's own stepwise choice matches it; no other node is read or
 built.  The deepest validated node contributes one further token (its own
 stepwise choice), so a draft of length N can yield N+1 tokens per round
-while the output stays token-identical to plain stepwise decoding.  Every
-round drafts from the softmaxed rows at hand, reading its forward for the drafted masks only
-when those rows miss one: the first round reads the drafting forward; each
-later round takes the rows the walk read at the previous leaf, and reads
-that leaf once more only when the drafts run past its current block.  So
-no forward is spent on drafting after the first.
+while the output stays token-identical to plain stepwise decoding.  Each
+round after the first drafts from the walk's choices at the previous leaf
+(each row's argmax token and probability) less its bonus token's row, and
+reads that leaf again only for drafted masks past its block.  So no forward
+is spent on drafting after the first, and no softmaxed matrix outlives its
+round: every read of a decode goes to one buffer.
 
 Tree shapes:
 
@@ -43,7 +43,7 @@ import numpy as np
 from .models import MaskedModel, softmax_matrix
 from .sequence import SequenceState, current_block, masked_in_blocks, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
-from .stepwise import DecodeTrace, choose_step, decode_remaining
+from .stepwise import DecodeTrace, argmax_rows, choose_step, decode_remaining
 
 DECODE_SHAPES = ("greedy", "mix_order")  # the tree shapes ssd_decode runs
 TREE_SHAPES = (*DECODE_SHAPES, "kary")
@@ -75,31 +75,31 @@ def draft_masks(state: SequenceState, n: int) -> np.ndarray:
 
 
 def drafts_from_logits(
-    probs: np.ndarray, k: int = 1, *, positions: np.ndarray, rows: np.ndarray
+    probs: np.ndarray, k: int = 1, *, positions: np.ndarray, rows: np.ndarray | None = None
 ) -> Drafts:
     """Extract top-k drafts for positions, a state's drafted masks in
     ascending order, from a probability matrix whose row i belongs to the
-    ascending position rows[i]; no other position can be a candidate.  The
-    rows must hold every drafted position; only one past the last row raises.
+    ascending position rows[i], or to positions[i] without rows; no other
+    position can be a candidate.  The rows must hold every drafted position;
+    only one past the last row raises.
 
-    The decode loop drafts on its first round from the probabilities of the
-    drafting forward on the start state, on every later round from those of
-    the previous round's leaf, which lacks the leaf's own bonus token and so
+    The decode loop calls this on the drafting forward on the start state,
+    and on a later round only for the drafted masks past the previous leaf's
+    block, read at that leaf, which lacks the leaf's own bonus token and so
     may be slightly stale; staleness only costs acceptance rate because
     every draft is re-verified before use.
     Column 0 and the confidences do not depend on k: the stable sort puts
-    the first maximum first, exactly as argmax picks it.
+    the first maximum first, exactly as argmax_rows picks it.
     """
     if positions.size == 0:
         raise ValueError("state has no masked positions to draft for")
-    found = np.searchsorted(rows, positions)
-    if found[-1] >= len(rows):
-        raise ValueError("probabilities do not cover the drafted blocks")
-    if k == 1:  # argmax over every row, so no rows are copied out
-        tokens = np.argmax(probs, axis=1)[found, None]  # first max, lowest-id tie-break
-    else:
-        tokens = np.argsort(-probs[found], axis=1, kind="stable")[:, :k]
-    confidences = probs[found, tokens[:, 0]]
+    if rows is not None:
+        found = np.searchsorted(rows, positions)
+        if found[-1] >= len(rows):
+            raise ValueError("probabilities do not cover the drafted blocks")
+        probs = probs[found]
+    first, confidences = argmax_rows(probs)
+    tokens = first[:, None] if k == 1 else np.argsort(-probs, axis=1, kind="stable")[:, :k]
     return Drafts(positions=positions, tokens=tokens, confidences=confidences)
 
 
@@ -122,7 +122,8 @@ def select_candidates(
     if not positions.size:
         return ()
     blocks = (positions - state.prompt_len) // state.block_len
-    order = np.lexsort((positions, -drafts.confidences, blocks))[:n]
+    # lexsort is stable and positions ascend, so ties go to the lowest position
+    order = np.lexsort((-drafts.confidences, blocks))[:n]
     return tuple(zip(positions[order].tolist(), drafts.tokens[order, 0].tolist()))
 
 
@@ -144,26 +145,36 @@ class VerificationTree(Sequence[SequenceState]):
     """One verify round's batch: tree[i] is node i's state, its parent's
     state with its expectation placed.  Only the root's, base, exists up
     front; any other node's state is built by one placement when something
-    first asks for it, and kept, so a node nobody asks for costs nothing,
-    not even place_token's check of its placement.  nodes holds the
-    layout, the root first; a node's index is its batch row.  children
-    maps (parent, position, token) to the index of the parent's child
-    expecting that (position, token)."""
+    first asks for it, and kept, so a node nobody asks for costs nothing.
+    The layout is the parallel lists parent, pos and tok, the root first
+    with None in each, a node's index its batch row, the last branches of
+    them mix_order's branch leaves.  children maps (parent, position,
+    token) to the parent's first child expecting that (position, token)."""
 
-    def __init__(self, base: SequenceState, nodes: tuple[TreeNode, ...],
-                 children: dict[tuple[int, int, int], int]):
-        self.base, self.nodes, self.children = base, nodes, children
-        self._states: list[SequenceState | None] = [base] + [None] * (len(nodes) - 1)
+    def __init__(self, base: SequenceState, parent: list, pos: list, tok: list, branches=0):
+        self.base, self.parent, self.pos, self.tok, self.branches = base, parent, pos, tok, branches
+        keys = list(zip(parent, pos, tok))[:0:-1]  # every node but the root, last first
+        self.children = dict(zip(keys, range(len(keys), 0, -1)))
+        self._states: list[SequenceState | None] = [base] + [None] * len(keys)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.parent)
 
     def __getitem__(self, i: int) -> SequenceState:
         state = self._states[i]
         if state is None:
-            parent, _, (pos, tok), _ = self.nodes[i]
-            state = self._states[i] = place_token(self[parent], pos, tok)
+            state = self._states[i] = place_token(self[self.parent[i]], self.pos[i], self.tok[i])
         return state
+
+    @property
+    def nodes(self) -> tuple[TreeNode, ...]:
+        """The layout as one TreeNode per node, derived on each access."""
+        nodes = [TreeNode(None, 0, None)]
+        for i in range(1, len(self)):
+            parent = self.parent[i]
+            nodes.append(TreeNode(parent, nodes[parent].depth + 1, (self.pos[i], self.tok[i]),
+                                  i >= len(self) - self.branches))
+        return tuple(nodes)
 
 
 def build_tree(
@@ -189,40 +200,34 @@ def build_tree(
         raise ValueError("cannot build a verification tree from zero candidates")
     if shape not in TREE_SHAPES:
         raise ValueError(f"unknown tree shape {shape!r}")
-
-    nodes = [TreeNode(parent=None, depth=0, expectation=None)]
-    children: dict[tuple[int, int, int], int] = {}
-
-    def grow(parent: int, pos: int, tok: int, is_branch: bool = False) -> int:
-        """Append the node that places tok at pos on top of parent."""
-        children.setdefault((parent, pos, tok), len(nodes))
-        nodes.append(TreeNode(parent, nodes[parent].depth + 1, (pos, tok), is_branch))
-        return len(nodes) - 1
-
-    if shape == "kary":
-        if k < 1:
-            raise ValueError("kary arity must be >= 1")
-        if drafts.tokens.shape[1] < k:
-            raise ValueError(
-                f"kary tree needs {k} candidate tokens per position, "
-                f"drafts record only {drafts.tokens.shape[1]}"
-            )
-        rows = np.searchsorted(drafts.positions, [pos for pos, _ in candidates])
-        frontier = [0]
-        for (pos, _), row in zip(candidates, rows):
-            tokens = drafts.tokens[row, :k].tolist()
-            frontier = [grow(parent, pos, tok) for parent in frontier for tok in tokens]
-    else:
-        for d, (pos, tok) in enumerate(candidates):
-            grow(d, pos, tok)
-        if shape == "mix_order":
-            # One skip-ahead leaf per chain node that has a grandchild: the
-            # parent at depth d may validate candidate d+2 directly when
-            # stepwise passes over candidate d+1.
-            for d, (pos, tok) in enumerate(candidates[1:]):
-                grow(d, pos, tok, is_branch=True)
-
-    return VerificationTree(base, tuple(nodes), children)
+    positions, tokens = zip(*candidates)
+    n = len(candidates)
+    if shape == "greedy":
+        return VerificationTree(base, [None, *range(n)], [None, *positions], [None, *tokens])
+    if shape == "mix_order":
+        # One skip-ahead leaf per chain node that has a grandchild: the
+        # parent at depth d may validate candidate d+2 directly when
+        # stepwise passes over candidate d+1.
+        return VerificationTree(base, [None, *range(n), *range(n - 1)],
+                                [None, *positions, *positions[1:]],
+                                [None, *tokens, *tokens[1:]], branches=n - 1)
+    if k < 1:
+        raise ValueError("kary arity must be >= 1")
+    if drafts.tokens.shape[1] < k:
+        raise ValueError(
+            f"kary tree needs {k} candidate tokens per position, "
+            f"drafts record only {drafts.tokens.shape[1]}"
+        )
+    parent, pos, tok = [None], [None], [None]
+    frontier = range(1)
+    for p, row in zip(positions, np.searchsorted(drafts.positions, positions)):
+        drafted = drafts.tokens[row, :k].tolist()
+        first = len(parent)
+        parent += [f for f in frontier for _ in drafted]
+        pos += [p] * (len(frontier) * k)
+        tok += drafted * len(frontier)
+        frontier = range(first, len(parent))
+    return VerificationTree(base, parent, pos, tok)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +237,14 @@ def build_tree(
 
 @dataclass(frozen=True)
 class VerifyResult:
-    """Outcome of one verification round."""
+    """Outcome of one verification round: the leaf is the deepest validated
+    node, tree[leaf_index], and leaf_choices its argmax_rows over its current
+    block's masks, the rows the walk read there; the last accepted step is
+    the leaf's own choice, its bonus token, unless the leaf is decoded."""
 
     accepted: tuple[tuple[int, int, float], ...]  # (position, token, confidence)
     state: SequenceState  # the round's next state: the base with accepted placed
-    leaf_probs: np.ndarray  # the softmaxed rows the walk read at the deepest validated node
+    leaf_choices: tuple[np.ndarray, np.ndarray]  # (tokens, confidences), one per leaf mask
     read_leaf: Callable[..., np.ndarray]  # the leaf's row reader
     leaf_index: int
 
@@ -244,9 +252,8 @@ class VerifyResult:
 def batch_verify(model: MaskedModel, tree: VerificationTree,
                  out: np.ndarray | None = None) -> VerifyResult:
     """Send the tree to one batched forward and walk it from the root,
-    reading each node into out (a block's rows), so the leaf's rows are a
-    view of it, or a fresh array.  The leaf's rows belong to its current
-    block's masks, tree[result.leaf_index].masks.
+    reading each node into out (a block's rows), or a fresh array, of which
+    only each row's argmax_rows choice is kept.
 
     At each validated node the stepwise choice is computed from that node's
     own logits; a child whose expectation equals the choice is validated in
@@ -263,17 +270,17 @@ def batch_verify(model: MaskedModel, tree: VerificationTree,
     accepted: list[tuple[int, int, float]] = []
     cur, state = 0, tree.base
     while True:  # state is tree[cur]
-        probs = softmax_matrix(readers[cur](state.masks, out))
+        choices = argmax_rows(softmax_matrix(readers[cur](state.masks, out)))
         if not state.masks.size:  # every position decoded: nothing to choose
             break
-        pos, tok, conf = choose_step(state.masks, probs)
+        pos, tok, conf = choose_step(state.masks, *choices)
         accepted.append((pos, tok, conf))
         matched = tree.children.get((cur, pos, tok))
         if matched is None:
             state = place_token(state, pos, tok)
             break
         cur, state = matched, tree[matched]
-    return VerifyResult(tuple(accepted), state, probs, readers[cur], cur)
+    return VerifyResult(tuple(accepted), state, choices, readers[cur], cur)
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +315,14 @@ def ssd_decode(
 ) -> SsdResult:
     """Decode with self-speculation: one drafting forward, then verify rounds.
 
-    Each round drafts from the current block's masks, which its state
-    knows, and scans the next block only when they number fewer than n.
-    It reads the forward it has for the drafted masks only when the rows at
-    hand miss one: the drafting forward on the first round, else the leaf
-    the walk stopped at, whose current block the walk already read.  Each
-    round costs one batched forward pass and accepts between 1 and n+1
-    tokens.  When fewer than n candidate positions remain in scope the loop
-    falls back to plain stepwise decoding for the remainder.  Reads go to
-    two buffers sized up front by the block, as the fallback may start
-    partway through one: two blocks' rows for drafting, and one block's for
-    the walk and the fallback, so the leaf's rows outlive the next drafting.
+    Each round drafts for the current block's masks, and the next block's
+    too when they number fewer than n: the first from the drafting forward,
+    a later one from the walk's choices at the previous leaf less its bonus
+    token's row, reading the leaf again for the drafted masks past its
+    block alone.  Each round costs one batched forward pass and accepts
+    between 1 and n+1 tokens.  When fewer than n candidate positions remain
+    in scope the loop falls back to plain stepwise decoding.  Every read
+    goes to one buffer of two blocks' rows, sized up front.
     """
     if n < 1:
         raise ValueError("draft length must be >= 1")
@@ -328,33 +332,40 @@ def ssd_decode(
         raise ValueError("state has no masked positions to decode")
 
     start = state
-    draft_out = np.empty((min(2 * state.block_len, state.gen_len), model.vocab_size))
-    walk_out = np.empty((min(state.block_len, state.gen_len), model.vocab_size))
+    out = np.empty((min(2 * state.block_len, state.gen_len), model.vocab_size))
+    drafted = draft_masks(state, n)
     read = model.forward([state])[0]  # the drafting forward
-    rows = np.empty(0, dtype=np.intp)  # the positions of the softmaxed rows at hand: none yet
+    drafts = drafts_from_logits(softmax_matrix(read(drafted, out)), positions=drafted)
     steps: list[tuple[int, int, float]] = []
     rounds: list[RoundStats] = []
     fallback_steps = 0
 
-    while state.masks.size:
-        drafted = draft_masks(state, n)
-        # a leaf's rows cover its whole current block, so they miss a
-        # drafted mask exactly when the drafts run past that block
-        if not rows.size or drafted[-1] > rows[-1]:
-            probs, rows = softmax_matrix(read(drafted, draft_out)), drafted
-        drafts = drafts_from_logits(probs, positions=drafted, rows=rows)
+    while True:
         candidates = select_candidates(state, drafts, n)
         if len(candidates) < n:
-            state, tail, _ = decode_remaining(model, state, topk=0, out=walk_out)
+            state, tail, _ = decode_remaining(model, state, topk=0, out=out)
             steps.extend(tail)
             fallback_steps = len(tail)
             break
         tree = build_tree(state, candidates, drafts, shape)
-        result = batch_verify(model, tree, walk_out)
+        result = batch_verify(model, tree, out)
         steps.extend(result.accepted)
         rounds.append(RoundStats(batch_size=len(tree), accepted=len(result.accepted)))
-        state, read = result.state, result.read_leaf
-        probs, rows = result.leaf_probs, tree[result.leaf_index].masks
+        state = result.state
+        if not state.masks.size:
+            break
+        # the leaf's masks less the bonus token's are the drafted masks up
+        # to the end of the leaf's block; read the leaf for the rest alone
+        drafted = draft_masks(state, n)
+        kept = tree[result.leaf_index].masks != result.accepted[-1][0]
+        tokens, confidences = result.leaf_choices
+        tokens, confidences = tokens[kept], confidences[kept]
+        if len(tokens) < len(drafted):
+            past = drafted[len(tokens):]
+            fresh = drafts_from_logits(softmax_matrix(result.read_leaf(past, out)), positions=past)
+            tokens = np.concatenate((tokens, fresh.tokens[:, 0]))
+            confidences = np.concatenate((confidences, fresh.confidences))
+        drafts = Drafts(positions=drafted, tokens=tokens[:, None], confidences=confidences)
 
     return SsdResult(
         state=state,

@@ -68,17 +68,23 @@ class DecodeTrace:
                    *(np.array(column) for column in zip(*steps)), *snapshot)
 
 
-def choose_step(positions: np.ndarray, probs: np.ndarray) -> tuple[int, int, float]:
-    """The stepwise choice among ascending positions, one probability row
-    each: (position, token, confidence).
+def argmax_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each probability row's first maximum, as two (rows,) arrays: its token,
+    the lowest id among ties, and its probability, which is the row's max."""
+    tokens = probs.argmax(axis=1)
+    return tokens, probs[np.arange(len(probs)), tokens]
+
+
+def choose_step(positions: np.ndarray, tokens: np.ndarray,
+                confidences: np.ndarray) -> tuple[int, int, float]:
+    """The stepwise choice among ascending positions, given each one's
+    argmax_rows token and confidence: (position, token, confidence).
 
     Highest max-softmax confidence wins, ties to the lowest position, then
     lowest token id.
     """
-    confs = probs.max(axis=1)
-    row = int(np.argmax(confs))  # first max -> lowest position
-    tok = int(np.argmax(probs[row]))  # first max -> lowest token id
-    return int(positions[row]), tok, float(confs[row])
+    row = int(confidences.argmax())  # first max -> lowest position
+    return int(positions[row]), int(tokens[row]), float(confidences[row])
 
 
 def candidate_snapshot(probs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +137,7 @@ def decode_remaining(
         if snapshot is not None:
             rows = snapshot_rows(len(steps), total)
             snapshot[0][rows], snapshot[1][rows] = candidate_snapshot(probs, topk)
-        pos, tok, conf = choose_step(positions, probs[: len(positions)])
+        pos, tok, conf = choose_step(positions, *argmax_rows(probs[: len(positions)]))
         state = place_token(state, pos, tok)
         steps.append((pos, tok, conf))
         asked = asked[asked != pos] if topk > 0 else state.masks

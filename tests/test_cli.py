@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -440,6 +441,36 @@ def test_trace_and_analyze_bytes_match_golden_files(capsys, tmp_path):
                                      "--draft-length", "1,3,4", "--topk", "1,2,3"])
     assert code == 0
     assert out == (golden / "analyze_stepwise.txt").read_text(encoding="utf-8")
+
+
+# (seed, vocab, context window, prompt length, gen, block, draft length, topk):
+# the benchmark workloads' shapes, from a fallback at block 2 to block 32
+DIGEST_CONFIGS = (
+    (11, 64, 2, 16, 160, 32, 4, 5),
+    (12, 4096, 2, 4, 32, 8, 3, 5),
+    (13, 32, 4, 0, 40, 2, 5, 0),
+    (14, 32, 0, 3, 48, 4, 2, 5),
+    (15, 64, 4, 0, 96, 16, 3, 0),
+    (16, 64, 2, 9, 72, 8, 5, 5),
+    (17, 32, 2, 5, 48, 2, 2, 0),
+)
+DECODES_DIGEST = "de530449153f0a21ce75695822f25935251aa83135cf4f916482ecc289537b92"
+
+
+def test_reports_and_traces_match_the_committed_digest():
+    """One sha256 over the report and the trace=True trace of every strategy
+    on a seeded set of configs equals the committed digest, so a change that
+    moves a token, a forward, a round or a confidence anywhere shows here."""
+    digest = hashlib.sha256()
+    for seed, vocab, cw, prompt, gen, block, n, topk in DIGEST_CONFIGS:
+        for strategy in ("stepwise", "greedy", "mix_order"):
+            config = RunConfig(seed=seed, vocab_size=vocab, context_window=cw,
+                               prompt=tuple(range(prompt)), gen_len=gen, block_len=block,
+                               draft_len=n, strategy=strategy, topk=topk)
+            report, trace = run_decode(config, trace=True)
+            digest.update(render_report(report).encode())
+            digest.update("\n".join(trace_to_lines(trace)).encode())
+    assert digest.hexdigest() == DECODES_DIGEST
 
 
 def test_run_decode_matches_cli_output(capsys):

@@ -31,8 +31,9 @@ from selfspec.sequence import masked_in_blocks
 import selfspec.ssd as ssd_mod
 import selfspec.stepwise as stepwise_mod
 from selfspec.ssd import MAX_DRAFT_LEN, draft_masks
-from selfspec.stepwise import choose_step
+from selfspec.stepwise import argmax_rows, choose_step
 
+from test_acceptance import FlooredModel
 from conftest import (
     CountingModel,
     all_masked_state,
@@ -227,7 +228,7 @@ def test_top_candidate_is_the_stepwise_choice(data, prompt_len, gen_len, block_l
     drafts = drafts_from_logits(probs, positions=draft_masks(state, 1), rows=np.arange(len(probs)))
     top = select_candidates(state, drafts, 1)[0]
     positions = masked_in_blocks(state, 1)
-    assert top == choose_step(positions, probs[positions])[:2]
+    assert top == choose_step(positions, *argmax_rows(probs[positions]))[:2]
 
 
 def test_select_returns_short_list_when_scope_exhausted():
@@ -493,12 +494,12 @@ def test_full_match_accepts_n_plus_one():
     assert result.leaf_index == 3
 
 
-def test_refresh_reads_the_leafs_next_but_one_block():
-    """block_len 1 and n = 2: round 1 validates its whole chain, the bonus
-    token completes the leaf's block, and one mask is short of n, so round
-    2 drafts for the masks of the leaf's next and next-but-one block, which
-    the walk did not read; the loop reads the leaf once more for exactly
-    those masks and drafts as from the leaf's full rows."""
+def test_refresh_reads_only_the_drafted_masks_past_the_leafs_block():
+    """block_len 2 and n = 2, context-free: round 1 validates its whole
+    chain, which fills block 0, and the leaf's bonus token leaves one mask
+    of block 1, short of n, so round 2 drafts for that mask and block 2's.
+    The walk read the leaf for block 1, so the loop reads the leaf once more
+    for block 2's masks alone, and drafts as from the leaf's full rows."""
     model = CountingModel(synth(seed=1, cw=0))
     selected = []
 
@@ -507,20 +508,23 @@ def test_refresh_reads_the_leafs_next_but_one_block():
         return select_candidates(state, drafts, n)
 
     with mock.patch.object(ssd_mod, "select_candidates", recording_select):
-        res = ssd_decode(model, all_masked_state(gen_len=8, block_len=1), n=2)
+        res = ssd_decode(model, all_masked_state(gen_len=8, block_len=2), n=2)
     assert res.rounds[0].accepted == 3
-    assert [(i, pos) for call, i, pos in model.reads if call == 1] == [
-        (0, [0]), (1, [1]), (2, [2]), (2, [3, 4])
-    ]
     state, refreshed = selected[1]
-    assert np.array_equal(refreshed.positions, [3, 4])
+    left = masked_in_blocks(state, 1).tolist()
+    assert len(left) == 1
+    assert [(i, pos) for call, i, pos in model.reads if call == 1] == [
+        (0, [0, 1]), (1, [1 - int(res.trace.positions[0])]), (2, [2, 3]), (2, [4, 5])
+    ]
+    assert refreshed.positions.tolist() == left + [4, 5]
     leaf_rows = softmax_matrix(full_logits(synth(seed=1, cw=0), model.batches[1][2]))
     stale = drafts_from_logits(leaf_rows, positions=draft_masks(state, 2),
                                rows=np.arange(len(state.tokens)))
-    assert np.array_equal(refreshed.tokens, stale.tokens)
-    assert np.array_equal(refreshed.confidences, stale.confidences)
+    assert refreshed.tokens.tobytes() == stale.tokens.tobytes()
+    assert refreshed.confidences.tobytes() == stale.confidences.tobytes()
     with pytest.raises(ValueError, match="do not cover"):
-        drafts_from_logits(leaf_rows[[2]], positions=draft_masks(state, 2), rows=np.array([2]))
+        drafts_from_logits(leaf_rows[[2, 3]], positions=draft_masks(state, 2),
+                           rows=np.array([2, 3]))
 
 
 def test_walk_reads_each_node_for_its_current_block_alone():
@@ -565,7 +569,8 @@ def test_fully_decoded_node_asks_for_no_rows():
         assert np.array_equal(beside[1]([2, 3]), full_logits(backend, state)[2:]), name
     assert result.leaf_index == 2 and len(result.accepted) == 2
     assert result.state is decoded  # the decoded leaf chooses no bonus token
-    assert result.leaf_probs.shape == (0, 16) and tree[result.leaf_index].masks.size == 0
+    assert [column.shape for column in result.leaf_choices] == [(0,), (0,)]
+    assert tree[result.leaf_index].masks.size == 0
 
 
 def test_root_mismatch_accepts_exactly_one():
@@ -723,38 +728,70 @@ def test_a_decode_allocates_no_vocabulary_wide_row_after_its_first_round(monkeyp
     assert len(growths) >= 10 and max(growths) < vocab * 8, growths
 
 
-@pytest.mark.parametrize("shape", ["greedy", "mix_order"])
-def test_a_rounds_leaf_rows_survive_the_next_drafting(monkeypatch, shape):
-    """The leaf rows a round hands back are the leaf's own softmaxed rows,
-    read into a buffer of the decode, and keep their values through the
-    next round's drafting, both when it drafts from them and when it
-    re-reads the leaf for the next block."""
-    model = synth(seed=2, vocab=64)
-    state = all_masked_state(prompt_len=1, gen_len=48, vocab=64, block_len=6)
-    handed = []  # (result, a copy of its leaf rows) of every round
-    reread = []  # per later round, whether its drafting re-read the previous leaf
+def leaf_drafting(model, start, n, shape):
+    """Decode start, checking that every round after the first drafts, for
+    the masks a fresh scan of its state drafts, exactly the drafts that
+    drafts_from_logits takes from the previous leaf's rows for those masks,
+    read afresh and softmaxed; returns, per such round, whether its drafts
+    ran past the leaf's block, so that the loop read the leaf again."""
+    verified, selected = [], []
 
     def recording_verify(model, tree, out):
-        result = batch_verify(model, tree, out)
-        assert np.shares_memory(result.leaf_probs, out)
-        leaf_masks = tree[result.leaf_index].masks
-        fresh = softmax_matrix(result.read_leaf(leaf_masks))
-        assert result.leaf_probs.tobytes() == fresh.tobytes()
-        handed.append((result, fresh, leaf_masks))
-        return result
+        verified.append((tree, batch_verify(model, tree, out)))
+        return verified[-1][1]
 
-    def checking_select(state, drafts, n):
-        if handed:
-            result, rows, leaf_masks = handed[-1]
-            assert result.leaf_probs.tobytes() == rows.tobytes()
-            reread.append(bool(drafts.positions[-1] > leaf_masks[-1]))
+    def recording_select(state, drafts, n):
+        selected.append((state, drafts))
         return select_candidates(state, drafts, n)
 
-    monkeypatch.setattr(ssd_mod, "batch_verify", recording_verify)
-    monkeypatch.setattr(ssd_mod, "select_candidates", checking_select)
-    res = ssd_decode(model, state, n=4, shape=shape)
-    assert res.state.tokens == stepwise_decode(model, state, topk=0)[0].tokens
-    assert True in reread and False in reread
+    with mock.patch.object(ssd_mod, "batch_verify", recording_verify), \
+            mock.patch.object(ssd_mod, "select_candidates", recording_select):
+        res = ssd_decode(model, start, n=n, shape=shape)
+    assert res.state.tokens == stepwise_decode(model, start, topk=0)[0].tokens
+    past = []
+    for (tree, result), (state, drafts) in zip(verified, selected[1:]):
+        assert state == result.state
+        masks = np.array(scanned_draft(state, n))
+        fresh = drafts_from_logits(softmax_matrix(result.read_leaf(masks)),
+                                   positions=masks, rows=masks)
+        assert drafts.positions.tolist() == masks.tolist()
+        assert drafts.tokens.tobytes() == fresh.tokens.tobytes()
+        assert drafts.confidences.tobytes() == fresh.confidences.tobytes()
+        past.append(bool(masks[-1] > tree[result.leaf_index].masks[-1]))
+    assert len(verified) == len(res.rounds)
+    return past
+
+
+@given(
+    seed=st.integers(0, 40),
+    prompt_len=st.integers(0, 3),
+    gen_len=st.integers(1, 40),
+    block_len=st.integers(1, 8),
+    n=st.integers(1, 5),
+    floored=st.booleans(),
+    shape=st.sampled_from(["greedy", "mix_order"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_drafts_taken_from_the_leaf_are_its_fresh_drafts(seed, prompt_len, gen_len, block_len,
+                                                         n, floored, shape):
+    """The walk's choices at a leaf, less its bonus token's row, and joined
+    with a read of the masks past its block, are the drafts of the leaf's
+    fresh softmaxed rows, bit for bit, on tie-heavy floored logits too."""
+    model = synth(seed=seed, vocab=8, sharpness=3.0 if floored else 6.0)
+    if floored:
+        model = FlooredModel(model)
+    start = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, vocab=8, block_len=block_len)
+    leaf_drafting(model, start, n, shape)
+
+
+@pytest.mark.parametrize("shape", ["greedy", "mix_order"])
+def test_later_rounds_draft_from_the_leaf_with_and_without_a_reread(shape):
+    """One decode in which later rounds draft from the leaf's choices alone
+    and with a read of the masks past its block, both by the same law."""
+    model = synth(seed=2, vocab=64)
+    state = all_masked_state(prompt_len=1, gen_len=48, vocab=64, block_len=6)
+    past = leaf_drafting(model, state, 4, shape)
+    assert True in past and False in past
 
 
 def test_ssd_rejects_bad_arguments():
@@ -844,7 +881,7 @@ def fresh_scan_stepwise(model, state):
     every step: the reference the carried masks must reproduce."""
     while (positions := masked_in_blocks(state, 1)).size:
         probs = softmax_matrix(model.forward([state])[0](positions))
-        pos, tok, _ = choose_step(positions, probs)
+        pos, tok, _ = choose_step(positions, *argmax_rows(probs))
         state = place_token(state, pos, tok)
     return state
 
@@ -928,11 +965,11 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
     path from the root to its leaf once each, in walk order, for exactly
     their current block's masks, and no other node; then it reads the leaf
     at most once more, only when the drafted masks pass the leaf's current
-    block, and then for exactly those masks.  Each stepwise fallback step
-    reads its current block's masks, and a stepwise step that snapshots
-    reads every mask.  Calls and batch sizes still add up to the forward
-    count and the round sizes.  Each round's next state is its base with
-    the accepted tokens placed in order, with its current block's masks,
+    block, and then for exactly the drafted masks past it.  Each stepwise
+    fallback step reads its current block's masks, and a stepwise step that
+    snapshots reads every mask.  Calls and batch sizes still add up to the
+    forward count and the round sizes.  Each round's next state is its base
+    with the accepted tokens placed in order, with its current block's masks,
     yet no token is placed before the walk, the walk places exactly the
     tokens it accepts, and the whole decode places gen_len tokens, as
     stepwise does.  Every round drafts the masks a fresh scan of its state
@@ -995,11 +1032,11 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
         assert result.state.masks.tolist() == masked_in_blocks(state, 1).tolist()
         leaf = tree[result.leaf_index]
         if all_masks(state):
-            masks = scanned_draft(state, n)
-            block = [(p - leaf.prompt_len) // leaf.block_len
-                     for p in (masks[-1], masked_in_blocks(leaf, 1)[0])]
-            if block[0] > block[1]:
-                walk.append((result.leaf_index, masks))
+            leaf_block = (masked_in_blocks(leaf, 1)[0] - leaf.prompt_len) // leaf.block_len
+            past = [p for p in scanned_draft(state, n)
+                    if (p - leaf.prompt_len) // leaf.block_len > leaf_block]
+            if past:
+                walk.append((result.leaf_index, past))
         assert reads[call] == walk
     assert len(placed) - walked == res.fallback_steps
 

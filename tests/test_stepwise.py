@@ -24,7 +24,7 @@ from selfspec import (
 
 from selfspec.jsonl import dumps
 import selfspec.stepwise as stepwise_mod
-from selfspec.stepwise import candidate_snapshot, snapshot_rows
+from selfspec.stepwise import argmax_rows, candidate_snapshot, choose_step, snapshot_rows
 
 from conftest import (CountingModel, ForwardFails, address_space_capped, all_masked_state,
                       check_block_order, full_logits)
@@ -178,6 +178,33 @@ def test_snapshot_k_clamped_to_vocab():
     assert candidate_snapshot(flat, 3)[0].tolist() == [[0, 1, 2]]
     saturated = softmax_matrix(np.array([[0.0] * 63 + [1000.0]]))
     assert candidate_snapshot(saturated, 3)[0].tolist() == [[63, 0, 1]]
+
+
+@given(data=st.data(), rows=st.integers(1, 8), vocab=st.integers(1, 6),
+       softmaxed=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_choice_from_argmax_rows_is_the_max_then_argmax_rule(data, rows, vocab, softmaxed):
+    """On tie-heavy matrices (small-integer floats, repeated rows, ties at a
+    row's maximum and between rows), argmax_rows gives each row's first
+    maximum and exactly the row's max, and choose_step on them equals the
+    rule over the whole matrix bit for bit: the row of the first maximum of
+    the row maxima, then that row's first maximum."""
+    values = st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=vocab, max_size=vocab)
+    distinct = data.draw(st.lists(values, min_size=1, max_size=rows))
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=rows, max_size=rows))
+    probs = np.array([distinct[i] for i in picks])
+    if softmaxed:
+        probs = softmax_matrix(probs)
+    positions = np.array(sorted(data.draw(st.sets(st.integers(0, 99), min_size=rows,
+                                                  max_size=rows))))
+    tokens, confidences = argmax_rows(probs)
+    assert tokens.tolist() == [int(np.argmax(row)) for row in probs]
+    assert confidences.tobytes() == probs.max(axis=1).tobytes()
+    confs = probs.max(axis=1)
+    row = int(np.argmax(confs))
+    want = (int(positions[row]), int(np.argmax(probs[row])), float(confs[row]))
+    got = choose_step(positions, tokens, confidences)
+    assert got == want and np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
 
 
 def test_chosen_token_heads_its_own_snapshot():
