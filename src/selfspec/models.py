@@ -56,8 +56,9 @@ class MaskedModel(ABC):
     bit-identical logits), per-sequence independent (a reader's rows do not
     depend on the other states of its batch), position-exact (row i of a
     read of ``positions`` equals row ``positions[i]`` of a read of
-    ``range(L)``, bit for bit), and immutable after construction so
-    concurrent forward calls and reads are safe.
+    ``range(L)``, bit for bit), and fixed in behaviour at construction.  The
+    only state a read may write is a read-only table that it replaces whole,
+    so concurrent forward calls and reads are safe.
     """
 
     @property
@@ -186,13 +187,17 @@ class SyntheticModel(MaskedModel):
     by construction.  A read hashes straight into its out rows, a bounded
     number of cells at a time, in a uint64 scratch that each thread keeps
     for its later reads; so concurrent reads share no scratch, and reads
-    into a caller's buffer allocate no (rows, V) array.
+    into a caller's buffer allocate no (rows, V) array.  Row seeds come from
+    a read-only table that a read of a longer state replaces whole, and pair
+    terms, when all (V, 2 * cw) fit one chunk and a strip's non-mask tokens
+    lie in [0, V), from a read-only table built with the model.
     """
 
     def __init__(self, config: SynthModelConfig):
         self._config = config
         # (i + 1) * G + seed * G + 0x9E as one multiply-add of i
         self._seed_base = np.uint64((config.seed * _GOLDEN + 0x9E + _GOLDEN) & _MASK64)
+        self._row_seeds = np.empty(0, dtype=np.uint64)  # grown by _seeds_for
         self._cols = np.arange(1, config.vocab_size + 1, dtype=np.uint64) * np.uint64(_PAIR_C)
         self._cols.setflags(write=False)
         offsets = [d for d in range(-config.context_window, config.context_window + 1) if d]
@@ -200,6 +205,13 @@ class SyntheticModel(MaskedModel):
         # a pair's key (t + 1) * G + d * C, as t * G plus the offset's G + d * C
         keys = [(_GOLDEN + d * _PAIR_C) & _MASK64 for d in offsets]
         self._offset_keys = np.array(keys, dtype=np.uint64)
+        # each in-range token's pair terms mix(key), row t at t * 2cw of a flat
+        # table, when they fit one chunk's cells
+        self._pairs, self._pair_cols = None, np.arange(len(offsets), dtype=np.intp)
+        if 0 < config.vocab_size * len(offsets) <= _CHUNK_CELLS:
+            pairs = np.arange(config.vocab_size, dtype=np.uint64)[:, None] * _UG + self._offset_keys
+            self._pairs = _mix64(pairs, np.empty_like(pairs)).ravel()
+            self._pairs.setflags(write=False)
         scale = 2.0**-53 * config.sharpness  # when normal, exact: one product equals the two
         self._scales = (scale,) if scale >= 2.0**-1022 else (2.0**-53, config.sharpness)
 
@@ -217,11 +229,7 @@ class SyntheticModel(MaskedModel):
         state = states[i]
         positions = check_positions(len(state.tokens), positions)
         n, cw = len(positions), self._config.context_window
-        seeds = positions.astype(np.uint64)  # a copy: positions may be the caller's array
-        seeds *= _UG
-        seeds += self._seed_base
-        scratch = np.empty_like(seeds)
-        _mix64(seeds, scratch)
+        seeds = self._seeds_for(len(state.tokens))[positions]  # a fresh array
         if cw and n:
             # Commutative accumulation over in-window (offset, token) pairs.  The
             # strip holds the covering range, from the first to the last position,
@@ -232,18 +240,37 @@ class SyntheticModel(MaskedModel):
             tokens = np.full(stop - first, state.mask_id, dtype=np.int64)
             tokens[lo - first : hi - first] = state.tokens[lo:hi]
             nonmask = tokens != state.mask_id
-            key = tokens.view(np.uint64)  # t * G in place, once the mask test is done
-            key *= _UG
+            pairs = self._pairs
+            if pairs is not None:
+                tokens *= nonmask  # a mask reads row 0, which the reduce skips
+                if tokens.view(np.uint64).max() >= self.vocab_size:  # negatives wrap high
+                    pairs = None  # a token outside [0, V) is hashed
+            key = tokens.view(np.uint64)  # in place, once the mask test is done:
+            key *= _UG if pairs is None else np.uint64(2 * cw)  # t * G, or t's table row
             step = max(1, _CHUNK_CELLS // (2 * cw))
             for a in range(0, n, step):
                 neigh = positions[a : a + step, None] - first + self._offsets  # strip indices
                 terms = key[neigh]
-                terms += self._offset_keys
-                _mix64(terms, _cells(*neigh.shape))
+                if pairs is None:
+                    terms += self._offset_keys
+                    _mix64(terms, _cells(*neigh.shape))
+                else:
+                    terms = pairs[terms.view(np.intp) + self._pair_cols]
                 seeds[a : a + step] ^= np.add.reduce(terms, axis=1, where=nonmask[neigh])
         logits = np.empty((n, self.vocab_size)) if out is None else out[:n]
-        self._hash_rows(_mix64(seeds, scratch), logits)
+        self._hash_rows(_mix64(seeds, np.empty_like(seeds)), logits)
         return logits
+
+    def _seeds_for(self, length: int) -> np.ndarray:
+        """Read-only row seeds of at least the positions below length.  A read
+        of a longer state publishes a new, complete table, so concurrent reads
+        keep whole ones; a race lost to a shorter table costs only a rebuild."""
+        table = self._row_seeds
+        if len(table) < length:
+            table = np.arange(length, dtype=np.uint64) * _UG + self._seed_base
+            _mix64(table, np.empty_like(table)).setflags(write=False)
+            self._row_seeds = table
+        return table
 
     def _hash_rows(self, seeds: np.ndarray, logits: np.ndarray) -> None:
         """Write the logits of the given row seeds into the (len(seeds), V)

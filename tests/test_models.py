@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import resource
 import sys
 import threading
 import tracemalloc
@@ -36,7 +37,8 @@ from selfspec import models
 from selfspec.ssd import draft_masks
 from selfspec.stepwise import candidate_snapshot
 
-from conftest import CountingModel, all_masked_state, full_logits, recorded_table
+from conftest import (CountingModel, address_space_capped, all_masked_state, full_logits,
+                      recorded_table)
 
 
 # --- top-1 prediction rule --------------------------------------------------
@@ -355,28 +357,48 @@ def reference_logits(config, state, rows):
     return np.array(out)
 
 
+# tokens a state may hold beside its mask and the vocabulary: a strip holding
+# one as a non-mask token is hashed, never gathered from the pair table
+WILD_TOKENS = (-1, -7, 2**20 + 1, 2**62, 2**63 - 1, -(2**63), -(2**63) + 1)
+
+
+@st.composite
+def vocab_and_window(draw):
+    """A (V, cw) pair: a narrow vocabulary, one whose rows each take their own
+    hash chunk, or one just inside or just past the pair table's cap of
+    V * 2 * cw cells."""
+    cw = draw(st.integers(0, 4))
+    cap = [models._CHUNK_CELLS // (2 * cw) + k for k in (0, 1)] if cw else []
+    return draw(st.sampled_from([*range(2, 10), models._CHUNK_CELLS // 2 + 3, *cap])), cw
+
+
 @given(
     seed=st.integers(0, 2**40),
-    vocab=st.one_of(st.integers(2, 9), st.just(models._CHUNK_CELLS // 2 + 3)),
-    cw=st.integers(0, 4),
+    window=vocab_and_window(),
     sharpness=st.sampled_from([6.0, 0.5, 12.0, 1e300, 1e-300, 5e-324]),
     data=st.data(),
 )
-@settings(max_examples=60, deadline=None)
-def test_synthetic_forward_is_the_documented_hash_cell_for_cell(seed, vocab, cw, sharpness, data):
-    """A batch of states with different mask ids and position sets, empty,
-    gapped or nearer an edge than the context window, gives, bit for bit,
-    the scalar reference; tiny sharpness pins the order of the two scale
-    multiplies, and the wide vocabulary hashes a read of a few rows in
-    several _CHUNK_CELLS chunks."""
+@settings(max_examples=80, deadline=None)
+def test_synthetic_forward_is_the_documented_hash_cell_for_cell(seed, window, sharpness, data):
+    """A batch of states with different mask ids, in or past the vocabulary,
+    and position sets, empty, gapped or nearer an edge than the context
+    window, gives, bit for bit, the scalar reference; the tokens include
+    negative ones, ones past the vocabulary and ones at the int64 limits;
+    tiny sharpness pins the order of the two scale multiplies, and the wide
+    vocabularies, on both sides of the pair table's cap, hash a read of a
+    few rows in several _CHUNK_CELLS chunks."""
+    vocab, cw = window
     config = SynthModelConfig(seed=seed, vocab_size=vocab, sharpness=sharpness,
                               context_window=cw)
     batch = []
-    wide = vocab > models._CHUNK_CELLS // 2  # one state, two or three rows, a chunk each
+    wide = vocab > 9  # one state, two or three rows, a chunk each
     for _ in range(data.draw(st.integers(1, 1 if wide else 4))):
-        mask_id = vocab + data.draw(st.integers(0, 3))
-        prompt = data.draw(st.lists(st.integers(0, vocab - 1), max_size=2))
-        gen = data.draw(st.lists(st.sampled_from([mask_id, *range(vocab)]), min_size=1, max_size=8))
+        mask_id = data.draw(st.one_of(st.integers(0, vocab - 1), st.integers(vocab, vocab + 3)))
+        tokens = st.sampled_from([mask_id, *range(min(vocab, 9))])
+        if data.draw(st.booleans()):
+            tokens |= st.sampled_from(WILD_TOKENS)
+        prompt = data.draw(st.lists(tokens.filter(lambda t: t != mask_id), max_size=2))
+        gen = data.draw(st.lists(tokens, min_size=1, max_size=8))
         state = SequenceState(tokens=tuple(prompt + gen), prompt_len=len(prompt),
                               gen_len=len(gen), mask_id=mask_id, block_len=3)
         rows = (min(2, len(state.tokens)), 3) if wide else (0, None)
@@ -446,22 +468,109 @@ def test_concurrent_reads_into_own_buffers_are_the_single_threaded_reads():
     assert results == [[True] * 30] * threads
 
 
-def test_wide_context_window_is_hashed_in_bounded_chunks(monkeypatch):
+def test_concurrent_reads_of_growing_states_are_the_single_threaded_reads():
+    """Four threads read states of eight ascending lengths through one fresh
+    model, two at a time in step and two a length ahead, so reads of longer
+    states replace the row-seed table while other threads read from the one
+    they took: every read is the single-threaded read of a second model, bit
+    for bit, on the pair-table path and on the hash path."""
+    threads, lengths = 4, (5, 60, 500, 3000, 12000, 30000, 70000, 2**17)
+    for vocab, cw, models_read in ((64, 2, 20), (2**14, 3, 2)):
+        config = SynthModelConfig(seed=vocab, vocab_size=vocab, context_window=cw)
+        states = [SequenceState(tokens=tuple(vocab if p % 3 else p * 5 % vocab for p in range(n)),
+                                prompt_len=0, gen_len=n, mask_id=vocab, block_len=4)
+                  for n in lengths]
+        sets = [list(range(max(0, n - 24), n, 2)) for n in lengths]  # the table's last rows
+        reference = SyntheticModel(config)
+        want = [full_read(reference, state, positions).tobytes()
+                for state, positions in zip(states, sets)]
+        for _ in range(models_read):
+            readers = SyntheticModel(config).forward(states)
+            barrier = threading.Barrier(threads)
+
+            def work(k):
+                barrier.wait(timeout=60)
+                return [readers[i % 8](sets[i % 8]).tobytes() == want[i % 8]
+                        for i in range(k, k + 16)]
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(threads) as pool:
+                    futures = [pool.submit(work, k // 2) for k in range(threads)]
+                    results = [f.result(timeout=60) for f in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            assert results == [[True] * 16] * threads
+
+
+def test_a_read_at_the_widest_config_builds_no_pair_table():
+    """At vocab_size 2**20 and context_window 2**10, the bounds of the
+    config, a (V, 2 * cw) pair table would take 16 GiB: building the model
+    allocates only its V column keys, and a read of two rows near placed
+    tokens allocates its rows, on its thread's first read also its hash
+    scratch (one V-wide row, after one chunk), and beside them less than
+    256 KiB.  The process may map
+    only 1 GiB more meanwhile, so a table fails fast with MemoryError."""
+    vocab, cw, slack = 2**20, 2**10, 2**18
+    state = all_masked_state(prompt_len=2, gen_len=3000, vocab=vocab)
+    for pos in (900, 1000, 1100):
+        state = place_token(state, pos, pos)
+    with open("/proc/self/statm") as statm:  # the address space in use, in pages
+        in_use = int(statm.read().split()[0]) * resource.getpagesize()
+    tracemalloc.start()
+    try:
+        with address_space_capped(in_use + 2**30):
+            model = synth(vocab=vocab, cw=cw)
+            built = tracemalloc.get_traced_memory()[1]
+            read = model.forward([state])[0]
+            peaks = []
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                rows = read([999, 1001])
+                peaks.append(tracemalloc.get_traced_memory()[1] - base - rows.nbytes)
+                del rows
+    finally:
+        tracemalloc.stop()
+    assert built <= 2 * vocab * 8 + slack, built
+    assert peaks[0] <= (vocab + models._CHUNK_CELLS) * 8 + slack and peaks[1] <= slack, peaks
+
+
+class _GatherSpy(np.ndarray):
+    """A view of a pair table that records the shape of each index it is
+    read at."""
+
+    def __getitem__(self, index):
+        self.shapes.append(np.shape(index))
+        return np.asarray(self).__getitem__(index)
+
+
+@pytest.mark.parametrize("vocab", [3, 17])
+def test_wide_context_window_is_hashed_in_bounded_chunks(vocab, monkeypatch):
     """At cw = 2**10 the (rows, 2 * cw) neighbour terms of 40 rows take
     several chunks of at most _CHUNK_CELLS cells and still give the
-    reference hash."""
+    reference hash: gathered from the pair table at V = 3, whose 3 * 2 * cw
+    terms fit one chunk, and hashed at V = 17, whose terms do not."""
     cw = 2**10
-    config = SynthModelConfig(seed=3, vocab_size=3, context_window=cw)
-    state = all_masked_state(prompt_len=3, gen_len=60, vocab=3)
+    config = SynthModelConfig(seed=3, vocab_size=vocab, context_window=cw)
+    state = all_masked_state(prompt_len=3, gen_len=60, vocab=vocab)
     for pos in (7, 20, 33, 50):
         state = place_token(state, pos, pos % 3)
     positions = [p for p in range(len(state.tokens)) if state.is_masked(p)][:40]
-    shapes = spy_mix64(monkeypatch, 2 * cw)
-    got = full_read(SyntheticModel(config), state, positions)
+    model = SyntheticModel(config)
+    assert (model._pairs is None) == (vocab * 2 * cw > models._CHUNK_CELLS)
+    gathered = []
+    if model._pairs is not None:
+        model._pairs = model._pairs.view(_GatherSpy)
+        model._pairs.shapes = gathered
+    hashed = spy_mix64(monkeypatch, 2 * cw)
+    got = full_read(model, state, positions)
     monkeypatch.undo()
     step = models._CHUNK_CELLS // (2 * cw)
     assert 1 <= step < len(positions) == 40
-    assert shapes == [(min(step, 40 - a), 2 * cw) for a in range(0, 40, step)]
+    want = [(min(step, 40 - a), 2 * cw) for a in range(0, 40, step)]
+    assert (gathered, hashed) == ((want, []) if vocab == 3 else ([], want))
     assert got.tobytes() == reference_logits(config, state, positions).tobytes()
 
 
