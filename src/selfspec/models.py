@@ -1,16 +1,16 @@
 """Masked-model forward contract and two deterministic desk-scale backends.
 
 A masked model's forward takes a batch of sequence states and returns one
-row reader per state; reading positions from a state's reader gives one
-logit row of length ``vocab_size`` per position.  The decoders read only the
-masked positions they need, when they know them: the verify walk reads each
-node it visits once, for its current block's masks, and no other node, so a
-backend that looks a state up only when it reads never has the others
-built.  A batched backend does its batch work in ``forward`` and runs only
-the output head per read.  Every backend here is a pure function of its
-input: the same state and positions always yield bit-identical logits,
-which is what makes the stepwise oracle and the speculative decoder exactly
-comparable.
+reader for the whole batch; reading a row's positions gives one logit row
+of length ``vocab_size`` per position of that row's state.  The decoders
+read only the masked positions they need, when they know them: the verify
+walk reads each node it visits once, for its current block's masks, and no
+other node, so a backend that looks a state up only when it is read never
+has the others built.  A batched backend does its batch work in
+``forward`` and runs only the output head per read.  Every backend here is
+a pure function of its input: the same state and positions always yield
+bit-identical logits, which is what makes the stepwise oracle and the
+speculative decoder exactly comparable.
 
 Backends:
 
@@ -18,11 +18,11 @@ Backends:
   hash of the non-mask tokens near that position, so placing a token changes
   the predictions of its neighbours.  This reproduces the dynamics real
   denoisers show (context improves predictions; decode order can shuffle)
-  without any learned weights.  Its forward does no work; a reader looks
-  its state up and hashes the rows it is asked for, so a state nobody
-  reads costs nothing, not even its building.
+  without any learned weights.  Its forward does no work; a read looks
+  its row's state up and hashes the positions it is asked for, so a state
+  nobody reads costs nothing, not even its building.
 * ``TableModel`` replays logits from an explicit fixture keyed by the exact
-  token sequence, for hand-checkable unit tests.  Its readers look their
+  token sequence, for hand-checkable unit tests.  Its reads look their
   state up too, so a fixture needs only the states a decode reads.
 
 Token ids run from 0 to vocab_size - 1.  The command line sets ``mask_id ==
@@ -53,7 +53,7 @@ class MaskedModel(ABC):
     """Forward interface every decoder in this package runs against.
 
     Implementations must be deterministic (the same state and positions,
-    bit-identical logits), per-sequence independent (a reader's rows do not
+    bit-identical logits), per-sequence independent (a row's logits do not
     depend on the other states of its batch), position-exact (row i of a
     read of ``positions`` equals row ``positions[i]`` of a read of
     ``range(L)``, bit for bit), and fixed in behaviour at construction.  The
@@ -66,17 +66,15 @@ class MaskedModel(ABC):
     def vocab_size(self) -> int: ...
 
     @abstractmethod
-    def forward(
-        self, states: Sequence[SequenceState]
-    ) -> list[Callable[..., np.ndarray]]:
-        """One row reader per state of a non-empty batch, any Sequence of
-        states, in input order.  reader(positions, out=None) is the
-        (len(positions), vocab_size) float64 logit matrix: out[:len(positions)]
+    def forward(self, states: Sequence[SequenceState]) -> Callable[..., np.ndarray]:
+        """One reader for a non-empty batch, any Sequence of states, however
+        long.  read(row, positions, out=None) is the (len(positions),
+        vocab_size) float64 logit matrix of states[row]: out[:len(positions)]
         written in place when the caller passes a float64 buffer out, else a
         fresh array; positions ascend without repeats inside [0, L), may be
         empty, and are checked by check_positions when read.  A backend may
-        look a state up in the batch only when its reader reads, so a state
-        whose reader is never called need never exist (see VerificationTree)."""
+        look a row's state up in the batch only when it is read, so a state
+        no read names need never exist (see VerificationTree)."""
 
 
 def check_positions(length: int, positions: Sequence[int]) -> np.ndarray:
@@ -183,7 +181,7 @@ class SyntheticModel(MaskedModel):
     holds sharpness * (float(mix(row + (c + 1) * C) >> 11) * 2**-53), the
     two float products in that order.  A row's logits depend on its row
     seed alone, so any position set gives the same rows as the full read;
-    and a reader hashes its own state alone, so a batch is batch-invariant
+    and a read hashes the one state it names, so a batch is batch-invariant
     by construction.  A read hashes straight into its out rows, a bounded
     number of cells at a time, in a uint64 scratch that each thread keeps
     for its later reads; so concurrent reads share no scratch, and reads
@@ -219,14 +217,14 @@ class SyntheticModel(MaskedModel):
     def vocab_size(self) -> int:
         return self._config.vocab_size
 
-    def forward(self, states: Sequence[SequenceState]) -> list[partial]:
-        return [partial(self._logits, states, i) for i in range(len(_batch(states)))]
+    def forward(self, states: Sequence[SequenceState]) -> partial:
+        return partial(self._logits, _batch(states))
 
-    def _logits(self, states: Sequence[SequenceState], i: int, positions: Sequence[int],
+    def _logits(self, states: Sequence[SequenceState], row: int, positions: Sequence[int],
                 out: np.ndarray | None = None) -> np.ndarray:
-        """The (len(positions), V) logits of states[i], looked up only now,
+        """The (len(positions), V) logits of states[row], looked up only now,
         at positions, in out's first rows or a fresh array."""
-        state = states[i]
+        state = states[row]
         positions = check_positions(len(state.tokens), positions)
         n, cw = len(positions), self._config.context_window
         seeds = self._seeds_for(len(state.tokens))[positions]  # a fresh array
@@ -299,8 +297,8 @@ class TableModel(MaskedModel):
     The fingerprint is the exact token tuple; querying a state the table
     does not list raises FixtureMissError, which indicates a broken test
     fixture rather than a runtime condition.  Rows are stored read-only, one
-    full (L, vocab) matrix per state; forward does no work, and a reader
-    looks its state up only when it reads and copies out the asked rows.
+    full (L, vocab) matrix per state; forward does no work, and a read
+    looks its row's state up only then and copies out the asked rows.
     """
 
     def __init__(self, table: dict[tuple[int, ...], np.ndarray]):
@@ -333,14 +331,14 @@ class TableModel(MaskedModel):
             raise FixtureMissError(f"no fixture rows for state {tokens}")
         return self._table[tokens]
 
-    def forward(self, states: Sequence[SequenceState]) -> list[partial]:
-        return [partial(self._rows, states, i) for i in range(len(_batch(states)))]
+    def forward(self, states: Sequence[SequenceState]) -> partial:
+        return partial(self._rows, _batch(states))
 
-    def _rows(self, states: Sequence[SequenceState], i: int, positions: Sequence[int],
+    def _rows(self, states: Sequence[SequenceState], row: int, positions: Sequence[int],
               out: np.ndarray | None = None) -> np.ndarray:
-        """A copy of the stored rows of states[i], looked up only now, at
+        """A copy of the stored rows of states[row], looked up only now, at
         positions, in out's first rows or a fresh array."""
-        rows = self.rows_for(states[i].tokens)
+        rows = self.rows_for(states[row].tokens)
         positions = check_positions(len(rows), positions)
         return np.take(rows, positions, axis=0, out=None if out is None else out[: len(positions)])
 

@@ -1,6 +1,6 @@
 """Self-speculative decoding: draft, verify in a tree, accept multiple tokens.
 
-One forward pass drafts a greedy (token, confidence) pair for every masked
+Each round drafts a greedy (token, confidence) pair for every masked
 position of the current block, and of the next block too when the current
 one holds fewer than N masks.  The highest-confidence positions, current
 block first, become an ordered candidate list, and a verification tree
@@ -12,12 +12,13 @@ masks, which every state knows, accepting a candidate exactly when the
 parent node's own stepwise choice matches it; no other node is read or
 built.  The deepest validated node contributes one further token (its own
 stepwise choice), so a draft of length N can yield N+1 tokens per round
-while the output stays token-identical to plain stepwise decoding.  Each
-round after the first drafts from the walk's choices at the previous leaf
-(each row's argmax token and probability) less its bonus token's row, and
-reads that leaf again only for drafted masks past its block.  So no forward
-is spent on drafting after the first, and no softmaxed matrix outlives its
-round: every read of a decode goes to one buffer.
+while the output stays token-identical to plain stepwise decoding.  Every
+round drafts at a leaf from the choices in hand, reading it only past them:
+round 1 at the start state, read from the one drafting forward, with none
+in hand; a later round at the previous leaf, with the walk's choices there
+(each row's argmax token and probability) less its bonus token's row.  So
+no forward is spent on drafting after the first, and no softmaxed matrix
+outlives its round: every read of a decode goes to one buffer.
 
 Tree shapes:
 
@@ -80,14 +81,13 @@ def drafts_from_logits(
     """Extract top-k drafts for positions, a state's drafted masks in
     ascending order, from a probability matrix whose row i belongs to the
     ascending position rows[i], or to positions[i] without rows; no other
-    position can be a candidate.  The rows must hold every drafted position;
-    only one past the last row raises.
+    position can be a candidate; ValueError unless the rows hold every
+    drafted position.
 
-    The decode loop calls this on the drafting forward on the start state,
-    and on a later round only for the drafted masks past the previous leaf's
-    block, read at that leaf, which lacks the leaf's own bonus token and so
-    may be slightly stale; staleness only costs acceptance rate because
-    every draft is re-verified before use.
+    The decode loop calls this once a round, at the round's leaf, for the
+    drafted masks past the choices in hand.  A later round's leaf lacks its
+    own bonus token, so its drafts may be slightly stale; staleness only
+    costs acceptance rate because every draft is re-verified before use.
     Column 0 and the confidences do not depend on k: the stable sort puts
     the first maximum first, exactly as argmax_rows picks it.
     """
@@ -95,7 +95,7 @@ def drafts_from_logits(
         raise ValueError("state has no masked positions to draft for")
     if rows is not None:
         found = np.searchsorted(rows, positions)
-        if found[-1] >= len(rows):
+        if found[-1] >= len(rows) or (rows[found] != positions).any():
             raise ValueError("probabilities do not cover the drafted blocks")
         probs = probs[found]
     first, confidences = argmax_rows(probs)
@@ -238,14 +238,15 @@ def build_tree(
 @dataclass(frozen=True)
 class VerifyResult:
     """Outcome of one verification round: the leaf is the deepest validated
-    node, tree[leaf_index], and leaf_choices its argmax_rows over its current
-    block's masks, the rows the walk read there; the last accepted step is
-    the leaf's own choice, its bonus token, unless the leaf is decoded."""
+    node, tree[leaf_index]; the last accepted step is its own choice, its
+    bonus token, unless the leaf is decoded.  held is the leaf's argmax_rows
+    over the masks the walk read there, its current block's, less the bonus
+    token's row."""
 
     accepted: tuple[tuple[int, int, float], ...]  # (position, token, confidence)
     state: SequenceState  # the round's next state: the base with accepted placed
-    leaf_choices: tuple[np.ndarray, np.ndarray]  # (tokens, confidences), one per leaf mask
-    read_leaf: Callable[..., np.ndarray]  # the leaf's row reader
+    held: tuple[np.ndarray, np.ndarray]  # (tokens, confidences), one per leaf mask left
+    read: Callable[..., np.ndarray]  # the batch's reader: read(leaf_index, positions, out)
     leaf_index: int
 
 
@@ -266,21 +267,23 @@ def batch_verify(model: MaskedModel, tree: VerificationTree,
     Each validated child costs one placement, and the leaf's own choice one
     more, so a round places exactly the tokens it accepts.
     """
-    readers = model.forward(tree)
+    read = model.forward(tree)
     accepted: list[tuple[int, int, float]] = []
     cur, state = 0, tree.base
     while True:  # state is tree[cur]
-        choices = argmax_rows(softmax_matrix(readers[cur](state.masks, out)))
+        held = argmax_rows(softmax_matrix(read(cur, state.masks, out)))
         if not state.masks.size:  # every position decoded: nothing to choose
             break
-        pos, tok, conf = choose_step(state.masks, *choices)
+        pos, tok, conf = choose_step(state.masks, *held)
         accepted.append((pos, tok, conf))
         matched = tree.children.get((cur, pos, tok))
         if matched is None:
+            kept = state.masks != pos  # every row but the bonus token's
+            held = held[0][kept], held[1][kept]
             state = place_token(state, pos, tok)
             break
         cur, state = matched, tree[matched]
-    return VerifyResult(tuple(accepted), state, choices, readers[cur], cur)
+    return VerifyResult(tuple(accepted), state, held, read, cur)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +319,14 @@ def ssd_decode(
     """Decode with self-speculation: one drafting forward, then verify rounds.
 
     Each round drafts for the current block's masks, and the next block's
-    too when they number fewer than n: the first from the drafting forward,
-    a later one from the walk's choices at the previous leaf less its bonus
-    token's row, reading the leaf again for the drafted masks past its
-    block alone.  Each round costs one batched forward pass and accepts
-    between 1 and n+1 tokens.  When fewer than n candidate positions remain
-    in scope the loop falls back to plain stepwise decoding.  Every read
-    goes to one buffer of two blocks' rows, sized up front.
+    too when they number fewer than n, at its leaf from the choices in hand,
+    reading the leaf only past them: round 1 at the start state, from the
+    drafting forward, with none in hand; a later round at the previous
+    leaf, with its held choices.  Each round costs one batched forward pass
+    and accepts between 1 and n+1 tokens.  When fewer than n candidate
+    positions remain in scope the loop falls back to plain stepwise
+    decoding.  Every read goes to one buffer of two blocks' rows, sized up
+    front.
     """
     if n < 1:
         raise ValueError("draft length must be >= 1")
@@ -331,16 +335,22 @@ def ssd_decode(
     if current_block(state) is None:
         raise ValueError("state has no masked positions to decode")
 
-    start = state
     out = np.empty((min(2 * state.block_len, state.gen_len), model.vocab_size))
-    drafted = draft_masks(state, n)
-    read = model.forward([state])[0]  # the drafting forward
-    drafts = drafts_from_logits(softmax_matrix(read(drafted, out)), positions=drafted)
+    read, leaf = model.forward([state]), 0  # the drafting forward
+    held = np.empty(0, dtype=np.intp), np.empty(0)
     steps: list[tuple[int, int, float]] = []
     rounds: list[RoundStats] = []
     fallback_steps = 0
 
     while True:
+        drafted = draft_masks(state, n)
+        tokens, confidences = held  # the first drafted masks' choices; read the rest
+        if len(tokens) < len(drafted):
+            past = drafted[len(tokens):]
+            fresh = drafts_from_logits(softmax_matrix(read(leaf, past, out)), positions=past)
+            tokens = np.concatenate((tokens, fresh.tokens[:, 0]))
+            confidences = np.concatenate((confidences, fresh.confidences))
+        drafts = Drafts(positions=drafted, tokens=tokens[:, None], confidences=confidences)
         candidates = select_candidates(state, drafts, n)
         if len(candidates) < n:
             state, tail, _ = decode_remaining(model, state, topk=0, out=out)
@@ -354,22 +364,11 @@ def ssd_decode(
         state = result.state
         if not state.masks.size:
             break
-        # the leaf's masks less the bonus token's are the drafted masks up
-        # to the end of the leaf's block; read the leaf for the rest alone
-        drafted = draft_masks(state, n)
-        kept = tree[result.leaf_index].masks != result.accepted[-1][0]
-        tokens, confidences = result.leaf_choices
-        tokens, confidences = tokens[kept], confidences[kept]
-        if len(tokens) < len(drafted):
-            past = drafted[len(tokens):]
-            fresh = drafts_from_logits(softmax_matrix(result.read_leaf(past, out)), positions=past)
-            tokens = np.concatenate((tokens, fresh.tokens[:, 0]))
-            confidences = np.concatenate((confidences, fresh.confidences))
-        drafts = Drafts(positions=drafted, tokens=tokens[:, None], confidences=confidences)
+        read, leaf, held = result.read, result.leaf_index, result.held
 
     return SsdResult(
         state=state,
         rounds=tuple(rounds),
-        trace=DecodeTrace.of("ssd", start, steps),
+        trace=DecodeTrace.of("ssd", state, steps),
         fallback_steps=fallback_steps,
     )

@@ -133,7 +133,7 @@ def decode_remaining(
     if out is None:
         out = np.empty((total if topk else min(state.block_len, state.gen_len), model.vocab_size))
     while (positions := state.masks).size:
-        probs = softmax_matrix(model.forward([state])[0](asked, out))
+        probs = softmax_matrix(model.forward([state])(0, asked, out))
         if snapshot is not None:
             rows = snapshot_rows(len(steps), total)
             snapshot[0][rows], snapshot[1][rows] = candidate_snapshot(probs, topk)

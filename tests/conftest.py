@@ -38,7 +38,7 @@ def all_masked_state(prompt_len=0, gen_len=8, vocab=16, block_len=8):
 
 def full_logits(model, state):
     """The full (L, vocab) logit matrix of one state."""
-    return model.forward([state])[0](range(len(state.tokens)))
+    return model.forward([state])(0, range(len(state.tokens)))
 
 
 def replay_dual_rounds(model, state, n):
@@ -84,7 +84,7 @@ class CountingModel(MaskedModel):
     """Passes forwards through to a model, counting calls and rows, keeping
     each call's batch in batches, as passed, so no state is looked up that
     the inner model would not look up, and logging every read to reads as
-    (call, index in the call, positions)."""
+    (call, row in the call, positions)."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -100,13 +100,11 @@ class CountingModel(MaskedModel):
         self.calls += 1
         self.rows += len(states)
         self.batches.append(states)
-        readers = self.inner.forward(states)
-        return [self._logged(self.calls - 1, i, read) for i, read in enumerate(readers)]
+        read, call = self.inner.forward(states), self.calls - 1
 
-    def _logged(self, call, index, read):
-        def logged(positions, out=None):
-            self.reads.append((call, index, np.asarray(positions).tolist()))
-            return read(positions, out)
+        def logged(row, positions, out=None):
+            self.reads.append((call, row, np.asarray(positions).tolist()))
+            return read(row, positions, out)
 
         return logged
 

@@ -139,11 +139,11 @@ class FlooredModel(MaskedModel):
         return self._inner.vocab_size
 
     def forward(self, states):
-        return [partial(self._floored, read) for read in self._inner.forward(states)]
+        return partial(self._floored, self._inner.forward(states))
 
     @staticmethod
-    def _floored(read, positions, out=None):
-        rows = read(positions, out)
+    def _floored(read, row, positions, out=None):
+        rows = read(row, positions, out)
         return np.floor(rows, out=rows)
 
 

@@ -351,13 +351,13 @@ class _TwoFacedModel(MaskedModel):
         self._calls += 1
         tok = 1 if self._calls == 1 else 2
 
-        def read(positions, out=None):
+        def read(row, positions, out=None):
             mat = np.empty((len(positions), self._vocab)) if out is None else out[: len(positions)]
             mat[:] = 0.0
             mat[:, tok] = 5.0
             return mat
 
-        return [read] * len(states)
+        return read
 
 
 def test_contract_breaking_model_trips_losslessness_error(monkeypatch):

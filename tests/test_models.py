@@ -167,10 +167,10 @@ def test_forward_batch_matches_singles_and_permutation():
     states = [base, place_token(base, 3, 5), place_token(base, 2, 1)]
     full = range(len(base.tokens))
     singles = [full_logits(model, s) for s in states]
-    for read, want in zip(model.forward(states), singles):
-        assert np.array_equal(read(full), want)
-    for read, want in zip(model.forward(states[::-1]), singles[::-1]):
-        assert np.array_equal(read(full), want)
+    for batch, want in ((states, singles), (states[::-1], singles[::-1])):
+        read = model.forward(batch)
+        for row, single in enumerate(want):
+            assert np.array_equal(read(row, full), single)
 
 
 def spy_mix64(monkeypatch, width):
@@ -196,15 +196,15 @@ def test_a_read_allocates_no_rows_beyond_a_fresh_result():
     Its in-place softmax adds at most the buffer numpy's iterator takes for
     a broadcast (np.getbufsize() float64 values)."""
     vocab, slack = 4096, 16 * 1024
-    read = synth(vocab=vocab).forward([all_masked_state(prompt_len=2, gen_len=16, vocab=vocab)])[0]
-    out = read(range(2, 10))  # allocates the thread's scratch
+    read = synth(vocab=vocab).forward([all_masked_state(prompt_len=2, gen_len=16, vocab=vocab)])
+    out = read(0, range(2, 10))  # allocates the thread's scratch
     peaks = []
     tracemalloc.start()
     try:
         for target in (out, None):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            rows = read(range(2, 10), target)
+            rows = read(0, range(2, 10), target)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -220,24 +220,24 @@ def test_a_read_allocates_no_rows_beyond_a_fresh_result():
 
 def full_read(model, state, positions):
     """The rows at positions of state, from a forward of state alone."""
-    return model.forward([state])[0](positions)
+    return model.forward([state])(0, positions)
 
 
 def check_read_law(model, pairs, monkeypatch):
-    """forward hashes no cells; reading state i's reader at positions i
-    hashes exactly len(positions) rows, in chunks of at most max(2**16, V)
+    """forward hashes no cells; reading row i at positions i hashes
+    exactly len(positions) rows, in chunks of at most max(2**16, V)
     cells; and reads in any order, repeated or not, are bit-equal to the
     singleton calls: with no out, fresh writable arrays that share no
     memory; with one, the view of its first rows, whatever they held."""
     singles = [full_read(model, state, positions) for state, positions in pairs]
     cell_calls = spy_mix64(monkeypatch, model.vocab_size)  # the cell hash; 2 * cw != V here
-    readers = model.forward([state for state, _ in pairs])
+    read = model.forward([state for state, _ in pairs])
     assert cell_calls == []
     out = np.full((max(len(positions) for _, positions in pairs), model.vocab_size), np.nan)
     reads = []
-    for i in [*reversed(range(len(pairs))), *range(len(pairs))]:  # every reader twice
+    for i in [*reversed(range(len(pairs))), *range(len(pairs))]:  # every row twice
         for target in (None, out):
-            got = readers[i](pairs[i][1], target)
+            got = read(i, pairs[i][1], target)
             assert sum(rows for rows, _ in cell_calls) == len(pairs[i][1])
             assert all(rows * cols <= max(2**16, model.vocab_size) for rows, cols in cell_calls)
             cell_calls.clear()
@@ -405,9 +405,10 @@ def test_synthetic_forward_is_the_documented_hash_cell_for_cell(seed, window, sh
         positions = data.draw(st.sets(st.integers(0, len(state.tokens) - 1), min_size=rows[0],
                                       max_size=rows[1]))
         batch.append((state, sorted(positions)))
-    readers = SyntheticModel(config).forward([state for state, _ in batch])
-    for (state, positions), read in zip(batch, readers):
-        assert read(positions).tobytes() == reference_logits(config, state, positions).tobytes()
+    read = SyntheticModel(config).forward([state for state, _ in batch])
+    for row, (state, positions) in enumerate(batch):
+        want = reference_logits(config, state, positions)
+        assert read(row, positions).tobytes() == want.tobytes()
 
 
 GOLDEN_LOGITS_SHA256 = "5a3c689ea93f7d0122338add152d82e5d99528b84a60092da5028cca3c96b05e"
@@ -427,9 +428,9 @@ def test_synthetic_reads_match_the_golden_digest():
         sets = ([], [0, 2, 5, 6, 9, 20, 30, 31, 44, 46], [0, 1, length - 2, length - 1])
         for cw, sharpness, seed in itertools.product((0, 2, 40, 2**10), (6.0, 1e-300, 5e-324),
                                                      (3, 2**63 + 5)):
-            read = synth(seed=seed, vocab=vocab, sharpness=sharpness, cw=cw).forward([state])[0]
+            read = synth(seed=seed, vocab=vocab, sharpness=sharpness, cw=cw).forward([state])
             for positions in sets:
-                rows = read(positions)
+                rows = read(0, positions)
                 assert rows.shape == (len(positions), vocab)
                 digest.update(rows.tobytes())
     assert digest.hexdigest() == GOLDEN_LOGITS_SHA256
@@ -449,13 +450,13 @@ def test_concurrent_reads_into_own_buffers_are_the_single_threaded_reads():
     length = len(state.tokens)
     sets = [list(range(length)), list(range(2, 12)), [0, 5, 17, 31], [4], list(range(1, length, 3))]
     want = [full_read(model, state, positions).tobytes() for positions in sets]
-    shared = model.forward([state])[0]
+    shared = model.forward([state])
     barrier = threading.Barrier(threads)
 
     def work(k):
-        read, out = (shared, model.forward([state])[0])[k % 2], np.empty((length, vocab))
+        read, out = (shared, model.forward([state]))[k % 2], np.empty((length, vocab))
         barrier.wait(timeout=60)
-        return [read(sets[i % len(sets)], out).tobytes() == want[i % len(sets)]
+        return [read(0, sets[i % len(sets)], out).tobytes() == want[i % len(sets)]
                 for i in range(k, k + 30)]
 
     interval = sys.getswitchinterval()
@@ -485,12 +486,12 @@ def test_concurrent_reads_of_growing_states_are_the_single_threaded_reads():
         want = [full_read(reference, state, positions).tobytes()
                 for state, positions in zip(states, sets)]
         for _ in range(models_read):
-            readers = SyntheticModel(config).forward(states)
+            read = SyntheticModel(config).forward(states)
             barrier = threading.Barrier(threads)
 
             def work(k):
                 barrier.wait(timeout=60)
-                return [readers[i % 8](sets[i % 8]).tobytes() == want[i % 8]
+                return [read(i % 8, sets[i % 8]).tobytes() == want[i % 8]
                         for i in range(k, k + 16)]
 
             interval = sys.getswitchinterval()
@@ -523,12 +524,12 @@ def test_a_read_at_the_widest_config_builds_no_pair_table():
         with address_space_capped(in_use + 2**30):
             model = synth(vocab=vocab, cw=cw)
             built = tracemalloc.get_traced_memory()[1]
-            read = model.forward([state])[0]
+            read = model.forward([state])
             peaks = []
             for _ in range(2):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                rows = read([999, 1001])
+                rows = read(0, [999, 1001])
                 peaks.append(tracemalloc.get_traced_memory()[1] - base - rows.nbytes)
                 del rows
     finally:
@@ -616,10 +617,9 @@ def test_every_position_set_is_the_full_rows_bit_for_bit(seed, prompt_len, gen_l
         for pos, got in zip(subsets, singles):
             assert got.shape == (len(pos), vocab), (name, pos)
             assert np.array_equal(got, full[pos]), (name, pos)
-        readers = model.forward([state] * len(subsets))
-        assert len(readers) == len(subsets)
-        assert all(np.array_equal(read(pos), b)
-                   for read, pos, b in zip(readers, subsets, singles)), name
+        read = model.forward([state] * len(subsets))
+        assert all(np.array_equal(read(row, pos), b)
+                   for row, (pos, b) in enumerate(zip(subsets, singles))), name
 
 
 @pytest.mark.parametrize("backend", ["synthetic", "table"])
@@ -631,41 +631,41 @@ def test_bad_positions_raise_and_empty_ones_answer_no_rows(backend):
     model = position_backends(0, 6, 2, state)[backend]
     for empty in ([], (), range(2, 2), np.empty(0, dtype=np.intp)):
         assert full_read(model, state, empty).shape == (0, 6)
-    alone, (_, beside) = model.forward([state]), model.forward([state, state])
+    alone, beside = model.forward([state]), model.forward([state, state])
     for bad in ([3, 1], [2, 2], [0, 2, 2, 4], [-1, 2], [0, 5], [5], range(0, 6), range(3, 1, -1),
                 [[0, 1]], [0.0, 1.0], [True], slice(0, 2), 3):
-        for read in (alone[0], beside):
+        for read, row in ((alone, 0), (beside, 1)):
             with pytest.raises(ValueError):
-                read(bad)
-    assert np.array_equal(beside([0, 4]), full_logits(model, state)[[0, 4]])
+                read(row, bad)
+    assert np.array_equal(beside(1, [0, 4]), full_logits(model, state)[[0, 4]])
     with pytest.raises(ValueError):
         model.forward([])
 
 
 @pytest.mark.parametrize("backend", ["synthetic", "table"])
-def test_forward_returns_one_reader_per_state(backend):
-    """A forward answers with one reader per state, in input order; each
-    read is a fresh writable matrix, so writing into one changes no later
-    read, or the first rows of the out it is given; and readers of the same
-    state agree."""
+def test_forward_returns_one_reader_for_the_batch(backend):
+    """A forward answers with one reader for its batch, whose rows are the
+    states in input order; each read is a fresh writable matrix, so writing
+    into one changes no later read, or the first rows of the out it is
+    given; and reads of the same state in different rows agree."""
     base = all_masked_state(prompt_len=1, gen_len=6, vocab=8)
     other = place_token(base, 2, 4)
     inner = synth(seed=5, vocab=8)
     model = {"synthetic": inner,
              "table": TableModel({s.tokens: full_logits(inner, s) for s in (base, other)})}[backend]
-    readers = model.forward([base, other, base])
-    assert len(readers) == 3
-    first, again = readers[0]([1, 2, 3]), readers[0]([1, 2, 3])
+    read = model.forward([base, other, base])
+    assert callable(read)
+    first, again = read(0, [1, 2, 3]), read(0, [1, 2, 3])
     assert np.array_equal(first, again) and not np.shares_memory(first, again)
     first[:] = 0.0  # writable, and the next read is untouched
-    assert np.array_equal(readers[0]([1, 2, 3]), full_read(model, base, [1, 2, 3]))
-    assert np.array_equal(readers[2]([1, 2, 3]), again)
-    assert np.array_equal(readers[1]([1, 3, 4]), full_logits(model, other)[[1, 3, 4]])
+    assert np.array_equal(read(0, [1, 2, 3]), full_read(model, base, [1, 2, 3]))
+    assert np.array_equal(read(2, [1, 2, 3]), again)
+    assert np.array_equal(read(1, [1, 3, 4]), full_logits(model, other)[[1, 3, 4]])
     out = np.full((4, 8), np.nan)
-    into = readers[1]([1, 3, 4], out)
+    into = read(1, [1, 3, 4], out)
     assert into.base is out and np.array_equal(out[:3], full_logits(model, other)[[1, 3, 4]])
     assert np.isnan(out[3]).all()
-    assert [read([]).shape for read in readers] == [(0, 8)] * 3
+    assert [read(row, []).shape for row in range(3)] == [(0, 8)] * 3
 
 
 @pytest.mark.parametrize("backend", ["synthetic", "table"])
@@ -679,14 +679,42 @@ def test_a_reader_is_unchanged_by_later_forwards(backend):
              "table": TableModel({s.tokens: full_logits(inner, s) for s in states})}[backend]
     positions = np.array([1, 2, 4], dtype=np.intp)
     want = full_logits(inner, state)[positions].tobytes()
-    early = model.forward([state])[0]
-    first = early(positions)
+    early = model.forward([state])
+    first = early(0, positions)
     model.forward(states[1:])
-    for later in model.forward(states[::-1]):
-        later(range(len(state.tokens)))
+    later = model.forward(states[::-1])
+    for row in range(len(states)):
+        later(row, range(len(state.tokens)))
     positions[:] = [0, 5, 6]
     assert first.tobytes() == want
-    assert early([1, 2, 4]).tobytes() == want
+    assert early(0, [1, 2, 4]).tobytes() == want
+
+
+@pytest.mark.parametrize("backend", ["synthetic", "table"])
+def test_forward_allocates_the_same_for_any_batch_size(backend):
+    """A forward of a 512-node mix_order tree (n = 256) allocates no more
+    than one of a 2-node greedy tree: nothing per state of the batch."""
+    state = all_masked_state(gen_len=256, vocab=8, block_len=256)
+    inner = synth(vocab=8)
+    model = {"synthetic": inner,
+             "table": TableModel({state.tokens: full_logits(inner, state)})}[backend]
+    drafts = drafts_from_logits(softmax_matrix(full_logits(inner, state)),
+                                positions=draft_masks(state, 256), rows=np.arange(256))
+    trees = [build_tree(state, select_candidates(state, drafts, n), drafts, shape)
+             for n, shape in ((1, "greedy"), (256, "mix_order"))]
+    assert [len(tree) for tree in trees] == [2, 512]
+    model.forward(trees[0])  # warm up anything allocated once
+    sizes = []
+    tracemalloc.start()
+    try:
+        for tree in trees:
+            base = tracemalloc.get_traced_memory()[0]
+            read = model.forward(tree)
+            sizes.append(tracemalloc.get_traced_memory()[0] - base)
+            del read
+    finally:
+        tracemalloc.stop()
+    assert sizes[0] == sizes[1], sizes
 
 
 # --- table model -----------------------------------------------------------

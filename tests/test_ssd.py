@@ -180,6 +180,17 @@ def test_top1_draft_is_independent_of_width():
     assert closed.confidences[0] == pytest.approx(want, abs=1e-12)
 
 
+def test_drafts_need_a_row_for_every_drafted_position():
+    """Rows that skip a drafted position raise, wherever the gap is, rather
+    than drafting it from a neighbour's row; rows to spare are fine."""
+    probs = softmax_matrix(np.arange(12.0).reshape(3, 4))
+    for rows in ([3, 4, 6], [4, 5, 6], [3, 4]):
+        with pytest.raises(ValueError, match="do not cover"):
+            drafts_from_logits(probs[: len(rows)], positions=np.array([3, 5]), rows=np.array(rows))
+    drafts = drafts_from_logits(probs, positions=np.array([3, 5]), rows=np.array([3, 4, 5]))
+    assert drafts.confidences.tobytes() == probs[[0, 2]].max(axis=1).tobytes()
+
+
 # --- select_candidates -----------------------------------------------------
 
 
@@ -563,13 +574,13 @@ def test_fully_decoded_node_asks_for_no_rows():
         "table": TableModel({s.tokens: full_logits(synth(seed=3), s) for s in (decoded, state)}),
     }
     for name, backend in backends.items():
-        alone = backend.forward([decoded])[0]([])
+        alone = backend.forward([decoded])(0, [])
         beside = backend.forward([decoded, state])
-        assert alone.shape == beside[0](np.empty(0, dtype=np.intp)).shape == (0, 16), name
-        assert np.array_equal(beside[1]([2, 3]), full_logits(backend, state)[2:]), name
+        assert alone.shape == beside(0, np.empty(0, dtype=np.intp)).shape == (0, 16), name
+        assert np.array_equal(beside(1, [2, 3]), full_logits(backend, state)[2:]), name
     assert result.leaf_index == 2 and len(result.accepted) == 2
     assert result.state is decoded  # the decoded leaf chooses no bonus token
-    assert [column.shape for column in result.leaf_choices] == [(0,), (0,)]
+    assert [column.shape for column in result.held] == [(0,), (0,)]
     assert tree[result.leaf_index].masks.size == 0
 
 
@@ -729,11 +740,13 @@ def test_a_decode_allocates_no_vocabulary_wide_row_after_its_first_round(monkeyp
 
 
 def leaf_drafting(model, start, n, shape):
-    """Decode start, checking that every round after the first drafts, for
-    the masks a fresh scan of its state drafts, exactly the drafts that
-    drafts_from_logits takes from the previous leaf's rows for those masks,
-    read afresh and softmaxed; returns, per such round, whether its drafts
-    ran past the leaf's block, so that the loop read the leaf again."""
+    """Decode start, checking that every round drafts, for the masks a fresh
+    scan of its state drafts, exactly the drafts that drafts_from_logits
+    takes from its leaf's rows for those masks, read afresh and softmaxed:
+    round 1's leaf is the start state, with no choices in hand, and a later
+    round's the previous round's leaf, with the walk's choices there less
+    its bonus token's in hand.  Returns, per round, whether its drafts ran
+    past the choices in hand, so that the loop read the leaf."""
     verified, selected = [], []
 
     def recording_verify(model, tree, out):
@@ -748,17 +761,22 @@ def leaf_drafting(model, start, n, shape):
             mock.patch.object(ssd_mod, "select_candidates", recording_select):
         res = ssd_decode(model, start, n=n, shape=shape)
     assert res.state.tokens == stepwise_decode(model, start, topk=0)[0].tokens
+    # (state, its leaf's read and batch row, the leaf's masks in hand) per round
+    leaves = [(start, model.forward([start]), 0, [])]
+    for tree, result in verified:
+        leaf = tree[result.leaf_index]
+        in_hand = [p for p in masked_in_blocks(leaf, 1).tolist() if result.state.is_masked(p)]
+        leaves.append((result.state, result.read, result.leaf_index, in_hand))
     past = []
-    for (tree, result), (state, drafts) in zip(verified, selected[1:]):
-        assert state == result.state
+    for (state, drafts), (leaf_state, read, row, in_hand) in zip(selected, leaves):
+        assert state == leaf_state
         masks = np.array(scanned_draft(state, n))
-        fresh = drafts_from_logits(softmax_matrix(result.read_leaf(masks)),
-                                   positions=masks, rows=masks)
+        fresh = drafts_from_logits(softmax_matrix(read(row, masks)), positions=masks, rows=masks)
         assert drafts.positions.tolist() == masks.tolist()
         assert drafts.tokens.tobytes() == fresh.tokens.tobytes()
         assert drafts.confidences.tobytes() == fresh.confidences.tobytes()
-        past.append(bool(masks[-1] > tree[result.leaf_index].masks[-1]))
-    assert len(verified) == len(res.rounds)
+        past.append(len(masks) > len(in_hand))
+    assert len(verified) == len(res.rounds) and len(selected) >= len(verified)
     return past
 
 
@@ -774,9 +792,12 @@ def leaf_drafting(model, start, n, shape):
 @settings(max_examples=80, deadline=None)
 def test_drafts_taken_from_the_leaf_are_its_fresh_drafts(seed, prompt_len, gen_len, block_len,
                                                          n, floored, shape):
-    """The walk's choices at a leaf, less its bonus token's row, and joined
-    with a read of the masks past its block, are the drafts of the leaf's
-    fresh softmaxed rows, bit for bit, on tie-heavy floored logits too."""
+    """Every round's drafts, the choices in hand at its leaf joined with a
+    read of the masks past them, are the drafts of the leaf's fresh
+    softmaxed rows, bit for bit, on tie-heavy floored logits too: round 1
+    at the start state, with none in hand, and a later round at the
+    previous leaf, with the walk's choices there less its bonus token's
+    row in hand."""
     model = synth(seed=seed, vocab=8, sharpness=3.0 if floored else 6.0)
     if floored:
         model = FlooredModel(model)
@@ -787,11 +808,12 @@ def test_drafts_taken_from_the_leaf_are_its_fresh_drafts(seed, prompt_len, gen_l
 @pytest.mark.parametrize("shape", ["greedy", "mix_order"])
 def test_later_rounds_draft_from_the_leaf_with_and_without_a_reread(shape):
     """One decode in which later rounds draft from the leaf's choices alone
-    and with a read of the masks past its block, both by the same law."""
+    and with a read of the masks past its block, both by the same law as
+    round 1, which reads every mask it drafts."""
     model = synth(seed=2, vocab=64)
     state = all_masked_state(prompt_len=1, gen_len=48, vocab=64, block_len=6)
     past = leaf_drafting(model, state, 4, shape)
-    assert True in past and False in past
+    assert past[0] and True in past[1:] and False in past[1:]
 
 
 def test_ssd_rejects_bad_arguments():
@@ -880,7 +902,7 @@ def fresh_scan_stepwise(model, state):
     """The stepwise rule with a fresh scan for the current block's masks at
     every step: the reference the carried masks must reproduce."""
     while (positions := masked_in_blocks(state, 1)).size:
-        probs = softmax_matrix(model.forward([state])[0](positions))
+        probs = softmax_matrix(model.forward([state])(0, positions))
         pos, tok, _ = choose_step(positions, *argmax_rows(probs))
         state = place_token(state, pos, tok)
     return state
@@ -960,12 +982,14 @@ def scanned_draft(state, n):
 )
 @settings(max_examples=60, deadline=None)
 def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_len, n, shape):
-    """Every read asks for ascending masked positions of its own state.  The
-    first draft reads the masks it drafts.  Each round reads the nodes on the
-    path from the root to its leaf once each, in walk order, for exactly
-    their current block's masks, and no other node; then it reads the leaf
-    at most once more, only when the drafted masks pass the leaf's current
-    block, and then for exactly the drafted masks past it.  Each stepwise
+    """Every read asks for ascending masked positions of its own state.  Each
+    round's refresh reads its leaf at most once, only when the masks it
+    drafts pass the choices in hand, and then for exactly the drafted masks
+    past them: round 1's is the drafting forward's read of the start state,
+    with none in hand.  Each round reads the nodes on the path from the root
+    to its leaf once each, in walk order, for exactly their current block's
+    masks, and no other node; then comes the next round's refresh, with the
+    leaf's current block's masks less the bonus token's in hand.  Each stepwise
     fallback step reads its current block's masks, and a stepwise step that
     snapshots reads every mask.  Calls and batch sizes still add up to the
     forward count and the round sizes.  Each round's next state is its base
@@ -1006,7 +1030,14 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
     for call, i, pos in model.reads:
         assert pos == sorted(set(pos)) and all(model.batches[call][i].is_masked(p) for p in pos)
         reads[call].append((i, pos))
-    assert reads[0] == [(0, scanned_draft(start, n))]
+
+    def refresh(row, in_hand, state):
+        """The read of a round's leaf, batch row row, drafting for state
+        with the choices at the masks in_hand."""
+        past = [p for p in scanned_draft(state, n) if p not in in_hand]
+        return [(row, past)] if past else []
+
+    assert reads[0] == refresh(0, [], start)
     # every round drafts exactly what a fresh scan of its own state drafts,
     # on the start and on each verify's next state that still holds a mask
     drafted_on = [start] + [r.state for _, r, _, _ in verified if all_masks(r.state)]
@@ -1030,13 +1061,9 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
             state = place_token(state, pos, tok)
         assert result.state == state
         assert result.state.masks.tolist() == masked_in_blocks(state, 1).tolist()
-        leaf = tree[result.leaf_index]
         if all_masks(state):
-            leaf_block = (masked_in_blocks(leaf, 1)[0] - leaf.prompt_len) // leaf.block_len
-            past = [p for p in scanned_draft(state, n)
-                    if (p - leaf.prompt_len) // leaf.block_len > leaf_block]
-            if past:
-                walk.append((result.leaf_index, past))
+            in_hand = [p for p in walk[-1][1] if state.is_masked(p)]
+            walk += refresh(result.leaf_index, in_hand, state)
         assert reads[call] == walk
     assert len(placed) - walked == res.fallback_steps
 
