@@ -33,7 +33,6 @@ from .reporting import (
 from .sequence import (
     IllegalWriteError,
     SequenceState,
-    block_partition,
     current_block,
     initial_state,
     place_token,
@@ -81,7 +80,6 @@ __all__ = [
     "VerificationTree",
     "VerifyResult",
     "batch_verify",
-    "block_partition",
     "build_tree",
     "current_block",
     "drafts_from_logits",

@@ -2,13 +2,14 @@
 
 A masked model's forward takes a batch of sequence states and returns one
 reader for the whole batch; reading a row's positions gives one logit row
-of length ``vocab_size`` per position of that row's state.  The decoders
-read only the masked positions they need, when they know them: the verify
-walk reads each node it visits once, for its current block's masks, and no
-other node, so a backend that looks a state up only when it is read never
-has the others built.  A batched backend does its batch work in
-``forward`` and runs only the output head per read.  Every backend here is
-a pure function of its input: the same state and positions always yield
+of length ``vocab_size`` per position of that row's state.  ``forward``
+is MaskedModel's own: the reader looks its row's state up only when it is
+read and checks the positions, so a backend implements only ``rows``, the
+logits of one state at checked positions.  The decoders read only the
+masked positions they need, when they know them: the verify walk reads
+each node it visits once, for its current block's masks, and no other
+node, so a node nobody reads is never built.  Every backend here is a pure
+function of its input: the same state and positions always yield
 bit-identical logits, which is what makes the stepwise oracle and the
 speculative decoder exactly comparable.
 
@@ -18,12 +19,10 @@ Backends:
   hash of the non-mask tokens near that position, so placing a token changes
   the predictions of its neighbours.  This reproduces the dynamics real
   denoisers show (context improves predictions; decode order can shuffle)
-  without any learned weights.  Its forward does no work; a read looks
-  its row's state up and hashes the positions it is asked for, so a state
-  nobody reads costs nothing, not even its building.
+  without any learned weights.  Its rows hash only the positions asked for.
 * ``TableModel`` replays logits from an explicit fixture keyed by the exact
-  token sequence, for hand-checkable unit tests.  Its reads look their
-  state up too, so a fixture needs only the states a decode reads.
+  token sequence, for hand-checkable unit tests.  A fixture needs only the
+  states a decode reads.
 
 Token ids run from 0 to vocab_size - 1.  The command line sets ``mask_id ==
 vocab_size`` so no argmax proposes the mask.  A mask id in range is allowed:
@@ -37,7 +36,6 @@ import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -52,13 +50,14 @@ class FixtureMissError(Exception):
 class MaskedModel(ABC):
     """Forward interface every decoder in this package runs against.
 
-    Implementations must be deterministic (the same state and positions,
-    bit-identical logits), per-sequence independent (a row's logits do not
-    depend on the other states of its batch), position-exact (row i of a
-    read of ``positions`` equals row ``positions[i]`` of a read of
-    ``range(L)``, bit for bit), and fixed in behaviour at construction.  The
-    only state a read may write is a read-only table that it replaces whole,
-    so concurrent forward calls and reads are safe.
+    A backend implements vocab_size and rows.  Its rows must be
+    deterministic (the same state and positions, bit-identical logits),
+    finite, position-exact (row i of the rows at ``positions`` equals row
+    ``positions[i]`` of the rows at ``range(L)``, bit for bit), and fixed
+    in behaviour at construction; as they see one state, a batch is
+    per-sequence independent by construction.  The only state rows may
+    write is a read-only table that they replace whole, so concurrent
+    forward calls and reads are safe.
     """
 
     @property
@@ -66,15 +65,27 @@ class MaskedModel(ABC):
     def vocab_size(self) -> int: ...
 
     @abstractmethod
+    def rows(self, state: SequenceState, positions: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """The (len(positions), vocab_size) float64 logits of state at
+        positions, an intp array that ascends without repeats inside [0, L):
+        out[:len(positions)] written in place when out is given, else a
+        fresh array."""
+
     def forward(self, states: Sequence[SequenceState]) -> Callable[..., np.ndarray]:
         """One reader for a non-empty batch, any Sequence of states, however
-        long.  read(row, positions, out=None) is the (len(positions),
-        vocab_size) float64 logit matrix of states[row]: out[:len(positions)]
-        written in place when the caller passes a float64 buffer out, else a
-        fresh array; positions ascend without repeats inside [0, L), may be
-        empty, and are checked by check_positions when read.  A backend may
-        look a row's state up in the batch only when it is read, so a state
-        no read names need never exist (see VerificationTree)."""
+        long.  read(row, positions, out=None) looks states[row] up only then,
+        so a state no read names need never exist (see VerificationTree),
+        and returns its rows at positions, which may be empty and raise
+        check_positions's ValueError unless they ascend inside [0, L)."""
+        if not states:
+            raise ValueError("forward requires a non-empty batch")
+
+        def read(row: int, positions: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
+            state = states[row]
+            return self.rows(state, check_positions(len(state.tokens), positions), out)
+
+        return read
 
 
 def check_positions(length: int, positions: Sequence[int]) -> np.ndarray:
@@ -87,13 +98,6 @@ def check_positions(length: int, positions: Sequence[int]) -> np.ndarray:
     if len(pos) and not (0 <= pos[0] and pos[-1] < length and (pos[1:] > pos[:-1]).all()):
         raise ValueError(f"positions {positions!r} do not ascend inside [0, {length})")
     return pos
-
-
-def _batch(states: Sequence[SequenceState]) -> Sequence[SequenceState]:
-    """states, unless the batch is empty."""
-    if not states:
-        raise ValueError("forward requires a non-empty batch")
-    return states
 
 
 def softmax_matrix(mat: np.ndarray) -> np.ndarray:
@@ -180,15 +184,14 @@ class SyntheticModel(MaskedModel):
     row = mix(mix((i + 1) * G + seed * G + 0x9E) ^ acc).  Column c then
     holds sharpness * (float(mix(row + (c + 1) * C) >> 11) * 2**-53), the
     two float products in that order.  A row's logits depend on its row
-    seed alone, so any position set gives the same rows as the full read;
-    and a read hashes the one state it names, so a batch is batch-invariant
-    by construction.  A read hashes straight into its out rows, a bounded
-    number of cells at a time, in a uint64 scratch that each thread keeps
-    for its later reads; so concurrent reads share no scratch, and reads
-    into a caller's buffer allocate no (rows, V) array.  Row seeds come from
-    a read-only table that a read of a longer state replaces whole, and pair
-    terms, when all (V, 2 * cw) fit one chunk and a strip's non-mask tokens
-    lie in [0, V), from a read-only table built with the model.
+    seed alone, so any position set gives the same rows as the full read.
+    Rows hash straight into their out rows, a bounded number of cells at a
+    time, in a uint64 scratch that each thread keeps for its later reads;
+    so concurrent reads share no scratch, and reads into a caller's buffer
+    allocate no (rows, V) array.  Row seeds come from a read-only table
+    that a read of a longer state replaces whole, and pair terms, when all
+    (V, 2 * cw) fit one chunk and a strip's non-mask tokens lie in [0, V),
+    from a read-only table built with the model.
     """
 
     def __init__(self, config: SynthModelConfig):
@@ -217,15 +220,8 @@ class SyntheticModel(MaskedModel):
     def vocab_size(self) -> int:
         return self._config.vocab_size
 
-    def forward(self, states: Sequence[SequenceState]) -> partial:
-        return partial(self._logits, _batch(states))
-
-    def _logits(self, states: Sequence[SequenceState], row: int, positions: Sequence[int],
-                out: np.ndarray | None = None) -> np.ndarray:
-        """The (len(positions), V) logits of states[row], looked up only now,
-        at positions, in out's first rows or a fresh array."""
-        state = states[row]
-        positions = check_positions(len(state.tokens), positions)
+    def rows(self, state: SequenceState, positions: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
         n, cw = len(positions), self._config.context_window
         seeds = self._seeds_for(len(state.tokens))[positions]  # a fresh array
         if cw and n:
@@ -297,8 +293,7 @@ class TableModel(MaskedModel):
     The fingerprint is the exact token tuple; querying a state the table
     does not list raises FixtureMissError, which indicates a broken test
     fixture rather than a runtime condition.  Rows are stored read-only, one
-    full (L, vocab) matrix per state; forward does no work, and a read
-    looks its row's state up only then and copies out the asked rows.
+    full (L, vocab) matrix per state, and a read copies out the asked rows.
     """
 
     def __init__(self, table: dict[tuple[int, ...], np.ndarray]):
@@ -326,20 +321,11 @@ class TableModel(MaskedModel):
     def vocab_size(self) -> int:
         return self._vocab
 
-    def rows_for(self, tokens: tuple[int, ...]) -> np.ndarray:
-        if tokens not in self._table:
-            raise FixtureMissError(f"no fixture rows for state {tokens}")
-        return self._table[tokens]
-
-    def forward(self, states: Sequence[SequenceState]) -> partial:
-        return partial(self._rows, _batch(states))
-
-    def _rows(self, states: Sequence[SequenceState], row: int, positions: Sequence[int],
-              out: np.ndarray | None = None) -> np.ndarray:
-        """A copy of the stored rows of states[row], looked up only now, at
-        positions, in out's first rows or a fresh array."""
-        rows = self.rows_for(states[row].tokens)
-        positions = check_positions(len(rows), positions)
+    def rows(self, state: SequenceState, positions: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+        rows = self._table.get(state.tokens)
+        if rows is None:
+            raise FixtureMissError(f"no fixture rows for state {state.tokens}")
         return np.take(rows, positions, axis=0, out=None if out is None else out[: len(positions)])
 
 

@@ -85,23 +85,16 @@ def initial_state(
     )
 
 
-def block_partition(prompt_len: int, gen_len: int, block_len: int) -> tuple[range, ...]:
-    """Partition the generation region into ceil(gen_len / block_len) blocks.
-
-    Block j covers positions [prompt_len + j*block_len, prompt_len +
-    min((j+1)*block_len, gen_len)).  Every block except possibly the last
-    has exactly block_len positions.
-    """
-    if gen_len < 1 or block_len < 1:
-        raise ValueError("gen_len and block_len must be >= 1")
+def schedule_for(state: SequenceState) -> tuple[range, ...]:
+    """The generation region as ceil(gen_len / block_len) blocks: block j
+    covers positions [prompt_len + j*block_len, prompt_len +
+    min((j+1)*block_len, gen_len)), so every block except possibly the last
+    has exactly block_len positions."""
+    prompt_len, gen_len, block_len = state.prompt_len, state.gen_len, state.block_len
     return tuple(
         range(prompt_len + start, prompt_len + min(start + block_len, gen_len))
         for start in range(0, gen_len, block_len)
     )
-
-
-def schedule_for(state: SequenceState) -> tuple[range, ...]:
-    return block_partition(state.prompt_len, state.gen_len, state.block_len)
 
 
 def current_block(state: SequenceState) -> int | None:

@@ -44,7 +44,7 @@ import numpy as np
 from .models import MaskedModel, softmax_matrix
 from .sequence import SequenceState, current_block, masked_in_blocks, place_token
 from .sequence import schedule_for  # noqa: F401  (wrapped here by perfbench/tracer.py)
-from .stepwise import DecodeTrace, argmax_rows, choose_step, decode_remaining
+from .stepwise import DecodeTrace, argmax_rows, candidate_snapshot, choose_step, decode_remaining
 
 DECODE_SHAPES = ("greedy", "mix_order")  # the tree shapes ssd_decode runs
 TREE_SHAPES = (*DECODE_SHAPES, "kary")
@@ -88,8 +88,8 @@ def drafts_from_logits(
     drafted masks past the choices in hand.  A later round's leaf lacks its
     own bonus token, so its drafts may be slightly stale; staleness only
     costs acceptance rate because every draft is re-verified before use.
-    Column 0 and the confidences do not depend on k: the stable sort puts
-    the first maximum first, exactly as argmax_rows picks it.
+    Column 0 and the confidences do not depend on k: candidate_snapshot
+    puts the first maximum first, exactly as argmax_rows picks it.
     """
     if positions.size == 0:
         raise ValueError("state has no masked positions to draft for")
@@ -99,7 +99,7 @@ def drafts_from_logits(
             raise ValueError("probabilities do not cover the drafted blocks")
         probs = probs[found]
     first, confidences = argmax_rows(probs)
-    tokens = first[:, None] if k == 1 else np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    tokens = first[:, None] if k == 1 else candidate_snapshot(probs, k)[0]
     return Drafts(positions=positions, tokens=tokens, confidences=confidences)
 
 
@@ -119,8 +119,6 @@ def select_candidates(
     if n < 1:
         raise ValueError("candidate count must be >= 1")
     positions = drafts.positions
-    if not positions.size:
-        return ()
     blocks = (positions - state.prompt_len) // state.block_len
     # lexsort is stable and positions ascend, so ties go to the lowest position
     order = np.lexsort((-drafts.confidences, blocks))[:n]
@@ -262,8 +260,8 @@ def batch_verify(model: MaskedModel, tree: VerificationTree,
     accepted as the final token of the round, which guarantees progress of
     at least one token; a fully decoded node chooses nothing.  The walk
     reads each node it visits once, for exactly its current block's masks,
-    which the node's state knows, and no other node, so a backend that
-    looks a state up on read builds and scores only the accepted path.
+    which the node's state knows, and no other node, so a forward, which
+    looks a state up only on read, builds and scores only the accepted path.
     Each validated child costs one placement, and the leaf's own choice one
     more, so a round places exactly the tokens it accepts.
     """

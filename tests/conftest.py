@@ -11,7 +11,6 @@ import selfspec.ssd as ssd_mod
 from selfspec import (
     MaskedModel,
     batch_verify,
-    block_partition,
     build_tree,
     initial_state,
     ssd_decode,
@@ -67,7 +66,8 @@ def check_block_order(positions, prompt_len, gen_len, block_len):
     """Assert a sequence of decode positions never enters block j+1 while
     block j still has an undetermined position.  Returns the number of
     steps checked so callers can sanity-check coverage."""
-    remaining = [set(block) for block in block_partition(prompt_len, gen_len, block_len)]
+    remaining = [set(range(prompt_len + start, prompt_len + min(start + block_len, gen_len)))
+                 for start in range(0, gen_len, block_len)]
     for pos in positions:
         j = (pos - prompt_len) // block_len
         for earlier in range(j):
@@ -108,6 +108,9 @@ class CountingModel(MaskedModel):
 
         return logged
 
+    def rows(self, state, positions, out=None):
+        return self.inner.rows(state, positions, out)
+
 
 def recorded_table(model):
     """The table fixture that replays the decodes run through the
@@ -128,6 +131,29 @@ class ForwardFails(MaskedModel):
 
     def forward(self, states):
         raise AssertionError("forward was called")
+
+    def rows(self, state, positions, out=None):
+        raise AssertionError("rows were read")
+
+
+class RowsOnlyModel(MaskedModel):
+    """A backend of only vocab_size and rows, so its forward, with the
+    empty-batch error, the position checks and the lookups on read, is
+    MaskedModel's: a row is an integer pattern of its position and the
+    state's tokens, exact in float64."""
+
+    def __init__(self, vocab):
+        self._vocab = vocab
+
+    @property
+    def vocab_size(self):
+        return self._vocab
+
+    def rows(self, state, positions, out=None):
+        salt = sum((i + 1) * t for i, t in enumerate(state.tokens)) % 101
+        logits = np.empty((len(positions), self._vocab)) if out is None else out[: len(positions)]
+        logits[:] = (positions[:, None] * 7 + np.arange(self._vocab) * 3 + salt) % 11
+        return logits
 
 
 @contextlib.contextmanager

@@ -9,7 +9,6 @@ tolerance.
 
 import json
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -138,12 +137,8 @@ class FlooredModel(MaskedModel):
     def vocab_size(self):
         return self._inner.vocab_size
 
-    def forward(self, states):
-        return partial(self._floored, self._inner.forward(states))
-
-    @staticmethod
-    def _floored(read, row, positions, out=None):
-        rows = read(row, positions, out)
+    def rows(self, state, positions, out=None):
+        rows = self._inner.rows(state, positions, out)
         return np.floor(rows, out=rows)
 
 

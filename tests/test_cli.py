@@ -237,6 +237,9 @@ def test_sweep_rejects_stepwise_strategy(capsys):
         ["decode", "--gen-length", "1048577"],
         ["decode", "--context-window", "1025"],
         ["sweep", "--draft-lengths", "257"],
+        ["decode", "--topk", "-1"],
+        ["sweep", "--draft-lengths", ""],
+        ["sweep", "--strategies", ","],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -305,6 +308,10 @@ TRACE_RECORD = '\n{"position": %d, "token": %d, "confidence": 0.5, "topk": [[7, 
         ("trace", TRACE_HEADER % ("stepwise", 10**20, 1, 1, 2) + TRACE_RECORD % (7, 1)),
         ("trace", TRACE_HEADER % ("stepwise", 0, 1, 1, 2)
                   + TRACE_RECORD.replace("0.5", "9" * 400) % (0, 1)),
+        ("trace", ""),
+        # a valid ssd trace, which records no snapshot for analyze to score
+        ("trace", TRACE_HEADER.replace('"topk": 5', '"topk": 0') % ("ssd", 0, 1, 1, 2)
+                  + '\n{"position": 0, "token": 1, "confidence": 0.5, "topk": null}'),
         ("table", "[1]"),
         ("table", TABLE + '\n{"tokens": ["1", 1], "logits": [[0.0, 1.0], [1.0, 0.0]]}'),
         ("table", TABLE + '\n{"tokens": [1, 1.0], "logits": [[0.0, 1.0], [1.0, 0.0]]}'),
@@ -313,6 +320,9 @@ TRACE_RECORD = '\n{"position": %d, "token": %d, "confidence": 0.5, "topk": [[7, 
         ("table", TABLE + '\n{"tokens": [1, 1], "logits": [[0.0, %s], [1.0, 0.0]]}' % ("9" * 400)),
         ("table", TABLE_ROW + '\n{"tokens": 5, "logits": [[0.0, 1.0]]}'),
         ("table", TABLE_ROW + '\n{"tokens": [[1]], "logits": [[0.0, 1.0]]}'),
+        ("table", ""),
+        ("table", '{"tokens": [2, 2], "logits": [[0.0, 1.0], [1.0]]}'),  # ragged rows
+        ("table", '{"tokens": [2, 2], "logits": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]}'),  # V = 3
     ],
 )
 def test_malformed_input_file_exits_one_with_one_line(capsys, tmp_path, kind, content):
@@ -358,6 +368,9 @@ class _TwoFacedModel(MaskedModel):
             return mat
 
         return read
+
+    def rows(self, state, positions, out=None):
+        raise AssertionError("rows are read through forward")
 
 
 def test_contract_breaking_model_trips_losslessness_error(monkeypatch):

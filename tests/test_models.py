@@ -37,8 +37,8 @@ from selfspec import models
 from selfspec.ssd import draft_masks
 from selfspec.stepwise import candidate_snapshot
 
-from conftest import (CountingModel, address_space_capped, all_masked_state, full_logits,
-                      recorded_table)
+from conftest import (CountingModel, RowsOnlyModel, address_space_capped, all_masked_state,
+                      full_logits, recorded_table)
 
 
 # --- top-1 prediction rule --------------------------------------------------
@@ -578,14 +578,23 @@ def test_wide_context_window_is_hashed_in_bounded_chunks(vocab, monkeypatch):
 # --- position sets ---------------------------------------------------------
 
 
+BACKENDS = ["synthetic", "table", "rows_only"]
+
+
+def make_backend(name, inner, states):
+    """The backend name, able to score states: the synthetic model inner, a
+    table that replays its full rows, or a RowsOnlyModel of its vocabulary."""
+    if name == "synthetic":
+        return inner
+    if name == "table":
+        return TableModel({s.tokens: full_logits(inner, s) for s in states})
+    return RowsOnlyModel(inner.vocab_size)
+
+
 def position_backends(seed, vocab, cw, state):
-    """The two backends, each able to score state: the table replays the
-    synthetic model's full rows."""
+    """Every backend, each able to score state."""
     model = synth(seed=seed, vocab=vocab, cw=cw)
-    return {
-        "synthetic": model,
-        "table": TableModel({state.tokens: full_logits(model, state)}),
-    }
+    return {name: make_backend(name, model, [state]) for name in BACKENDS}
 
 
 @given(
@@ -622,7 +631,7 @@ def test_every_position_set_is_the_full_rows_bit_for_bit(seed, prompt_len, gen_l
                    for row, (pos, b) in enumerate(zip(subsets, singles))), name
 
 
-@pytest.mark.parametrize("backend", ["synthetic", "table"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_bad_positions_raise_and_empty_ones_answer_no_rows(backend):
     """Empty position sets are valid; non-ascending, duplicate, out-of-range,
     non-integer and non-1-d ones raise when read, and the reader still
@@ -642,7 +651,7 @@ def test_bad_positions_raise_and_empty_ones_answer_no_rows(backend):
         model.forward([])
 
 
-@pytest.mark.parametrize("backend", ["synthetic", "table"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_forward_returns_one_reader_for_the_batch(backend):
     """A forward answers with one reader for its batch, whose rows are the
     states in input order; each read is a fresh writable matrix, so writing
@@ -650,9 +659,7 @@ def test_forward_returns_one_reader_for_the_batch(backend):
     given; and reads of the same state in different rows agree."""
     base = all_masked_state(prompt_len=1, gen_len=6, vocab=8)
     other = place_token(base, 2, 4)
-    inner = synth(seed=5, vocab=8)
-    model = {"synthetic": inner,
-             "table": TableModel({s.tokens: full_logits(inner, s) for s in (base, other)})}[backend]
+    model = make_backend(backend, synth(seed=5, vocab=8), (base, other))
     read = model.forward([base, other, base])
     assert callable(read)
     first, again = read(0, [1, 2, 3]), read(0, [1, 2, 3])
@@ -668,17 +675,15 @@ def test_forward_returns_one_reader_for_the_batch(backend):
     assert [read(row, []).shape for row in range(3)] == [(0, 8)] * 3
 
 
-@pytest.mark.parametrize("backend", ["synthetic", "table"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_a_reader_is_unchanged_by_later_forwards(backend):
     """Later forwards on the model, and changes to the positions array after
     a read, change neither that read nor a later read of the same reader."""
     state = all_masked_state(prompt_len=1, gen_len=6, vocab=6)
     states = [state, place_token(state, 2, 4), place_token(state, 3, 1)]
-    inner = synth(seed=0, vocab=6, cw=2)
-    model = {"synthetic": inner,
-             "table": TableModel({s.tokens: full_logits(inner, s) for s in states})}[backend]
+    model = make_backend(backend, synth(seed=0, vocab=6, cw=2), states)
     positions = np.array([1, 2, 4], dtype=np.intp)
-    want = full_logits(inner, state)[positions].tobytes()
+    want = full_logits(model, state)[positions].tobytes()
     early = model.forward([state])
     first = early(0, positions)
     model.forward(states[1:])
@@ -690,14 +695,13 @@ def test_a_reader_is_unchanged_by_later_forwards(backend):
     assert early(0, [1, 2, 4]).tobytes() == want
 
 
-@pytest.mark.parametrize("backend", ["synthetic", "table"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_forward_allocates_the_same_for_any_batch_size(backend):
     """A forward of a 512-node mix_order tree (n = 256) allocates no more
     than one of a 2-node greedy tree: nothing per state of the batch."""
     state = all_masked_state(gen_len=256, vocab=8, block_len=256)
     inner = synth(vocab=8)
-    model = {"synthetic": inner,
-             "table": TableModel({state.tokens: full_logits(inner, state)})}[backend]
+    model = make_backend(backend, inner, [state])
     drafts = drafts_from_logits(softmax_matrix(full_logits(inner, state)),
                                 positions=draft_masks(state, 256), rows=np.arange(256))
     trees = [build_tree(state, select_candidates(state, drafts, n), drafts, shape)
@@ -733,12 +737,14 @@ def test_table_returns_rows_verbatim():
     assert model.vocab_size == 4
 
 
-def test_stored_rows_are_read_only():
-    """The rows a table stores cannot be written, and a read copies them
-    out."""
-    state, table = tiny_table()
-    with pytest.raises(ValueError):
-        table.rows_for(state.tokens)[0, 0] = 1.0
+def test_stored_rows_are_a_copy():
+    """A table stores a copy of the rows it is given, so a later change to
+    them changes no read, and a read copies them out."""
+    state = all_masked_state(gen_len=2, vocab=4)
+    rows = np.array([[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]])
+    table = TableModel({state.tokens: rows})
+    rows[0, 0] = 9.0
+    assert full_logits(table, state)[0, 0] == 0.0
     read = full_logits(table, state)
     read[0, 0] += 1.0
     assert not np.array_equal(read, full_logits(table, state))
@@ -762,7 +768,8 @@ def test_table_fixture_round_trip_exact(tmp_path):
     assert path.read_text().startswith('{"logits": ')  # sorted keys
     loaded = load_table_fixture(str(path))
     for key, rows in table.items():
-        assert np.array_equal(loaded.rows_for(key), rows)
+        state = SequenceState(tokens=key, prompt_len=0, gen_len=3, mask_id=4, block_len=3)
+        assert np.array_equal(full_logits(loaded, state), rows)
     path.write_text('{"logits": [[0.0, 1.0]]}\n')
     with pytest.raises(ValueError, match="tokens"):
         load_table_fixture(str(path))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from selfspec import (
     IllegalWriteError,
     SequenceState,
-    block_partition,
     current_block,
     initial_state,
     place_token,
@@ -21,12 +20,17 @@ from selfspec.sequence import masked_in_blocks
 from conftest import all_masked_state
 
 
-# --- block_partition -------------------------------------------------------
+# --- schedule_for ----------------------------------------------------------
+
+
+def partition(prompt_len, gen_len, block_len):
+    """The schedule of a fresh state of that shape."""
+    return schedule_for(initial_state(range(prompt_len), gen_len, mask_id=-1, block_len=block_len))
 
 
 def test_partition_p4_l16_b8():
     """Two full blocks straddling a length-4 prompt."""
-    sched = block_partition(4, 16, 8)
+    sched = partition(4, 16, 8)
     assert [list(b) for b in sched] == [
         list(range(4, 12)),
         list(range(12, 20)),
@@ -34,7 +38,7 @@ def test_partition_p4_l16_b8():
 
 
 def test_partition_truncated_last_block():
-    sched = block_partition(0, 10, 8)
+    sched = partition(0, 10, 8)
     assert [list(b) for b in sched] == [
         list(range(0, 8)),
         list(range(8, 10)),
@@ -42,14 +46,15 @@ def test_partition_truncated_last_block():
 
 
 def test_partition_single_block_when_b_exceeds_l():
-    sched = block_partition(7, 5, 8)
+    sched = partition(7, 5, 8)
     assert [list(b) for b in sched] == [list(range(7, 12))]
 
 
 @pytest.mark.parametrize("gen_len,block_len", [(0, 8), (8, 0), (0, 0)])
 def test_partition_rejects_zero_sizes(gen_len, block_len):
-    with pytest.raises(ValueError):
-        block_partition(4, gen_len, block_len)
+    """No state of a zero-size region or block exists to schedule."""
+    with pytest.raises(ValueError, match="gen_len and block_len must be >= 1"):
+        partition(4, gen_len, block_len)
 
 
 @given(
@@ -61,7 +66,7 @@ def test_partition_rejects_zero_sizes(gen_len, block_len):
 def test_partition_covers_generation_region(prompt_len, gen_len, block_len):
     """Blocks are disjoint, ordered, cover the region, and all but the last
     have size exactly block_len."""
-    sched = block_partition(prompt_len, gen_len, block_len)
+    sched = partition(prompt_len, gen_len, block_len)
     expected_count = -(-gen_len // block_len)
     assert len(sched) == expected_count
     flat = [p for block in sched for p in block]

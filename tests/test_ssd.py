@@ -36,6 +36,7 @@ from selfspec.stepwise import argmax_rows, choose_step
 from test_acceptance import FlooredModel
 from conftest import (
     CountingModel,
+    RowsOnlyModel,
     all_masked_state,
     check_block_order,
     full_logits,
@@ -428,11 +429,11 @@ def test_a_bad_candidate_raises_only_when_its_node_is_built(shape, bad):
     assert isinstance(placing(state, cands), Exception)
 
 
-@pytest.mark.parametrize("backend", ["synthetic", "table"])
+@pytest.mark.parametrize("backend", ["synthetic", "table", "rows_only"])
 @pytest.mark.parametrize("shape", ["greedy", "mix_order"])
 @pytest.mark.parametrize("seed", range(6))
 def test_a_round_builds_only_the_states_its_walk_visits(backend, shape, seed, monkeypatch):
-    """Building a tree places no token.  On either backend the walk builds
+    """Building a tree places no token.  On every backend the walk builds
     each node it validates, by one placement on its parent's state, and
     places the leaf's own choice: so a round places exactly the tokens it
     accepts, in order.  Every node off the path is still unbuilt after the
@@ -443,6 +444,8 @@ def test_a_round_builds_only_the_states_its_walk_visits(backend, shape, seed, mo
         counting = CountingModel(model)
         batch_verify(counting, build_tree(state, cands, drafts, shape))
         model = TableModel(recorded_table(counting))
+    elif backend == "rows_only":
+        model = RowsOnlyModel(model.vocab_size)
     placed = []
 
     def counting_place(state, pos, tok):
@@ -572,6 +575,7 @@ def test_fully_decoded_node_asks_for_no_rows():
     backends = {
         "synthetic": synth(seed=3),
         "table": TableModel({s.tokens: full_logits(synth(seed=3), s) for s in (decoded, state)}),
+        "rows_only": RowsOnlyModel(16),
     }
     for name, backend in backends.items():
         alone = backend.forward([decoded])(0, [])
