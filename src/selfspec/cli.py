@@ -17,7 +17,7 @@ from .jsonl import dumps
 from .models import FixtureMissError, MaskedModel, SyntheticModel, load_table_fixture
 from .reporting import STRATEGIES, Report, RunConfig, _result, merge_config, render_report
 from .sequence import SequenceState, initial_state
-from .ssd import DECODE_SHAPES, SsdResult, ssd_decode
+from .ssd import SsdResult, ssd_decode
 from .stepwise import DecodeTrace, read_trace, stepwise_decode, write_trace
 
 
@@ -109,12 +109,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    """Integers separated by commas, whitespace or both; an empty item
-    between commas is an error."""
+def _parse_list(text: str, kind: type = int) -> tuple:
+    """Items of type kind separated by commas, whitespace or both; an empty
+    item between commas is an error."""
     if "," in text and not all(item.strip() for item in text.split(",")):
-        raise ValueError(f"empty item in integer list {text!r}")
-    return tuple(int(piece) for piece in text.replace(",", " ").split())
+        raise ValueError(f"empty item in list {text!r}")
+    return tuple(kind(piece) for piece in text.replace(",", " ").split())
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, with_strategy: bool = True) -> None:
@@ -148,10 +148,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         base = RunConfig()
     overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     if args.prompt is not None:
-        overrides["prompt"] = _parse_ints(args.prompt)
+        overrides["prompt"] = _parse_list(args.prompt)
     elif args.prompt_file:
         with open(args.prompt_file, "r", encoding="utf-8") as fh:
-            overrides["prompt"] = _parse_ints(fh.read())
+            overrides["prompt"] = _parse_list(fh.read())
     return merge_config(base, overrides)
 
 
@@ -182,21 +182,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
     if trace.decoder != "stepwise":
         raise ValueError(f"analyze needs a stepwise trace, got a {trace.decoder!r} trace")
-    draft_lengths = _parse_ints(args.draft_length)
-    topk_values = _parse_ints(args.topk)
+    draft_lengths = _parse_list(args.draft_length)
+    topk_values = _parse_list(args.topk)
     _emit(format_grid(trace, draft_lengths, topk_values) + "\n", args.out)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    draft_lengths = _parse_ints(args.draft_lengths)
-    strategies = tuple(s for s in args.strategies.split(",") if s)
+    draft_lengths = _parse_list(args.draft_lengths)
+    strategies = _parse_list(args.strategies, str)
     if not draft_lengths or not strategies:
         raise ValueError("sweep needs at least one draft length and one strategy")
-    for strategy in strategies:
-        if strategy not in DECODE_SHAPES:
-            raise ValueError(f"sweep strategies must be speculative, got {strategy!r}")
     combos = [merge_config(config, {"strategy": strategy, "draft_len": n})
               for strategy in strategies for n in draft_lengths]
     lines = [dumps({"kind": "sweep", "version": 1}), dumps({"config": config.to_dict()})]

@@ -57,8 +57,8 @@ class RunConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.backend == "table" and not self.table_path:
-            raise ValueError("table backend requires table_path")
+        if (self.backend == "table") != bool(self.table_path):
+            raise ValueError("table_path is required by the table backend and only by it")
         # upper bounds keep positions inside int64 arrays and trees at most 512 nodes
         if not (1 <= self.gen_len <= 2**20 and 1 <= self.block_len <= 2**20
                 and 1 <= self.draft_len <= MAX_DRAFT_LEN):

@@ -110,10 +110,9 @@ def select_candidates(
 
     Verification order is current-block positions by descending confidence
     (ties to the lowest position), then, only if the block ran short,
-    next-block positions by the same rule.  May return fewer than n entries
-    when the current and next block together hold fewer masked positions;
-    the decode loop treats that as the signal to fall back to stepwise
-    decoding.  The drafts are ranked as given, as the walk places no
+    next-block positions by the same rule.  Returns min(n, len(drafts))
+    pairs; the decode loop falls back to stepwise decoding before it drafts
+    fewer than n.  The drafts are ranked as given, as the walk places no
     candidate that is not the stepwise choice.
     """
     if n < 1:
@@ -321,10 +320,10 @@ def ssd_decode(
     reading the leaf only past them: round 1 at the start state, from the
     drafting forward, with none in hand; a later round at the previous
     leaf, with its held choices.  Each round costs one batched forward pass
-    and accepts between 1 and n+1 tokens.  When fewer than n candidate
-    positions remain in scope the loop falls back to plain stepwise
-    decoding.  Every read goes to one buffer of two blocks' rows, sized up
-    front.
+    and accepts between 1 and n+1 tokens.  When the current and next block
+    together hold fewer than n masks, the loop falls back to plain stepwise
+    decoding before it drafts.  Every read goes to one buffer of two blocks'
+    rows, sized up front.
     """
     if n < 1:
         raise ValueError("draft length must be >= 1")
@@ -342,6 +341,11 @@ def ssd_decode(
 
     while True:
         drafted = draft_masks(state, n)
+        if len(drafted) < n:
+            state, tail, _ = decode_remaining(model, state, topk=0, out=out)
+            steps.extend(tail)
+            fallback_steps = len(tail)
+            break
         tokens, confidences = held  # the first drafted masks' choices; read the rest
         if len(tokens) < len(drafted):
             past = drafted[len(tokens):]
@@ -350,11 +354,6 @@ def ssd_decode(
             confidences = np.concatenate((confidences, fresh.confidences))
         drafts = Drafts(positions=drafted, tokens=tokens[:, None], confidences=confidences)
         candidates = select_candidates(state, drafts, n)
-        if len(candidates) < n:
-            state, tail, _ = decode_remaining(model, state, topk=0, out=out)
-            steps.extend(tail)
-            fallback_steps = len(tail)
-            break
         tree = build_tree(state, candidates, drafts, shape)
         result = batch_verify(model, tree, out)
         steps.extend(result.accepted)

@@ -8,13 +8,9 @@ import numpy as np
 import pytest
 
 import selfspec.ssd as ssd_mod
-from selfspec import (
-    MaskedModel,
-    batch_verify,
-    build_tree,
-    initial_state,
-    ssd_decode,
-)
+from selfspec.models import MaskedModel
+from selfspec.sequence import initial_state
+from selfspec.ssd import batch_verify, build_tree, ssd_decode
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -15,22 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfspec import (
-    MaskedModel,
-    SynthModelConfig,
-    SyntheticModel,
-    build_tree,
-    drafts_from_logits,
-    initial_state,
-    kary_tree_size,
-    load_table_fixture,
-    select_candidates,
-    ssd_decode,
-    stepwise_decode,
-    topk_match_reduction,
-    upper_bound,
-)
+from selfspec.analyzer import kary_tree_size, topk_match_reduction, upper_bound
 from selfspec.cli import main
+from selfspec.models import MaskedModel, SynthModelConfig, SyntheticModel, load_table_fixture
+from selfspec.sequence import initial_state
+from selfspec.ssd import build_tree, drafts_from_logits, select_candidates, ssd_decode
+from selfspec.stepwise import stepwise_decode
 
 from conftest import (
     FIXTURES,

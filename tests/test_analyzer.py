@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfspec import (
-    DecodeTrace,
-    SynthModelConfig,
-    SyntheticModel,
-    format_grid,
-    kary_tree_size,
-    ssd_decode,
-    stepwise_decode,
-    topk_match_reduction,
-    upper_bound,
-)
+from selfspec.analyzer import format_grid, kary_tree_size, topk_match_reduction, upper_bound
+from selfspec.models import SynthModelConfig, SyntheticModel
+from selfspec.ssd import ssd_decode
+from selfspec.stepwise import DecodeTrace, stepwise_decode
 
 from conftest import all_masked_state
 

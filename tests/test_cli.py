@@ -11,22 +11,14 @@ from conftest import FIXTURES, CountingModel, ForwardFails, address_space_capped
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfspec import (
-    MaskedModel,
-    RunConfig,
-    dump_table_fixture,
-    read_trace,
-    render_report,
-    report_from_lines,
-    ssd_decode,
-    stepwise_decode,
-    trace_from_lines,
-    trace_to_lines,
-)
-from selfspec.cli import LosslessnessError, build_model, main, run_compare, run_decode, start_state
 import selfspec.cli as cli_mod
 import selfspec.stepwise as stepwise_mod
+from selfspec.cli import LosslessnessError, build_model, main, run_compare, run_decode, start_state
 from selfspec.jsonl import dumps
+from selfspec.models import MaskedModel, dump_table_fixture
+from selfspec.reporting import RunConfig, render_report, report_from_lines
+from selfspec.ssd import ssd_decode
+from selfspec.stepwise import read_trace, stepwise_decode, trace_from_lines, trace_to_lines
 
 
 def run_main(capsys, argv):
@@ -201,6 +193,13 @@ def test_sweep_emits_one_line_per_combo(capsys):
     assert all(e["sweep"]["identical"] for e in lines if "sweep" in e)
 
 
+def test_sweep_strategies_split_like_draft_lengths(capsys):
+    """Both sweep lists take commas, whitespace or both between items."""
+    outs = [run_main(capsys, ["sweep", *BASE, "--draft-lengths", "3, 4", "--strategies", strategies])
+            for strategies in ("greedy,mix_order", "greedy, mix_order")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 def test_sweep_rejects_stepwise_strategy(capsys):
     code, _, err = run_main(
         capsys, ["sweep", *BASE, "--strategies", "stepwise"]
@@ -240,6 +239,8 @@ def test_sweep_rejects_stepwise_strategy(capsys):
         ["decode", "--topk", "-1"],
         ["sweep", "--draft-lengths", ""],
         ["sweep", "--strategies", ","],
+        ["sweep", "--strategies", "greedy,,mix_order"],
+        ["decode", "--table", "x"],  # table_path without the table backend
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):

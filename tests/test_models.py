@@ -14,28 +14,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfspec import (
+from selfspec import models
+from selfspec.models import (
     FixtureMissError,
-    SequenceState,
     SynthModelConfig,
     SyntheticModel,
     TableModel,
+    dump_table_fixture,
+    load_table_fixture,
+    softmax_matrix,
+)
+from selfspec.sequence import SequenceState, initial_state, place_token
+from selfspec.ssd import (
     batch_verify,
     build_tree,
+    draft_masks,
     drafts_from_logits,
-    dump_table_fixture,
-    initial_state,
-    load_table_fixture,
-    place_token,
     select_candidates,
-    softmax_matrix,
     ssd_decode,
-    stepwise_decode,
-    trace_to_lines,
 )
-from selfspec import models
-from selfspec.ssd import draft_masks
-from selfspec.stepwise import candidate_snapshot
+from selfspec.stepwise import candidate_snapshot, stepwise_decode, trace_to_lines
 
 from conftest import (CountingModel, RowsOnlyModel, address_space_capped, all_masked_state,
                       full_logits, recorded_table)

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfspec import (
+from selfspec.reporting import (
     Report,
-    RoundStats,
     RunConfig,
+    merge_config,
     render_report,
     report_from_lines,
     report_to_lines,
 )
-from selfspec.reporting import merge_config
+from selfspec.ssd import RoundStats
 
 
 def sample_config(**overrides):
@@ -65,6 +65,8 @@ def test_config_validation_catches_bad_fields():
         sample_config(prompt=(99,), vocab_size=24).validate()
     with pytest.raises(ValueError):
         sample_config(backend="table", table_path=None).validate()
+    with pytest.raises(ValueError):
+        sample_config(table_path="fixture.jsonl").validate()  # the synthetic backend reads none
     for sharpness in (0.0, -1.0, float("inf"), float("-inf"), float("nan"), "x", True):
         with pytest.raises(ValueError):
             sample_config(sharpness=sharpness).validate()

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfspec import (
+from selfspec.sequence import (
     IllegalWriteError,
     SequenceState,
     current_block,
     initial_state,
+    masked_in_blocks,
     place_token,
     schedule_for,
 )
-from selfspec.sequence import masked_in_blocks
 
 from conftest import all_masked_state
 

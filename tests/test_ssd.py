@@ -10,28 +10,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfspec import (
-    Drafts,
+from selfspec.analyzer import kary_tree_size
+from selfspec.models import (
     SynthModelConfig,
     SyntheticModel,
     TableModel,
-    batch_verify,
-    build_tree,
-    drafts_from_logits,
-    initial_state,
-    kary_tree_size,
     load_table_fixture,
-    place_token,
-    select_candidates,
     softmax_matrix,
-    ssd_decode,
-    stepwise_decode,
 )
-from selfspec.sequence import masked_in_blocks
 import selfspec.ssd as ssd_mod
 import selfspec.stepwise as stepwise_mod
-from selfspec.ssd import MAX_DRAFT_LEN, draft_masks
-from selfspec.stepwise import argmax_rows, choose_step
+from selfspec.sequence import initial_state, masked_in_blocks, place_token
+from selfspec.ssd import (
+    MAX_DRAFT_LEN,
+    Drafts,
+    batch_verify,
+    build_tree,
+    draft_masks,
+    drafts_from_logits,
+    select_candidates,
+    ssd_decode,
+)
+from selfspec.stepwise import argmax_rows, choose_step, stepwise_decode
 
 from test_acceptance import FlooredModel
 from conftest import (
@@ -987,9 +987,9 @@ def scanned_draft(state, n):
 @settings(max_examples=60, deadline=None)
 def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_len, n, shape):
     """Every read asks for ascending masked positions of its own state.  Each
-    round's refresh reads its leaf at most once, only when the masks it
-    drafts pass the choices in hand, and then for exactly the drafted masks
-    past them: round 1's is the drafting forward's read of the start state,
+    round's refresh reads its leaf at most once, only when it drafts at
+    least n masks and they pass the choices in hand, and then for exactly
+    the drafted masks past them: round 1's is the drafting forward's read of the start state,
     with none in hand.  Each round reads the nodes on the path from the root
     to its leaf once each, in walk order, for exactly their current block's
     masks, and no other node; then comes the next round's refresh, with the
@@ -1001,7 +1001,7 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
     yet no token is placed before the walk, the walk places exactly the
     tokens it accepts, and the whole decode places gen_len tokens, as
     stepwise does.  Every round drafts the masks a fresh scan of its state
-    drafts."""
+    drafts, and a state with fewer than n of them falls back undrafted."""
     model = CountingModel(synth(seed=seed, vocab=12))
     start = all_masked_state(prompt_len=prompt_len, gen_len=gen_len, vocab=12, block_len=block_len)
     verified = []
@@ -1037,14 +1037,18 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
 
     def refresh(row, in_hand, state):
         """The read of a round's leaf, batch row row, drafting for state
-        with the choices at the masks in_hand."""
-        past = [p for p in scanned_draft(state, n) if p not in in_hand]
-        return [(row, past)] if past else []
+        with the choices at the masks in_hand; none when it drafts fewer
+        than n masks, as the loop then falls back."""
+        drafted = scanned_draft(state, n)
+        past = [p for p in drafted if p not in in_hand]
+        return [(row, past)] if past and len(drafted) >= n else []
 
     assert reads[0] == refresh(0, [], start)
     # every round drafts exactly what a fresh scan of its own state drafts,
-    # on the start and on each verify's next state that still holds a mask
+    # on the start and on each verify's next state that still holds a mask,
+    # if that scan finds at least n masks
     drafted_on = [start] + [r.state for _, r, _, _ in verified if all_masks(r.state)]
+    drafted_on = [state for state in drafted_on if len(scanned_draft(state, n)) >= n]
     assert [state for state, _ in selected] == drafted_on
     assert [pos for _, pos in selected] == [scanned_draft(state, n) for state in drafted_on]
 
@@ -1078,6 +1082,20 @@ def test_every_read_is_the_walk_or_the_refresh(seed, prompt_len, gen_len, block_
     snapshots = CountingModel(synth(seed=seed, vocab=12))
     stepwise_decode(snapshots, start, topk=2)
     assert [pos for _, _, pos in snapshots.reads] == [all_masks(s) for [s] in snapshots.batches]
+
+
+@pytest.mark.parametrize("shape", ["greedy", "mix_order"])
+def test_a_decode_that_falls_back_at_once_never_reads_its_drafting_forward(shape):
+    """Two blocks of two masks hold fewer than n = 5 candidates, so the loop
+    falls back before it drafts: the drafting forward, call 0, is still made
+    and counted, but never read, and the tokens are stepwise's."""
+    model = CountingModel(synth(vocab=12))
+    start = all_masked_state(gen_len=8, vocab=12, block_len=2)
+    res = ssd_decode(model, start, n=5, shape=shape)
+    assert res.rounds == () and res.fallback_steps == 8
+    assert model.calls == res.forward_count == 9
+    assert [call for call, _, _ in model.reads] == list(range(1, 9))
+    assert res.state.tokens == stepwise_decode(synth(vocab=12), start, topk=0)[0].tokens
 
 
 @given(seed=st.integers(0, 30), n=st.integers(2, 5))

@@ -8,23 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfspec import (
-    SynthModelConfig,
-    SyntheticModel,
-    TableModel,
-    initial_state,
-    place_token,
+from selfspec.models import SynthModelConfig, SyntheticModel, TableModel, softmax_matrix
+from selfspec.sequence import initial_state, place_token
+import selfspec.stepwise as stepwise_mod
+from selfspec.jsonl import dumps
+from selfspec.stepwise import (
+    argmax_rows,
+    candidate_snapshot,
+    choose_step,
     read_trace,
-    softmax_matrix,
+    snapshot_rows,
     stepwise_decode,
     trace_from_lines,
     trace_to_lines,
     write_trace,
 )
-
-from selfspec.jsonl import dumps
-import selfspec.stepwise as stepwise_mod
-from selfspec.stepwise import argmax_rows, candidate_snapshot, choose_step, snapshot_rows
 
 from conftest import (CountingModel, ForwardFails, address_space_capped, all_masked_state,
                       check_block_order, full_logits)
